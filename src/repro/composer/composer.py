@@ -437,6 +437,7 @@ class Composer:
         """Run the full pipeline: compose, hide, reduce, extract the CTMC."""
         with telemetry_span(
             "compose.run",
+            model=self.translated.model.name,
             reduction=self.reduction,
             reduce_policy=self.reduce_policy,
             jobs=self.jobs,

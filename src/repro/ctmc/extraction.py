@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import NondeterminismError
 from ..ioimc import IOIMC
 from ..lumping.reductions import maximal_progress_cut
-from ..nputil import csr_indptr
+from ..nputil import csr_indptr, unique_sorted
 from .ctmc import CTMC
 
 
@@ -123,7 +123,7 @@ def extract_ctmc(automaton: IOIMC, *, on_nondeterminism: str = "error") -> CTMC:
     if len(vanishing_edges):
         confluent_of = np.full(automaton.num_states, -1, dtype=np.int64)
         branching: dict[int, dict[int, float]] = {}
-        for state in np.unique(markovian_csr.target[vanishing_edges]).tolist():
+        for state in unique_sorted(markovian_csr.target[vanishing_edges]).tolist():
             resolved = resolve(state)
             if len(resolved) == 1:
                 confluent_of[state] = tangible_of[next(iter(resolved))]

@@ -24,6 +24,7 @@ import numpy as np
 from scipy import linalg
 
 from ..errors import ModelError
+from ..nputil import unique_sorted
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,7 @@ class PhaseType:
         totals, cums, targets = self._phase_tables()
         alive = np.arange(size)
         while alive.size:
-            for current in np.unique(phase[alive]):
+            for current in unique_sorted(phase[alive]):
                 rows = alive[phase[alive] == current]
                 total = totals[current]
                 if total <= 0:  # pragma: no cover - dead phase, mirrors sample()

@@ -49,6 +49,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ..nputil import unique_sorted
 from .actions import ActionKind, Signature, TAU
 from .indexed import TransitionIndex
 from .ioimc import IOIMC
@@ -186,7 +187,7 @@ def canonical_form(automaton: IOIMC) -> CanonicalForm:
 
     def refine(state_colour: np.ndarray, action_colour: np.ndarray):
         """Iterate the colour refinement to a fixed point."""
-        distinct = (len(np.unique(state_colour)), len(np.unique(action_colour)))
+        distinct = (len(unique_sorted(state_colour)), len(unique_sorted(action_colour)))
         for _ in range(num_states + num_actions + 2):
             owners = []
             codes = []
@@ -214,7 +215,7 @@ def canonical_form(automaton: IOIMC) -> CanonicalForm:
                     _intern_pairs(state_colour[isrc], state_colour[itgt]),
                     action_colour,
                 )
-            now = (len(np.unique(state_colour)), len(np.unique(action_colour)))
+            now = (len(unique_sorted(state_colour)), len(unique_sorted(action_colour)))
             if now == distinct:
                 break
             distinct = now

@@ -20,10 +20,11 @@ composite state is the ``int64`` code ``left_state * right.num_states +
 right_state``, a whole BFS level of codes is expanded at once by gathering
 the component CSR rows (non-shared moves interleave, shared moves are joined
 per ``(state, action)`` run and crossed), and newly reached codes are
-deduplicated with ``np.unique`` against a sorted table of known codes.  The
-scalar pair-by-pair engine is kept as :func:`_product_tables_pairwise` — it
-is the executable specification the batched engine is differentially tested
-against (``tests/test_compose_equivalence.py``).
+deduplicated with :func:`repro.nputil.unique_sorted` against a sorted table
+of known codes.  The scalar pair-by-pair engine is kept as
+:func:`_product_tables_pairwise` — it is the executable specification the
+batched engine is differentially tested against
+(``tests/test_compose_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import CompositionError
-from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices
+from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices, unique_sorted
 from .actions import Signature
 from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
 from .ioimc import IOIMC
@@ -112,7 +113,7 @@ def _product_tables_batched(
     width = right.num_states
 
     # Pair codes are int32 when the full code space fits — halves the memory
-    # traffic of the np.unique/searchsorted dedupe that dominates large
+    # traffic of the sort/searchsorted dedupe that dominates large
     # products.  All code arithmetic below stays within `code_span`, so the
     # narrow dtype cannot overflow.
     code_span = left.num_states * width
@@ -229,7 +230,7 @@ def _product_tables_batched(
         # real products but degrades to quadratic on chain-shaped operands
         # (O(states) levels of O(1) fresh states); swap in a chunked merge if
         # such models ever show up in a profile.
-        reached = np.unique(np.concatenate([code, mcode]))
+        reached = unique_sorted(np.concatenate([code, mcode]))
         position = np.searchsorted(known_codes, reached)
         position = np.minimum(position, len(known_codes) - 1)
         fresh = reached[known_codes[position] != reached]

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nputil import csr_indptr
+from ..nputil import csr_indptr, unique_sorted
 from .actions import ActionKind
 
 
@@ -376,7 +376,7 @@ class TransitionIndex:
             source = np.concatenate([icsr.source, mcsr.source])
             # Dedupe (target, source) pairs, then split runs by target.
             code = target.astype(np.int64) * num_states + source
-            code = np.unique(code)
+            code = unique_sorted(code)
             by_target, sources = np.divmod(code, num_states)
             indptr = csr_indptr(by_target, num_states)
             self._predecessor_csr = (indptr, sources.astype(np.int32))

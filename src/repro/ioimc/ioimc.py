@@ -24,7 +24,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import InputEnablednessError, ModelError
-from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices, rows_from_edges
+from ..nputil import (
+    csr_indptr,
+    dedupe_packed_triples,
+    gather_row_indices,
+    rows_from_edges,
+    unique_sorted,
+)
 from .actions import ActionKind, Signature, natural_sort_key
 
 
@@ -383,7 +389,7 @@ class IOIMC:
         num_inputs = int(index.input_flags.sum())
         if num_inputs == 0:
             return True
-        pairs = np.unique(
+        pairs = unique_sorted(
             csr.source[is_input_edge].astype(np.int64) * len(index.actions)
             + csr.action[is_input_edge]
         )
@@ -395,8 +401,8 @@ class IOIMC:
     # ------------------------------------------------------------------ #
     # transformations
     # ------------------------------------------------------------------ #
-    def relabel_states(self, mapping: Mapping[int, int], num_new_states: int) -> "IOIMC":
-        """Quotient/rename states according to ``mapping`` (old -> new index).
+    def relabel_states(self, block_of: Sequence[int], num_new_states: int) -> "IOIMC":
+        """Quotient/rename states: old state ``s`` becomes ``block_of[s]``.
 
         Interactive transitions of all merged states are unioned (duplicates
         are dropped).  Markovian rates are taken from a single *representative*
@@ -408,17 +414,14 @@ class IOIMC:
 
         Runs over the flat CSR arrays of the cached
         :class:`~repro.ioimc.indexed.TransitionIndex`: the unioned
-        interactive rows are one ``np.unique`` over packed
+        interactive rows are one sort-based dedupe
+        (:func:`repro.nputil.dedupe_packed_triples`) over packed
         ``(new source, action, new target)`` triples.
         """
         index = self.index()
         interactive_csr = index.interactive_csr
         markovian_csr = index.markovian_csr()
-        block = np.fromiter(
-            (mapping[old] for old in self.states()),
-            dtype=np.int64,
-            count=self.num_states,
-        )
+        block = np.asarray(block_of, dtype=np.int64)
 
         new_src, action, new_tgt = dedupe_packed_triples(
             block[interactive_csr.source],
@@ -452,7 +455,7 @@ class IOIMC:
             self.name,
             self.signature,
             num_new_states,
-            mapping[self.initial],
+            int(block[self.initial]),
             None,  # rows materialise lazily from the index attached below
             None,
             {state: frozenset(props) for state, props in labels.items()},
@@ -537,7 +540,7 @@ class IOIMC:
                     ],
                 ]
             ).astype(np.int64)
-            targets = np.unique(targets)
+            targets = unique_sorted(targets)
             frontier = targets[~seen[targets]]
             seen[frontier] = True
         return seen

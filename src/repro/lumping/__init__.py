@@ -22,7 +22,7 @@ from .branching import (
     branching_partition_reference,
     minimize_branching,
 )
-from .partition import Partition
+from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized, refine_with_worklist
 from .reductions import (
     eliminate_vanishing_chains,
@@ -42,6 +42,7 @@ __all__ = [
     "LumpingResult",
     "branching_bisimulation_partition",
     "branching_partition_reference",
+    "label_codes",
     "refine_partition_vectorized",
     "refine_with_worklist",
     "eliminate_vanishing_chains",

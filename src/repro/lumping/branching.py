@@ -33,7 +33,8 @@ endpoints share a block — so it cannot be precomputed once.  Instead, every
 round recomputes, for the batch of re-examined states only, the inert
 ``(owner, member)`` pair set by frontier expansion over the inert tau edges
 (tau edges are filtered against the current block assignment once per round,
-pairs are deduplicated with ``np.unique``), and encodes per pair:
+pairs are deduplicated with :func:`repro.nputil.unique_sorted`), and
+encodes per pair:
 
 * ``action_id * num_blocks + block_of[target]`` for each visible move of a
   member;
@@ -63,10 +64,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioimc import IOIMC
-from ..nputil import csr_indptr, gather_row_indices
+from ..nputil import csr_indptr, gather_row_indices, unique_sorted
 from ..telemetry.trace import span as telemetry_span
 from .closure import flatten_rows, markovian_profile_ids, quotient_modulo_inert_tau
-from .partition import Partition
+from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized
 from .strong import LumpingResult
 
@@ -82,11 +83,6 @@ def branching_bisimulation_partition(
     markovian_csr = index.markovian_csr()
     stable_flags = index.stable_flags
     markovian_target = markovian_csr.target.astype(np.int64)
-
-    if respect_labels:
-        initial_keys = [automaton.label_of(state) for state in automaton.states()]
-    else:
-        initial_keys = [frozenset()] * num_states
 
     # -------------------------------------------------------------- #
     # partition-independent edge families
@@ -125,11 +121,13 @@ def branching_bisimulation_partition(
             if not len(picked):
                 break
             counts = it_indptr[member + 1] - it_indptr[member]
-            codes = np.unique(np.repeat(owner, counts) * num_states + it_tgt[picked])
-            fresh = codes[~np.isin(codes, seen)]
+            codes = unique_sorted(np.repeat(owner, counts) * num_states + it_tgt[picked])
+            # Both sides are sorted and distinct: assume_unique keeps isin off
+            # its internal plain np.unique (numpy's hash path).
+            fresh = codes[~np.isin(codes, seen, assume_unique=True)]
             if not len(fresh):
                 break
-            seen = np.union1d(seen, fresh)
+            seen = unique_sorted(np.concatenate([seen, fresh]))
             chunks.append(fresh)
             owner, member = np.divmod(fresh, num_states)
         pairs = np.concatenate(chunks)
@@ -162,7 +160,7 @@ def branching_bisimulation_partition(
         stable_pair = stable_flags[member]
         stable_owner = owner[stable_pair]
         stable_member = member[stable_pair]
-        posts = np.unique(stable_member)
+        posts = unique_sorted(stable_member)
         profile_of_post, _ = markovian_profile_ids(
             posts, markovian_csr, markovian_target, block, num_blocks, num_states
         )
@@ -199,12 +197,15 @@ def branching_bisimulation_partition(
             markovian_target[gather_row_indices(markovian_csr.indptr, stable_post)],
         ]
     )
-    packed = np.unique(read * num_states + reader)
+    packed = unique_sorted(read * num_states + reader)
     read, reader = np.divmod(packed, num_states)
     observer_indptr = csr_indptr(read, num_states)
 
     return refine_partition_vectorized(
-        num_states, initial_keys, signature_edges, (observer_indptr, reader)
+        num_states,
+        label_codes(automaton, respect_labels=respect_labels),
+        signature_edges,
+        (observer_indptr, reader),
     )
 
 

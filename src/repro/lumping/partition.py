@@ -5,12 +5,17 @@ is the naive reference implementation (recompute every state's signature,
 re-group everything).  Production minimisation runs on the splitter-worklist
 engine of :mod:`repro.lumping.refinement` instead, which produces the same
 partition (verified against this reference in ``tests/test_lumping.py``) in
-near-linear rather than quadratic time.
+near-linear rather than quadratic time.  That engine starts from the
+``int64`` initial codes of :func:`label_codes` instead of per-state keys.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Hashable, Sequence
+
+import numpy as np
+
+from ..ioimc import IOIMC
 
 
 class Partition:
@@ -58,4 +63,24 @@ class Partition:
         return self.num_blocks
 
 
-__all__ = ["Partition"]
+def label_codes(automaton: IOIMC, *, respect_labels: bool = True) -> np.ndarray:
+    """One ``int64`` code per state of ``automaton``, equal iff the states
+    carry equal atomic propositions (all zero when ``respect_labels`` is off).
+
+    The array form of the keys ``automaton.label_of(state)`` that
+    :meth:`Partition.from_keys` groups by, built from the labelled states
+    alone: unlabelled states, usually the vast majority, keep code ``0``.
+    """
+    codes = np.zeros(automaton.num_states, dtype=np.int64)
+    labels = automaton.labels
+    if respect_labels and labels:
+        interned: dict[frozenset[str], int] = {}
+        codes[np.fromiter(labels, dtype=np.int64, count=len(labels))] = np.fromiter(
+            (interned.setdefault(props, len(interned) + 1) for props in labels.values()),
+            dtype=np.int64,
+            count=len(labels),
+        )
+    return codes
+
+
+__all__ = ["Partition", "label_codes"]

@@ -46,7 +46,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..nputil import first_occurrence_renumber, gather_row_indices
+from ..nputil import first_occurrence_renumber, gather_row_indices, unique_sorted
 from ..telemetry.trace import observe
 from ..telemetry.trace import span as telemetry_span
 from .partition import Partition
@@ -159,7 +159,7 @@ def _dedupe_state_codes(
         return local, code
     code_span = int(code.max()) + 1
     if code_span <= (2**62) // max(int(local.max()) + 1, 1):
-        combined = np.unique(local * code_span + code)
+        combined = unique_sorted(local * code_span + code)
         return combined // code_span, combined % code_span
     order = np.lexsort((code, local))
     local, code = local[order], code[order]
@@ -213,7 +213,7 @@ def group_states_by_code_sets(
 
 def refine_partition_vectorized(
     num_states: int,
-    initial_keys: Sequence[Hashable],
+    initial_codes: np.ndarray,
     signature_edges: VectorSignatureFn,
     observers: tuple[np.ndarray, np.ndarray],
 ) -> Partition:
@@ -231,9 +231,12 @@ def refine_partition_vectorized(
     ----------
     num_states:
         Number of states being partitioned.
-    initial_keys:
-        One hashable key per state (same contract as
-        :meth:`Partition.from_keys`).
+    initial_codes:
+        One ``int64`` code per state; states with equal codes start in the
+        same block, numbered by first occurrence exactly as
+        :meth:`Partition.from_keys` numbers equal keys
+        (:func:`repro.lumping.partition.label_codes` builds them from the
+        atomic propositions).
     signature_edges:
         Batch signature provider, see :data:`VectorSignatureFn`.  Codes must
         stay below ``2**40`` so they can be combined with block ids without
@@ -246,7 +249,7 @@ def refine_partition_vectorized(
     """
     with telemetry_span("lumping.refine", states=num_states) as refine_span:
         partition, rounds = _refine_vectorized(
-            num_states, initial_keys, signature_edges, observers
+            num_states, initial_codes, signature_edges, observers
         )
         refine_span.set(rounds=rounds, blocks=partition.num_blocks)
         observe("lumping.refine_rounds", rounds)
@@ -255,14 +258,14 @@ def refine_partition_vectorized(
 
 def _refine_vectorized(
     num_states: int,
-    initial_keys: Sequence[Hashable],
+    initial_codes: np.ndarray,
     signature_edges: VectorSignatureFn,
     observers: tuple[np.ndarray, np.ndarray],
 ) -> tuple[Partition, int]:
     """The refinement loop itself; returns the partition and its round count."""
-    block = np.array(Partition.from_keys(initial_keys).block_of, dtype=np.int64)
     if num_states == 0:
         return Partition([]), 0
+    block = first_occurrence_renumber(initial_codes)
     num_blocks = int(block.max()) + 1
     observer_indptr, observer_sources = observers
 
@@ -271,7 +274,7 @@ def _refine_vectorized(
     while len(dirty):
         # Re-examine only non-singleton blocks containing a dirty state.
         block_sizes = np.bincount(block, minlength=num_blocks)
-        candidates = np.unique(block[dirty])
+        candidates = unique_sorted(block[dirty])
         candidates = candidates[block_sizes[candidates] > 1]
         if not len(candidates):
             break
@@ -308,7 +311,7 @@ def _refine_vectorized(
             break
         # Next round: only states observing a changed state can re-split.
         touched = observer_sources[gather_row_indices(observer_indptr, changed)]
-        dirty = np.unique(touched).astype(np.int64)
+        dirty = unique_sorted(touched).astype(np.int64)
 
     return Partition(first_occurrence_renumber(block).tolist()), rounds
 

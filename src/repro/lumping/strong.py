@@ -30,7 +30,7 @@ import numpy as np
 from ..ioimc import IOIMC
 from ..nputil import gather_row_indices, round_rates_to_ids
 from ..telemetry.trace import span as telemetry_span
-from .partition import Partition
+from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized
 
 
@@ -66,11 +66,6 @@ def strong_bisimulation_partition(
     :func:`repro.nputil.round_rates_to_ids`).
     """
     index = automaton.index()
-    if respect_labels:
-        initial_keys = [automaton.label_of(state) for state in automaton.states()]
-    else:
-        initial_keys = [frozenset()] * automaton.num_states
-
     interactive = index.interactive_csr
     markovian = index.markovian_csr()
     num_actions = len(index.actions)
@@ -108,14 +103,16 @@ def strong_bisimulation_partition(
         )
 
     return refine_partition_vectorized(
-        automaton.num_states, initial_keys, signature_edges, index.predecessor_csr()
+        automaton.num_states,
+        label_codes(automaton, respect_labels=respect_labels),
+        signature_edges,
+        index.predecessor_csr(),
     )
 
 
 def quotient_by_partition(automaton: IOIMC, partition: Partition) -> IOIMC:
     """Build the quotient I/O-IMC for a (bisimulation) partition."""
-    mapping = {state: partition.block_of[state] for state in automaton.states()}
-    return automaton.relabel_states(mapping, partition.num_blocks)
+    return automaton.relabel_states(partition.block_of, partition.num_blocks)
 
 
 def minimize_strong(automaton: IOIMC, *, respect_labels: bool = True) -> LumpingResult:

@@ -67,10 +67,10 @@ import numpy as np
 
 from ..errors import LumpingError
 from ..ioimc import IOIMC
-from ..nputil import csr_indptr, gather_row_indices
+from ..nputil import csr_indptr, gather_row_indices, unique_sorted
 from ..telemetry.trace import span as telemetry_span
 from .closure import flatten_rows, markovian_profile_ids, quotient_modulo_inert_tau
-from .partition import Partition
+from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized
 from .strong import LumpingResult
 
@@ -88,11 +88,6 @@ def weak_bisimulation_partition(
     markovian_csr = index.markovian_csr()
     num_states = automaton.num_states
     num_actions = len(index.actions)
-
-    if respect_labels:
-        initial_keys = [automaton.label_of(state) for state in automaton.states()]
-    else:
-        initial_keys = [frozenset()] * num_states
 
     # -------------------------------------------------------------- #
     # partition-independent precomputation (once, not per round)
@@ -177,7 +172,7 @@ def weak_bisimulation_partition(
         counts = stable_indptr[states + 1] - stable_indptr[states]
         post_of_pair = stable_post[picked]
         pair_source = np.repeat(states, counts)
-        posts = np.unique(post_of_pair)
+        posts = unique_sorted(post_of_pair)
         profile_of_post, profile_groups = markovian_profile_ids(
             posts, markovian_csr, rate_first_landing, block, num_blocks, num_states
         )
@@ -208,12 +203,15 @@ def weak_bisimulation_partition(
     read = np.concatenate(
         [move_post, closure_post, rate_first_landing[landing_reads]]
     )
-    packed = np.unique(read * num_states + reader)
+    packed = unique_sorted(read * num_states + reader)
     read, reader = np.divmod(packed, num_states)
     observer_indptr = csr_indptr(read, num_states)
 
     partition = refine_partition_vectorized(
-        num_states, initial_keys, signature_edges, (observer_indptr, reader)
+        num_states,
+        label_codes(automaton, respect_labels=respect_labels),
+        signature_edges,
+        (observer_indptr, reader),
     )
 
     # The refinement reads one representative attribution landing per

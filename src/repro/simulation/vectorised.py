@@ -45,6 +45,7 @@ from ..arcade.operational_modes import OMGroupKind
 from ..arcade.repair_unit import RepairStrategy
 from ..distributions.phase_type import PhaseType
 from ..errors import ModelError
+from ..nputil import unique_sorted
 from .compiled import MODE_DF, MODE_NONE, CompiledComponent, CompiledModel, compile_model
 from ..telemetry.trace import incr, observe
 from ..telemetry.trace import span as telemetry_span
@@ -281,7 +282,7 @@ class _Runtime:
         self.now[rows] = times
         self.events[rows] += 1
         C = self.cm.num_components
-        for column in np.unique(columns):
+        for column in unique_sorted(columns):
             group = rows[columns == column]
             if column < C:
                 kinds = self.fail_kind[group, column]
@@ -369,7 +370,7 @@ class _Runtime:
             states = np.zeros(rows.size, dtype=np.int64)
         else:
             states = self._operational_state_index(column, rows)
-        for state in np.unique(states):
+        for state in unique_sorted(states):
             group = rows[states == state]
             dist = compiled.ttf[state]
             if dist is None:
@@ -395,7 +396,7 @@ class _Runtime:
             phases[fresh] = self.broker.initial_phase(rows[fresh], dist)
         self.phase[rows, column] = phases
         totals, cumulatives, targets = dist._phase_tables()
-        for current in np.unique(phases):
+        for current in unique_sorted(phases):
             group = rows[phases == current]
             total = totals[current]
             if total <= 0:  # a dead phase: the component can never fail from here
@@ -437,7 +438,7 @@ class _Runtime:
         self.repairing[rows, unit] = -1
         self.rep_eid[rows, unit] = -1
         self.rep_time[rows, unit] = np.inf
-        for column in np.unique(repaired[repaired >= 0]):
+        for column in unique_sorted(repaired[repaired >= 0]):
             group = rows[repaired == column]
             compiled = self.cm.components[column]
             if compiled.destructive_fdep is not None:
@@ -501,7 +502,7 @@ class _Runtime:
                     any_spare = standing.any(axis=1)
                     uncovered = uncovered[any_spare]
                     first = np.argmax(standing[any_spare], axis=1)
-                    for position in np.unique(first):
+                    for position in unique_sorted(first):
                         spare = spares[position]
                         group = uncovered[first == position]
                         dormant = group[~self.active[group, spare]]
@@ -574,7 +575,7 @@ class _Runtime:
         # sequence number (the scalar ``pop(0)``).
         key = np.where(queued, sequences + self._member_rank[unit][None, :], _NO_EVENT)
         chosen = np.argmin(key, axis=1)
-        for position in np.unique(chosen):
+        for position in unique_sorted(chosen):
             column = int(members[position])
             group = rows[chosen == position]
             self.queued_seq[group, column] = -1
@@ -584,7 +585,7 @@ class _Runtime:
         compiled = self.cm.components[column]
         modes = self.mode[rows, column].astype(np.int64)
         modes[modes == MODE_NONE] = 0  # the scalar engine defaults to "m1"
-        for code in np.unique(modes):
+        for code in unique_sorted(modes):
             group = rows[modes == code]
             if code == MODE_DF:
                 dist = compiled.ttr_df

@@ -10,9 +10,10 @@ JSON:
 * a **cache-effectiveness table** — hits, misses, hit rate, stores and net
   saved seconds from the ``cache.*`` counters (falling back to the
   ``compose.step`` span attributes when a run carries no metrics event);
-* a **state-space growth summary** — per run, the composition step count,
-  the peak pre-reduction intermediate size, the final model size, and
-  simulation/sweep throughput when those subsystems ran.
+* a **state-space growth summary** — per composition pipeline (one row per
+  ``compose.run``), the model name, the step count, the peak pre-reduction
+  intermediate size and the final CTMC size;
+* **throughput** — simulation/sweep rates when those subsystems ran.
 
 Usage (also exposed as ``python -m repro.telemetry``)::
 
@@ -160,34 +161,48 @@ def cache_row(run: RunData) -> dict | None:
     }
 
 
-def statespace_row(run: RunData) -> dict | None:
-    """State-space growth summary from the ``compose.step`` spans."""
-    steps = [event for event in run.spans if event.get("name") == "compose.step"]
-    if not steps:
-        return None
-    before = [
-        int(event["attrs"].get("states_before", 0))
-        for event in steps
-        if event.get("attrs")
-    ]
-    after = [
-        int(event["attrs"].get("states_after", 0))
-        for event in steps
-        if event.get("attrs")
-    ]
-    runs = [event for event in run.spans if event.get("name") == "compose.run"]
-    final_states = None
-    for event in runs:
-        ctmc_states = event.get("attrs", {}).get("ctmc_states")
-        if ctmc_states is not None:
-            final_states = int(ctmc_states)
-    return {
-        "run": run.label,
-        "composition_steps": len(steps),
-        "peak_states_before_reduction": max(before, default=0),
-        "last_states_after_reduction": after[-1] if after else 0,
-        "final_ctmc_states": final_states,
-    }
+def statespace_rows(run: RunData) -> list[dict]:
+    """One state-space growth row per ``compose.run`` span, i.e. per pipeline.
+
+    A row covers the ``compose.step`` spans whose ancestor is that run, so
+    the two pipelines of one evaluator (availability and the ``_no_repair``
+    model's reliability) are reported apart, each with its own final CTMC.
+    """
+    by_id = {event.get("span_id"): event for event in run.spans}
+    steps_of_run: dict = {}
+    for event in run.spans:
+        if event.get("name") != "compose.step":
+            continue
+        ancestor = by_id.get(event.get("parent_id"))
+        while ancestor is not None and ancestor.get("name") != "compose.run":
+            ancestor = by_id.get(ancestor.get("parent_id"))
+        if ancestor is not None:
+            steps_of_run.setdefault(ancestor.get("span_id"), []).append(
+                event.get("attrs", {})
+            )
+
+    rows = []
+    for event in run.spans:
+        if event.get("name") != "compose.run":
+            continue
+        attrs = event.get("attrs", {})
+        steps = steps_of_run.get(event.get("span_id"), [])
+        ctmc_states = attrs.get("ctmc_states")
+        rows.append(
+            {
+                "run": run.label,
+                "model": attrs.get("model"),
+                "composition_steps": len(steps),
+                "peak_states_before_reduction": max(
+                    (int(step.get("states_before", 0)) for step in steps), default=0
+                ),
+                "last_states_after_reduction": (
+                    int(steps[-1].get("states_after", 0)) if steps else 0
+                ),
+                "final_ctmc_states": None if ctmc_states is None else int(ctmc_states),
+            }
+        )
+    return rows
 
 
 def throughput_row(run: RunData) -> dict | None:
@@ -225,7 +240,7 @@ def report_data(runs: list[RunData]) -> dict:
                 "spans": len(run.spans),
                 "phases": phase_rows(run),
                 "cache": cache_row(run),
-                "state_space": statespace_row(run),
+                "state_space": statespace_rows(run),
                 "throughput": throughput_row(run),
                 "counters": run.counters(),
             }
@@ -306,19 +321,21 @@ def render_text(runs: list[RunData]) -> str:
                     ],
                 )
             )
-        space = statespace_row(run)
-        if space is not None:
+        spaces = statespace_rows(run)
+        if spaces:
             lines.append("state-space growth:")
             lines.extend(
                 _format_table(
-                    ["steps", "peak_before", "last_after", "final_ctmc"],
+                    ["model", "steps", "peak_before", "last_after", "final_ctmc"],
                     [
                         [
+                            str(space["model"] or "-"),
                             str(space["composition_steps"]),
                             str(space["peak_states_before_reduction"]),
                             str(space["last_states_after_reduction"]),
                             str(space["final_ctmc_states"] or "-"),
                         ]
+                        for space in spaces
                     ],
                 )
             )
@@ -378,6 +395,6 @@ __all__ = [
     "phase_rows",
     "report_data",
     "render_text",
-    "statespace_row",
+    "statespace_rows",
     "throughput_row",
 ]

@@ -256,6 +256,37 @@ class TestPipelineInstrumentation:
         serial = build_dds_evaluator(SMALL)
         assert availability == serial.availability()
 
+    @pytest.mark.slow
+    def test_report_gives_one_state_space_row_per_pipeline(self, tmp_path):
+        """Availability and R(5 weeks) run two pipelines (the second on the
+        ``_no_repair`` model); the report must not pool their steps."""
+        path = tmp_path / "dds.jsonl"
+        telemetry = Telemetry(JsonlSink(path))
+        evaluator = build_dds_evaluator(cache="on", telemetry=telemetry)
+        evaluator.availability()
+        evaluator.reliability(MISSION_TIME_HOURS)
+        telemetry.close()
+
+        run = load_run(path)
+        columns = (
+            "model",
+            "composition_steps",
+            "peak_states_before_reduction",
+            "last_states_after_reduction",
+            "final_ctmc_states",
+        )
+        expected = [
+            ("distributed_database_system", 56, 90250, 2100, 2100),
+            ("distributed_database_system_no_repair", 47, 9908, 199, 199),
+        ]
+        rows = report_data([run])["runs"][0]["state_space"]
+        assert [tuple(row[column] for column in columns) for row in rows] == expected
+
+        table = render_text([run]).split("state-space growth:\n")[1].splitlines()
+        assert [line.split() for line in table[1:3]] == [
+            [str(cell) for cell in row] for row in expected
+        ]
+
 
 # --------------------------------------------------------------------------- #
 # observational purity (telemetry on == telemetry off, bit for bit)
