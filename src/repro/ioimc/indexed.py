@@ -22,7 +22,8 @@ is the bridge between the Python-object transition tables of
 * the Markovian relation is stored the same way (:class:`MarkovianCSR`,
   ``float64`` rate column);
 * internal (tau) successor lists, a stability bit per state and cached
-  predecessor tables are derived from the arrays once and cached.
+  predecessor tables are derived from the arrays once and cached; the tau
+  closure is derived on demand as another CSR table.
 
 Legacy list-of-tuples views (:meth:`TransitionIndex.interactive_ids`,
 :meth:`TransitionIndex.predecessors`, ...) are kept for algorithms and tests
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nputil import csr_indptr, unique_sorted
+from ..nputil import csr_indptr, reachable_pairs, unique_sorted
 from .actions import ActionKind
 
 
@@ -393,21 +394,36 @@ class TransitionIndex:
             ]
         return self._predecessors
 
+    def tau_closure_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(indptr, post)`` CSR of the tau closure: row ``s`` lists, in
+        ascending order, every state reachable from ``s`` by ``tau*``
+        (``s`` itself included).
+
+        One batched frontier expansion over the internal edges from every
+        state at once (:func:`repro.nputil.reachable_pairs`, the routine the
+        branching engine runs over its inert edges).
+        """
+        csr = self.interactive_csr
+        num_states = self.automaton.num_states
+        internal = self.internal_flags[csr.action]
+        owner, post = np.divmod(
+            reachable_pairs(
+                csr_indptr(csr.source[internal], num_states),
+                csr.target[internal],
+                np.arange(num_states, dtype=np.int64),
+                num_states,
+            ),
+            num_states,
+        )
+        return csr_indptr(owner, num_states), post
+
     def tau_closure(self) -> list[list[int]]:
-        """For every state, the sorted list of states reachable by ``tau*``."""
-        internal_successors = self.internal_successors
-        closure: list[list[int]] = []
-        for state in range(self.automaton.num_states):
-            reached = {state}
-            stack = [state]
-            while stack:
-                current = stack.pop()
-                for successor in internal_successors[current]:
-                    if successor not in reached:
-                        reached.add(successor)
-                        stack.append(successor)
-            closure.append(sorted(reached))
-        return closure
+        """For every state, the sorted list of states reachable by ``tau*``
+        (a list view of :meth:`tau_closure_csr`)."""
+        indptr, post = self.tau_closure_csr()
+        flat = post.tolist()
+        bounds = indptr.tolist()
+        return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
 
     def summary(self) -> dict[str, int]:
         """Size statistics (mirrors :meth:`repro.ioimc.IOIMC.summary`)."""

@@ -404,36 +404,54 @@ class IOIMC:
     def relabel_states(self, block_of: Sequence[int], num_new_states: int) -> "IOIMC":
         """Quotient/rename states: old state ``s`` becomes ``block_of[s]``.
 
-        Interactive transitions of all merged states are unioned (duplicates
-        are dropped).  Markovian rates are taken from a single *representative*
-        state per block (the first state of the block in state order), with
-        parallel rates into the same target block summed — this is the
-        quotient construction used by (bi)simulation lumping, where all
-        states of a block have, by definition, the same cumulative rate into
-        every other block.
+        Interactive transitions and labels of all merged states are unioned.
+        Markovian rates are taken from a single *representative* state per
+        block (see :meth:`_quotient`), with parallel rates into the same
+        target block summed — this is the quotient construction used by
+        (bi)simulation lumping, where all states of a block have, by
+        definition, the same cumulative rate into every other block.  Strong
+        bisimulation never puts stable and unstable states in one block, so
+        there the representative is simply the block's first state.
+        """
+        block = np.asarray(block_of, dtype=np.int64)
+        return self._quotient(block, num_new_states, None, union_labels=True)
 
-        Runs over the flat CSR arrays of the cached
-        :class:`~repro.ioimc.indexed.TransitionIndex`: the unioned
-        interactive rows are one sort-based dedupe
-        (:func:`repro.nputil.dedupe_packed_triples`) over packed
-        ``(new source, action, new target)`` triples.
+    def _quotient(
+        self, block: np.ndarray, num_new_states: int, keep_edge, *, union_labels: bool
+    ) -> "IOIMC":
+        """CSR quotient core: old state ``s`` becomes ``block[s]``.
+
+        The interactive edges selected by the mask ``keep_edge`` (``None``:
+        all) are unioned per new state by one sorted dedupe of packed
+        ``(new source, action, new target)`` triples.  Each new state takes
+        its rates, name and (unless ``union_labels``) labels from its first
+        stable member, or its first member if none is stable.  The tables
+        are attached as a derived index; no row is materialised.
         """
         index = self.index()
         interactive_csr = index.interactive_csr
         markovian_csr = index.markovian_csr()
-        block = np.asarray(block_of, dtype=np.int64)
-
-        new_src, action, new_tgt = dedupe_packed_triples(
-            block[interactive_csr.source],
-            interactive_csr.action.astype(np.int64),
-            block[interactive_csr.target],
+        keep = slice(None) if keep_edge is None else keep_edge
+        new_src, new_action, new_tgt = dedupe_packed_triples(
+            block[interactive_csr.source[keep]],
+            interactive_csr.action[keep].astype(np.int64),
+            block[interactive_csr.target[keep]],
             len(index.actions),
             num_new_states,
         )
 
-        # One representative old state per new state: the first occurrence in
-        # state order (new states without a preimage keep an empty row).
-        present, representative = np.unique(block, return_index=True)
+        # The smallest key state + n * unstable per new state picks its
+        # representative (new states without a preimage keep empty rows).
+        num_states = self.num_states
+        first = np.full(num_new_states, 2 * num_states, dtype=np.int64)
+        np.minimum.at(
+            first,
+            block,
+            np.arange(num_states, dtype=np.int64)
+            + np.where(index.stable_flags, 0, num_states),
+        )
+        present = np.flatnonzero(first < 2 * num_states)
+        representative = first[present] % num_states
         picked = gather_row_indices(markovian_csr.indptr, representative)
         rate_src = rate_tgt = np.empty(0, dtype=np.int64)
         rate_sum = np.empty(0, dtype=np.float64)
@@ -445,11 +463,21 @@ class IOIMC:
             rate_sum = np.bincount(pair_index, weights=markovian_csr.rate[picked])
             rate_src, rate_tgt = np.divmod(unique_pairs, num_new_states)
 
-        labels: dict[int, set[str]] = {}
-        for old, props in self.labels.items():
-            labels.setdefault(int(block[old]), set()).update(props)
+        present = present.tolist()
+        representative = representative.tolist()
+        if union_labels:
+            merged: dict[int, set[str]] = {}
+            for old, props in self.labels.items():
+                merged.setdefault(int(block[old]), set()).update(props)
+            labels = {state: frozenset(props) for state, props in merged.items()}
+        else:
+            labels = {
+                new: self.labels[old]
+                for new, old in zip(present, representative)
+                if old in self.labels
+            }
         names = [f"s{index}" for index in range(num_new_states)]
-        for new, old in zip(present.tolist(), representative.tolist()):
+        for new, old in zip(present, representative):
             names[new] = self.state_name(old)
         quotient = IOIMC.trusted(
             self.name,
@@ -458,22 +486,27 @@ class IOIMC:
             int(block[self.initial]),
             None,  # rows materialise lazily from the index attached below
             None,
-            {state: frozenset(props) for state, props in labels.items()},
+            labels,
             names,
         )
         quotient._index = index.derive(
             quotient,
-            _interactive_csr_from_edges(new_src, action, new_tgt, num_new_states),
+            _interactive_csr_from_edges(new_src, new_action, new_tgt, num_new_states),
             _markovian_csr_from_edges(rate_src, rate_sum, rate_tgt, num_new_states),
         )
         return quotient
 
     def restrict_to_reachable(self) -> "IOIMC":
         """Drop states that are unreachable from the initial state."""
+        return self._restrict_to_reachable()[0]
+
+    def _restrict_to_reachable(self) -> tuple["IOIMC", np.ndarray]:
+        """:meth:`restrict_to_reachable` plus its renumbering: ``new_of_old``
+        maps every state to its new index, or to ``-1`` if it was dropped."""
         reachable = self._reachable_mask()
         num_reachable = int(reachable.sum())
         if num_reachable == self.num_states:
-            return self
+            return self, np.arange(self.num_states, dtype=np.int64)
         index = self.index()
         order = np.flatnonzero(reachable)  # ascending old state ids
         new_of_old = np.full(self.num_states, -1, dtype=np.int64)
@@ -514,7 +547,7 @@ class IOIMC:
             _interactive_csr_from_edges(new_isrc, new_iact, new_itgt, num_reachable),
             _markovian_csr_from_edges(new_msrc, new_mrate, new_mtgt, num_reachable),
         )
-        return restricted
+        return restricted, new_of_old
 
     def _reachable_mask(self):
         """Boolean mask of states reachable from the initial state.

@@ -17,11 +17,7 @@ passes share their closure/quantisation/quotient machinery through
 and backend layout.
 """
 
-from .branching import (
-    branching_bisimulation_partition,
-    branching_partition_reference,
-    minimize_branching,
-)
+from .branching import branching_bisimulation_partition, minimize_branching
 from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized, refine_with_worklist
 from .reductions import (
@@ -41,7 +37,6 @@ __all__ = [
     "Partition",
     "LumpingResult",
     "branching_bisimulation_partition",
-    "branching_partition_reference",
     "label_codes",
     "refine_partition_vectorized",
     "refine_with_worklist",

@@ -33,8 +33,8 @@ endpoints share a block — so it cannot be precomputed once.  Instead, every
 round recomputes, for the batch of re-examined states only, the inert
 ``(owner, member)`` pair set by frontier expansion over the inert tau edges
 (tau edges are filtered against the current block assignment once per round,
-pairs are deduplicated with :func:`repro.nputil.unique_sorted`), and
-encodes per pair:
+then expanded by :func:`repro.nputil.reachable_pairs`), and encodes per
+pair:
 
 * ``action_id * num_blocks + block_of[target]`` for each visible move of a
   member;
@@ -45,17 +45,18 @@ encodes per pair:
   on the direct Markovian target.
 
 The observer relation handed to the worklist engine is the
-partition-independent over-approximation built from the *full* tau closure:
+partition-independent over-approximation built from the *full* tau closure
+(:meth:`~repro.ioimc.indexed.TransitionIndex.tau_closure_csr`, the same
+frontier expansion over every tau edge):
 a state observes every member of its closure (so breaking an inert chain
 re-examines it), every visible-move target of a closure member, and every
 Markovian target of a stable closure member.
 
-The scalar reference implementation
-(:func:`branching_partition_reference`) performs the same refinement with
-per-state DFS closures and frozenset signatures; it is the executable
-specification the vectorised engine is differentially tested against
-(``tests/test_branching.py``), exactly as the strong engine is pinned to the
-seed's round-based refinement.  Both produce the canonical first-occurrence
+The scalar reference implementation (``branching_partition_reference`` in
+``tests/test_branching.py``) performs the same refinement with per-state DFS
+closures and frozenset signatures; it is the executable specification the
+vectorised engine is differentially tested against, exactly as the strong
+engine is pinned to the seed's round-based refinement.  Both produce the canonical first-occurrence
 block numbering, so partitions can be compared entry by entry.
 """
 
@@ -64,9 +65,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioimc import IOIMC
-from ..nputil import csr_indptr, gather_row_indices, unique_sorted
+from ..nputil import csr_indptr, gather_row_indices, reachable_pairs, unique_sorted
 from ..telemetry.trace import span as telemetry_span
-from .closure import flatten_rows, markovian_profile_ids, quotient_modulo_inert_tau
+from .closure import markovian_profile_ids, quotient_modulo_inert_tau
 from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized
 from .strong import LumpingResult
@@ -107,30 +108,12 @@ def branching_bisimulation_partition(
         Because every traversed edge keeps the block and ``owner`` starts in
         its own block, all members of a pair lie in ``block[owner]``; the
         expansion therefore computes exactly the inert closure, tau-cycles
-        included (the per-round dedup makes cycles converge).
+        included.
         """
         inert = block[tau_src] == block[tau_tgt]
-        it_tgt = tau_tgt[inert]
-        it_indptr = csr_indptr(tau_src[inert], num_states)
-        owner = states.astype(np.int64)
-        member = owner
-        seen = owner * num_states + member  # states is sorted, so seen is too
-        chunks = [seen]
-        while len(member):
-            picked = gather_row_indices(it_indptr, member)
-            if not len(picked):
-                break
-            counts = it_indptr[member + 1] - it_indptr[member]
-            codes = unique_sorted(np.repeat(owner, counts) * num_states + it_tgt[picked])
-            # Both sides are sorted and distinct: assume_unique keeps isin off
-            # its internal plain np.unique (numpy's hash path).
-            fresh = codes[~np.isin(codes, seen, assume_unique=True)]
-            if not len(fresh):
-                break
-            seen = unique_sorted(np.concatenate([seen, fresh]))
-            chunks.append(fresh)
-            owner, member = np.divmod(fresh, num_states)
-        pairs = np.concatenate(chunks)
+        pairs = reachable_pairs(
+            csr_indptr(tau_src[inert], num_states), tau_tgt[inert], states, num_states
+        )
         return np.divmod(pairs, num_states)
 
     def signature_edges(
@@ -174,7 +157,7 @@ def branching_bisimulation_partition(
     # read the block of any closure member (inertness of a chain through it),
     # of any visible-move target of a member, and of any Markovian target of
     # a stable member.
-    closure_indptr, closure_post = flatten_rows(index.tau_closure())
+    closure_indptr, closure_post = index.tau_closure_csr()
     all_states = np.arange(num_states, dtype=np.int64)
     closure_owner = np.repeat(all_states, np.diff(closure_indptr))
     vis_counts = np.diff(vis_indptr)
@@ -209,83 +192,19 @@ def branching_bisimulation_partition(
     )
 
 
-def branching_partition_reference(
-    automaton: IOIMC, *, respect_labels: bool = True
-) -> Partition:
-    """Naive round-based branching-bisimulation refinement.
-
-    The executable specification of the vectorised engine above: every round
-    recomputes every state's inert closure with a DFS restricted to the
-    state's current block and regroups the whole state space by frozenset
-    signatures, using the same 9-significant-digit rate quantisation.
-    Quadratic, but obviously correct; ``tests/test_branching.py`` checks the
-    two engines agree block-for-block (including numbering) on random
-    tau-heavy automata.
-    """
-    index = automaton.index()
-    interactive = index.interactive_ids()
-    internal_successors = index.internal_successors
-    is_visible = index.is_visible
-    stable = index.stable
-
-    if respect_labels:
-        keys = [automaton.label_of(state) for state in automaton.states()]
-    else:
-        keys = [frozenset()] * automaton.num_states
-    partition = Partition.from_keys(keys)
-
-    def signature(state: int):
-        block_of = partition.block_of
-        home = block_of[state]
-        members = {state}
-        stack = [state]
-        while stack:
-            current = stack.pop()
-            for successor in internal_successors[current]:
-                if block_of[successor] == home and successor not in members:
-                    members.add(successor)
-                    stack.append(successor)
-        elements: set = set()
-        for member in members:
-            for action_id, target in interactive[member]:
-                if is_visible[action_id]:
-                    elements.add((action_id, block_of[target]))
-                elif block_of[target] != home:
-                    elements.add(("tau", block_of[target]))
-            if stable[member]:
-                rates: dict[int, float] = {}
-                for rate, target in automaton.markovian[member]:
-                    landing = block_of[target]
-                    rates[landing] = rates.get(landing, 0.0) + rate
-                elements.add(
-                    (
-                        "rates",
-                        tuple(
-                            sorted(
-                                (landing, float(f"{rate:.9e}"))
-                                for landing, rate in rates.items()
-                            )
-                        ),
-                    )
-                )
-        return frozenset(elements)
-
-    while partition.refine(signature):
-        pass
-    return partition
-
-
 def minimize_branching(
     automaton: IOIMC, *, respect_labels: bool = True
 ) -> LumpingResult:
     """Minimise ``automaton`` modulo branching bisimulation.
 
     The quotient is the shared tau-abstracting construction
-    (:func:`repro.lumping.closure.quotient_modulo_inert_tau`): inert tau
-    moves are dropped, the interactive moves of a class are the union of its
-    members' non-inert moves, and the Markovian behaviour comes from a
-    stable member.  Unlike the weak engine no attribution validation is
-    needed — rates land on direct targets, which is never ambiguous.
+    (:func:`repro.lumping.closure.quotient_modulo_inert_tau`), built on CSR
+    arrays: inert tau moves are dropped, the interactive moves of a class
+    are the union of its members' non-inert moves, the Markovian behaviour
+    comes from the first stable member, and classes unreachable from the
+    initial class are dropped (their states map to ``-1`` in
+    ``block_of_state``).  Unlike the weak engine no attribution validation
+    is needed — rates land on direct targets, which is never ambiguous.
     """
     with telemetry_span(
         "reduce.branching", states=automaton.num_states
@@ -293,13 +212,12 @@ def minimize_branching(
         partition = branching_bisimulation_partition(
             automaton, respect_labels=respect_labels
         )
-        quotient = quotient_modulo_inert_tau(automaton, partition)
+        result = quotient_modulo_inert_tau(automaton, partition)
         reduce_span.set(blocks=partition.num_blocks)
-        return LumpingResult(quotient=quotient, block_of_state=tuple(partition.block_of))
+        return result
 
 
 __all__ = [
     "branching_bisimulation_partition",
-    "branching_partition_reference",
     "minimize_branching",
 ]

@@ -1,12 +1,13 @@
-"""Tau-closure and rate-quantisation machinery shared by the abstracting
+"""Rate-quantisation and quotient machinery shared by the abstracting
 (weak and branching) bisimulation engines.
 
 Both tau-abstracting minimisation passes of this package are built from the
-same three ingredients, factored out here so the engines differ only in
-*which* internal moves they abstract from:
+same ingredients, so the engines differ only in *which* internal moves they
+abstract from.  Both read the full tau closure as one CSR table,
+:meth:`repro.ioimc.indexed.TransitionIndex.tau_closure_csr`, computed by
+the batched frontier expansion the branching engine also runs over its inert
+edges (:func:`repro.nputil.reachable_pairs`).  Shared here:
 
-* :func:`flatten_rows` — CSR flattening of the per-state closure/move lists
-  the engines precompute once per automaton;
 * :func:`markovian_profile_ids` — per-round grouping of stable states by
   their quantised cumulative-rate profiles.  A *profile* is the set of
   ``(landing block, quantised rate sum)`` pairs of one stable state, where
@@ -22,7 +23,8 @@ same three ingredients, factored out here so the engines differ only in
   notions share: internal moves that stay inside an equivalence class are
   inert and dropped, the interactive moves of a class are the *union* of its
   members' non-inert moves, and the Markovian behaviour of a class is taken
-  from one of its stable members.
+  from its first stable member.  It runs on the CSR quotient core of
+  :class:`repro.ioimc.IOIMC` that strong lumping uses too.
 """
 
 from __future__ import annotations
@@ -32,16 +34,7 @@ import numpy as np
 from ..ioimc import IOIMC
 from ..nputil import gather_row_indices, round_rates_to_ids
 from .refinement import group_states_by_code_sets
-
-
-def flatten_rows(rows: list, dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
-    """``(indptr, flat values)`` of a list-of-lists (CSR layout)."""
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    flat = np.fromiter(
-        (value for row in rows for value in row), dtype=dtype, count=int(indptr[-1])
-    )
-    return indptr, flat
+from .strong import LumpingResult
 
 
 def markovian_profile_ids(
@@ -89,9 +82,9 @@ def markovian_profile_ids(
     return profile_of_post, profile_groups
 
 
-def quotient_modulo_inert_tau(automaton: IOIMC, partition) -> IOIMC:
+def quotient_modulo_inert_tau(automaton: IOIMC, partition) -> LumpingResult:
     """Quotient for a tau-abstracting partition: union of non-inert moves,
-    stable rates.
+    stable rates, restricted to the reachable classes.
 
     The interactive moves of a class are the union of its members' moves into
     *other* classes (plus non-internal self-class moves): under a weak or
@@ -101,61 +94,26 @@ def quotient_modulo_inert_tau(automaton: IOIMC, partition) -> IOIMC:
     can disconnect weakly-reachable classes (that bug survived in the seed
     until the differential suite caught it).
 
-    The Markovian behaviour of a class is taken from one of its *stable*
-    members: all stable members of a class agree on their cumulative rates by
-    construction of either partition, and unstable members cannot let time
-    pass (maximal progress).
+    The Markovian behaviour, name and labels of a class are taken from its
+    first *stable* member: all stable members of a class agree on their
+    cumulative rates by construction of either partition, and unstable
+    members cannot let time pass (maximal progress).
+
+    Built on the CSR arrays by the quotient core strong lumping uses too
+    (:meth:`repro.ioimc.IOIMC.relabel_states`), with the inert edges —
+    internal moves whose endpoints share a class — masked out.  The result's
+    ``block_of_state`` maps every state to its class in the restricted
+    quotient, or to ``-1`` if its class is unreachable.
     """
     index = automaton.index()
-    block_of = partition.block_of
-    num_blocks = partition.num_blocks
-    stable = index.stable
-    internals = automaton.signature.internals
-
-    #: Per class: a member whose name/labels/rates describe the class —
-    #: stable members are preferred (they carry the tangible behaviour).
-    representative: list[int | None] = [None] * num_blocks
-    interactive: list[list[tuple[str, int]]] = [[] for _ in range(num_blocks)]
-    seen: list[set[tuple[str, int]]] = [set() for _ in range(num_blocks)]
-    for state in automaton.states():
-        block = block_of[state]
-        current = representative[block]
-        if current is None or (stable[state] and not stable[current]):
-            representative[block] = state
-        for action, target in automaton.interactive[state]:
-            target_block = block_of[target]
-            if target_block == block and action in internals:
-                continue  # inert: internal move inside the class
-            entry = (action, target_block)
-            if entry not in seen[block]:
-                seen[block].add(entry)
-                interactive[block].append(entry)
-
-    markovian: list[list[tuple[float, int]]] = [[] for _ in range(num_blocks)]
-    labels: dict[int, frozenset[str]] = {}
-    names: list[str] = []
-    for block, state in enumerate(representative):
-        assert state is not None
-        names.append(automaton.state_name(state))
-        props = automaton.label_of(state)
-        if props:
-            labels[block] = props
-        rates: dict[int, float] = {}
-        for rate, target in automaton.markovian[state]:
-            rates[block_of[target]] = rates.get(block_of[target], 0.0) + rate
-        markovian[block] = [(rate, target) for target, rate in sorted(rates.items())]
-
-    quotient = IOIMC.trusted(
-        automaton.name,
-        automaton.signature,
-        num_blocks,
-        block_of[automaton.initial],
-        interactive,
-        markovian,
-        labels,
-        names,
+    csr = index.interactive_csr
+    block = np.asarray(partition.block_of, dtype=np.int64)
+    inert = index.internal_flags[csr.action] & (block[csr.source] == block[csr.target])
+    quotient = automaton._quotient(
+        block, partition.num_blocks, ~inert, union_labels=False
     )
-    return quotient.restrict_to_reachable()
+    restricted, new_of_old = quotient._restrict_to_reachable()
+    return LumpingResult(restricted, tuple(new_of_old[block].tolist()))
 
 
-__all__ = ["flatten_rows", "markovian_profile_ids", "quotient_modulo_inert_tau"]
+__all__ = ["markovian_profile_ids", "quotient_modulo_inert_tau"]

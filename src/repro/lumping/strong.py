@@ -36,7 +36,13 @@ from .refinement import refine_partition_vectorized
 
 @dataclass(frozen=True)
 class LumpingResult:
-    """Outcome of a minimisation: the quotient and the state mapping."""
+    """Outcome of a minimisation: the quotient and the state mapping.
+
+    ``block_of_state[s]`` is the quotient state that state ``s`` of the
+    minimised automaton belongs to.  The strong quotient keeps every class;
+    the weak and branching quotients keep only the classes reachable from
+    the initial class, and a state whose class was dropped maps to ``-1``.
+    """
 
     quotient: IOIMC
     block_of_state: tuple[int, ...]

@@ -53,9 +53,12 @@ picking an arbitrary class (the seed attributed the rate to the
 maximum-numbered reachable block, which mis-states the Markovian behaviour
 of tau-nondeterministic models).
 
-The closure flattening, the per-round rate-profile grouping and the quotient
-construction are shared with the branching engine
-(:mod:`repro.lumping.branching`) through :mod:`repro.lumping.closure`; the
+The tau closure (one CSR table,
+:meth:`~repro.ioimc.indexed.TransitionIndex.tau_closure_csr`), the per-round
+rate-profile grouping and the quotient construction are shared with the
+branching engine (:mod:`repro.lumping.branching`), the latter two through
+:mod:`repro.lumping.closure`; every precomputed relation above is derived
+from the closure with array operations, no per-state Python loop.  The
 two engines differ in which tau steps they abstract from (any tau here, only
 *inert* — class-internal — tau there) and in where a Markovian rate lands
 (tau-sinks of the target here, the direct target there).
@@ -67,9 +70,14 @@ import numpy as np
 
 from ..errors import LumpingError
 from ..ioimc import IOIMC
-from ..nputil import csr_indptr, gather_row_indices, unique_sorted
+from ..nputil import (
+    csr_indptr,
+    dedupe_packed_triples,
+    gather_row_indices,
+    unique_sorted,
+)
 from ..telemetry.trace import span as telemetry_span
-from .closure import flatten_rows, markovian_profile_ids, quotient_modulo_inert_tau
+from .closure import markovian_profile_ids, quotient_modulo_inert_tau
 from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized
 from .strong import LumpingResult
@@ -80,59 +88,59 @@ def weak_bisimulation_partition(
 ) -> Partition:
     """Compute a weak-bisimulation partition of ``automaton``."""
     index = automaton.index()
-    closure = index.tau_closure()
-    interactive = index.interactive_ids()
-    internal_successors = index.internal_successors
-    is_visible_action = index.is_visible
-    stable = index.stable
+    interactive_csr = index.interactive_csr
     markovian_csr = index.markovian_csr()
+    stable_flags = index.stable_flags
     num_states = automaton.num_states
     num_actions = len(index.actions)
+    all_states = np.arange(num_states, dtype=np.int64)
 
     # -------------------------------------------------------------- #
     # partition-independent precomputation (once, not per round)
     # -------------------------------------------------------------- #
-    # Weak visible moves tau* a tau*: deduplicated (action_id, landing) pairs.
-    weak_moves: list[list[tuple[int, int]]] = []
-    for state in range(num_states):
-        moves: set[tuple[int, int]] = set()
-        for pre in closure[state]:
-            for action_id, target in interactive[pre]:
-                if not is_visible_action[action_id]:
-                    continue
-                for post in closure[target]:
-                    moves.add((action_id, post))
-        weak_moves.append(sorted(moves))
+    closure_indptr, closure_post = index.tau_closure_csr()
+    closure_counts = np.diff(closure_indptr)
+    closure_owner = np.repeat(all_states, closure_counts)
+
+    # Weak visible moves tau* a tau*: deduplicated (state, action_id, landing)
+    # triples, sorted — a visible edge of every closure member, landing on
+    # every member of its target's closure.
+    visible_edge = index.visible_flags[interactive_csr.action]
+    vis_indptr = csr_indptr(interactive_csr.source[visible_edge], num_states)
+    vis_action = interactive_csr.action[visible_edge].astype(np.int64)
+    vis_tgt = interactive_csr.target[visible_edge]
+    picked = gather_row_indices(vis_indptr, closure_post)
+    move_owner = np.repeat(closure_owner, np.diff(vis_indptr)[closure_post])
+    move_target = vis_tgt[picked]
+    landing_counts = closure_counts[move_target]
+    move_src, move_action, move_post = dedupe_packed_triples(
+        np.repeat(move_owner, landing_counts),
+        np.repeat(vis_action[picked], landing_counts),
+        closure_post[gather_row_indices(closure_indptr, move_target)],
+        num_actions,
+        num_states,
+    )
+    move_indptr = csr_indptr(move_src, num_states)
 
     # Stable states reachable by tau* from every state.
-    stable_posts: list[list[int]] = [
-        [post for post in closure[state] if stable[post]] for state in range(num_states)
-    ]
+    stable_pair = stable_flags[closure_post]
+    stable_indptr = csr_indptr(closure_owner[stable_pair], num_states)
+    stable_post = closure_post[stable_pair]
 
-    # For every Markovian target of a reachable stable state: the states whose
-    # class receives the rate — the tau-sinks of the target (fall back to the
-    # whole closure on sink-free tau-cycles).
-    attribution: dict[int, tuple[int, ...]] = {}
-
-    def attribution_states(target: int) -> tuple[int, ...]:
-        cached = attribution.get(target)
-        if cached is None:
-            sinks = [
-                landing
-                for landing in closure[target]
-                if not internal_successors[landing]
-            ]
-            cached = tuple(sinks if sinks else closure[target])
-            attribution[target] = cached
-        return cached
-
-    # Flat CSR edge families the per-round signature encoding gathers from.
-    move_indptr, move_action = flatten_rows(
-        [[action_id for action_id, _ in row] for row in weak_moves]
-    )
-    _, move_post = flatten_rows([[post for _, post in row] for row in weak_moves])
-    closure_indptr, closure_post = flatten_rows(closure)
-    stable_indptr, stable_post = flatten_rows(stable_posts)
+    # For every state t, the attribution states whose class receives a rate
+    # into t: the tau-sinks of t's closure (the whole closure on sink-free
+    # tau-cycles).  Every row is non-empty, its first entry the smallest.
+    internal_edge = index.internal_flags[interactive_csr.action]
+    tau_sink = np.bincount(
+        interactive_csr.source[internal_edge], minlength=num_states
+    ) == 0
+    sink_pair = tau_sink[closure_post]
+    has_sink = np.bincount(closure_owner[sink_pair], minlength=num_states) > 0
+    attributed = sink_pair | ~has_sink[closure_owner]
+    attribution_owner = closure_owner[attributed]
+    attribution_post = closure_post[attributed]
+    attribution_indptr = csr_indptr(attribution_owner, num_states)
+    first_attribution = attribution_post[attribution_indptr[:-1]]
 
     # Markovian rows of stable states, with the first attribution state of
     # every target.  For a model that admits a weak partition at all, every
@@ -140,13 +148,11 @@ def weak_bisimulation_partition(
     # the refinement (blocks only ever split), so reading one representative
     # is equivalent to reading them all; genuinely ambiguous models are
     # rejected by the validation pass below.
-    rate_source = markovian_csr.source
     rate_first_landing = np.zeros(markovian_csr.num_edges, dtype=np.int64)
-    stable_flags = index.stable_flags
-    for edge in np.flatnonzero(stable_flags[rate_source]).tolist():
-        rate_first_landing[edge] = attribution_states(
-            int(markovian_csr.target[edge])
-        )[0]
+    stable_edge = stable_flags[markovian_csr.source]
+    rate_first_landing[stable_edge] = first_attribution[
+        markovian_csr.target[stable_edge]
+    ]
 
     def signature_edges(
         block: np.ndarray, num_blocks: int, states: np.ndarray
@@ -188,12 +194,11 @@ def weak_bisimulation_partition(
     # Dependency relation: which states' blocks does sig(state) read?  The
     # tau-closure covers the stable posts; the Markovian profiles additionally
     # read the (representative) attribution landing of every rate.
-    all_states = np.arange(num_states, dtype=np.int64)
     landing_reads = gather_row_indices(markovian_csr.indptr, stable_post)
     reader = np.concatenate(
         [
             np.repeat(all_states, np.diff(move_indptr)),
-            np.repeat(all_states, np.diff(closure_indptr)),
+            closure_owner,
             np.repeat(
                 np.repeat(all_states, np.diff(stable_indptr)),
                 np.diff(markovian_csr.indptr)[stable_post],
@@ -218,19 +223,26 @@ def weak_bisimulation_partition(
     # Markovian target, so a genuinely nondeterministic (ambiguous)
     # attribution goes unnoticed during refinement.  Blocks only ever split,
     # hence any ambiguity persists into the final partition: one validation
-    # pass over the stable states catches every case.
-    block_of = partition.block_of
-    for post in range(num_states):
-        if not stable[post]:
-            continue
-        for rate, target in automaton.markovian[post]:
-            landing_blocks = {
-                block_of[landing] for landing in attribution_states(target)
-            }
-            if len(landing_blocks) > 1:
-                raise _ambiguous_attribution(
-                    automaton, post, rate, target, landing_blocks
-                )
+    # pass over the stable states' rates catches every case, reported for
+    # the first offending edge in state order.
+    block = np.asarray(partition.block_of, dtype=np.int64)
+    split = block[attribution_post] != block[first_attribution[attribution_owner]]
+    ambiguous = np.zeros(num_states, dtype=bool)
+    ambiguous[attribution_owner[split]] = True
+    offending = np.flatnonzero(stable_edge & ambiguous[markovian_csr.target])
+    if len(offending):
+        edge = int(offending[0])
+        target = int(markovian_csr.target[edge])
+        landings = attribution_post[
+            attribution_indptr[target] : attribution_indptr[target + 1]
+        ]
+        raise _ambiguous_attribution(
+            automaton,
+            int(markovian_csr.source[edge]),
+            float(markovian_csr.rate[edge]),
+            target,
+            set(block[landings].tolist()),
+        )
     return partition
 
 
@@ -249,19 +261,22 @@ def _ambiguous_attribution(
 def minimize_weak(automaton: IOIMC, *, respect_labels: bool = True) -> LumpingResult:
     """Minimise ``automaton`` modulo the weak bisimulation described above.
 
-    The quotient follows the branching-bisimulation recipe: internal moves
-    that stay inside an equivalence class are dropped, and the Markovian
-    behaviour of a class is taken from one of its *stable* members (a class
-    containing a stable state represents the tangible behaviour reached after
-    exhausting the class's internal moves).
+    The quotient follows the branching-bisimulation recipe
+    (:func:`repro.lumping.closure.quotient_modulo_inert_tau`, built on CSR
+    arrays): internal moves that stay inside an equivalence class are
+    dropped, and the Markovian behaviour of a class is taken from its first
+    *stable* member (a class containing a stable state represents the
+    tangible behaviour reached after exhausting the class's internal moves).
+    Classes unreachable from the initial class are dropped; their states map
+    to ``-1`` in ``block_of_state``.
     """
     with telemetry_span("reduce.weak", states=automaton.num_states) as reduce_span:
         partition = weak_bisimulation_partition(
             automaton, respect_labels=respect_labels
         )
-        quotient = quotient_modulo_inert_tau(automaton, partition)
+        result = quotient_modulo_inert_tau(automaton, partition)
         reduce_span.set(blocks=partition.num_blocks)
-        return LumpingResult(quotient=quotient, block_of_state=tuple(partition.block_of))
+        return result
 
 
 __all__ = ["minimize_weak", "weak_bisimulation_partition"]

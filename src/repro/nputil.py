@@ -50,6 +50,36 @@ def gather_row_indices(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.arange(total, dtype=np.int64) + np.repeat(starts - (ends - counts), counts)
 
 
+def reachable_pairs(
+    indptr: np.ndarray, target: np.ndarray, owners: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """Sorted packed ``owner * num_nodes + member`` reachability codes.
+
+    ``member`` is reachable from ``owner`` (one of the sorted, distinct
+    ``owners``) in zero or more steps along the edges of the CSR graph
+    ``(indptr, target)``, so every owner reaches itself.  Batched frontier
+    expansion: each step expands the frontier of every owner at once and
+    keeps only the pairs not seen before, so cycles converge.
+    """
+    owner = owners.astype(np.int64)
+    member = owner
+    seen = owner * num_nodes + member
+    while len(member):
+        picked = gather_row_indices(indptr, member)
+        if not len(picked):
+            break
+        counts = indptr[member + 1] - indptr[member]
+        codes = unique_sorted(np.repeat(owner, counts) * num_nodes + target[picked])
+        # Both sides are sorted and distinct: assume_unique keeps isin off
+        # its internal plain np.unique (numpy's hash path).
+        fresh = codes[~np.isin(codes, seen, assume_unique=True)]
+        if not len(fresh):
+            break
+        seen = unique_sorted(np.concatenate([seen, fresh]))
+        owner, member = np.divmod(fresh, num_nodes)
+    return seen
+
+
 def first_occurrence_renumber(values: np.ndarray) -> np.ndarray:
     """Renumber integer ``values`` to 0..k-1 by order of first occurrence.
 
@@ -141,6 +171,7 @@ __all__ = [
     "dedupe_packed_triples",
     "first_occurrence_renumber",
     "gather_row_indices",
+    "reachable_pairs",
     "round_rates_to_ids",
     "rows_from_edges",
     "unique_sorted",

@@ -6,26 +6,33 @@ Three layers, mirroring how the strong and weak engines are pinned:
   (branching is strictly finer than weak and strictly coarser than strong);
 * tau-cycle, divergence and maximal-progress edge cases;
 * a differential property test of the vectorised engine against the scalar
-  round-based reference (:func:`repro.lumping.branching_partition_reference`)
+  round-based reference (:func:`branching_partition_reference`, kept here)
   on random tau-heavy automata, block-for-block including the canonical
-  first-occurrence numbering.
+  first-occurrence numbering;
+* the CSR inert-tau quotient pinned against its per-state specification
+  (:func:`quotient_modulo_inert_tau_reference`), and the ``block_of_state``
+  mapping after the reachability restriction.
 """
 
 import random
 
 import pytest
 
+from repro.arcade.semantics import translate_model
+from repro.casestudies.dds import DDSParameters, build_dds_model
 from repro.ctmc import extract_ctmc, steady_state_availability
-from repro.ioimc import IOIMCBuilder, Signature, hide
+from repro.errors import LumpingError
+from repro.ioimc import IOIMC, IOIMCBuilder, Signature, compose, hide
 from repro.lumping import (
+    Partition,
     branching_bisimulation_partition,
-    branching_partition_reference,
     maximal_progress_cut,
     minimize_branching,
     minimize_strong,
     minimize_weak,
     weak_bisimulation_partition,
 )
+from repro.lumping.closure import quotient_modulo_inert_tau
 
 
 def classic_weak_vs_branching():
@@ -89,8 +96,6 @@ class TestThreeEquivalencesSeparate:
         assert minimize_weak(automaton).quotient.num_states == 1
 
     def test_branching_coarser_than_strong_finer_than_weak_on_random_models(self):
-        from repro.errors import LumpingError
-
         for seed in range(10):
             automaton = _random_tau_automaton(seed)
             strong = minimize_strong(automaton).quotient.num_states
@@ -235,6 +240,72 @@ def _random_tau_automaton(seed: int):
     return builder.build()
 
 
+def branching_partition_reference(automaton, *, respect_labels=True):
+    """Naive round-based branching-bisimulation refinement.
+
+    The executable specification of
+    :func:`repro.lumping.branching_bisimulation_partition`: every round
+    recomputes every state's inert closure with a DFS restricted to the
+    state's current block and regroups the whole state space by frozenset
+    signatures, using the same 9-significant-digit rate quantisation.
+    Quadratic, but obviously correct; :class:`TestScalarVsVectorised` checks
+    the two engines agree block-for-block (including numbering) on random
+    tau-heavy automata.
+    """
+    index = automaton.index()
+    interactive = index.interactive_ids()
+    internal_successors = index.internal_successors
+    is_visible = index.is_visible
+    stable = index.stable
+
+    if respect_labels:
+        keys = [automaton.label_of(state) for state in automaton.states()]
+    else:
+        keys = [frozenset()] * automaton.num_states
+    partition = Partition.from_keys(keys)
+
+    def signature(state):
+        block_of = partition.block_of
+        home = block_of[state]
+        members = {state}
+        stack = [state]
+        while stack:
+            current = stack.pop()
+            for successor in internal_successors[current]:
+                if block_of[successor] == home and successor not in members:
+                    members.add(successor)
+                    stack.append(successor)
+        elements = set()
+        for member in members:
+            for action_id, target in interactive[member]:
+                if is_visible[action_id]:
+                    elements.add((action_id, block_of[target]))
+                elif block_of[target] != home:
+                    elements.add(("tau", block_of[target]))
+            if stable[member]:
+                rates = {}
+                for rate, target in automaton.markovian[member]:
+                    landing = block_of[target]
+                    rates[landing] = rates.get(landing, 0.0) + rate
+                elements.add(
+                    (
+                        "rates",
+                        tuple(
+                            sorted(
+                                (landing, float(f"{rate:.9e}"))
+                                for landing, rate in rates.items()
+                            )
+                        ),
+                    )
+                )
+        return frozenset(elements)
+
+    while partition.refine(signature):
+        pass
+    return partition
+
+
+
 class TestScalarVsVectorised:
     """The vectorised worklist engine must agree with the round-based scalar
     reference — same blocks, same first-occurrence numbering."""
@@ -265,3 +336,154 @@ class TestScalarVsVectorised:
         assert oblivious.num_blocks == 1
         reference = branching_partition_reference(automaton, respect_labels=False)
         assert oblivious.block_of == reference.block_of
+
+
+def quotient_modulo_inert_tau_reference(automaton, partition):
+    """Per-state construction of the tau-abstracting quotient.
+
+    The executable specification of
+    :func:`repro.lumping.closure.quotient_modulo_inert_tau`: one pass over
+    the states fills per-class sets of non-inert ``(action, target class)``
+    moves (first-seen order), picks each class's first stable member (or
+    first member) as its representative, sums the representative's rates
+    per target class, and restricts the result to the reachable classes.
+    """
+    block_of = partition.block_of
+    num_blocks = partition.num_blocks
+    stable = automaton.index().stable
+    internals = automaton.signature.internals
+
+    representative = [None] * num_blocks
+    interactive = [[] for _ in range(num_blocks)]
+    seen = [set() for _ in range(num_blocks)]
+    for state in automaton.states():
+        block = block_of[state]
+        current = representative[block]
+        if current is None or (stable[state] and not stable[current]):
+            representative[block] = state
+        for action, target in automaton.interactive[state]:
+            target_block = block_of[target]
+            if target_block == block and action in internals:
+                continue  # inert: internal move inside the class
+            entry = (action, target_block)
+            if entry not in seen[block]:
+                seen[block].add(entry)
+                interactive[block].append(entry)
+
+    markovian = [[] for _ in range(num_blocks)]
+    labels = {}
+    names = []
+    for block, state in enumerate(representative):
+        names.append(automaton.state_name(state))
+        props = automaton.label_of(state)
+        if props:
+            labels[block] = props
+        rates = {}
+        for rate, target in automaton.markovian[state]:
+            rates[block_of[target]] = rates.get(block_of[target], 0.0) + rate
+        markovian[block] = [(rate, target) for target, rate in sorted(rates.items())]
+
+    quotient = IOIMC.trusted(
+        automaton.name,
+        automaton.signature,
+        num_blocks,
+        block_of[automaton.initial],
+        interactive,
+        markovian,
+        labels,
+        names,
+    )
+    return quotient.restrict_to_reachable()
+
+
+def assert_same_quotient(actual, expected):
+    assert actual.num_states == expected.num_states
+    assert actual.initial == expected.initial
+    assert actual.labels == expected.labels
+    assert actual.state_names == expected.state_names
+    actual_rates = actual.index().markovian_csr()
+    expected_rates = expected.index().markovian_csr()
+    for column in ("indptr", "source", "rate", "target"):
+        assert (
+            getattr(actual_rates, column).tobytes()
+            == getattr(expected_rates, column).tobytes()
+        ), column
+    assert [sorted(row) for row in actual.interactive] == [
+        sorted(row) for row in expected.interactive
+    ]
+
+
+PARTITIONS = {
+    "weak": weak_bisimulation_partition,
+    "branching": branching_bisimulation_partition,
+}
+
+
+class TestInertTauQuotientMatchesReference:
+    """The CSR quotient must reproduce the per-state construction exactly."""
+
+    @pytest.mark.parametrize("respect_labels", [True, False])
+    @pytest.mark.parametrize("mode", sorted(PARTITIONS))
+    def test_random_tau_graphs(self, mode, respect_labels):
+        compared = 0
+        for seed in range(40):
+            automaton = _random_tau_automaton(seed)
+            try:
+                partition = PARTITIONS[mode](
+                    automaton, respect_labels=respect_labels
+                )
+            except LumpingError:
+                continue  # weak: tau-nondeterministic rate attribution
+            result = quotient_modulo_inert_tau(automaton, partition)
+            assert_same_quotient(
+                result.quotient,
+                quotient_modulo_inert_tau_reference(automaton, partition),
+            )
+            compared += 1
+        assert compared >= 20
+
+    @pytest.mark.parametrize("mode", sorted(PARTITIONS))
+    def test_dds_disk_cluster(self, mode):
+        """The DDS cluster repair unit composed with its four disks, the
+        failure and repair signals hidden (705 states, 241 classes)."""
+        blocks = translate_model(build_dds_model(DDSParameters(num_clusters=1))).blocks
+        cluster = blocks["cluster_rep_1"]
+        for disk in ("d_1", "d_2", "d_3", "d_4"):
+            cluster = compose(cluster, blocks[disk])
+        automaton = hide(
+            cluster,
+            {action for action in cluster.signature.outputs if not action.endswith(".up")},
+        )
+        partition = PARTITIONS[mode](automaton)
+        assert (automaton.num_states, partition.num_blocks) == (705, 241)
+        result = quotient_modulo_inert_tau(automaton, partition)
+        assert_same_quotient(
+            result.quotient, quotient_modulo_inert_tau_reference(automaton, partition)
+        )
+
+
+def unreachable_down_state():
+    """``s0 -1.0-> s2 -2.0-> s0`` plus an unreachable ``down`` state ``s1``
+    with a rate back to ``s0``: all three states are pairwise inequivalent."""
+    builder = IOIMCBuilder("unreachable", Signature.create())
+    builder.state("s0", initial=True)
+    builder.state("s1", labels={"down"})
+    builder.state("s2")
+    builder.markovian("s0", 1.0, "s2")
+    builder.markovian("s1", 1.0, "s0")
+    builder.markovian("s2", 2.0, "s0")
+    return builder.build()
+
+
+class TestBlockOfStateAfterRestriction:
+    @pytest.mark.parametrize("minimize", [minimize_weak, minimize_branching])
+    def test_abstracting_modes_renumber_and_drop(self, minimize):
+        result = minimize(unreachable_down_state())
+        assert result.quotient.state_names == ["s0", "s2"]
+        # s2 is quotient state 1; s1's class is unreachable and dropped.
+        assert result.block_of_state == (0, -1, 1)
+
+    def test_strong_keeps_every_class(self):
+        result = minimize_strong(unreachable_down_state())
+        assert result.quotient.num_states == 3
+        assert result.block_of_state == (0, 1, 2)

@@ -1,5 +1,7 @@
 """Tests for the interned-action transition index (repro.ioimc.indexed)."""
 
+import random
+
 import pytest
 
 from repro.ioimc import ActionKind, IOIMCBuilder, Signature, TransitionIndex
@@ -92,3 +94,77 @@ class TestTransitionIndex:
 
     def test_summary_matches_automaton(self, automaton):
         assert automaton.index().summary() == automaton.summary()
+
+
+def dfs_tau_closure(automaton):
+    """Per state, the sorted states reachable by internal moves (DFS)."""
+    internals = automaton.signature.internals
+    closure = []
+    for state in automaton.states():
+        reached = {state}
+        stack = [state]
+        while stack:
+            current = stack.pop()
+            for action, successor in automaton.interactive[current]:
+                if action in internals and successor not in reached:
+                    reached.add(successor)
+                    stack.append(successor)
+        closure.append(sorted(reached))
+    return closure
+
+
+def random_tau_graph(seed):
+    """Random automaton over two internal actions and one output, with
+    tau-cycles, tau self-loops and states that have no tau edge."""
+    rng = random.Random(seed)
+    num_states = rng.randint(1, 30)
+    builder = IOIMCBuilder(
+        f"taus{seed}", Signature.create(outputs={"x"}, internals={"tau", "tau2"})
+    )
+    names = [f"n{index}" for index in range(num_states)]
+    builder.state(names[0], initial=True)
+    for name in names[1:]:
+        builder.state(name)
+    for source in names:
+        if rng.random() < 0.3:
+            continue  # no outgoing edge at all
+        for _ in range(rng.randint(1, 3)):
+            builder.interactive(
+                source, rng.choice(["x", "tau", "tau", "tau2"]), rng.choice(names)
+            )
+        if rng.random() < 0.15:
+            builder.interactive(source, "tau", source)
+    return builder.build()
+
+
+class TestTauClosure:
+    def assert_matches_dfs(self, automaton):
+        expected = dfs_tau_closure(automaton)
+        index = automaton.index()
+        indptr, post = index.tau_closure_csr()
+        assert indptr.tolist()[0] == 0 and len(indptr) == automaton.num_states + 1
+        assert [
+            post[indptr[state] : indptr[state + 1]].tolist()
+            for state in automaton.states()
+        ] == expected
+        assert index.tau_closure() == expected
+
+    def test_random_tau_graphs(self):
+        for seed in range(60):
+            self.assert_matches_dfs(random_tau_graph(seed))
+
+    def test_one_state_automaton(self):
+        builder = IOIMCBuilder("single", Signature.create(internals={"tau"}))
+        builder.state("only", initial=True)
+        self.assert_matches_dfs(builder.build())
+        builder.interactive("only", "tau", "only")
+        self.assert_matches_dfs(builder.build())
+
+    def test_tau_cycle_reaches_every_member(self):
+        builder = IOIMCBuilder("ring", Signature.create(internals={"tau"}))
+        builder.state("r0", initial=True)
+        for index in range(5):
+            builder.interactive(f"r{index}", "tau", f"r{(index + 1) % 5}")
+        automaton = builder.build()
+        assert automaton.index().tau_closure() == [list(range(5))] * 5
+        self.assert_matches_dfs(automaton)
