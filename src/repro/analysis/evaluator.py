@@ -70,9 +70,8 @@ class ArcadeEvaluator:
     composition steps — ``"strong"`` (default), ``"branching"`` (the
     equivalence CADP's minimisation uses in the paper's tool chain),
     ``"weak"`` or ``"none"`` — and is forwarded to
-    :class:`repro.composer.Composer` together with the reduction-policy
-    knobs (``reduce_policy``, ``reduce_every_n``,
-    ``adaptive_reduction_states``).  ``order`` accepts an explicit nested
+    :class:`repro.composer.Composer`, which reduces after every
+    composition step.  ``order`` accepts an explicit nested
     order, ``None`` for the greedy heuristic, or ``"auto"`` for the
     cost-model-guided planner (``plan_budget`` / ``plan_seed`` /
     ``plan_parameters`` tune its search; see :mod:`repro.planner`).
@@ -96,9 +95,6 @@ class ArcadeEvaluator:
         max_gate_width: int = 2,
         lump_final_ctmc: bool = True,
         cache: QuotientCache | str | None = None,
-        reduce_policy: str | None = None,
-        reduce_every_n: int = 1,
-        adaptive_reduction_states: int | None = None,
         plan_budget: int | None = None,
         plan_seed: int = 0,
         plan_parameters=None,
@@ -145,9 +141,6 @@ class ArcadeEvaluator:
         #: The resolved quotient cache, shared by every pipeline this
         #: evaluator runs (``None`` when caching is off).
         self.cache: QuotientCache | None = resolve_cache(cache)
-        self.reduce_policy = reduce_policy
-        self.reduce_every_n = reduce_every_n
-        self.adaptive_reduction_states = adaptive_reduction_states
         #: Search budget / RNG seed forwarded to the planner when
         #: ``order="auto"`` (``None`` budget = the planner's default).
         self.plan_budget = plan_budget
@@ -223,9 +216,6 @@ class ArcadeEvaluator:
                     reduction=self.reduction,
                     lump_final_ctmc=self.lump_final_ctmc,
                     cache=self.cache,
-                    reduce_policy=self.reduce_policy,
-                    reduce_every_n=self.reduce_every_n,
-                    adaptive_reduction_states=self.adaptive_reduction_states,
                     plan_budget=self.plan_budget,
                     plan_seed=self.plan_seed,
                     plan_parameters=self.plan_parameters,
@@ -263,9 +253,6 @@ class ArcadeEvaluator:
                     reduction=self.reduction,
                     lump_final_ctmc=self.lump_final_ctmc,
                     cache=self.cache,
-                    reduce_policy=self.reduce_policy,
-                    reduce_every_n=self.reduce_every_n,
-                    adaptive_reduction_states=self.adaptive_reduction_states,
                     plan_budget=self.plan_budget,
                     plan_seed=self.plan_seed,
                     plan_parameters=self.plan_parameters,

@@ -79,7 +79,8 @@ class TranslatedModel:
         return table.get(action, _NO_LISTENERS)
 
     def summary(self) -> dict[str, dict[str, int]]:
-        """Per-block size statistics (used in EXPERIMENTS.md)."""
+        """Per-block size statistics: :meth:`IOIMC.summary` keyed by block
+        name, the building-block sizes the benchmark scripts report."""
         return {name: block.summary() for name, block in self.blocks.items()}
 
 

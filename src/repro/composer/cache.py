@@ -42,9 +42,7 @@ A binary step ``left || right ; hide H ; reduce`` is keyed on
 * the hidden-signal set expressed as slots of the (pre-hiding) composite
   alphabet, and
 * the reduction applied: the bisimulation mode and the
-  vanishing-elimination flag when the step was reduced, or a mode-free
-  ``raw`` tag when the reduction was skipped (an unreduced product does not
-  depend on the mode, so sparse-schedule runs share entries across modes).
+  vanishing-elimination flag.
 
 Soundness
 ---------
@@ -130,9 +128,6 @@ class QuotientCache:
 
     def __init__(self) -> None:
         self._entries: dict[str, CacheEntry] = {}
-        #: Pre-reduction sizes per step base, for reduction-policy decisions
-        #: that need the product size before deciding which variant to fetch.
-        self._before_sizes: dict[str, tuple[int, int]] = {}
         #: Keyed by the automaton *object* (identity hash): keeps the leaf
         #: alive while memoised, so a recycled ``id()`` can never serve a
         #: stale fingerprint for a structurally unrelated automaton.
@@ -232,16 +227,12 @@ class QuotientCache:
         )
 
     @staticmethod
-    def result_key(
-        plan: StepPlan, *, reduced: bool, reduction: str, eliminate_vanishing: bool
-    ) -> str:
-        """Dictionary key of one step variant.
+    def result_key(plan: StepPlan, *, reduction: str, eliminate_vanishing: bool) -> str:
+        """Dictionary key of one step under one reduction configuration.
 
-        Unreduced steps are plain products — independent of the bisimulation
-        mode — and share a mode-free key.
+        The string format is persisted by ``--cache-file`` archives and
+        sweep checkpoints; changing it orphans every stored entry.
         """
-        if not reduced:
-            return plan.base + "|raw"
         return plan.base + f"|{reduction}|v={int(eliminate_vanishing)}"
 
     # ------------------------------------------------------------------ #
@@ -249,14 +240,6 @@ class QuotientCache:
     # ------------------------------------------------------------------ #
     def get(self, key: str) -> CacheEntry | None:
         return self._entries.get(key)
-
-    def peek_before(self, plan: StepPlan) -> tuple[int, int] | None:
-        """Pre-reduction ``(states, transitions)`` of this step, if known.
-
-        Lets the reduction policy decide reduce-vs-skip on a would-be hit
-        without building the product.
-        """
-        return self._before_sizes.get(plan.base)
 
     def store(
         self,
@@ -294,9 +277,6 @@ class QuotientCache:
             compose_seconds=compose_seconds,
             reduce_seconds=reduce_seconds,
         )
-        self._before_sizes.setdefault(
-            plan.base, (states_before, transitions_before)
-        )
         self.stores += 1
         return True
 
@@ -330,8 +310,6 @@ class QuotientCache:
             self._leaf_representatives.setdefault(digest, representative)
         for key, entry in other._entries.items():
             self._entries.setdefault(key, entry)
-        for base, sizes in other._before_sizes.items():
-            self._before_sizes.setdefault(base, sizes)
         self.hits += other.hits
         self.misses += other.misses
         self.stores += other.stores
@@ -360,10 +338,6 @@ class QuotientCache:
         of the uninterrupted run exactly.
         """
         self._entries[key] = entry
-        base = key.split("|", 1)[0]
-        self._before_sizes.setdefault(
-            base, (entry.states_before, entry.transitions_before)
-        )
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -63,19 +63,6 @@ CompositionOrder = Sequence["str | CompositionOrder"]
 #: The bisimulation variants the reduction pipeline can apply between steps.
 REDUCTION_MODES = ("strong", "weak", "branching", "none")
 
-#: Reduction *scheduling* policies: reduce after every step (the paper's
-#: aggregation), on a fixed ``reduce_every_n`` cycle, or adaptively from the
-#: recorded shrinkage history.
-REDUCE_POLICIES = ("always", "every_n", "adaptive")
-
-#: Adaptive policy: how many recent reductions vote on the expected yield.
-_ADAPTIVE_WINDOW = 2
-#: Adaptive policy: minimum mean state shrinkage for reductions to keep paying.
-_ADAPTIVE_MIN_SHRINKAGE = 0.10
-#: Adaptive policy: probe with a real reduction after this many consecutive
-#: skips, so a temporarily unprofitable reduction schedule can recover.
-_ADAPTIVE_PROBE_EVERY = 4
-
 
 @dataclass(frozen=True)
 class CompositionStep:
@@ -89,7 +76,6 @@ class CompositionStep:
     hidden_actions: tuple[str, ...]
     compose_seconds: float = 0.0
     reduce_seconds: float = 0.0
-    reduced: bool = True
     #: Served from the quotient cache: the recorded sizes reproduce the
     #: uncached trajectory, the timings are the (tiny) rebase cost.
     cache_hit: bool = False
@@ -102,10 +88,6 @@ class CompositionStep:
     #: ``min(operand_blocks) > 1`` is an above-leaf (composite x composite
     #: or composite x subtree) join served from the cache.
     operand_blocks: tuple[int, int] = (1, 1)
-    #: Why the reduction pipeline was skipped (``None`` when it ran):
-    #: ``"schedule"`` for an off-cycle ``reduce_every_n`` step,
-    #: ``"adaptive-low-yield"`` for the adaptive policy's skip decision.
-    skip_reason: str | None = None
 
     @property
     def seconds(self) -> float:
@@ -179,13 +161,9 @@ class CompositionStatistics:
         the serve time, per hit)."""
         return sum(step.saved_seconds for step in self.steps if step.cache_hit)
 
-    @property
-    def reductions_skipped(self) -> int:
-        """Steps whose reduction the schedule or adaptive policy skipped."""
-        return sum(1 for step in self.steps if not step.reduced)
-
     def as_table(self) -> list[dict[str, object]]:
-        """Rows suitable for printing in benchmarks and EXPERIMENTS.md."""
+        """Per-step rows: the ``"steps"`` block of :meth:`to_dict`, which the
+        benchmark exporters print and serialise."""
         return [
             {
                 "step": step.description,
@@ -197,7 +175,6 @@ class CompositionStatistics:
                 "compose_s": round(step.compose_seconds, 4),
                 "reduce_s": round(step.reduce_seconds, 4),
                 "cache_hit": step.cache_hit,
-                "skip_reason": step.skip_reason,
             }
             for step in self.steps
         ]
@@ -216,7 +193,6 @@ class CompositionStatistics:
             "total_seconds": self.total_seconds,
             "cache_hits": self.cache_hits,
             "cache_saved_seconds": self.cache_saved_seconds,
-            "reductions_skipped": self.reductions_skipped,
             "worker_retries": self.worker_retries,
             "worker_timeouts": self.worker_timeouts,
             "pool_breaks": self.pool_breaks,
@@ -287,28 +263,6 @@ class Composer:
         reduced once; further copies are rebased from the cache via their
         canonical renaming witness, reproducing the uncached pipeline's
         results exactly (see ``docs/caching.md``).
-    reduce_policy:
-        Reduction *schedule*: ``"always"`` (default; the paper's
-        reduce-after-every-step aggregation), ``"every_n"`` (reduce on
-        every ``reduce_every_n``-th step only) or ``"adaptive"`` (skip
-        reductions while the recent reductions bought less than 10% state
-        shrinkage, probing again after a few skips; skip decisions are
-        recorded per step in :class:`CompositionStatistics`).  ``None``
-        derives the policy from ``reduce_every_n`` for backwards
-        compatibility: ``"every_n"`` when it exceeds 1, else ``"always"``.
-    reduce_every_n:
-        Cycle length of the ``"every_n"`` policy.  ``1`` reduces after
-        every step.  A sparser schedule trades larger intermediate products
-        for fewer minimisation passes, which pays off when the blocks being
-        merged share few actions; the per-step
-        ``compose_seconds``/``reduce_seconds`` recorded in
-        :class:`CompositionStatistics` are the data to tune it with.
-    adaptive_reduction_states:
-        Safety valve for the sparse policies: when set, an off-cycle (or
-        adaptively skipped) step is reduced anyway as soon as the
-        intermediate product exceeds this many states, so skipping cannot
-        let the state space explode.  ``None`` (default) disables the
-        override.
     plan_parameters:
         Cost-model damping parameters for ``order="auto"``: a
         :class:`~repro.planner.CostParameters` instance or a path to a JSON
@@ -322,10 +276,8 @@ class Composer:
         :class:`~concurrent.futures.ProcessPoolExecutor`, their statistics
         and cache entries merged back, and only the left-deep join spine
         runs serially — bit-identical to the serial run (see
-        ``docs/architecture.md``).  Only the ``"always"`` reduce policy
-        parallelises (the sparse schedules are stateful across the whole
-        step sequence); other policies, flat orders, and single-subtree
-        orders fall back to the serial path.
+        ``docs/architecture.md``).  Flat orders and single-subtree orders
+        fall back to the serial path.
     retry:
         :class:`~repro.resilience.RetryPolicy` bounding the parallel
         dispatch's recovery from crashed (``BrokenProcessPool``) and hung
@@ -357,9 +309,6 @@ class Composer:
         eliminate_vanishing: bool = True,
         lump_final_ctmc: bool = True,
         cache: QuotientCache | str | None = None,
-        reduce_policy: str | None = None,
-        reduce_every_n: int = 1,
-        adaptive_reduction_states: int | None = None,
         plan_budget: int | None = None,
         plan_seed: int = 0,
         plan_parameters: "CostParameters | str | None" = None,
@@ -371,22 +320,11 @@ class Composer:
             raise CompositionError(
                 f"unknown reduction {reduction!r} (expected one of {REDUCTION_MODES})"
             )
-        if reduce_every_n < 1:
-            raise CompositionError(
-                f"reduce_every_n must be >= 1, got {reduce_every_n}"
-            )
         if jobs < 1:
             raise CompositionError(f"jobs must be >= 1, got {jobs}")
         if state_budget is not None and state_budget < 1:
             raise CompositionError(
                 f"state_budget must be >= 1, got {state_budget}"
-            )
-        if reduce_policy is None:
-            reduce_policy = "every_n" if reduce_every_n > 1 else "always"
-        if reduce_policy not in REDUCE_POLICIES:
-            raise CompositionError(
-                f"unknown reduce_policy {reduce_policy!r} "
-                f"(expected one of {REDUCE_POLICIES})"
             )
         if isinstance(order, str) and order != "auto":
             raise CompositionError(
@@ -411,12 +349,6 @@ class Composer:
         #: pipelines (availability + no-repair reliability, growth sweeps)
         #: compound their hits.
         self.cache: QuotientCache | None = resolve_cache(cache)
-        #: Reduction schedule, see the class docstring.
-        self.reduce_policy = reduce_policy
-        self.reduce_every_n = reduce_every_n
-        #: Size override: when set, a skipped step is reduced anyway as soon
-        #: as the intermediate product exceeds this many states.
-        self.adaptive_reduction_states = adaptive_reduction_states
         #: Worker-pool size for parallel subtree aggregation (1 = serial).
         self.jobs = jobs
         #: Recovery bounds of the parallel dispatch (defaults when ``None``).
@@ -425,10 +357,6 @@ class Composer:
         self.state_budget = state_budget
         self.statistics = CompositionStatistics()
         self._composed_blocks: set[str] = set()
-        self._steps_since_reduction = 0
-        #: Fractional state shrinkage of the recent reduced steps (the
-        #: adaptive policy's evidence).
-        self._reduction_history: list[float] = []
 
     # ------------------------------------------------------------------ #
     # public API
@@ -439,7 +367,6 @@ class Composer:
             "compose.run",
             model=self.translated.model.name,
             reduction=self.reduction,
-            reduce_policy=self.reduce_policy,
             jobs=self.jobs,
             cache="on" if self.cache is not None else "off",
             blocks=len(self.translated.blocks),
@@ -450,13 +377,11 @@ class Composer:
             self.plan_report = None
             order = self._resolve_order()
             self._composed_blocks = set()
-            self._steps_since_reduction = 0
-            self._reduction_history = []
             # Fresh statistics per run: compose() is re-runnable and must not
             # accumulate steps/timings across invocations.  (The quotient
             # cache, in contrast, deliberately survives re-runs.)
             self.statistics = CompositionStatistics()
-            if self.jobs > 1 and self.reduce_policy == "always":
+            if self.jobs > 1:
                 system, _, _ = self._compose_parallel(order)
             else:
                 system, _, _ = self._compose_group(order)
@@ -989,36 +914,15 @@ class Composer:
             plan = cache.plan_step(left_fingerprint, right_fingerprint, hidable)
 
         compose_started = time.perf_counter()
-        built: tuple[IOIMC, dict] | None = None
-
-        def ensure_built() -> tuple[IOIMC, dict]:
-            nonlocal built
-            if built is None:
-                product = compose(left, right, name=description)
-                before = product.summary()
-                built = (hide(product, hidable), before)
-            return built
-
-        def states_before() -> int:
-            if built is None and plan is not None:
-                peeked = cache.peek_before(plan)
-                if peeked is not None:
-                    return peeked[0]
-            return ensure_built()[1]["states"]
-
-        should_reduce, skip_reason = self._reduce_decision(states_before)
-
         key = None
         entry = None
         if plan is not None:
             key = cache.result_key(
                 plan,
-                reduced=should_reduce,
                 reduction=self.reduction,
                 eliminate_vanishing=self.eliminate_vanishing,
             )
-            if built is None:
-                entry = cache.get(key)
+            entry = cache.get(key)
 
         if entry is not None:
             # The budget applies to the *pre-reduction* product a cold run
@@ -1054,33 +958,29 @@ class Composer:
                 hidden_actions=tuple(hidable),
                 compose_seconds=serve_seconds,
                 reduce_seconds=0.0,
-                reduced=should_reduce,
                 cache_hit=True,
                 saved_seconds=saved_seconds,
                 operand_blocks=operand_blocks,
-                skip_reason=skip_reason,
             )
             step_span.set(
                 states_before=entry.states_before,
                 states_after=entry.states_after,
                 cache_hit=True,
-                reduced=should_reduce,
             )
-            self._note_reduction(should_reduce, entry.states_before, entry.states_after)
             self.statistics.record(step)
             return composite, SubtreeFingerprint(key, plan.slots)
 
-        composite, before = ensure_built()
+        product = compose(left, right, name=description)
+        before = product.summary()
+        composite = hide(product, hidable)
         self._check_budget(description, before["states"])
         compose_seconds = time.perf_counter() - compose_started
-        reduce_seconds = 0.0
-        if should_reduce:
-            reduce_started = time.perf_counter()
-            composite = self._reduce(composite)
-            reduce_seconds = time.perf_counter() - reduce_started
+        reduce_started = time.perf_counter()
+        composite = self._reduce(composite)
+        reduce_seconds = time.perf_counter() - reduce_started
         after = composite.summary()
         next_fingerprint = None
-        if plan is not None and key is not None:
+        if plan is not None:
             cache.misses += 1
             incr("cache.misses")
             if cache.store(
@@ -1103,18 +1003,14 @@ class Composer:
             hidden_actions=tuple(hidable),
             compose_seconds=compose_seconds,
             reduce_seconds=reduce_seconds,
-            reduced=should_reduce,
             operand_blocks=operand_blocks,
-            skip_reason=skip_reason,
         )
         step_span.set(
             states_before=before["states"],
             states_after=after["states"],
             cache_hit=False,
-            reduced=should_reduce,
         )
         gauge_max("compose.peak_states", before["states"])
-        self._note_reduction(should_reduce, before["states"], after["states"])
         self.statistics.record(step)
         return composite, next_fingerprint
 
@@ -1140,46 +1036,6 @@ class Composer:
                 f"step {description!r}: intermediate product of {states} "
                 f"states{inflated} exceeds the state budget of {budget}"
             )
-
-    def _note_reduction(self, reduced: bool, before: int, after: int) -> None:
-        """Update the schedule counter and the adaptive shrinkage history."""
-        if reduced:
-            self._steps_since_reduction = 0
-            if before > 0:
-                self._reduction_history.append(1.0 - after / before)
-        else:
-            self._steps_since_reduction += 1
-
-    def _reduce_decision(self, states_before) -> tuple[bool, str | None]:
-        """Apply the reduction policy to the current step.
-
-        ``states_before`` is a *callable* returning the intermediate
-        product's state count — invoked only when the decision actually
-        needs the size (the size-threshold override), so a cache hit whose
-        policy does not consult it never builds the product at all.
-        Returns ``(reduce?, skip reason)``.
-        """
-        if self.reduce_policy == "always":
-            return True, None
-        threshold = self.adaptive_reduction_states
-        if self.reduce_policy == "every_n":
-            if self._steps_since_reduction + 1 >= self.reduce_every_n:
-                return True, None
-            if threshold is not None and states_before() > threshold:
-                return True, None
-            return False, "schedule"
-        # Adaptive: reduce while reductions keep shrinking the model; once
-        # the recent reductions bought less than the minimum yield, skip —
-        # but probe again after a few skips, and never let the product grow
-        # past the size override.
-        if self._steps_since_reduction + 1 >= _ADAPTIVE_PROBE_EVERY:
-            return True, None
-        window = self._reduction_history[-_ADAPTIVE_WINDOW:]
-        if not window or sum(window) / len(window) >= _ADAPTIVE_MIN_SHRINKAGE:
-            return True, None
-        if threshold is not None and states_before() > threshold:
-            return True, None
-        return False, "adaptive-low-yield"
 
     def _hidable_signals(
         self, left: Signature, right: Signature, blocks: frozenset[str]
@@ -1368,9 +1224,6 @@ def compose_model(
     eliminate_vanishing: bool = True,
     lump_final_ctmc: bool = True,
     cache: QuotientCache | str | None = None,
-    reduce_policy: str | None = None,
-    reduce_every_n: int = 1,
-    adaptive_reduction_states: int | None = None,
     plan_budget: int | None = None,
     plan_seed: int = 0,
     plan_parameters: "CostParameters | str | None" = None,
@@ -1381,9 +1234,8 @@ def compose_model(
     """One-call wrapper around :class:`Composer`.
 
     Accepts the same keyword arguments (see the :class:`Composer` docstring
-    for the reduction policy — ``reduction``, ``reduce_policy``,
-    ``reduce_every_n``, ``adaptive_reduction_states`` — the quotient cache
-    — ``cache`` — the order planner — ``order="auto"``, ``plan_budget``,
+    for the reduction — ``reduction``, ``eliminate_vanishing`` — the
+    quotient cache — ``cache`` — the order planner — ``order="auto"``, ``plan_budget``,
     ``plan_seed``, ``plan_parameters`` — and the resilience bounds —
     ``retry``, ``state_budget``) and returns the fully composed
     :class:`ComposedSystem` with its I/O-IMC, CTMC and per-step statistics.
@@ -1395,9 +1247,6 @@ def compose_model(
         eliminate_vanishing=eliminate_vanishing,
         lump_final_ctmc=lump_final_ctmc,
         cache=cache,
-        reduce_policy=reduce_policy,
-        reduce_every_n=reduce_every_n,
-        adaptive_reduction_states=adaptive_reduction_states,
         plan_budget=plan_budget,
         plan_seed=plan_seed,
         plan_parameters=plan_parameters,
@@ -1414,7 +1263,6 @@ __all__ = [
     "CompositionStatistics",
     "CompositionStep",
     "Composer",
-    "REDUCE_POLICIES",
     "REDUCTION_MODES",
     "compose_model",
 ]

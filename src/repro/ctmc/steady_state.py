@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
+from scipy.sparse.csgraph import connected_components
 
 from ..errors import AnalysisError
 from .ctmc import CTMC
@@ -62,20 +63,23 @@ def steady_state_distribution(ctmc: CTMC) -> np.ndarray:
 
 
 def bottom_strongly_connected_components(ctmc: CTMC) -> list[list[int]]:
-    """All BSCCs of the CTMC's transition graph (sorted state lists)."""
-    successors: list[list[int]] = [[] for _ in range(ctmc.num_states)]
-    for source, _, target in ctmc.transitions():
-        successors[source].append(target)
-    component_of = _tarjan_scc(ctmc.num_states, successors)
-    num_components = max(component_of) + 1 if component_of else 0
-    is_bottom = [True] * num_components
-    for source, _, target in ctmc.transitions():
-        if component_of[source] != component_of[target]:
-            is_bottom[component_of[source]] = False
-    members: list[list[int]] = [[] for _ in range(num_components)]
-    for state, component in enumerate(component_of):
-        members[component].append(state)
-    return [sorted(states) for index, states in enumerate(members) if is_bottom[index]]
+    """All BSCCs of the CTMC's transition graph, as sorted state lists
+    ordered by their smallest state."""
+    rates = ctmc.rate_matrix().tocoo()
+    num_components, component_of = connected_components(
+        rates, directed=True, connection="strong"
+    )
+    source_component = component_of[rates.row]
+    is_bottom = np.ones(num_components, dtype=bool)
+    is_bottom[source_component[source_component != component_of[rates.col]]] = False
+    # Bottom states grouped by component, ascending within each group.
+    states = np.flatnonzero(is_bottom[component_of])
+    states = states[np.argsort(component_of[states], kind="stable")]
+    cuts = np.flatnonzero(np.diff(component_of[states])) + 1
+    return sorted(
+        (members.tolist() for members in np.split(states, cuts)),
+        key=lambda members: members[0],
+    )
 
 
 def absorption_probabilities(ctmc: CTMC, bsccs: list[list[int]]) -> np.ndarray:
@@ -188,55 +192,6 @@ def _sparse_stationary(ctmc: CTMC, states: list[int], index: dict[int, int]) -> 
     if total <= 0 or not np.isfinite(total):
         raise AnalysisError("sparse stationary solve failed")
     return solution / total
-
-
-def _tarjan_scc(num_states: int, successors: list[list[int]]) -> list[int]:
-    """Iterative Tarjan strongly-connected-components; returns component ids."""
-    index_counter = 0
-    stack: list[int] = []
-    on_stack = [False] * num_states
-    indices = [-1] * num_states
-    lowlink = [0] * num_states
-    component_of = [-1] * num_states
-    num_components = 0
-
-    for root in range(num_states):
-        if indices[root] != -1:
-            continue
-        work = [(root, iter(successors[root]))]
-        indices[root] = lowlink[root] = index_counter
-        index_counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, iterator = work[-1]
-            advanced = False
-            for successor in iterator:
-                if indices[successor] == -1:
-                    indices[successor] = lowlink[successor] = index_counter
-                    index_counter += 1
-                    stack.append(successor)
-                    on_stack[successor] = True
-                    work.append((successor, iter(successors[successor])))
-                    advanced = True
-                    break
-                if on_stack[successor]:
-                    lowlink[node] = min(lowlink[node], indices[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == indices[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    component_of[member] = num_components
-                    if member == node:
-                        break
-                num_components += 1
-    return component_of
 
 
 __all__ = [

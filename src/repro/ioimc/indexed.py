@@ -21,15 +21,9 @@ is the bridge between the Python-object transition tables of
   batched product construction operate on directly;
 * the Markovian relation is stored the same way (:class:`MarkovianCSR`,
   ``float64`` rate column);
-* internal (tau) successor lists, a stability bit per state and cached
-  predecessor tables are derived from the arrays once and cached; the tau
-  closure is derived on demand as another CSR table.
-
-Legacy list-of-tuples views (:meth:`TransitionIndex.interactive_ids`,
-:meth:`TransitionIndex.predecessors`, ...) are kept for algorithms and tests
-that still walk adjacency in Python; they are materialised lazily from the
-CSR arrays and are guaranteed to describe exactly the same transitions (see
-``tests/test_csr_backend.py`` for the round-trip property tests).
+* a stability bit per state and a cached predecessor table are derived
+  from the arrays once; the tau closure is derived on demand as another
+  CSR table.
 
 An index is built lazily by :meth:`repro.ioimc.IOIMC.index` and cached on the
 automaton; I/O-IMCs are immutable after construction, so the cache can never
@@ -133,11 +127,7 @@ class TransitionIndex:
         "interactive_csr",
         "stable",
         "stable_flags",
-        "_internal_successors",
         "_markovian_csr",
-        "_interactive_ids",
-        "_sorted_interactive",
-        "_predecessors",
         "_predecessor_csr",
     )
 
@@ -156,8 +146,8 @@ class TransitionIndex:
         self._attach_kind_flags()
 
         #: Flat CSR adjacency of the interactive relation (built eagerly: every
-        #: consumer of the index reads it).  The Markovian CSR — and the
-        #: legacy list-of-tuples views — are materialised lazily.
+        #: consumer of the index reads it).  The Markovian CSR is
+        #: materialised lazily.
         num_states = automaton.num_states
         rows = automaton.interactive
         indptr, source, total = _row_offsets(rows, num_states)
@@ -222,7 +212,7 @@ class TransitionIndex:
         e.g. hiding several outputs to ``tau``, are fine); unnamed actions
         keep their name.  The transition structure is untouched, so the
         row-offset/source/target columns — and the structural predecessor
-        caches — are shared; only the action column is remapped.
+        cache — are shared; only the action column is remapped.
         """
         signature = automaton.signature
         clone = TransitionIndex.__new__(TransitionIndex)
@@ -241,11 +231,7 @@ class TransitionIndex:
             old.indptr, old.source, remap[old.action], old.target
         )
         clone._compute_stability()
-        clone._internal_successors = None
         clone._markovian_csr = self._markovian_csr
-        clone._interactive_ids = None
-        clone._sorted_interactive = None
-        clone._predecessors = self._predecessors
         clone._predecessor_csr = self._predecessor_csr
         return clone
 
@@ -264,11 +250,7 @@ class TransitionIndex:
     ) -> None:
         self.interactive_csr = interactive_csr
         self._compute_stability()
-        self._internal_successors = None
         self._markovian_csr = markovian_csr
-        self._interactive_ids = None
-        self._sorted_interactive = None
-        self._predecessors = None
         self._predecessor_csr = None
 
     def _compute_stability(self) -> None:
@@ -285,7 +267,7 @@ class TransitionIndex:
         Used by transformations that only touch Markovian rows (e.g. the
         maximal-progress cut): every interactive-derived table can be shared,
         only the Markovian CSR (passed explicitly, or rebuilt from the rows on
-        demand) and the predecessor caches change.
+        demand) and the predecessor cache change.
         """
         clone = TransitionIndex.__new__(TransitionIndex)
         clone.automaton = automaton
@@ -301,11 +283,7 @@ class TransitionIndex:
         clone.interactive_csr = self.interactive_csr
         clone.stable = self.stable
         clone.stable_flags = self.stable_flags
-        clone._internal_successors = self._internal_successors
         clone._markovian_csr = markovian_csr
-        clone._interactive_ids = self._interactive_ids
-        clone._sorted_interactive = self._sorted_interactive
-        clone._predecessors = None
         clone._predecessor_csr = None
         return clone
 
@@ -326,40 +304,6 @@ class TransitionIndex:
             )
             self._markovian_csr = MarkovianCSR(indptr, source, rate, target)
         return self._markovian_csr
-
-    @property
-    def internal_successors(self) -> list[list[int]]:
-        """Per state: targets of internal (tau) transitions."""
-        if self._internal_successors is None:
-            csr = self.interactive_csr
-            internal = self.internal_flags[csr.action]
-            successors: list[list[int]] = [
-                [] for _ in range(self.automaton.num_states)
-            ]
-            for source, tgt in zip(
-                csr.source[internal].tolist(), csr.target[internal].tolist()
-            ):
-                successors[source].append(tgt)
-            self._internal_successors = successors
-        return self._internal_successors
-
-    def interactive_ids(self) -> list[list[tuple[int, int]]]:
-        """Per-state ``(action_id, target)`` pairs in the automaton's order."""
-        if self._interactive_ids is None:
-            csr = self.interactive_csr
-            indptr = csr.indptr
-            pairs = list(zip(csr.action.tolist(), csr.target.tolist()))
-            self._interactive_ids = [
-                pairs[indptr[state] : indptr[state + 1]]
-                for state in range(self.automaton.num_states)
-            ]
-        return self._interactive_ids
-
-    def sorted_interactive(self) -> list[list[tuple[int, int]]]:
-        """Per-state adjacency sorted by ``(action_id, target)``."""
-        if self._sorted_interactive is None:
-            self._sorted_interactive = [sorted(row) for row in self.interactive_ids()]
-        return self._sorted_interactive
 
     def predecessor_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, source)`` CSR of the *observer* relation, deduplicated.
@@ -383,17 +327,6 @@ class TransitionIndex:
             self._predecessor_csr = (indptr, sources.astype(np.int32))
         return self._predecessor_csr
 
-    def predecessors(self) -> list[list[int]]:
-        """For every state, the (deduplicated, sorted) incoming-edge sources."""
-        if self._predecessors is None:
-            indptr, sources = self.predecessor_csr()
-            flat = sources.tolist()
-            self._predecessors = [
-                flat[indptr[state] : indptr[state + 1]]
-                for state in range(self.automaton.num_states)
-            ]
-        return self._predecessors
-
     def tau_closure_csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(indptr, post)`` CSR of the tau closure: row ``s`` lists, in
         ascending order, every state reachable from ``s`` by ``tau*``
@@ -416,14 +349,6 @@ class TransitionIndex:
             num_states,
         )
         return csr_indptr(owner, num_states), post
-
-    def tau_closure(self) -> list[list[int]]:
-        """For every state, the sorted list of states reachable by ``tau*``
-        (a list view of :meth:`tau_closure_csr`)."""
-        indptr, post = self.tau_closure_csr()
-        flat = post.tolist()
-        bounds = indptr.tolist()
-        return [flat[start:end] for start, end in zip(bounds, bounds[1:])]
 
     def summary(self) -> dict[str, int]:
         """Size statistics (mirrors :meth:`repro.ioimc.IOIMC.summary`)."""

@@ -474,11 +474,10 @@ def _simulate_subtree(
             if translated.listeners_of(action) <= blocks
         )
         plan = cache.plan_step(left, right, hidable)
-        if plan is None or cache.peek_before(plan) is None:
+        if plan is None:
             raise _ColdFold
         key = QuotientCache.result_key(
             plan,
-            reduced=True,
             reduction=reduction,
             eliminate_vanishing=eliminate_vanishing,
         )

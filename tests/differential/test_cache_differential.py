@@ -42,7 +42,6 @@ def _trajectory(system):
             step.states_after_reduction,
             step.transitions_after_reduction,
             step.hidden_actions,
-            step.reduced,
         )
         for step in system.statistics.steps
     ]

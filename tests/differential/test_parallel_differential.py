@@ -48,7 +48,6 @@ def _shape_trajectory(system):
             step.states_after_reduction,
             step.transitions_after_reduction,
             step.hidden_actions,
-            step.reduced,
         )
         for step in system.statistics.steps
     ]

@@ -253,8 +253,14 @@ def branching_partition_reference(automaton, *, respect_labels=True):
     tau-heavy automata.
     """
     index = automaton.index()
-    interactive = index.interactive_ids()
-    internal_successors = index.internal_successors
+    csr = index.interactive_csr
+    bounds = csr.indptr.tolist()
+    pairs = list(zip(csr.action.tolist(), csr.target.tolist()))
+    interactive = [pairs[start:end] for start, end in zip(bounds, bounds[1:])]
+    internal_successors = [
+        [target for action_id, target in row if index.is_internal[action_id]]
+        for row in interactive
+    ]
     is_visible = index.is_visible
     stable = index.stable
 

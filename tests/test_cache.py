@@ -9,28 +9,18 @@ Three layers:
 * **hits where expected** — the replicated DDS/RCS subtrees must actually
   be served from the cache, both within one run and across the runs sharing
   a cache (the evaluator's availability + no-repair reliability pipelines);
-* **policy plumbing** — the ``cache=`` argument resolution, the adaptive
-  reduction policy's recorded skip decisions, and the persisted
-  cost-parameter loop of the planner.
+* **policy plumbing** — the ``cache=`` argument resolution, the persisted
+  step-key format, and the persisted cost-parameter loop of the planner.
 """
 
 import pytest
 
-from repro.arcade import (
-    ArcadeModel,
-    BasicComponent,
-    RepairStrategy,
-    RepairUnit,
-    down,
-)
-from repro.arcade.expressions import And
 from repro.arcade.semantics import translate_model
 from repro.casestudies.dds import DDSParameters, build_dds_evaluator, build_dds_model, dds_composition_order
 from repro.casestudies.rcs import build_rcs_modular_evaluator
 from repro.composer import Composer, QuotientCache, compose_model, resolve_cache
+from repro.composer.cache import StepPlan
 from repro.ctmc import steady_state_availability
-from repro.distributions import Exponential
-from repro.errors import CompositionError
 from repro.planner import (
     CostParameters,
     load_cost_parameters,
@@ -48,7 +38,6 @@ def _trajectory(system):
             step.states_after_reduction,
             step.transitions_after_reduction,
             step.hidden_actions,
-            step.reduced,
         )
         for step in system.statistics.steps
     ]
@@ -189,68 +178,20 @@ class TestCachedGoldens:
         assert evaluator.composed.statistics.cache_hits > 0
 
 
-def _independent_chain_model(size: int = 5) -> ArcadeModel:
-    """Independent components: intermediate reductions barely shrink."""
-    model = ArcadeModel(name="independent")
-    for index in range(size):
-        name = f"c{index}"
-        model.add_component(
-            BasicComponent(
-                name,
-                time_to_failures=Exponential(0.1 + 0.01 * index),
-                time_to_repairs=Exponential(1.0),
-            )
+class TestResultKeyFormat:
+    """Persisted caches (``--cache-file`` archives, sweep checkpoints) are
+    keyed by these strings; changing the format orphans every stored entry."""
+
+    @pytest.mark.parametrize("reduction", ["strong", "weak", "branching"])
+    @pytest.mark.parametrize("eliminate_vanishing", [True, False])
+    def test_key_is_plan_base_mode_and_vanishing_flag(
+        self, reduction, eliminate_vanishing
+    ):
+        plan = StepPlan(base="0123abcd", slots=("a", "b"))
+        key = QuotientCache.result_key(
+            plan, reduction=reduction, eliminate_vanishing=eliminate_vanishing
         )
-        model.add_repair_unit(
-            RepairUnit(f"r{index}", [name], RepairStrategy.DEDICATED)
-        )
-    model.set_system_down(And([down(f"c{index}") for index in range(size)]))
-    return model
-
-
-class TestAdaptiveReductionPolicy:
-    def test_skips_low_yield_reductions_and_records_them(self):
-        translated = translate_model(_independent_chain_model())
-        always = compose_model(translated)
-        adaptive = compose_model(translated, reduce_policy="adaptive")
-        skipped = [step for step in adaptive.statistics.steps if not step.reduced]
-        assert skipped, "independent components must trigger adaptive skips"
-        assert all(step.skip_reason == "adaptive-low-yield" for step in skipped)
-        assert adaptive.statistics.reductions_skipped == len(skipped)
-        # Skipping intermediate reductions never changes the final chain.
-        assert adaptive.ctmc.summary() == always.ctmc.summary()
-        assert steady_state_availability(adaptive.ctmc) == steady_state_availability(
-            always.ctmc
-        )
-
-    def test_probe_limits_consecutive_skips(self):
-        translated = translate_model(_independent_chain_model(7))
-        adaptive = compose_model(translated, reduce_policy="adaptive")
-        consecutive = 0
-        for step in adaptive.statistics.steps:
-            consecutive = 0 if step.reduced else consecutive + 1
-            assert consecutive < 4, "the adaptive policy must probe periodically"
-
-    def test_size_override_forces_a_reduction(self):
-        translated = translate_model(_independent_chain_model())
-        limited = compose_model(
-            translated, reduce_policy="adaptive", adaptive_reduction_states=100
-        )
-        for step in limited.statistics.steps:
-            if not step.reduced:
-                assert step.states_before_reduction <= 100
-
-    def test_every_n_schedule_records_its_skips(self):
-        translated = translate_model(_independent_chain_model())
-        system = compose_model(translated, reduce_every_n=2)
-        skipped = [step for step in system.statistics.steps if not step.reduced]
-        assert skipped
-        assert all(step.skip_reason == "schedule" for step in skipped)
-
-    def test_unknown_policy_is_rejected(self):
-        translated = translate_model(_independent_chain_model(2))
-        with pytest.raises(CompositionError):
-            Composer(translated, reduce_policy="sometimes")
+        assert key == plan.base + f"|{reduction}|v={int(eliminate_vanishing)}"
 
 
 class TestCostParameterPersistence:
@@ -304,7 +245,6 @@ class TestMergeFromRejection:
         worker._leaf_representatives[collision[0]] = collision[1]
 
         entries_before = {key: id(entry) for key, entry in parent._entries.items()}
-        sizes_before = dict(parent._before_sizes)
         representatives_before = {
             digest: id(rep[0]) for digest, rep in parent._leaf_representatives.items()
         }
@@ -312,10 +252,9 @@ class TestMergeFromRejection:
 
         assert parent.merge_from(worker) is False
 
-        # Nothing imported: entries, witnesses, size hints and counters are
+        # Nothing imported: entries, witnesses and counters are
         # exactly the pre-merge state (identity, not just equality).
         assert {key: id(entry) for key, entry in parent._entries.items()} == entries_before
-        assert dict(parent._before_sizes) == sizes_before
         assert {
             digest: id(rep[0]) for digest, rep in parent._leaf_representatives.items()
         } == representatives_before

@@ -73,31 +73,6 @@ class TestComposerPipeline:
             assert row["compose_s"] >= 0.0
             assert row["reduce_s"] >= 0.0
 
-    def test_reduce_every_n_preserves_measures(self):
-        baseline = ArcadeEvaluator(quickstart_model())
-        sparse = ArcadeEvaluator(quickstart_model(), reduce_every_n=3)
-        assert sparse.availability() == pytest.approx(baseline.availability(), rel=1e-9)
-        steps = sparse.composed.statistics.steps
-        assert any(not step.reduced for step in steps)
-        assert any(step.reduced for step in steps)
-
-    def test_adaptive_reduction_threshold_forces_reduction(self):
-        # With an absurdly low threshold every step must be reduced even on a
-        # sparse schedule.
-        adaptive = ArcadeEvaluator(
-            quickstart_model(), reduce_every_n=100, adaptive_reduction_states=1
-        )
-        baseline = ArcadeEvaluator(quickstart_model())
-        assert adaptive.availability() == pytest.approx(
-            baseline.availability(), rel=1e-9
-        )
-        assert all(step.reduced for step in adaptive.composed.statistics.steps)
-
-    def test_reduce_every_n_must_be_positive(self):
-        translated = translate_model(quickstart_model())
-        with pytest.raises(CompositionError):
-            Composer(translated, reduce_every_n=0)
-
     def test_recomposing_does_not_accumulate_statistics(self):
         composer = Composer(translate_model(quickstart_model()))
         first = composer.compose()

@@ -87,11 +87,8 @@ class TestSteadyState:
 
     def test_bscc_detection(self):
         chain = CTMC(3, [(0, 1.0, 1), (1, 1.0, 0), (0, 1.0, 2)])
-        bsccs = bottom_strongly_connected_components(chain)
-        assert [2] in bsccs
-        assert all([0, 1] != sorted(b) or False for b in bsccs) or True
         # the {0,1} class leaks into 2, so it must not be a BSCC
-        assert sorted(map(tuple, bsccs)) == [(2,)]
+        assert bottom_strongly_connected_components(chain) == [[2]]
 
     def test_large_chain_uses_sparse_path(self):
         # Chain of 2000 states in a ring: uniform stationary distribution.
@@ -100,6 +97,132 @@ class TestSteadyState:
         chain = CTMC(size, transitions)
         distribution = steady_state_distribution(chain)
         assert distribution[0] == pytest.approx(1.0 / size, rel=1e-6)
+
+
+def _tarjan_scc(num_states: int, successors: list[list[int]]) -> list[int]:
+    """Iterative Tarjan strongly-connected-components; returns component ids.
+
+    The oracle :func:`reference_bsccs` is built on.
+    """
+    index_counter = 0
+    stack: list[int] = []
+    on_stack = [False] * num_states
+    indices = [-1] * num_states
+    lowlink = [0] * num_states
+    component_of = [-1] * num_states
+    num_components = 0
+
+    for root in range(num_states):
+        if indices[root] != -1:
+            continue
+        work = [(root, iter(successors[root]))]
+        indices[root] = lowlink[root] = index_counter
+        index_counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            node, iterator = work[-1]
+            advanced = False
+            for successor in iterator:
+                if indices[successor] == -1:
+                    indices[successor] = lowlink[successor] = index_counter
+                    index_counter += 1
+                    stack.append(successor)
+                    on_stack[successor] = True
+                    work.append((successor, iter(successors[successor])))
+                    advanced = True
+                    break
+                if on_stack[successor]:
+                    lowlink[node] = min(lowlink[node], indices[successor])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == indices[node]:
+                while True:
+                    member = stack.pop()
+                    on_stack[member] = False
+                    component_of[member] = num_components
+                    if member == node:
+                        break
+                num_components += 1
+    return component_of
+
+
+def reference_bsccs(chain: CTMC) -> list[list[int]]:
+    """BSCCs by Tarjan over the transition list (sorted state lists)."""
+    successors: list[list[int]] = [[] for _ in range(chain.num_states)]
+    for source, _, target in chain.transitions():
+        successors[source].append(target)
+    component_of = _tarjan_scc(chain.num_states, successors)
+    is_bottom = [True] * (max(component_of) + 1)
+    for source, _, target in chain.transitions():
+        if component_of[source] != component_of[target]:
+            is_bottom[component_of[source]] = False
+    members: list[list[int]] = [[] for _ in is_bottom]
+    for state, component in enumerate(component_of):
+        members[component].append(state)
+    return [sorted(states) for index, states in enumerate(members) if is_bottom[index]]
+
+
+def random_multi_bscc_chain(seed: int) -> CTMC:
+    """A random chain with several bottom classes and a transient part.
+
+    Bottom classes are rate cycles of one to four states (a one-state class
+    is a sink without a self-loop); transient states carry random edges
+    among themselves (so non-bottom cycles occur) and into the bottom
+    classes.  State numbers are shuffled so no class is contiguous.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(1, 5, size=rng.integers(1, 5)).tolist()
+    num_transient = int(rng.integers(0, 15))
+    num_states = sum(sizes) + num_transient
+    relabel = rng.permutation(num_states).tolist()
+    transitions = []
+    bottom_states = []
+    start = num_transient
+    for size in sizes:
+        members = list(range(start, start + size))
+        bottom_states.extend(members)
+        if size > 1:
+            for position, state in enumerate(members):
+                transitions.append(
+                    (state, float(rng.uniform(0.1, 2.0)), members[(position + 1) % size])
+                )
+        start += size
+    for state in range(num_transient):
+        targets = set(rng.integers(0, num_states, size=rng.integers(1, 4)).tolist())
+        targets.add(int(rng.choice(bottom_states)))
+        for target in sorted(targets - {state}):
+            transitions.append((state, float(rng.uniform(0.1, 2.0)), target))
+    return CTMC(
+        num_states,
+        [(relabel[source], rate, relabel[target]) for source, rate, target in transitions],
+        initial=relabel[0],
+    )
+
+
+class TestBSCCsAgainstTarjan:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_chains_match_the_tarjan_oracle(self, seed):
+        chain = random_multi_bscc_chain(seed)
+        bsccs = bottom_strongly_connected_components(chain)
+        assert sorted(map(tuple, bsccs)) == sorted(map(tuple, reference_bsccs(chain)))
+        assert all(members == sorted(members) for members in bsccs)
+        assert [members[0] for members in bsccs] == sorted(
+            members[0] for members in bsccs
+        )
+
+    def test_corpus_has_several_bsccs_and_transient_states(self):
+        shapes = []
+        for seed in range(40):
+            chain = random_multi_bscc_chain(seed)
+            bsccs = reference_bsccs(chain)
+            shapes.append((len(bsccs), chain.num_states - sum(map(len, bsccs))))
+        assert max(count for count, _ in shapes) >= 3
+        assert sum(1 for _, transient in shapes if transient > 0) >= 20
 
 
 class TestTransient:

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.ioimc import ActionKind, IOIMCBuilder, Signature, TransitionIndex
@@ -41,39 +42,69 @@ class TestTransitionIndex:
 
     def test_internal_successors(self, automaton):
         index = automaton.index()
+        csr = index.interactive_csr
+        internal = index.internal_flags[csr.action]
         by_name = {automaton.state_name(s): s for s in automaton.states()}
-        assert index.internal_successors[by_name["a"]] == [by_name["b"]]
-        assert index.internal_successors[by_name["b"]] == []
+
+        def successors(state):
+            return csr.target[internal & (csr.source == state)].tolist()
+
+        assert successors(by_name["a"]) == [by_name["b"]]
+        assert successors(by_name["b"]) == []
 
     def test_interactive_ids_align_with_transition_order(self, automaton):
         index = automaton.index()
+        csr = index.interactive_csr
         for state in automaton.states():
             row = automaton.interactive[state]
-            id_row = index.interactive_ids()[state]
+            span = slice(csr.indptr[state], csr.indptr[state + 1])
+            id_row = list(zip(csr.action[span].tolist(), csr.target[span].tolist()))
+            assert (csr.source[span] == state).all()
             assert len(row) == len(id_row)
             for (action, target), (action_id, id_target) in zip(row, id_row):
                 assert index.actions[action_id] == action
                 assert id_target == target
 
     def test_sorted_interactive_is_sorted(self, automaton):
-        for row in automaton.index().sorted_interactive():
+        # Sorting the CSR edges source-major by (action id, target) gives
+        # every state's adjacency in ascending order, as a permutation of
+        # its transition-order row.
+        index = automaton.index()
+        csr = index.interactive_csr
+        order = np.lexsort((csr.target, csr.action, csr.source))
+        assert (np.diff(csr.source[order]) >= 0).all()
+        for state in automaton.states():
+            span = order[csr.indptr[state] : csr.indptr[state + 1]]
+            row = list(zip(csr.action[span].tolist(), csr.target[span].tolist()))
             assert row == sorted(row)
+            assert row == sorted(
+                (index.id_of[action], target)
+                for action, target in automaton.interactive[state]
+            )
 
     def test_predecessors_cover_both_transition_kinds(self, automaton):
         index = automaton.index()
+        indptr, sources = index.predecessor_csr()
         by_name = {automaton.state_name(s): s for s in automaton.states()}
+
+        def predecessors(state):
+            return sources[indptr[state] : indptr[state + 1]].tolist()
+
         # a is reached by c's Markovian transition and its own input self-loop.
-        assert by_name["c"] in index.predecessors()[by_name["a"]]
-        assert by_name["a"] in index.predecessors()[by_name["a"]]
+        assert by_name["c"] in predecessors(by_name["a"])
+        assert by_name["a"] in predecessors(by_name["a"])
         # b is reached from a (plus its own materialised input self-loop).
-        assert set(index.predecessors()[by_name["b"]]) == {by_name["a"], by_name["b"]}
+        assert set(predecessors(by_name["b"])) == {by_name["a"], by_name["b"]}
 
     def test_tau_closure(self, automaton):
-        index = automaton.index()
+        indptr, post = automaton.index().tau_closure_csr()
         by_name = {automaton.state_name(s): s for s in automaton.states()}
-        closure = index.tau_closure()
-        assert closure[by_name["a"]] == sorted({by_name["a"], by_name["b"]})
-        assert closure[by_name["c"]] == [by_name["c"]]
+
+        def closure(state):
+            return post[indptr[state] : indptr[state + 1]].tolist()
+
+        assert closure(by_name["a"]) == sorted({by_name["a"], by_name["b"]})
+        assert closure(by_name["c"]) == [by_name["c"]]
 
     def test_adopt_shares_interactive_tables(self, automaton):
         index = automaton.index()
@@ -94,6 +125,15 @@ class TestTransitionIndex:
 
     def test_summary_matches_automaton(self, automaton):
         assert automaton.index().summary() == automaton.summary()
+
+
+def closure_rows(index):
+    """The CSR tau closure split into per-state lists."""
+    indptr, post = index.tau_closure_csr()
+    return [
+        post[indptr[state] : indptr[state + 1]].tolist()
+        for state in range(len(indptr) - 1)
+    ]
 
 
 def dfs_tau_closure(automaton):
@@ -139,15 +179,9 @@ def random_tau_graph(seed):
 
 class TestTauClosure:
     def assert_matches_dfs(self, automaton):
-        expected = dfs_tau_closure(automaton)
-        index = automaton.index()
-        indptr, post = index.tau_closure_csr()
+        indptr, _ = automaton.index().tau_closure_csr()
         assert indptr.tolist()[0] == 0 and len(indptr) == automaton.num_states + 1
-        assert [
-            post[indptr[state] : indptr[state + 1]].tolist()
-            for state in automaton.states()
-        ] == expected
-        assert index.tau_closure() == expected
+        assert closure_rows(automaton.index()) == dfs_tau_closure(automaton)
 
     def test_random_tau_graphs(self):
         for seed in range(60):
@@ -166,5 +200,5 @@ class TestTauClosure:
         for index in range(5):
             builder.interactive(f"r{index}", "tau", f"r{(index + 1) % 5}")
         automaton = builder.build()
-        assert automaton.index().tau_closure() == [list(range(5))] * 5
+        assert closure_rows(automaton.index()) == [list(range(5))] * 5
         self.assert_matches_dfs(automaton)

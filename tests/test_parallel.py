@@ -46,7 +46,6 @@ def _shape_trajectory(system):
             step.states_after_reduction,
             step.transitions_after_reduction,
             step.hidden_actions,
-            step.reduced,
         )
         for step in system.statistics.steps
     ]
@@ -147,15 +146,3 @@ class TestGuards:
         translated, order = small_dds
         with pytest.raises(CompositionError):
             Composer(translated, order=order, jobs=0)
-
-    def test_non_always_policies_fall_back_to_serial(self, small_dds):
-        """Reduce-policy state is inherently sequential: jobs > 1 with the
-        adaptive policy must run the serial path and still be correct."""
-        translated, order = small_dds
-        serial = compose_model(translated, order=order, reduce_policy="adaptive")
-        parallel = compose_model(
-            translated, order=order, reduce_policy="adaptive", jobs=4
-        )
-        assert parallel.statistics.jobs == 1
-        assert _full_trajectory(parallel) == _full_trajectory(serial)
-        assert parallel.ctmc.summary() == serial.ctmc.summary()
