@@ -183,26 +183,26 @@ class CTMC:
         """Total rate leaving ``state``."""
         return sum(rate for (source, _), rate in self._rates.items() if source == state)
 
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The transitions as ``(source, rate, target)`` columns, in the
+        order :meth:`transitions` yields them."""
+        pairs = np.array(list(self._rates), dtype=np.int64).reshape(-1, 2)
+        rates = np.fromiter(self._rates.values(), dtype=np.float64, count=len(self._rates))
+        return pairs[:, 0], rates, pairs[:, 1]
+
     def rate_matrix(self) -> sparse.csr_matrix:
         """Sparse matrix ``R`` with ``R[i, j]`` = rate from ``i`` to ``j``."""
-        if not self._rates:
-            return sparse.csr_matrix((self.num_states, self.num_states))
-        rows, cols, data = [], [], []
-        for (source, target), rate in self._rates.items():
-            rows.append(source)
-            cols.append(target)
-            data.append(rate)
+        source, rate, target = self.edge_arrays()
         return sparse.csr_matrix(
-            (data, (rows, cols)), shape=(self.num_states, self.num_states)
+            (rate, (source, target)), shape=(self.num_states, self.num_states)
         )
 
     def generator_matrix(self) -> sparse.csr_matrix:
         """Infinitesimal generator ``Q = R - diag(exit rates)``."""
-        rate_matrix = self.rate_matrix().tolil()
-        exit_rates = np.asarray(rate_matrix.sum(axis=1)).flatten()
-        for state in range(self.num_states):
-            rate_matrix[state, state] -= exit_rates[state]
-        return rate_matrix.tocsr()
+        rate_matrix = self.rate_matrix()
+        # A matrix-vector product sums each row in index order.
+        exit_rates = rate_matrix @ np.ones(self.num_states)
+        return (rate_matrix - sparse.diags(exit_rates)).tocsr()
 
     def uniformization_rate(self) -> float:
         """A uniformisation constant (strictly larger than every exit rate)."""

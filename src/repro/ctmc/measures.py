@@ -68,7 +68,7 @@ def interval_unavailability(
         return 1.0 - point_availability(ctmc, 0.0, down_label=down_label)
     times = np.linspace(0.0, time, resolution)
     values = [1.0 - point_availability(ctmc, float(t), down_label=down_label) for t in times]
-    return float(np.trapz(values, times) / time)
+    return float(np.trapezoid(values, times) / time)
 
 
 def evaluate(

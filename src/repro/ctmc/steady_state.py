@@ -136,18 +136,21 @@ def stationary_of_irreducible(ctmc: CTMC, states: list[int]) -> np.ndarray:
     """Stationary distribution of the irreducible sub-chain induced by ``states``."""
     if len(states) == 1:
         return np.array([1.0])
-    index = {state: position for position, state in enumerate(states)}
     if len(states) <= _GTH_LIMIT:
-        rates = np.zeros((len(states), len(states)))
-        for source, rate, target in ctmc.transitions():
-            if source in index and target in index:
-                rates[index[source], index[target]] += rate
-        return _gth(rates)
-    return _sparse_stationary(ctmc, states, index)
+        return _gth(ctmc.rate_matrix()[states][:, states].toarray())
+    return _sparse_stationary(ctmc, states)
 
 
 def _gth(rates: np.ndarray) -> np.ndarray:
-    """Grassmann-Taksar-Heyman elimination (no subtractions, very stable)."""
+    """Grassmann-Taksar-Heyman elimination (no subtractions, very stable).
+
+    Eliminating state ``n`` adds ``outer(col, row) / total`` to the leading
+    ``n x n`` block.  Only the rectangle spanned by the first and last
+    nonzero of ``col`` and of ``row`` is updated: every entry outside it
+    would receive ``(0.0 * x) / total == +0.0``, and adding that to a finite
+    non-negative entry leaves it unchanged, so the result is bit-identical
+    to the dense update at a fraction of the work on sparse chains.
+    """
     size = rates.shape[0]
     matrix = rates.copy().astype(float)
     np.fill_diagonal(matrix, 0.0)
@@ -156,7 +159,12 @@ def _gth(rates: np.ndarray) -> np.ndarray:
         if total <= 0:
             raise AnalysisError("GTH elimination hit a state with no backward rate; "
                                 "the sub-chain is not irreducible")
-        matrix[:n, :n] += np.outer(matrix[:n, n], matrix[n, :n]) / total
+        col, row = matrix[:n, n], matrix[n, :n]
+        rows, cols = np.flatnonzero(col), np.flatnonzero(row)
+        if rows.size and cols.size:
+            r0, r1 = rows[0], rows[-1] + 1
+            c0, c1 = cols[0], cols[-1] + 1
+            matrix[r0:r1, c0:c1] += np.outer(col[r0:r1], row[c0:c1]) / total
         matrix[:n, n] /= total
     solution = np.zeros(size)
     solution[0] = 1.0
@@ -165,28 +173,32 @@ def _gth(rates: np.ndarray) -> np.ndarray:
     return solution / solution.sum()
 
 
-def _sparse_stationary(ctmc: CTMC, states: list[int], index: dict[int, int]) -> np.ndarray:
-    """Solve the global balance equations of a large irreducible sub-chain."""
+def _balance_system(ctmc: CTMC, states: list[int]) -> sparse.csc_matrix:
+    """Global balance equations ``Q^T pi = 0`` of the sub-chain on ``states``,
+    with the last equation replaced by the normalisation ``sum(pi) = 1``."""
     size = len(states)
-    rows, cols, data = [], [], []
-    exit_rates = np.zeros(size)
-    for source, rate, target in ctmc.transitions():
-        if source in index and target in index:
-            rows.append(index[target])
-            cols.append(index[source])
-            data.append(rate)
-            exit_rates[index[source]] += rate
-    generator_t = sparse.csr_matrix((data, (rows, cols)), shape=(size, size)).tolil()
-    for position in range(size):
-        generator_t[position, position] -= exit_rates[position]
-    # Replace the last equation by the normalisation constraint.
-    generator_t = generator_t.tocsr()
-    system = sparse.vstack(
-        [generator_t[:-1, :], sparse.csr_matrix(np.ones((1, size)))]
-    ).tocsc()
-    rhs = np.zeros(size)
+    source, rate, target = ctmc.edge_arrays()
+    position = np.full(ctmc.num_states, -1, dtype=np.int64)
+    position[states] = np.arange(size)
+    inside = (position[source] >= 0) & (position[target] >= 0)
+    source, rate, target = position[source[inside]], rate[inside], position[target[inside]]
+    # bincount accumulates in edge order, like the scalar loop it replaces
+    # (but yields int64 when no edge is inside, hence the diagonal's dtype).
+    exit_rates = np.bincount(source, weights=rate, minlength=size)
+    generator_t = sparse.csr_matrix(
+        (rate, (target, source)), shape=(size, size)
+    ) - sparse.diags(exit_rates, dtype=np.float64)
+    normalisation = sparse.csr_matrix(
+        (np.ones(size), np.arange(size), [0, size]), shape=(1, size)
+    )
+    return sparse.vstack([generator_t[:-1, :], normalisation]).tocsc()
+
+
+def _sparse_stationary(ctmc: CTMC, states: list[int]) -> np.ndarray:
+    """Solve the global balance equations of a large irreducible sub-chain."""
+    rhs = np.zeros(len(states))
     rhs[-1] = 1.0
-    solution = sparse_linalg.spsolve(system, rhs)
+    solution = sparse_linalg.spsolve(_balance_system(ctmc, states), rhs)
     solution = np.maximum(solution, 0.0)
     total = solution.sum()
     if total <= 0 or not np.isfinite(total):

@@ -39,8 +39,14 @@ def transient_distribution(
     epsilon:
         Bound on the truncated Poisson probability mass.
     """
-    if time < 0:
-        raise AnalysisError("transient analysis requires a non-negative time horizon")
+    if not np.isfinite(time) or time < 0:
+        raise AnalysisError(
+            f"transient analysis requires a finite non-negative time horizon, got {time}"
+        )
+    if not 0.0 < epsilon < 1.0:
+        raise AnalysisError(
+            f"the truncation bound epsilon must lie in (0, 1), got {epsilon}"
+        )
     distribution = (
         np.array(ctmc.initial_distribution, dtype=float)
         if initial is None
@@ -54,7 +60,9 @@ def transient_distribution(
     rate = ctmc.uniformization_rate()
     if rate <= 0:
         return distribution.copy()
-    probability_matrix = _uniformized_matrix(ctmc, rate)
+    # ``current @ P`` would transpose ``P`` again on every step; stepping
+    # with the transpose built once runs the same kernel on the same arrays.
+    backward = _uniformized_matrix(ctmc, rate).transpose()
     left, right, weights = poisson_window(rate * time, epsilon)
 
     result = np.zeros_like(distribution)
@@ -63,7 +71,7 @@ def transient_distribution(
         if step >= left:
             result += weights[step - left] * current
         if step < right:
-            current = current @ probability_matrix
+            current = backward @ current
     total = result.sum()
     if total <= 0 or not np.isfinite(total):
         raise AnalysisError("uniformisation produced an invalid distribution")

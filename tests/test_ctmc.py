@@ -6,22 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from repro.ctmc import (
     CTMC,
     bottom_strongly_connected_components,
+    interval_unavailability,
     lump,
     make_absorbing,
     mean_time_to_failure,
     point_availability,
+    poisson_window,
     reliability,
+    stationary_of_irreducible,
     steady_state_availability,
     steady_state_distribution,
     transient_distribution,
     unreliability,
 )
 from repro.ctmc.csl import Atomic, CSLChecker, Not, ProbabilisticUntil, SteadyState, eventually
-from repro.errors import ModelError
+from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system
+from repro.errors import AnalysisError, ModelError
 
 
 def two_state_machine(failure_rate=0.01, repair_rate=1.0) -> CTMC:
@@ -225,6 +230,273 @@ class TestBSCCsAgainstTarjan:
         assert sum(1 for _, transient in shapes if transient > 0) >= 20
 
 
+def reference_rate_matrix(chain: CTMC) -> sparse.csr_matrix:
+    """``R`` assembled from the transition triples, one Python list each."""
+    rows, cols, data = [], [], []
+    for source, rate, target in chain.transitions():
+        rows.append(source)
+        cols.append(target)
+        data.append(rate)
+    return sparse.csr_matrix(
+        (data, (rows, cols)), shape=(chain.num_states, chain.num_states)
+    )
+
+
+def reference_generator(chain: CTMC) -> sparse.csr_matrix:
+    """``Q`` with its diagonal written one state at a time into a ``lil`` matrix."""
+    generator = reference_rate_matrix(chain).tolil()
+    exit_rates = np.asarray(generator.sum(axis=1)).flatten()
+    for state in range(chain.num_states):
+        generator[state, state] -= exit_rates[state]
+    return generator.tocsr()
+
+
+def reference_balance_system(chain: CTMC, states: list[int]) -> sparse.csc_matrix:
+    """The sparse stationary solve's system, built per state through ``lil``."""
+    index = {state: position for position, state in enumerate(states)}
+    size = len(states)
+    rows, cols, data = [], [], []
+    exit_rates = np.zeros(size)
+    for source, rate, target in chain.transitions():
+        if source in index and target in index:
+            rows.append(index[target])
+            cols.append(index[source])
+            data.append(rate)
+            exit_rates[index[source]] += rate
+    generator_t = sparse.csr_matrix((data, (rows, cols)), shape=(size, size)).tolil()
+    for position in range(size):
+        generator_t[position, position] -= exit_rates[position]
+    generator_t = generator_t.tocsr()
+    return sparse.vstack(
+        [generator_t[:-1, :], sparse.csr_matrix(np.ones((1, size)))]
+    ).tocsc()
+
+
+def reference_gth(rates: np.ndarray) -> np.ndarray:
+    """GTH elimination updating the whole leading block at every step."""
+    size = rates.shape[0]
+    matrix = rates.copy().astype(float)
+    np.fill_diagonal(matrix, 0.0)
+    for n in range(size - 1, 0, -1):
+        total = matrix[n, :n].sum()
+        matrix[:n, :n] += np.outer(matrix[:n, n], matrix[n, :n]) / total
+        matrix[:n, n] /= total
+    solution = np.zeros(size)
+    solution[0] = 1.0
+    for n in range(1, size):
+        solution[n] = solution[:n] @ matrix[:n, n]
+    return solution / solution.sum()
+
+
+def reference_stationary(chain: CTMC, states: list[int]) -> np.ndarray:
+    """Dense GTH on the sub-chain, assembled from the transition triples."""
+    if len(states) == 1:
+        return np.array([1.0])
+    index = {state: position for position, state in enumerate(states)}
+    rates = np.zeros((len(states), len(states)))
+    for source, rate, target in chain.transitions():
+        if source in index and target in index:
+            rates[index[source], index[target]] += rate
+    return reference_gth(rates)
+
+
+def reference_transient(chain: CTMC, time: float, epsilon: float = 1e-12) -> np.ndarray:
+    """Uniformisation stepping ``current @ P`` (a fresh transpose per step)."""
+    distribution = np.array(chain.initial_distribution, dtype=float)
+    rate = chain.uniformization_rate()
+    identity = sparse.identity(chain.num_states, format="csr")
+    probability_matrix = (identity + reference_generator(chain) / rate).tocsr()
+    left, right, weights = poisson_window(rate * time, epsilon)
+    result = np.zeros_like(distribution)
+    current = distribution.copy()
+    for step in range(right + 1):
+        if step >= left:
+            result += weights[step - left] * current
+        if step < right:
+            current = current @ probability_matrix
+    return result / result.sum()
+
+
+#: Shapes of the random irreducible chains the solvers are pinned on.
+CHAIN_KINDS = ("sparse", "banded", "dense", "blocks", "ring")
+
+
+def random_irreducible_chain(kind: str, seed: int) -> CTMC:
+    """A seeded irreducible chain of the given sparsity shape.
+
+    ``sparse`` is a shuffled Hamiltonian cycle plus a few chords; ``banded``
+    a birth-death chain with extra edges inside a narrow band; ``dense``
+    has most pairs connected; ``blocks`` joins dense blocks in a ring by
+    one edge each and shuffles the numbering; ``ring`` is the cycle
+    ``0 -> 1 -> ... -> 0`` alone, so every GTH pivot row and column holds
+    a single nonzero.
+    """
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 48))
+    pairs: set[tuple[int, int]] = set()
+    if kind == "sparse":
+        cycle = rng.permutation(size).tolist()
+        pairs.update(zip(cycle, cycle[1:] + cycle[:1]))
+        for _ in range(size // 3):
+            pairs.add(tuple(rng.integers(0, size, size=2).tolist()))
+    elif kind == "banded":
+        width = int(rng.integers(1, 4))
+        for state in range(size - 1):
+            pairs.update({(state, state + 1), (state + 1, state)})
+        for source in range(size):
+            for target in range(max(0, source - width), min(size, source + width + 1)):
+                if rng.random() < 0.6:
+                    pairs.add((source, target))
+    elif kind == "dense":
+        for source in range(size):
+            for target in range(size):
+                if rng.random() < 0.85 or target == (source + 1) % size:
+                    pairs.add((source, target))
+    elif kind == "blocks":
+        relabel = rng.permutation(size).tolist()
+        cuts = np.sort(rng.choice(np.arange(1, size), size=size // 6, replace=False))
+        blocks = [block.tolist() for block in np.split(np.arange(size), cuts)]
+        for block in blocks:
+            for position, source in enumerate(block):
+                pairs.add((source, block[(position + 1) % len(block)]))
+                for target in block:
+                    if rng.random() < 0.7:
+                        pairs.add((source, target))
+        for block, successor in zip(blocks, blocks[1:] + blocks[:1]):
+            pairs.add((int(rng.choice(block)), int(rng.choice(successor))))
+        pairs = {(relabel[source], relabel[target]) for source, target in pairs}
+    else:
+        pairs.update((state, (state + 1) % size) for state in range(size))
+    pairs = {(source, target) for source, target in pairs if source != target}
+    return CTMC(
+        size,
+        shuffled_transitions(rng, pairs),
+        initial=int(rng.integers(0, size)),
+        labels={0: frozenset({"down"})},
+    )
+
+
+def shuffled_transitions(rng, pairs: set[tuple[int, int]]) -> list[tuple[int, float, int]]:
+    """The pairs in random order with rates spread over six decades, so
+    that summing a state's exit rates in another order changes the bits."""
+    pairs = sorted(pairs)
+    rates = 10.0 ** rng.uniform(-4.0, 2.0, size=len(pairs))
+    return [
+        (pairs[index][0], float(rates[index]), pairs[index][1])
+        for index in rng.permutation(len(pairs))
+    ]
+
+
+def assert_same_sparse(actual, expected):
+    """Same format, shape, dtypes and bytes of the compressed arrays."""
+    assert actual.format == expected.format
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(actual, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestSolversAgainstOracles:
+    """The fill-aware GTH, the hoisted-transpose uniformisation and the
+    array-built generators are pinned byte for byte to the dense, per-step
+    and ``lil`` constructions they replaced."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_stationary_matches_dense_gth(self, kind, seed):
+        chain = random_irreducible_chain(kind, seed)
+        states = list(range(chain.num_states))
+        assert bottom_strongly_connected_components(chain) == [states]
+        got = stationary_of_irreducible(chain, states)
+        assert got.tobytes() == reference_stationary(chain, states).tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_transient_matches_per_step_transpose(self, kind, seed):
+        chain = random_irreducible_chain(kind, seed)
+        time = float(np.random.default_rng(seed).uniform(1.0, 200.0)) / chain.uniformization_rate()
+        got = transient_distribution(chain, time)
+        assert got.tobytes() == reference_transient(chain, time).tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_generators_match_lil_construction(self, kind, seed):
+        chain = random_irreducible_chain(kind, seed)
+        assert_same_sparse(chain.rate_matrix(), reference_rate_matrix(chain))
+        assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
+        states = list(range(chain.num_states))
+        assert_same_sparse(
+            _balance_system(chain, states), reference_balance_system(chain, states)
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_generators_match_on_reducible_chains(self, seed):
+        # Absorbing states have no diagonal entry; BSCCs are scattered subsets.
+        chain = random_multi_bscc_chain(seed)
+        assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
+        for states in bottom_strongly_connected_components(chain):
+            assert_same_sparse(
+                _balance_system(chain, states), reference_balance_system(chain, states)
+            )
+            got = stationary_of_irreducible(chain, states)
+            assert got.tobytes() == reference_stationary(chain, states).tobytes()
+
+    def test_generator_of_chain_without_transitions(self):
+        chain = CTMC(3, [])
+        assert_same_sparse(chain.rate_matrix(), reference_rate_matrix(chain))
+        assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
+
+    def test_sparse_path_system_matches_lil_construction(self):
+        rng = np.random.default_rng(7)
+        size = _GTH_LIMIT + 100
+        cycle = rng.permutation(size).tolist()
+        pairs = set(zip(cycle, cycle[1:] + cycle[:1]))
+        pairs.update(
+            (int(source), int(target))
+            for source, target in rng.integers(0, size, size=(4 * size, 2))
+            if source != target
+        )
+        chain = CTMC(size, shuffled_transitions(rng, pairs))
+        states = list(range(size))
+        assert_same_sparse(
+            _balance_system(chain, states), reference_balance_system(chain, states)
+        )
+        assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
+
+    @pytest.mark.slow
+    def test_rcs_pump_chain(self, rcs_modular_evaluator):
+        chain = rcs_modular_evaluator.evaluators["pumps"].ctmc
+        assert chain.num_states == 1164
+        (states,) = bottom_strongly_connected_components(chain)
+        got = stationary_of_irreducible(chain, states)
+        assert got.tobytes() == reference_stationary(chain, states).tobytes()
+        assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
+        assert transient_distribution(chain, 500.0).tobytes() == (
+            reference_transient(chain, 500.0).tobytes()
+        )
+
+    @pytest.mark.slow
+    def test_absorbing_pump_chain_at_long_horizon(self, rcs_modular_evaluator):
+        pumps = rcs_modular_evaluator.evaluators["pumps"].ctmc
+        chain = make_absorbing(pumps, pumps.states_with_label("down"))
+        time = 5000.0 / chain.uniformization_rate()
+        assert transient_distribution(chain, time).tobytes() == (
+            reference_transient(chain, time).tobytes()
+        )
+
+    def test_corpus_shapes(self):
+        # The ring's rows hold one nonzero each; dense rows of eight or more
+        # entries reach numpy's blocked pairwise summation.
+        ring = reference_rate_matrix(random_irreducible_chain("ring", 3)).toarray()
+        assert ((ring > 0).sum(axis=1) == 1).all()
+        widest = max(
+            np.diff(reference_rate_matrix(random_irreducible_chain("dense", seed)).indptr).max()
+            for seed in range(40)
+        )
+        assert widest >= 16
+
+
 class TestTransient:
     def test_two_state_closed_form(self):
         failure, repair = 0.2, 1.0
@@ -244,10 +516,30 @@ class TestTransient:
         assert point_availability(chain, 100.0) < 0.01 + 0.05
 
     def test_negative_time_rejected(self):
-        from repro.errors import AnalysisError
-
         with pytest.raises(AnalysisError):
             transient_distribution(two_state_machine(), -1.0)
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "measure", [transient_distribution, unreliability, point_availability]
+    )
+    def test_non_finite_time_rejected(self, measure, time):
+        with pytest.raises(AnalysisError, match=f"got {time}"):
+            measure(two_state_machine(), time)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0, -1e-12, 2.0, math.nan])
+    def test_epsilon_outside_unit_interval_rejected(self, epsilon):
+        with pytest.raises(AnalysisError, match="epsilon"):
+            transient_distribution(two_state_machine(), 1.0, epsilon=epsilon)
+
+    def test_interval_unavailability_closed_form(self):
+        failure, repair, horizon = 0.2, 1.0, 5.0
+        total = failure + repair
+        expected = failure / total - failure * (1 - math.exp(-total * horizon)) / (
+            total**2 * horizon
+        )
+        chain = two_state_machine(failure, repair)
+        assert interval_unavailability(chain, horizon) == pytest.approx(expected, rel=1e-4)
 
 
 class TestAbsorbing:
