@@ -66,7 +66,12 @@ REDUCTION_MODES = ("strong", "weak", "branching", "none")
 
 @dataclass(frozen=True)
 class CompositionStep:
-    """Size and timing bookkeeping for one composition step."""
+    """Size and timing bookkeeping for one composition step.
+
+    The ``*_before_reduction`` sizes are those of the product the step
+    built, which excludes the states only a maximal-progress cut edge
+    reaches.
+    """
 
     description: str
     states_before_reduction: int
@@ -290,7 +295,8 @@ class Composer:
         (3 attempts, no deadline, serial fallback on).  See
         ``docs/robustness.md``.
     state_budget:
-        Hard ceiling on any step's *pre-reduction* product size, in states.
+        Hard ceiling on any step's *pre-reduction* product size (the
+        states it builds).
         A step that exceeds it raises
         :class:`~repro.errors.StateBudgetError` (a
         :class:`~repro.errors.CompositionError`) instead of consuming
@@ -391,7 +397,8 @@ class Composer:
                     f"composition order does not cover block(s) {sorted(missing)}"
                 )
             # Close the system: everything still visible can be hidden now.
-            system = hide(system, system.signature.outputs)
+            # The cut is a no-op unless no product was built (one block).
+            system = maximal_progress_cut(hide(system, system.signature.outputs))
             started = time.perf_counter()
             with telemetry_span("compose.final_reduce", reduction=self.reduction):
                 system = self._reduce(system)
@@ -970,7 +977,9 @@ class Composer:
             self.statistics.record(step)
             return composite, SubtreeFingerprint(key, plan.slots)
 
-        product = compose(left, right, name=description)
+        # The maximal-progress cut is fused into the product, so the states
+        # it would throw away are never built; `before` counts what was.
+        product = compose(left, right, name=description, maximal_progress=True)
         before = product.summary()
         composite = hide(product, hidable)
         self._check_budget(description, before["states"])
@@ -1058,8 +1067,11 @@ class Composer:
         ]
 
     def _reduce(self, automaton: IOIMC) -> IOIMC:
-        """Apply the reduction pipeline to an intermediate model."""
-        automaton = maximal_progress_cut(automaton)
+        """Apply the reduction pipeline to an intermediate model.
+
+        The model is already cut: every product is built under maximal
+        progress and every reduction below preserves it.
+        """
         if self.eliminate_vanishing:
             automaton = eliminate_vanishing_chains(automaton)
         automaton = automaton.restrict_to_reachable()

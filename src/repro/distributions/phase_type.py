@@ -53,21 +53,24 @@ class PhaseType:
     def __post_init__(self) -> None:
         if not self.initial:
             raise ModelError("a phase-type distribution needs at least one phase")
+        for probability in self.initial:
+            if not 0.0 <= probability <= 1.0:  # NaN fails every comparison
+                raise ModelError(
+                    f"initial phase probability must lie in [0, 1], got {probability!r}"
+                )
         if abs(sum(self.initial) - 1.0) > 1e-9:
             raise ModelError("initial phase probabilities must sum to one")
         phases = self.num_phases
         for source, rate, target in self.transitions:
             if not (0 <= source < phases and 0 <= target < phases):
                 raise ModelError("phase transition endpoint out of range")
-            if rate <= 0:
-                raise ModelError("phase transition rates must be positive")
+            _check_rate(rate, "phase transition rate")
             if source == target:
                 raise ModelError("phase self-loops are not allowed")
         for phase, rate in self.completions:
             if not 0 <= phase < phases:
                 raise ModelError("completion phase out of range")
-            if rate <= 0:
-                raise ModelError("completion rates must be positive")
+            _check_rate(rate, "completion rate")
         if not self.completions:
             raise ModelError("a phase-type distribution must be able to complete")
 
@@ -81,8 +84,7 @@ class PhaseType:
 
     def scaled(self, factor: float) -> "PhaseType":
         """Distribution with every rate multiplied by ``factor`` (time scaled by 1/factor)."""
-        if factor <= 0:
-            raise ModelError("scaling factor must be positive")
+        _check_rate(factor, "scaling factor")
         return PhaseType(
             self.initial,
             tuple((s, r * factor, t) for s, r, t in self.transitions),
@@ -233,8 +235,7 @@ class PhaseType:
 
 def Exponential(rate: float) -> PhaseType:
     """Exponential distribution with the given ``rate`` (a 1-phase PH)."""
-    if rate <= 0:
-        raise ModelError(f"exponential rate must be positive, got {rate}")
+    _check_rate(rate, "exponential rate")
     return PhaseType((1.0,), (), ((0, rate),), name=f"exp({rate:g})")
 
 
@@ -242,8 +243,7 @@ def Erlang(stages: int, rate: float) -> PhaseType:
     """Erlang distribution: ``stages`` exponential phases of the given ``rate``."""
     if stages < 1:
         raise ModelError("an Erlang distribution needs at least one stage")
-    if rate <= 0:
-        raise ModelError(f"Erlang rate must be positive, got {rate}")
+    _check_rate(rate, "Erlang rate")
     initial = tuple(1.0 if phase == 0 else 0.0 for phase in range(stages))
     transitions = tuple((phase, rate, phase + 1) for phase in range(stages - 1))
     completions = ((stages - 1, rate),)
@@ -263,6 +263,12 @@ def HyperExponential(probabilities: Sequence[float], rates: Sequence[float]) -> 
         completions,
         name=f"hyperexp({list(probabilities)}, {list(rates)})",
     )
+
+
+def _check_rate(rate: float, what: str) -> None:
+    """Reject a rate that is not a finite positive number (NaN included)."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise ModelError(f"{what} must be finite and positive, got {rate!r}")
 
 
 __all__ = ["PhaseType", "Exponential", "Erlang", "HyperExponential"]

@@ -21,10 +21,17 @@ right_state``, a whole BFS level of codes is expanded at once by gathering
 the component CSR rows (non-shared moves interleave, shared moves are joined
 per ``(state, action)`` run and crossed), and newly reached codes are
 deduplicated with :func:`repro.nputil.unique_sorted` against a sorted table
-of known codes.  The scalar pair-by-pair engine is kept as
-:func:`_product_tables_pairwise` — it is the executable specification the
-batched engine is differentially tested against
-(``tests/test_compose_equivalence.py``).
+of known codes.
+
+With ``maximal_progress=True`` the maximal-progress cut is fused into the
+exploration: a pair is unstable exactly when one of its components is (an
+enabled output always fires, since the other operand is input-enabled, and
+internal actions never synchronise), so the Markovian moves of unstable
+pairs are dropped before their targets are registered and states reachable
+only through a cut edge are never built.  Hiding turns outputs into
+internal actions, which are just as urgent, so the result is the cut of the
+hidden product restricted to its reachable part — the same automaton up to
+the pair-code bijection, numbered in BFS order of the cut graph.
 """
 
 from __future__ import annotations
@@ -41,12 +48,21 @@ from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
 from .ioimc import IOIMC
 
 
-def compose(left: IOIMC, right: IOIMC, name: str | None = None) -> IOIMC:
+def compose(
+    left: IOIMC,
+    right: IOIMC,
+    name: str | None = None,
+    *,
+    maximal_progress: bool = False,
+) -> IOIMC:
     """Return the parallel composition ``left || right``.
 
     Both operands are made input-enabled first (implicit self-loops are
     materialised) so that synchronisation on shared input actions is always
-    possible, as required by the I/O-IMC framework.
+    possible, as required by the I/O-IMC framework.  ``maximal_progress``
+    drops the Markovian transitions of unstable pairs while exploring, so
+    only the reachable part of the cut product is built (see the module
+    docstring).
     """
     left = left.ensure_input_enabled()
     right = right.ensure_input_enabled()
@@ -58,7 +74,9 @@ def compose(left: IOIMC, right: IOIMC, name: str | None = None) -> IOIMC:
     signature = left.signature.compose(right.signature)
     composite_name = name if name is not None else f"({left.name} || {right.name})"
 
-    pairs, interactive_csr, markovian_csr = _product_tables_batched(left, right)
+    pairs, interactive_csr, markovian_csr = _product_tables_batched(
+        left, right, maximal_progress=maximal_progress
+    )
 
     width = right.num_states
     labels: dict[int, frozenset[str]] = {}
@@ -100,14 +118,15 @@ def compose(left: IOIMC, right: IOIMC, name: str | None = None) -> IOIMC:
 
 
 def _product_tables_batched(
-    left: IOIMC, right: IOIMC
-) -> tuple[list[int], list[list[tuple[str, int]]], list[list[tuple[float, int]]]]:
+    left: IOIMC, right: IOIMC, *, maximal_progress: bool = False
+) -> tuple[list[int], InteractiveCSR, MarkovianCSR]:
     """Reachable product of two (input-enabled, compatible) I/O-IMCs.
 
     Returns ``(pairs, interactive_csr, markovian_csr)`` where ``pairs[s]``
     is the ``int64`` pair code of composite state ``s`` (the initial state is
     state 0) and the transition tables are flat CSR adjacency arrays.  States
-    are numbered in BFS-level order, codes ascending within a level.
+    are numbered in BFS-level order, codes ascending within a level.  With
+    ``maximal_progress`` unstable pairs get no Markovian moves.
     """
     shared = left.signature.visible & right.signature.visible
     width = right.num_states
@@ -131,6 +150,8 @@ def _product_tables_batched(
     right_free, right_sync = _split_component_edges(right, action_id, shared_flags, code_dtype)
     left_markov = left.index().markovian_csr()
     right_markov = right.index().markovian_csr()
+    left_stable = left.index().stable_flags
+    right_stable = right.index().stable_flags
 
     initial = np.array([left.initial * width + right.initial], dtype=code_dtype)
     known_codes = initial.copy()  # sorted pair codes
@@ -180,13 +201,20 @@ def _product_tables_batched(
             move_code.append(code)
 
         # Markovian transitions always interleave (rates are kept verbatim,
-        # duplicates included — parallel rates add).
+        # duplicates included — parallel rates add); under maximal progress
+        # only stable pairs have any.
+        timed_lefts, timed_rights, timed_ids = lefts, rights, frontier_ids
+        if maximal_progress:
+            stable = np.flatnonzero(left_stable[lefts] & right_stable[rights])
+            timed_lefts = lefts[stable]
+            timed_rights = rights[stable]
+            timed_ids = frontier_ids[stable]
         rate_src: list[np.ndarray] = []
         rate_val: list[np.ndarray] = []
         rate_code: list[np.ndarray] = []
         for markov, own, is_left in (
-            (left_markov, lefts, True),
-            (right_markov, rights, False),
+            (left_markov, timed_lefts, True),
+            (right_markov, timed_rights, False),
         ):
             picked = gather_row_indices(markov.indptr, own)
             if not len(picked):
@@ -194,15 +222,15 @@ def _product_tables_batched(
             counts = markov.indptr[own + 1] - markov.indptr[own]
             batch = np.repeat(np.arange(len(own), dtype=np.int64), counts)
             target = markov.target[picked].astype(code_dtype, copy=False)
-            rate_src.append(frontier_ids[batch])
+            rate_src.append(timed_ids[batch])
             rate_val.append(markov.rate[picked])
             if is_left:
-                rate_code.append(target * width + rights[batch])
+                rate_code.append(target * width + timed_rights[batch])
             else:
-                rate_code.append(lefts[batch] * width + target)
+                rate_code.append(timed_lefts[batch] * width + target)
 
         # Deduplicate interactive moves per (source, action, successor) —
-        # set semantics, matching the scalar engine's _dedupe.
+        # set semantics.
         if move_src:
             src, act, code = dedupe_packed_triples(
                 np.concatenate(move_src),
@@ -385,98 +413,6 @@ def _csr_from_chunks_markovian(
     return MarkovianCSR(indptr, src.astype(np.int32), rate, tgt.astype(np.int32))
 
 
-def _product_tables_pairwise(
-    left: IOIMC, right: IOIMC
-) -> tuple[list[int], list[list[tuple[str, int]]], list[list[tuple[float, int]]]]:
-    """Scalar pair-by-pair product (reference for the batched engine).
-
-    This is the seed's frontier loop, kept verbatim as the executable
-    specification: ``tests/test_compose_equivalence.py`` asserts that the
-    batched engine produces an identical product up to the (canonical) pair
-    bijection between their state numberings.
-    """
-    shared = left.signature.visible & right.signature.visible
-    left_buckets = _action_buckets(left)
-    right_buckets = _action_buckets(right)
-    left_markovian = left.markovian
-    right_markovian = right.markovian
-
-    width = right.num_states
-    index: dict[int, int] = {}
-    pairs: list[int] = []
-    interactive: list[list[tuple[str, int]]] = []
-    markovian: list[list[tuple[float, int]]] = []
-
-    def discover(pair: int) -> int:
-        state = len(pairs)
-        index[pair] = state
-        pairs.append(pair)
-        interactive.append([])
-        markovian.append([])
-        return state
-
-    index_get = index.get
-
-    initial = discover(left.initial * width + right.initial)
-    frontier = [initial]
-    while frontier:
-        state = frontier.pop()
-        left_state, right_state = divmod(pairs[state], width)
-        before = len(pairs)
-        out_interactive: list[tuple[str, int]] = []
-        out_markovian: list[tuple[float, int]] = []
-
-        left_by_action = left_buckets[left_state]
-        right_by_action = right_buckets[right_state]
-        left_base = left_state * width
-
-        for action, left_targets in left_by_action.items():
-            if action in shared:
-                for left_target in left_targets:
-                    target_base = left_target * width
-                    for right_target in right_by_action.get(action, ()):
-                        code = target_base + right_target
-                        successor = index_get(code)
-                        if successor is None:
-                            successor = discover(code)
-                        out_interactive.append((action, successor))
-            else:
-                for left_target in left_targets:
-                    code = left_target * width + right_state
-                    successor = index_get(code)
-                    if successor is None:
-                        successor = discover(code)
-                    out_interactive.append((action, successor))
-        for action, right_targets in right_by_action.items():
-            if action in shared:
-                continue  # handled above (synchronised) or controlled by the left
-            for right_target in right_targets:
-                code = left_base + right_target
-                successor = index_get(code)
-                if successor is None:
-                    successor = discover(code)
-                out_interactive.append((action, successor))
-
-        for rate, target in left_markovian[left_state]:
-            code = target * width + right_state
-            successor = index_get(code)
-            if successor is None:
-                successor = discover(code)
-            out_markovian.append((rate, successor))
-        for rate, target in right_markovian[right_state]:
-            code = left_base + target
-            successor = index_get(code)
-            if successor is None:
-                successor = discover(code)
-            out_markovian.append((rate, successor))
-
-        interactive[state] = _dedupe(out_interactive)
-        markovian[state] = out_markovian
-        frontier.extend(range(before, len(pairs)))
-
-    return pairs, interactive, markovian
-
-
 def compose_many(components: Sequence[IOIMC], name: str | None = None) -> IOIMC:
     """Left fold of :func:`compose` over a sequence of I/O-IMCs."""
     if not components:
@@ -487,22 +423,6 @@ def compose_many(components: Sequence[IOIMC], name: str | None = None) -> IOIMC:
     if name is not None:
         composite = composite.renamed(name)
     return composite
-
-
-def _action_buckets(automaton: IOIMC) -> list[dict[str, list[int]]]:
-    """Per state: targets grouped by action, in transition order."""
-    buckets: list[dict[str, list[int]]] = []
-    for row in automaton.interactive:
-        by_action: dict[str, list[int]] = {}
-        for action, target in row:
-            by_action.setdefault(action, []).append(target)
-        buckets.append(by_action)
-    return buckets
-
-
-def _dedupe(transitions: list[tuple[str, int]]) -> list[tuple[str, int]]:
-    """Remove duplicate interactive transitions while preserving order."""
-    return list(dict.fromkeys(transitions))
 
 
 __all__ = ["compose", "compose_many"]

@@ -1,11 +1,11 @@
 """Checksummed on-disk persistence for :class:`~repro.composer.QuotientCache`.
 
-File format (``CACHE_STORE_VERSION`` 1)
+File format (``CACHE_STORE_VERSION`` 2)
 ---------------------------------------
 One ``np.savez_compressed`` archive.  The member ``index`` is a uint8 array
 holding a canonical-JSON document::
 
-    {"format": "repro-quotient-cache", "version": 1,
+    {"format": "repro-quotient-cache", "version": 2,
      "counters": {"hits": ..., "misses": ..., "stores": ..., "saved_seconds": ...},
      "entries": [{"key": ..., "slot": "e00000", "checksum": "<sha256 hex>",
                   "name": ..., "inputs": [...], "outputs": [...],
@@ -64,7 +64,9 @@ from .faults import active_fault
 
 #: Version of the on-disk archive layout.  Bump on any incompatible change;
 #: the loader refuses other versions loudly instead of misreading them.
-CACHE_STORE_VERSION = 1
+#: Version 2: ``states_before`` counts the product built under maximal
+#: progress; version-1 archives recorded the full product.
+CACHE_STORE_VERSION = 2
 
 _FORMAT = "repro-quotient-cache"
 

@@ -103,6 +103,62 @@ class TestPhaseTypeValidation:
             Exponential(1.0).scaled(0.0)
 
 
+class TestNonFiniteInputsFailLoudly:
+    """NaN slips past ``rate <= 0`` and ``abs(sum - 1) > 1e-9``; every
+    rate and probability is checked for finiteness and range instead."""
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_exponential_rate(self, rate):
+        with pytest.raises(ModelError, match=f"exponential rate .* got {rate!r}"):
+            Exponential(rate)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_erlang_rate(self, rate):
+        with pytest.raises(ModelError, match=f"Erlang rate .* got {rate!r}"):
+            Erlang(2, rate)
+
+    def test_hyperexponential_out_of_range_branch(self):
+        with pytest.raises(ModelError, match="probability .* got 1.5"):
+            HyperExponential([1.5, -0.5], [1.0, 2.0])
+
+    def test_hyperexponential_nan_branch(self):
+        with pytest.raises(ModelError, match="probability .* got nan"):
+            HyperExponential([math.nan, 1.0], [1.0, 2.0])
+
+    def test_hyperexponential_nan_rate(self):
+        with pytest.raises(ModelError, match="completion rate .* got nan"):
+            HyperExponential([0.5, 0.5], [1.0, math.nan])
+
+    @pytest.mark.parametrize(
+        "initial, bad", [((1.5, -0.5), "1.5"), ((math.nan, 1.0), "nan")]
+    )
+    def test_phase_type_initial(self, initial, bad):
+        with pytest.raises(ModelError, match=f"initial phase probability .* got {bad}"):
+            PhaseType(initial, ((0, 1.0, 1),), ((1, 1.0),))
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_phase_type_rates(self, rate):
+        with pytest.raises(ModelError, match=f"phase transition rate .* got {rate!r}"):
+            PhaseType((1.0, 0.0), ((0, rate, 1),), ((1, 1.0),))
+        with pytest.raises(ModelError, match=f"completion rate .* got {rate!r}"):
+            PhaseType((1.0,), (), ((0, rate),))
+
+    @pytest.mark.parametrize("factor", [math.nan, math.inf])
+    def test_scaled_factor(self, factor):
+        with pytest.raises(ModelError, match=f"scaling factor .* got {factor!r}"):
+            Exponential(1.0).scaled(factor)
+
+    def test_nan_sweep_axis_names_the_value(self):
+        from repro.casestudies import dds_sweep_factory
+        from repro.sweep import SweepConfig, run_sweep
+
+        config = SweepConfig(
+            grid={"repair_rate": [math.nan]}, sensitivity_axes=(), importance=False
+        )
+        with pytest.raises(ModelError, match="exponential rate .* got nan"):
+            run_sweep(dds_sweep_factory(), config)
+
+
 class TestSampling:
     def test_sample_mean_close_to_analytic(self):
         rng = np.random.default_rng(7)

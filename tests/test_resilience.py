@@ -17,6 +17,7 @@ live in ``tests/chaos/`` — they need real worker pools and deliberate
 stalls, which is exactly what tier-1 must not wait for.
 """
 
+import json
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.arcade.semantics import translate_model
 from repro.composer import QuotientCache, compose_model
 from repro.errors import CacheStoreError, ResilienceError, StateBudgetError, SweepError
 from repro.resilience import (
+    CACHE_STORE_VERSION,
     FaultPlan,
     FaultSpec,
     INJECTION_SITES,
@@ -280,6 +282,21 @@ class TestCacheFile:
             index=np.frombuffer(b'{"format": "something-else"}', dtype=np.uint8),
         )
         with pytest.raises(CacheStoreError, match="unknown format"):
+            load_cache(path)
+
+    def test_version_1_archive_is_refused(self, tmp_path):
+        # Version-1 archives recorded the size of the full product, not of
+        # the maximal-progress product a step now builds.
+        path = tmp_path / "cache.npz"
+        save_cache(_populated_cache(), path)
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        document = json.loads(bytes(members["index"]).decode())
+        assert document["version"] == CACHE_STORE_VERSION == 2
+        document["version"] = 1
+        members["index"] = np.frombuffer(json.dumps(document).encode(), dtype=np.uint8)
+        np.savez(path, **members)
+        with pytest.raises(CacheStoreError, match="unsupported version 1 "):
             load_cache(path)
 
     def test_load_into_existing_cache_merges_counters(self, tmp_path):

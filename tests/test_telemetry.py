@@ -276,8 +276,8 @@ class TestPipelineInstrumentation:
             "final_ctmc_states",
         )
         expected = [
-            ("distributed_database_system", 56, 90250, 2100, 2100),
-            ("distributed_database_system_no_repair", 47, 9908, 199, 199),
+            ("distributed_database_system", 56, 50375, 2100, 2100),
+            ("distributed_database_system_no_repair", 47, 8588, 199, 199),
         ]
         rows = report_data([run])["runs"][0]["state_space"]
         assert [tuple(row[column] for column in columns) for row in rows] == expected
