@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -38,13 +38,10 @@ from ..ctmc import (
     unreliability,
 )
 from ..errors import ModelError
-from ..simulation import (
-    ConfidenceInterval,
-    RestartSimulator,
-    VectorisedSimulator,
-    batch_means,
-)
 from ..telemetry.trace import Telemetry, current_telemetry
+
+if TYPE_CHECKING:
+    from ..simulation import ConfidenceInterval
 
 
 @dataclass(frozen=True)
@@ -276,6 +273,8 @@ class ArcadeEvaluator:
         degenerates to plain vectorised Monte Carlo.
         """
         if self._simulated_unavailability is None:
+            from ..simulation import RestartSimulator
+
             with self._telemetry_scope():
                 simulator = RestartSimulator(
                     self.model, seed=self.sim_seed, splitting=self.sim_splitting
@@ -327,6 +326,8 @@ class ArcadeEvaluator:
     def unreliability(self, mission_time: float, *, assume_no_repair: bool = True) -> float:
         """Probability of at least one system failure within ``mission_time``."""
         if self.resolved_backend == "simulate":
+            from ..simulation import VectorisedSimulator, batch_means
+
             with self._telemetry_scope():
                 target = self.model.without_repair() if assume_no_repair else self.model
                 simulator = VectorisedSimulator(target, seed=self.sim_seed)

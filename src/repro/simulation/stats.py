@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def batch_means(
         means[index] = values[start:stop].mean()
     mean = float(values.mean())
     spread = float(means.std(ddof=1))
-    critical = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=batches - 1))
+    critical = float(special.stdtrit(batches - 1, 0.5 + confidence / 2.0))
     half_width = critical * spread / math.sqrt(batches)
     return ConfidenceInterval(
         mean=mean,
