@@ -19,6 +19,7 @@ component I/O-IMCs small for complex trigger expressions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from ...errors import ModelError
 from ...ioimc import IOIMC, IOIMCBuilder, Signature
@@ -161,8 +162,15 @@ class GateTranslator:
         return builder.build()
 
 
+@cache
 def build_gate_ioimc(gate: VotingGate) -> IOIMC:
-    """Translate one fault-tree gate into its I/O-IMC."""
+    """Translate one fault-tree gate into its I/O-IMC.
+
+    Memoised by the frozen gate spec: gates carry no rate, so every
+    translation of a model family (the points of a rate sweep) gets the very
+    same automaton objects back, and their quotient-cache fingerprints are
+    computed once.  The result is shared and must not be mutated.
+    """
     return GateTranslator(gate).build()
 
 

@@ -62,18 +62,38 @@ Entries additionally remember the step's pre-reduction sizes and the
 wall-clock originally spent, so statistics recorded on a hit reproduce the
 uncached trajectory (the golden ``largest_intermediate_states`` is
 unchanged) and the per-step ``saved_seconds`` can be reported.
+
+Rate-only misses re-gather
+--------------------------
+A step key covers every rate bit, so the points of a rate sweep miss even
+though their steps are structurally identical.  Below the key-based memo
+sits a second, rate-free one: :func:`structure_key` digests the operands'
+exact structure (signature, states, initial state, interactive edges and
+the Markovian edges *without* their rates) plus the hidden set, and a
+:class:`StepSkeleton` stores what the step's prefix — product, hiding,
+vanishing-chain elimination and reachability — built from it.  None of
+those operations computes with or compares a rate; each copies or drops
+whole edges, so every Markovian edge of the prefix result is a verbatim copy
+of one operand edge, and the skeleton records which.  A later miss with the
+same structure gathers its current rates through that map instead of
+rebuilding the product (see ``docs/caching.md``).  A skeleton is stored only
+when its structure digest is seen for the second time, so single
+evaluations keep no skeletons at all.
 """
 
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from ..ioimc import IOIMC, TAU
 from ..ioimc.actions import ActionKind, natural_sort_key
 from ..ioimc.canonical import _KIND_CODE, encode_renumbered
+from ..ioimc.indexed import MarkovianCSR
 
 
 @dataclass(frozen=True)
@@ -116,6 +136,166 @@ class CacheEntry:
         return self.compose_seconds + self.reduce_seconds
 
 
+@dataclass(frozen=True)
+class StepSkeleton:
+    """The rate-free prefix of one composition step.
+
+    ``template`` is the automaton the prefix built, stripped of state names
+    and labels; ``origin[e]`` is the position, in the concatenated Markovian
+    rate columns of the two operands, of the edge that Markovian edge ``e``
+    copies; ``left_state``/``right_state`` are the operand states each state
+    was built from.  The sizes are those of the product, as a cold step
+    reports them.
+    """
+
+    template: IOIMC
+    origin: np.ndarray
+    left_state: np.ndarray
+    right_state: np.ndarray
+    states_before: int
+    transitions_before: int
+
+    @classmethod
+    def probe(
+        cls,
+        left: IOIMC,
+        right: IOIMC,
+        prefix: Callable[[IOIMC, IOIMC], tuple[IOIMC, int, int]],
+    ) -> "StepSkeleton":
+        """Run ``prefix`` once on position probes of the operands.
+
+        The probes carry each Markovian edge's 1-based position as its rate
+        and each state's index as its name, so the result's rate column is
+        the provenance map and its state names (``"left|right"``, as the
+        product writes them) are the operand-state pairs.
+        """
+        left_edges = left.index().markovian_csr().num_edges
+        result, states_before, transitions_before = prefix(
+            _position_probe(left, 0), _position_probe(right, left_edges)
+        )
+        index = result.index()
+        markovian = index.markovian_csr()
+        pairs = np.array(
+            [name.split("|") for name in result.state_names], dtype=np.int64
+        )
+        template = IOIMC.trusted(
+            result.name,
+            result.signature,
+            result.num_states,
+            result.initial,
+            None,  # rows materialise lazily from the index attached below
+            None,
+        )
+        template._index = index.adopt(template, markovian)
+        return cls(
+            template=template,
+            origin=markovian.rate.astype(np.int64) - 1,
+            left_state=pairs[:, 0],
+            right_state=pairs[:, 1],
+            states_before=states_before,
+            transitions_before=transitions_before,
+        )
+
+    def regather(self, left: IOIMC, right: IOIMC, name: str) -> IOIMC:
+        """The prefix result for operands of this structure, at their rates.
+
+        Rates, state names and labels come from ``left`` and ``right``
+        exactly as a cold product writes them; the structure is shared with
+        the template.
+        """
+        rates = np.concatenate(
+            [left.index().markovian_csr().rate, right.index().markovian_csr().rate]
+        )[self.origin]
+        lefts = self.left_state.tolist()
+        rights = self.right_state.tolist()
+        left_names = [left.state_name(state) for state in left.states()]
+        right_names = [right.state_name(state) for state in right.states()]
+        names = [f"{left_names[l]}|{right_names[r]}" for l, r in zip(lefts, rights)]
+        labels: dict[int, frozenset[str]] = {}
+        if left.labels or right.labels:
+            empty: frozenset[str] = frozenset()
+            for state, (l, r) in enumerate(zip(lefts, rights)):
+                merged = left.labels.get(l, empty) | right.labels.get(r, empty)
+                if merged:
+                    labels[state] = merged
+        template = self.template
+        automaton = IOIMC.trusted(
+            name,
+            template.signature,
+            template.num_states,
+            template.initial,
+            None,  # rows materialise lazily from the index attached below
+            None,
+            labels,
+            names,
+        )
+        index = template.index()
+        markovian = index.markovian_csr()
+        automaton._index = index.adopt(
+            automaton,
+            MarkovianCSR(markovian.indptr, markovian.source, rates, markovian.target),
+        )
+        return automaton
+
+
+def structure_key(
+    left: IOIMC, right: IOIMC, hidden: list[str], *, eliminate_vanishing: bool
+) -> str:
+    """Digest of one step's rate-free inputs: the :class:`StepSkeleton` key.
+
+    Covers each operand's signature, state count, initial state, interactive
+    CSR and Markovian CSR minus its rate column, plus the hidden set and the
+    vanishing-elimination flag — everything the prefix reads.  State names
+    and labels are not hashed: the prefix only carries them along.
+    """
+    digest = hashlib.sha256(
+        f"hide={sorted(hidden)}|v={int(eliminate_vanishing)}".encode()
+    )
+    for automaton in (left, right):
+        index = automaton.index()
+        interactive = index.interactive_csr
+        markovian = index.markovian_csr()
+        digest.update(
+            f"|{automaton.num_states}|{automaton.initial}|{index.actions}|"
+            f"{[_KIND_CODE.get(kind, ';') for kind in index.kinds]}".encode()
+        )
+        for column in (
+            interactive.indptr,
+            interactive.action,
+            interactive.target,
+            markovian.indptr,
+            markovian.target,
+        ):
+            digest.update(f"|{column.dtype.str}{len(column)}|".encode())
+            digest.update(np.ascontiguousarray(column))
+    return digest.hexdigest()
+
+
+def _position_probe(automaton: IOIMC, first: int) -> IOIMC:
+    """``automaton`` with rates ``first + 1, first + 2, ...`` in edge order
+    and each state named by its index."""
+    index = automaton.index()
+    markovian = index.markovian_csr()
+    probe = IOIMC.trusted(
+        automaton.name,
+        automaton.signature,
+        automaton.num_states,
+        automaton.initial,
+        None,  # rows materialise lazily from the index attached below
+        None,
+        None,
+        [str(state) for state in automaton.states()],
+    )
+    positions = np.arange(
+        first + 1, first + 1 + markovian.num_edges, dtype=np.float64
+    )
+    probe._index = index.adopt(
+        probe,
+        MarkovianCSR(markovian.indptr, markovian.source, positions, markovian.target),
+    )
+    return probe
+
+
 class QuotientCache:
     """Memoises composition-step results up to consistent signal renaming.
 
@@ -128,16 +308,16 @@ class QuotientCache:
 
     def __init__(self) -> None:
         self._entries: dict[str, CacheEntry] = {}
-        #: Keyed by the automaton *object* (identity hash): keeps the leaf
-        #: alive while memoised, so a recycled ``id()`` can never serve a
-        #: stale fingerprint for a structurally unrelated automaton.
-        self._leaf_fingerprints: dict[IOIMC, SubtreeFingerprint | None] = {}
         #: First leaf seen per positional digest: the representative every
         #: later leaf of the class is verified against.
         self._leaf_representatives: dict[str, tuple[IOIMC, tuple[str, ...]]] = {}
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: Misses served from a stored :class:`StepSkeleton`, and skeletons
+        #: stored.  A re-gather still counts as a miss.
+        self.regathers = 0
+        self.skeleton_stores = 0
         #: Lifetime *net* savings: for every hit this cache ever served —
         #: across all runs sharing it — the original computation's cost
         #: minus the serve (rebase) time, floored at 0.  By construction
@@ -145,6 +325,30 @@ class QuotientCache:
         #: ``CompositionStatistics.cache_saved_seconds``, so the two reports
         #: reconcile exactly however many runs share the instance.
         self.saved_seconds = 0.0
+        self._reset_memos()
+
+    def _reset_memos(self) -> None:
+        """Create the per-process memos, which are never persisted or pickled."""
+        #: Keyed weakly by the automaton *object*: an entry lives exactly as
+        #: long as its leaf, so a recycled ``id()`` can never serve a stale
+        #: fingerprint, and the leaves of finished evaluations are not kept.
+        self._leaf_fingerprints: weakref.WeakKeyDictionary[
+            IOIMC, SubtreeFingerprint | None
+        ] = weakref.WeakKeyDictionary()
+        #: Rate-free step prefixes by :func:`structure_key`.
+        self._skeletons: dict[str, StepSkeleton] = {}
+        #: Structure keys seen once; the second sighting stores a skeleton.
+        self._sighted: set[str] = set()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for memo in ("_leaf_fingerprints", "_skeletons", "_sighted"):
+            del state[memo]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._reset_memos()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -281,6 +485,30 @@ class QuotientCache:
         return True
 
     # ------------------------------------------------------------------ #
+    # rate-free step prefixes
+    # ------------------------------------------------------------------ #
+    def skeleton(self, key: str) -> StepSkeleton | None:
+        """The stored skeleton for a :func:`structure_key`, if any."""
+        return self._skeletons.get(key)
+
+    def sighted_before(self, key: str) -> bool:
+        """Record a sighting of ``key``; ``True`` if it was seen already.
+
+        The first sighting stores nothing but the digest: a skeleton only
+        pays for itself once a second step of the same structure shows up.
+        """
+        if key in self._sighted:
+            return True
+        self._sighted.add(key)
+        return False
+
+    def store_skeleton(self, key: str, skeleton: StepSkeleton) -> None:
+        """Keep ``skeleton`` for every later miss with this structure key."""
+        self._skeletons[key] = skeleton
+        self._sighted.discard(key)
+        self.skeleton_stores += 1
+
+    # ------------------------------------------------------------------ #
     # merging (parallel subtree aggregation)
     # ------------------------------------------------------------------ #
     def merge_from(self, other: "QuotientCache") -> bool:
@@ -313,6 +541,8 @@ class QuotientCache:
         self.hits += other.hits
         self.misses += other.misses
         self.stores += other.stores
+        self.regathers += other.regathers
+        self.skeleton_stores += other.skeleton_stores
         self.saved_seconds += other.saved_seconds
         return True
 
@@ -322,10 +552,11 @@ class QuotientCache:
     def entries(self) -> dict[str, CacheEntry]:
         """Snapshot of the memoised step entries, keyed as stored.
 
-        The on-disk persistence layer iterates this; leaf fingerprints and
-        representatives are *not* part of the snapshot — they recompute
-        deterministically from the actual leaves of the next run, and the
-        algebraic step keys derived from them match by construction.
+        The on-disk persistence layer iterates this; leaf fingerprints,
+        representatives and step skeletons are *not* part of the snapshot —
+        they recompute deterministically from the actual leaves of the next
+        run, and the algebraic step keys derived from them match by
+        construction.
         """
         return dict(self._entries)
 
@@ -351,6 +582,8 @@ class QuotientCache:
             "misses": self.misses,
             "hit_rate": self.hits / lookups if lookups else 0.0,
             "saved_seconds": round(self.saved_seconds, 4),
+            "regathers": self.regathers,
+            "skeleton_stores": self.skeleton_stores,
         }
 
     def snapshot(self) -> tuple[int, int, int, float]:
@@ -515,7 +748,9 @@ __all__ = [
     "CacheEntry",
     "QuotientCache",
     "StepPlan",
+    "StepSkeleton",
     "SubtreeFingerprint",
     "positional_form",
     "resolve_cache",
+    "structure_key",
 ]

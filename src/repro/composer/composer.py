@@ -52,7 +52,13 @@ from ..resilience.retry import RecoveryEvent, RetryPolicy
 from ..telemetry.sink import MemorySink
 from ..telemetry.trace import Telemetry, current_telemetry, gauge_max, incr
 from ..telemetry.trace import span as telemetry_span
-from .cache import QuotientCache, SubtreeFingerprint, resolve_cache
+from .cache import (
+    QuotientCache,
+    StepSkeleton,
+    SubtreeFingerprint,
+    resolve_cache,
+    structure_key,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner uses composer)
     from ..planner import CostParameters, PlanReport
@@ -70,7 +76,10 @@ class CompositionStep:
 
     The ``*_before_reduction`` sizes are those of the product the step
     built, which excludes the states only a maximal-progress cut edge
-    reaches.
+    reaches.  ``compose_seconds`` covers building the automaton that
+    minimisation starts from (product, hiding, vanishing-chain elimination
+    and reachability, or their re-gather); ``reduce_seconds`` covers the
+    minimisation.
     """
 
     description: str
@@ -93,6 +102,9 @@ class CompositionStep:
     #: ``min(operand_blocks) > 1`` is an above-leaf (composite x composite
     #: or composite x subtree) join served from the cache.
     operand_blocks: tuple[int, int] = (1, 1)
+    #: A miss whose product was not rebuilt: the quotient cache held the
+    #: step's rate-free skeleton and only the current rates were gathered.
+    regathered: bool = False
 
     @property
     def seconds(self) -> float:
@@ -977,15 +989,12 @@ class Composer:
             self.statistics.record(step)
             return composite, SubtreeFingerprint(key, plan.slots)
 
-        # The maximal-progress cut is fused into the product, so the states
-        # it would throw away are never built; `before` counts what was.
-        product = compose(left, right, name=description, maximal_progress=True)
-        before = product.summary()
-        composite = hide(product, hidable)
-        self._check_budget(description, before["states"])
+        composite, states_before, transitions_before, regathered = self._prefix(
+            left, right, hidable, description
+        )
         compose_seconds = time.perf_counter() - compose_started
         reduce_started = time.perf_counter()
-        composite = self._reduce(composite)
+        composite = self._minimise(composite)
         reduce_seconds = time.perf_counter() - reduce_started
         after = composite.summary()
         next_fingerprint = None
@@ -996,8 +1005,8 @@ class Composer:
                 key,
                 plan,
                 composite,
-                states_before=before["states"],
-                transitions_before=before["transitions"],
+                states_before=states_before,
+                transitions_before=transitions_before,
                 compose_seconds=compose_seconds,
                 reduce_seconds=reduce_seconds,
             ):
@@ -1005,23 +1014,79 @@ class Composer:
                 next_fingerprint = SubtreeFingerprint(key, plan.slots)
         step = CompositionStep(
             description=description,
-            states_before_reduction=before["states"],
-            transitions_before_reduction=before["transitions"],
+            states_before_reduction=states_before,
+            transitions_before_reduction=transitions_before,
             states_after_reduction=after["states"],
             transitions_after_reduction=after["transitions"],
             hidden_actions=tuple(hidable),
             compose_seconds=compose_seconds,
             reduce_seconds=reduce_seconds,
             operand_blocks=operand_blocks,
+            regathered=regathered,
         )
         step_span.set(
-            states_before=before["states"],
+            states_before=states_before,
             states_after=after["states"],
             cache_hit=False,
+            regathered=regathered,
         )
-        gauge_max("compose.peak_states", before["states"])
+        gauge_max("compose.peak_states", states_before)
         self.statistics.record(step)
         return composite, next_fingerprint
+
+    def _prefix(
+        self, left: IOIMC, right: IOIMC, hidable: list[str], description: str
+    ) -> tuple[IOIMC, int, int, bool]:
+        """The automaton a missed step minimises, and the product's size.
+
+        With a cache, a structure seen for the second time stores its
+        :class:`~repro.composer.cache.StepSkeleton`, and every later miss
+        with that structure gathers its rates through it instead of
+        rebuilding the product.  The result is the same automaton either
+        way; the flag says whether it was re-gathered.
+        """
+        cache = self.cache
+        if cache is None:
+            return *self._build_prefix(left, right, hidable, description), False
+        key = structure_key(
+            left, right, hidable, eliminate_vanishing=self.eliminate_vanishing
+        )
+        skeleton = cache.skeleton(key)
+        regathered = skeleton is not None
+        if regathered:
+            self._check_budget(description, skeleton.states_before)
+            cache.regathers += 1
+            incr("cache.regathers")
+        elif cache.sighted_before(key):
+            skeleton = StepSkeleton.probe(
+                left,
+                right,
+                lambda l, r: self._build_prefix(l, r, hidable, description),
+            )
+            cache.store_skeleton(key, skeleton)
+            incr("cache.skeleton_stores")
+        else:
+            return *self._build_prefix(left, right, hidable, description), False
+        return (
+            skeleton.regather(left, right, description),
+            skeleton.states_before,
+            skeleton.transitions_before,
+            regathered,
+        )
+
+    def _build_prefix(
+        self, left: IOIMC, right: IOIMC, hidable: list[str], description: str
+    ) -> tuple[IOIMC, int, int]:
+        """Product → hide → :meth:`_prune`, with the product's size.
+
+        The maximal-progress cut is fused into the product, so the states it
+        would throw away are never built; the sizes count what was.
+        """
+        product = compose(left, right, name=description, maximal_progress=True)
+        before = product.summary()
+        self._check_budget(description, before["states"])
+        composite = self._prune(hide(product, hidable))
+        return composite, before["states"], before["transitions"]
 
     def _check_budget(self, description: str, states: int) -> None:
         """Enforce the pre-reduction state ceiling on one step.
@@ -1072,9 +1137,21 @@ class Composer:
         The model is already cut: every product is built under maximal
         progress and every reduction below preserves it.
         """
+        return self._minimise(self._prune(automaton))
+
+    def _prune(self, automaton: IOIMC) -> IOIMC:
+        """Vanishing-chain elimination (if enabled) and reachability.
+
+        Like the product and hiding, this only selects and copies edges and
+        never reads a rate, which is what lets a step skeleton stand in for
+        all three.
+        """
         if self.eliminate_vanishing:
             automaton = eliminate_vanishing_chains(automaton)
-        automaton = automaton.restrict_to_reachable()
+        return automaton.restrict_to_reachable()
+
+    def _minimise(self, automaton: IOIMC) -> IOIMC:
+        """Bisimulation minimisation under the configured reduction."""
         if self.reduction == "strong":
             automaton = minimize_strong(automaton).quotient
         elif self.reduction == "weak":
@@ -1212,17 +1289,14 @@ def _compose_subtree_worker(payload) -> _SubtreeResult:
             metrics_snapshot = telemetry.metrics.snapshot() or None
         else:
             ioimc, blocks, fingerprint = composer._compose_group(item)
-    cache = composer.cache
-    if cache is not None:
-        # The leaf-fingerprint memo is keyed by object identity, which is
-        # meaningless across a process boundary; drop it from the payload.
-        cache._leaf_fingerprints.clear()
+    # The cache's per-process memos (identity-keyed leaf fingerprints, step
+    # skeletons) stay out of the pickled payload; see QuotientCache.__getstate__.
     return _SubtreeResult(
         ioimc=ioimc,
         blocks=blocks,
         fingerprint=fingerprint,
         steps=tuple(composer.statistics.steps),
-        cache=cache,
+        cache=composer.cache,
         events=events,
         metrics_snapshot=metrics_snapshot,
     )

@@ -32,6 +32,8 @@ go stale.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..nputil import csr_indptr, reachable_pairs, unique_sorted
@@ -114,7 +116,7 @@ class TransitionIndex:
     """Integer-indexed transition tables of one (immutable) I/O-IMC."""
 
     __slots__ = (
-        "automaton",
+        "_automaton",
         "actions",
         "id_of",
         "kinds",
@@ -132,7 +134,7 @@ class TransitionIndex:
     )
 
     def __init__(self, automaton) -> None:
-        self.automaton = automaton
+        self._automaton = weakref.ref(automaton)
         signature = automaton.signature
         #: Interned action names; the id of an action is its position here.
         self.actions: list[str] = sorted(signature.all_actions)
@@ -160,6 +162,17 @@ class TransitionIndex:
         )
         self._attach_tables(InteractiveCSR(indptr, source, action, target), None)
 
+    @property
+    def automaton(self):
+        """The automaton this index belongs to.
+
+        Held weakly: the automaton owns its index, and a strong
+        back-reference would make every indexed automaton a reference cycle
+        that only the cyclic garbage collector frees, so large intermediate
+        products would outlive their composition step.
+        """
+        return self._automaton()
+
     @classmethod
     def from_tables(
         cls, automaton, interactive_csr: InteractiveCSR, markovian_csr: MarkovianCSR
@@ -173,7 +186,7 @@ class TransitionIndex:
         ``interactive_csr`` index ``sorted(signature.all_actions)``.
         """
         self = cls.__new__(cls)
-        self.automaton = automaton
+        self._automaton = weakref.ref(automaton)
         signature = automaton.signature
         self.actions = sorted(signature.all_actions)
         self.id_of = {action: aid for aid, action in enumerate(self.actions)}
@@ -192,7 +205,7 @@ class TransitionIndex:
         guarantees ``automaton.signature`` interns actions identically.
         """
         clone = TransitionIndex.__new__(TransitionIndex)
-        clone.automaton = automaton
+        clone._automaton = weakref.ref(automaton)
         clone.actions = self.actions
         clone.id_of = self.id_of
         clone.kinds = self.kinds
@@ -216,7 +229,7 @@ class TransitionIndex:
         """
         signature = automaton.signature
         clone = TransitionIndex.__new__(TransitionIndex)
-        clone.automaton = automaton
+        clone._automaton = weakref.ref(automaton)
         clone.actions = sorted(signature.all_actions)
         clone.id_of = {action: aid for aid, action in enumerate(clone.actions)}
         clone.kinds = [signature.kind_of(action) for action in clone.actions]
@@ -256,7 +269,7 @@ class TransitionIndex:
     def _compute_stability(self) -> None:
         csr = self.interactive_csr
         urgent = ~self.input_flags[csr.action]
-        unstable = np.zeros(self.automaton.num_states, dtype=bool)
+        unstable = np.zeros(len(csr.indptr) - 1, dtype=bool)
         unstable[csr.source[urgent]] = True
         self.stable_flags = ~unstable
         self.stable = self.stable_flags.tolist()
@@ -270,7 +283,7 @@ class TransitionIndex:
         demand) and the predecessor cache change.
         """
         clone = TransitionIndex.__new__(TransitionIndex)
-        clone.automaton = automaton
+        clone._automaton = weakref.ref(automaton)
         clone.actions = self.actions
         clone.id_of = self.id_of
         clone.kinds = self.kinds
@@ -316,7 +329,7 @@ class TransitionIndex:
         if self._predecessor_csr is None:
             icsr = self.interactive_csr
             mcsr = self.markovian_csr()
-            num_states = self.automaton.num_states
+            num_states = len(self.interactive_csr.indptr) - 1
             target = np.concatenate([icsr.target, mcsr.target])
             source = np.concatenate([icsr.source, mcsr.source])
             # Dedupe (target, source) pairs, then split runs by target.
@@ -337,7 +350,7 @@ class TransitionIndex:
         branching engine runs over its inert edges).
         """
         csr = self.interactive_csr
-        num_states = self.automaton.num_states
+        num_states = len(self.interactive_csr.indptr) - 1
         internal = self.internal_flags[csr.action]
         owner, post = np.divmod(
             reachable_pairs(

@@ -86,6 +86,9 @@ class IOIMC:
         "state_names",
         "_index",
         "_transition_counts",
+        # Lets the transition index and identity-keyed memos (the quotient
+        # cache's leaf fingerprints) refer to an automaton weakly.
+        "__weakref__",
     )
 
     def __init__(

@@ -179,12 +179,15 @@ def canonical_store_bytes(result: SweepResult) -> bytes:
 
     This is the comparison form of the resume bit-identity guarantee: a
     sweep interrupted and resumed must produce a store whose canonical bytes
-    equal the uninterrupted run's.  Wall-clock is the *only* thing excluded
-    — the per-point ``seconds`` column is zeroed and the timing totals
-    (``totals.seconds``, ``cache.saved_seconds``) dropped from the manifest;
-    every measure, size, seed, status and cache hit/miss delta is included
-    bit for bit.  (The raw ``.npz`` is not compared directly because zip
-    archives embed write timestamps.)
+    equal the uninterrupted run's.  Only wall-clock and the work counters of
+    the cache's per-process skeleton memo are excluded — the per-point
+    ``seconds`` column is zeroed and the timing totals (``totals.seconds``,
+    ``cache.saved_seconds``) and ``cache.regathers``/``cache.skeleton_stores``
+    dropped from the manifest (a resumed run starts with an empty memo, so
+    it re-gathers less, with identical results); every measure, size, seed,
+    status and cache hit/miss delta is included bit for bit.  (The raw
+    ``.npz`` is not compared directly because zip archives embed write
+    timestamps.)
 
     The encoding is length-prefixed-free but unambiguous: a canonical-JSON
     manifest, then per table its name, its dtype descriptor and the packed
@@ -198,7 +201,8 @@ def canonical_store_bytes(result: SweepResult) -> bytes:
         totals.pop("seconds", None)
     cache = manifest.get("cache")
     if isinstance(cache, dict):
-        cache.pop("saved_seconds", None)
+        for key in ("saved_seconds", "regathers", "skeleton_stores"):
+            cache.pop(key, None)
     parts = [json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()]
     tables = {
         "points": result.points,

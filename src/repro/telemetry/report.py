@@ -7,8 +7,9 @@ JSON:
 
 * a **phase-timing breakdown** — spans rolled up by name (count, total,
   mean, max wall-clock and the share of the run's root-span time);
-* a **cache-effectiveness table** — hits, misses, hit rate, stores and net
-  saved seconds from the ``cache.*`` counters (falling back to the
+* a **cache-effectiveness table** — hits, misses, hit rate, stores, net
+  saved seconds, and the misses re-gathered from a step skeleton plus the
+  skeletons stored, from the ``cache.*`` counters (falling back to the
   ``compose.step`` span attributes when a run carries no metrics event);
 * a **state-space growth summary** — per composition pipeline (one row per
   ``compose.run``), the model name, the step count, the peak pre-reduction
@@ -158,6 +159,8 @@ def cache_row(run: RunData) -> dict | None:
         "stores": int(counters.get("cache.stores", 0)),
         "saved_seconds": float(counters.get("cache.saved_seconds", 0.0)),
         "merges": int(counters.get("cache.merges", 0)),
+        "regathers": int(counters.get("cache.regathers", 0)),
+        "skeleton_stores": int(counters.get("cache.skeleton_stores", 0)),
     }
 
 
@@ -309,7 +312,15 @@ def render_text(runs: list[RunData]) -> str:
             lines.append("cache effectiveness:")
             lines.extend(
                 _format_table(
-                    ["hits", "misses", "hit_rate", "stores", "saved_s"],
+                    [
+                        "hits",
+                        "misses",
+                        "hit_rate",
+                        "stores",
+                        "saved_s",
+                        "regathers",
+                        "skeletons",
+                    ],
                     [
                         [
                             str(cache["hits"]),
@@ -317,6 +328,8 @@ def render_text(runs: list[RunData]) -> str:
                             f"{cache['hit_rate']:.1%}",
                             str(cache["stores"]),
                             f"{cache['saved_seconds']:.3f}",
+                            str(cache["regathers"]),
+                            str(cache["skeleton_stores"]),
                         ]
                     ],
                 )

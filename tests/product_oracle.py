@@ -211,15 +211,17 @@ def use_unfused_composer(monkeypatch) -> None:
 
     The step then runs product → hide → cut → restrict → (vanishing-chain
     elimination, minimisation), so ``states_before_reduction`` is the size
-    of the full product again.
+    of the full product again.  The cut goes in front of
+    :meth:`Composer._prune`, the stage every step prefix (and the final
+    reduction) runs after hiding.
     """
-    reduce = Composer._reduce
+    prune = Composer._prune
 
     def full_product(left, right, name=None, *, maximal_progress=False):
         return compose(left, right, name=name)
 
-    def cut_then_reduce(self, automaton):
-        return reduce(self, cut_and_restrict(automaton))
+    def cut_then_prune(self, automaton):
+        return prune(self, cut_and_restrict(automaton))
 
     monkeypatch.setattr(composer_module, "compose", full_product)
-    monkeypatch.setattr(Composer, "_reduce", cut_then_reduce)
+    monkeypatch.setattr(Composer, "_prune", cut_then_prune)

@@ -13,20 +13,33 @@ Three layers:
   step-key format, and the persisted cost-parameter loop of the planner.
 """
 
+import dataclasses
+import gc
+
+import numpy as np
 import pytest
 
 from repro.arcade.semantics import translate_model
-from repro.casestudies.dds import DDSParameters, build_dds_evaluator, build_dds_model, dds_composition_order
+from repro.casestudies.dds import (
+    DDSParameters,
+    build_dds_evaluator,
+    build_dds_model,
+    dds_composition_order,
+    dds_sweep_factory,
+)
+from repro.casestudies.dds import MISSION_TIME_HOURS as DDS_MISSION_TIME
 from repro.casestudies.rcs import build_rcs_modular_evaluator
 from repro.composer import Composer, QuotientCache, compose_model, resolve_cache
-from repro.composer.cache import StepPlan
+from repro.composer.cache import StepPlan, StepSkeleton, _position_probe, structure_key
 from repro.ctmc import steady_state_availability
+from repro.ioimc import IOIMC
 from repro.planner import (
     CostParameters,
     load_cost_parameters,
     plan_order,
     save_cost_parameters,
 )
+from repro.sweep import SweepConfig, run_sweep, verify_bit_identical
 from test_golden_regression import DDS_GOLDEN, RCS_GOLDEN
 
 
@@ -269,6 +282,123 @@ class TestMergeFromRejection:
         assert parent.merge_from(worker) is True
         assert parent.snapshot() == worker_counters
         assert set(parent._entries) == set(worker._entries)
+
+
+class TestRateReuse:
+    """Rate-only misses re-gather a stored step skeleton (docs/caching.md)."""
+
+    def test_single_dds_evaluation_stores_no_skeleton(self):
+        evaluator = build_dds_evaluator(cache="on")
+        evaluator.availability()
+        evaluator.reliability(DDS_MISSION_TIME)
+        summary = evaluator.cache.summary()
+        assert summary["misses"] > 0
+        assert (summary["skeleton_stores"], summary["regathers"]) == (0, 0)
+        assert not evaluator.cache._skeletons
+
+    def test_three_point_sweep_regathers_bit_identically(self):
+        factory = dds_sweep_factory()
+        base = {**factory.base, "num_clusters": 2.0, "disks_per_cluster": 3.0}
+        factory = dataclasses.replace(factory, base=base)
+        rate = base["disk_failure_rate"]
+        cache = QuotientCache()
+        config = SweepConfig(
+            grid={"disk_failure_rate": [rate, 2.0 * rate, 4.0 * rate]},
+            sensitivity_axes=(),
+            importance=False,
+            cache=cache,
+            mission_time=DDS_MISSION_TIME,
+        )
+        result = run_sweep(factory, config)
+        assert cache.skeleton_stores > 0
+        assert cache.regathers > 0
+        assert result.manifest["cache"]["regathers"] == cache.regathers
+        report = verify_bit_identical(factory, result, config)
+        assert report["checked"] == 3
+        assert report["identical"], report
+
+        # The leaf-fingerprint memo holds its leaves weakly: once the
+        # evaluators are gone, only leaves something else keeps alive remain
+        # — the class representatives and the spec-memoised gates (which a
+        # fresh translation hands back as the very same objects).
+        gc.collect()
+        alive = {id(leaf) for leaf, _ in cache._leaf_representatives.values()}
+        alive |= {id(block) for block in translate_model(factory.build(base)).blocks.values()}
+        leaves = list(cache._leaf_fingerprints.keys())
+        assert leaves
+        assert all(id(leaf) in alive for leaf in leaves)
+
+    def test_structure_key_covers_structure_but_not_rates_names_or_labels(self):
+        translated, _ = _small_dds()
+        block, other = translated.blocks["d_1"], translated.blocks["cluster_rep_1"]
+
+        def key(left, hidden=(), eliminate_vanishing=True):
+            return structure_key(
+                left, other, list(hidden), eliminate_vanishing=eliminate_vanishing
+            )
+
+        def variant(markovian, names=None, labels=None):
+            return IOIMC(
+                block.name,
+                block.signature,
+                block.num_states,
+                block.initial,
+                block.interactive,
+                markovian,
+                block.labels if labels is None else labels,
+                names,
+            )
+
+        rows = block.markovian
+        base = key(block)
+        doubled = [[(2.0 * rate, target) for rate, target in row] for row in rows]
+        renamed = [f"x{state}" for state in block.states()]
+        assert key(variant(doubled, renamed, {0: frozenset({"down"})})) == base
+        state = next(state for state, row in enumerate(rows) if row)
+        (rate, target), *rest = rows[state]
+        moved = list(rows)
+        moved[state] = [(rate, (target + 1) % block.num_states), *rest]
+        assert key(variant(moved)) != base
+        assert key(block, eliminate_vanishing=False) != base
+        assert key(block, hidden=sorted(block.signature.outputs)[:1]) != base
+
+    @pytest.mark.parametrize("names", [("cluster_rep_1", "d_1"), ("d_1", "_sys")])
+    def test_position_probe_yields_exact_edge_positions(self, names):
+        translated, _ = _small_dds()
+        left, right = (translated.blocks[name] for name in names)
+        composer = Composer(translated)
+        hidable = composer._hidable_signals(
+            left.signature, right.signature, frozenset(names)
+        )
+        left_edges = left.index().markovian_csr().num_edges
+        right_edges = right.index().markovian_csr().num_edges
+        probe = _position_probe(right, left_edges)
+        assert probe.index().markovian_csr().rate.tolist() == list(
+            range(left_edges + 1, left_edges + right_edges + 1)
+        )
+
+        probed = []
+
+        def prefix(probe_left, probe_right):
+            built = composer._build_prefix(probe_left, probe_right, hidable, "step")
+            probed.append(built[0].index().markovian_csr().rate)
+            return built
+
+        skeleton = StepSkeleton.probe(left, right, prefix)
+        (rate,) = probed
+        assert len(rate) > 0
+        assert np.array_equal(rate, np.floor(rate))
+        assert 1 <= rate.min() and rate.max() <= left_edges + right_edges
+        assert np.array_equal(skeleton.origin, rate.astype(np.int64) - 1)
+
+        cold, states, transitions = composer._build_prefix(left, right, hidable, "step")
+        warm = skeleton.regather(left, right, "step")
+        assert (skeleton.states_before, skeleton.transitions_before) == (states, transitions)
+        assert warm.index().markovian_csr().rate.tobytes() == (
+            cold.index().markovian_csr().rate.tobytes()
+        )
+        assert warm.state_names == cold.state_names
+        assert list(warm.labels.items()) == list(cold.labels.items())
 
 
 class TestCostParameterFailureModes:

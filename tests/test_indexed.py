@@ -1,6 +1,8 @@
 """Tests for the interned-action transition index (repro.ioimc.indexed)."""
 
+import gc
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -125,6 +127,25 @@ class TestTransitionIndex:
 
     def test_summary_matches_automaton(self, automaton):
         assert automaton.index().summary() == automaton.summary()
+
+    def test_indexed_automaton_is_freed_without_the_cycle_collector(self, automaton):
+        # The index refers back to its automaton weakly, so an indexed
+        # automaton (every intermediate product) is freed as soon as its
+        # last reference goes, not whenever the cycle collector next runs.
+        copy = automaton.relabel_states(list(automaton.states()), automaton.num_states)
+        index = copy.index()
+        assert index.automaton is copy
+        freed = weakref.ref(copy)
+        gc.disable()
+        try:
+            del copy
+            assert freed() is None
+        finally:
+            gc.enable()
+        assert index.automaton is None
+        # What the index derived from its own tables keeps working.
+        assert len(index.stable_flags) == automaton.num_states
+        assert index.predecessor_csr()[0][-1] > 0
 
 
 def closure_rows(index):

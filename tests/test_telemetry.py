@@ -153,6 +153,7 @@ class TestJsonlRoundTrip:
                 with telemetry.span("compose.step"):
                     incr("cache.hits", 3)
                     incr("cache.misses", 1)
+                    incr("cache.regathers", 1)
             root.set(ctmc_states=21)
         telemetry.close()
         return telemetry
@@ -179,8 +180,11 @@ class TestJsonlRoundTrip:
         text = render_text([run])
         assert "phase timings:" in text
         assert "cache effectiveness:" in text
+        assert "regathers" in text
         data = report_data([run])
         assert data["runs"][0]["cache"]["hits"] == 3
+        assert data["runs"][0]["cache"]["regathers"] == 1
+        assert data["runs"][0]["cache"]["skeleton_stores"] == 0
 
     def test_report_cli(self, tmp_path, capsys):
         path = tmp_path / "run.jsonl"
