@@ -90,7 +90,6 @@ class ArcadeEvaluator:
         order: CompositionOrder | str | None = None,
         reduction: str = "strong",
         max_gate_width: int = 2,
-        lump_final_ctmc: bool = True,
         cache: QuotientCache | str | None = None,
         plan_budget: int | None = None,
         plan_seed: int = 0,
@@ -134,7 +133,6 @@ class ArcadeEvaluator:
         self.order = order
         self.reduction = reduction
         self.max_gate_width = max_gate_width
-        self.lump_final_ctmc = lump_final_ctmc
         #: The resolved quotient cache, shared by every pipeline this
         #: evaluator runs (``None`` when caching is off).
         self.cache: QuotientCache | None = resolve_cache(cache)
@@ -211,7 +209,6 @@ class ArcadeEvaluator:
                     self.translated,
                     order=self.order,
                     reduction=self.reduction,
-                    lump_final_ctmc=self.lump_final_ctmc,
                     cache=self.cache,
                     plan_budget=self.plan_budget,
                     plan_seed=self.plan_seed,
@@ -248,7 +245,6 @@ class ArcadeEvaluator:
                     translated,
                     order=order,
                     reduction=self.reduction,
-                    lump_final_ctmc=self.lump_final_ctmc,
                     cache=self.cache,
                     plan_budget=self.plan_budget,
                     plan_seed=self.plan_seed,

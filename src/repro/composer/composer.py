@@ -270,8 +270,6 @@ class Composer:
     eliminate_vanishing:
         Collapse tau-only vanishing chains between composition steps
         (:func:`repro.lumping.eliminate_vanishing_chains`).
-    lump_final_ctmc:
-        Additionally lump the extracted CTMC modulo ordinary lumpability.
     cache:
         Isomorphism-aware memoisation policy: ``"on"`` (a fresh
         :class:`~repro.composer.cache.QuotientCache`), ``"off"``/``None``
@@ -325,7 +323,6 @@ class Composer:
         order: CompositionOrder | str | None = None,
         reduction: str = "strong",
         eliminate_vanishing: bool = True,
-        lump_final_ctmc: bool = True,
         cache: QuotientCache | str | None = None,
         plan_budget: int | None = None,
         plan_seed: int = 0,
@@ -361,7 +358,6 @@ class Composer:
         self.plan_report: "PlanReport | None" = None
         self.reduction = reduction
         self.eliminate_vanishing = eliminate_vanishing
-        self.lump_final_ctmc = lump_final_ctmc
         #: The resolved quotient cache (``None`` when caching is off).  The
         #: same instance survives re-runs of :meth:`compose`, so repeated
         #: pipelines (availability + no-repair reliability, growth sweeps)
@@ -415,9 +411,7 @@ class Composer:
             with telemetry_span("compose.final_reduce", reduction=self.reduction):
                 system = self._reduce(system)
             self.statistics.final_reduce_seconds += time.perf_counter() - started
-            ctmc = extract_ctmc(system)
-            if self.lump_final_ctmc:
-                ctmc = lump(ctmc).quotient
+            ctmc = lump(extract_ctmc(system)).quotient
             run_span.set(
                 steps=len(self.statistics.steps),
                 peak_states=self.statistics.largest_intermediate_states,
@@ -1308,7 +1302,6 @@ def compose_model(
     order: CompositionOrder | str | None = None,
     reduction: str = "strong",
     eliminate_vanishing: bool = True,
-    lump_final_ctmc: bool = True,
     cache: QuotientCache | str | None = None,
     plan_budget: int | None = None,
     plan_seed: int = 0,
@@ -1331,7 +1324,6 @@ def compose_model(
         order=order,
         reduction=reduction,
         eliminate_vanishing=eliminate_vanishing,
-        lump_final_ctmc=lump_final_ctmc,
         cache=cache,
         plan_budget=plan_budget,
         plan_seed=plan_seed,

@@ -21,15 +21,15 @@ from .transient import transient_distribution
 
 def make_absorbing(ctmc: CTMC, states: list[int] | set[int]) -> CTMC:
     """Copy of ``ctmc`` with all transitions leaving ``states`` removed."""
-    absorbing = set(states)
-    transitions = [
-        (source, rate, target)
-        for source, rate, target in ctmc.transitions()
-        if source not in absorbing
-    ]
-    return CTMC(
+    absorbing = np.zeros(ctmc.num_states, dtype=bool)
+    absorbing[list(states)] = True
+    source, rate, target = ctmc.edge_arrays()
+    keep = ~absorbing[source]
+    return CTMC.from_arrays(
         ctmc.num_states,
-        transitions,
+        source[keep],
+        rate[keep],
+        target[keep],
         ctmc.initial_distribution,
         ctmc.labels,
         ctmc.state_names,
@@ -58,37 +58,39 @@ def mean_time_to_failure(ctmc: CTMC, *, down_label: str = "down") -> float:
     (non-``down``) states, where ``Q_TT`` is the generator restricted to those
     states.  Returns ``inf`` when a ``down`` state is unreachable.
     """
-    down_states = set(ctmc.states_with_label(down_label))
-    if not down_states:
+    down = np.zeros(ctmc.num_states, dtype=bool)
+    down[ctmc.states_with_label(down_label)] = True
+    if not down.any():
         return float("inf")
-    transient = [state for state in range(ctmc.num_states) if state not in down_states]
-    if not transient:
-        return 0.0
-    index = {state: position for position, state in enumerate(transient)}
+    transient = np.flatnonzero(~down)
     size = len(transient)
-    rows, cols, data = [], [], []
-    exit_to_anywhere = np.zeros(size)
-    reaches_down = np.zeros(size, dtype=bool)
-    for source, rate, target in ctmc.transitions():
-        if source not in index:
-            continue
-        position = index[source]
-        exit_to_anywhere[position] += rate
-        if target in index:
-            rows.append(position)
-            cols.append(index[target])
-            data.append(rate)
-        else:
-            reaches_down[position] = True
-    if not reaches_down.any():
+    if not size:
+        return 0.0
+    position = np.full(ctmc.num_states, -1, dtype=np.int64)
+    position[transient] = np.arange(size)
+    source, rate, target = ctmc.edge_arrays()
+    leaving = ~down[source]
+    source, rate, target = position[source[leaving]], rate[leaving], target[leaving]
+    if not down[target].any():
         return float("inf")
-    negative_q = sparse.csr_matrix(
-        (np.negative(data), (rows, cols)), shape=(size, size)
-    ).tolil() if data else sparse.lil_matrix((size, size))
-    for position in range(size):
-        negative_q[position, position] += exit_to_anywhere[position]
+    inside = ~down[target]
+    # -Q_TT: the negated rates between transient states plus the exit rates
+    # (summed in edge order) on the diagonal; no entry is duplicated, since
+    # the chain has one edge per pair and no self-loops.
+    exit_rates = np.bincount(source, weights=rate, minlength=size)
+    diagonal = np.flatnonzero(exit_rates)
+    negative_q = sparse.csc_matrix(
+        (
+            np.concatenate([np.negative(rate[inside]), exit_rates[diagonal]]),
+            (
+                np.concatenate([source[inside], diagonal]),
+                np.concatenate([position[target[inside]], diagonal]),
+            ),
+        ),
+        shape=(size, size),
+    )
     try:
-        times = sparse_linalg.spsolve(negative_q.tocsc(), np.ones(size))
+        times = sparse_linalg.spsolve(negative_q, np.ones(size))
     except RuntimeError as error:  # pragma: no cover - singular system
         raise AnalysisError(f"MTTF system could not be solved: {error}") from error
     times = np.asarray(times, dtype=float).reshape(size)

@@ -200,11 +200,10 @@ class CSLChecker:
         the slowest expected holding time gives probabilities accurate far
         beyond the tolerances used in the tests.
         """
-        rates = [rate for _, rate, _ in ctmc.transitions()]
-        if not rates:
+        _, rates, _ = ctmc.edge_arrays()
+        if not len(rates):
             return 1.0
-        slowest = min(rates)
-        return 200.0 / slowest
+        return 200.0 / float(rates.min())
 
 
 __all__ = [

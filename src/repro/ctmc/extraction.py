@@ -11,7 +11,9 @@ are taken in zero time, so the model is equivalent to a CTMC over its
 2. every vanishing (unstable) state is replaced by the tangible state its
    tau-transitions lead to — the models produced by the Arcade translation
    are *confluent*, i.e. all maximal tau-paths from a vanishing state end in
-   the same tangible state, which is verified here;
+   the same tangible state.  This is verified here: a vanishing state that
+   reaches two tangible states, or none, raises
+   :class:`~repro.errors.NondeterminismError`;
 3. only the labels of the tangible states are kept: vanishing states are
    occupied for zero time, so their atomic propositions cannot contribute to
    any (time-based) measure.  In Arcade models the system-failure condition
@@ -38,20 +40,16 @@ from ..nputil import csr_indptr, unique_sorted
 from .ctmc import CTMC
 
 
-def extract_ctmc(automaton: IOIMC, *, on_nondeterminism: str = "error") -> CTMC:
+def extract_ctmc(automaton: IOIMC) -> CTMC:
     """Convert a closed I/O-IMC into a labelled CTMC.
 
-    Parameters
-    ----------
-    automaton:
-        The fully composed I/O-IMC.  It must be *closed*: no input actions may
-        remain and every output should have been hidden.  Remaining outputs
-        are tolerated and treated like internal actions (they cannot
-        synchronise with anything anymore).
-    on_nondeterminism:
-        ``"error"`` (default) raises :class:`NondeterminismError` when a
-        vanishing state can reach two different tangible states via internal
-        moves; ``"uniform"`` resolves the choice uniformly at random instead.
+    ``automaton`` is the fully composed I/O-IMC.  It must be *closed*: no
+    input actions may remain and every output should have been hidden.
+    Remaining outputs are tolerated and treated like internal actions (they
+    cannot synchronise with anything anymore).  Raises
+    :class:`NondeterminismError` when input actions remain, or when a
+    vanishing state the chain needs can reach two different tangible states
+    (or none) via internal moves.
     """
     if automaton.signature.inputs:
         raise NondeterminismError(
@@ -76,91 +74,54 @@ def extract_ctmc(automaton: IOIMC, *, on_nondeterminism: str = "error") -> CTMC:
     urgent_target = interactive_csr.target[urgent]
     urgent_indptr = csr_indptr(urgent_source, automaton.num_states)
 
-    # Resolve a state to the distribution over tangible states reached by
-    # exhausting urgent transitions.  With confluence this is a single state.
-    resolution: dict[int, dict[int, float]] = {}
+    # The tangible state reached by exhausting urgent transitions from a
+    # state (-1 while unresolved: a tau-cycle contributes nothing).
+    resolution: dict[int, int] = {}
 
-    def resolve(state: int) -> dict[int, float]:
+    def resolve(state: int) -> int:
+        if tangible_flags[state]:
+            return state
         cached = resolution.get(state)
         if cached is not None:
             return cached
-        resolution[state] = {}  # guard against tau-cycles
-        if tangible_flags[state]:
-            result = {state: 1.0}
-        else:
-            targets = urgent_target[
+        resolution[state] = -1  # guard against tau-cycles
+        reached = {
+            resolve(target)
+            for target in urgent_target[
                 urgent_indptr[state] : urgent_indptr[state + 1]
             ].tolist()
-            combined: dict[int, float] = {}
-            per_branch = 1.0 / len(targets)
-            reachable_tangibles: set[int] = set()
-            for target in targets:
-                for tangible_state, weight in resolve(target).items():
-                    combined[tangible_state] = (
-                        combined.get(tangible_state, 0.0) + per_branch * weight
-                    )
-                    reachable_tangibles.add(tangible_state)
-            if len(reachable_tangibles) > 1:
-                if on_nondeterminism == "error":
-                    names = [automaton.state_name(s) for s in sorted(reachable_tangibles)]
-                    raise NondeterminismError(
-                        f"vanishing state {automaton.state_name(state)} can reach "
-                        f"{len(reachable_tangibles)} different tangible states "
-                        f"({', '.join(names[:5])}...); the model is not confluent"
-                    )
-            result = combined
-        resolution[state] = result
-        return result
+        } - {-1}
+        if len(reached) > 1:
+            names = [automaton.state_name(s) for s in sorted(reached)]
+            raise NondeterminismError(
+                f"vanishing state {automaton.state_name(state)} can reach "
+                f"{len(reached)} different tangible states "
+                f"({', '.join(names[:5])}...); the model is not confluent"
+            )
+        resolution[state] = reached.pop() if reached else -1
+        return resolution[state]
+
+    def resolve_tangible(state: int) -> int:
+        resolved = resolve(state)
+        if resolved < 0:
+            raise NondeterminismError(
+                f"vanishing state {automaton.state_name(state)} reaches no "
+                "tangible state: its internal moves cycle forever"
+            )
+        return int(tangible_of[resolved])
 
     # Markovian sources are all tangible (maximal progress cut above); edges
     # whose target is tangible too — the common case — map wholesale.  Edges
     # into vanishing targets go through the (memoised) tau-resolution; each
     # unique vanishing target resolves once.
-    edge_source = tangible_of[markovian_csr.source]
-    edge_rate = markovian_csr.rate
     edge_target = tangible_of[markovian_csr.target]
     vanishing_edges = np.flatnonzero(edge_target < 0)
     if len(vanishing_edges):
+        vanishing_targets = markovian_csr.target[vanishing_edges]
         confluent_of = np.full(automaton.num_states, -1, dtype=np.int64)
-        branching: dict[int, dict[int, float]] = {}
-        for state in unique_sorted(markovian_csr.target[vanishing_edges]).tolist():
-            resolved = resolve(state)
-            if len(resolved) == 1:
-                confluent_of[state] = tangible_of[next(iter(resolved))]
-            else:
-                branching[state] = resolved
-        if not branching:
-            edge_target = np.where(
-                edge_target >= 0, edge_target, confluent_of[markovian_csr.target]
-            )
-        else:
-            # Rare (only reachable with on_nondeterminism="uniform"): expand
-            # the affected edges in place so the edge order — and hence the
-            # bit-exact rate accumulation — is preserved.
-            sources, rates, targets = [], [], []
-            for position in range(len(edge_source)):
-                target = int(markovian_csr.target[position])
-                if edge_target[position] >= 0:
-                    sources.append(int(edge_source[position]))
-                    rates.append(float(edge_rate[position]))
-                    targets.append(int(edge_target[position]))
-                    continue
-                for tangible_state, weight in resolve(target).items():
-                    sources.append(int(edge_source[position]))
-                    rates.append(float(edge_rate[position]) * weight)
-                    targets.append(int(tangible_of[tangible_state]))
-            edge_source = np.array(sources, dtype=np.int64)
-            edge_rate = np.array(rates, dtype=np.float64)
-            edge_target = np.array(targets, dtype=np.int64)
-
-    initial_resolution = resolve(automaton.initial)
-    if len(initial_resolution) == 1:
-        initial: int | list[float] = int(tangible_of[next(iter(initial_resolution))])
-    else:
-        vector = [0.0] * len(tangible)
-        for tangible_state, weight in initial_resolution.items():
-            vector[int(tangible_of[tangible_state])] = weight
-        initial = vector
+        for state in unique_sorted(vanishing_targets).tolist():
+            confluent_of[state] = resolve_tangible(state)
+        edge_target[vanishing_edges] = confluent_of[vanishing_targets]
 
     labels = {}
     for state, props in automaton.labels.items():
@@ -168,7 +129,13 @@ def extract_ctmc(automaton: IOIMC, *, on_nondeterminism: str = "error") -> CTMC:
             labels[int(tangible_of[state])] = frozenset(props)
     names = [automaton.state_name(state) for state in tangible.tolist()]
     return CTMC.from_arrays(
-        len(tangible), edge_source, edge_rate, edge_target, initial, labels, names
+        len(tangible),
+        tangible_of[markovian_csr.source],
+        markovian_csr.rate,
+        edge_target,
+        resolve_tangible(automaton.initial),
+        labels,
+        names,
     )
 
 

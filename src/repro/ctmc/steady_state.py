@@ -84,51 +84,48 @@ def bottom_strongly_connected_components(ctmc: CTMC) -> list[list[int]]:
 
 def absorption_probabilities(ctmc: CTMC, bsccs: list[list[int]]) -> np.ndarray:
     """Probability of eventually entering each BSCC from the initial distribution."""
-    in_bscc = {}
+    component_of = np.full(ctmc.num_states, -1, dtype=np.int64)
     for index, component in enumerate(bsccs):
-        for state in component:
-            in_bscc[state] = index
-    transient = [state for state in range(ctmc.num_states) if state not in in_bscc]
-    weights = np.zeros(len(bsccs))
+        component_of[component] = index
+    initial = ctmc.initial_distribution
     # Mass that already starts inside a BSCC stays there.
-    for state, probability in enumerate(ctmc.initial_distribution):
-        if probability > 0 and state in in_bscc:
-            weights[in_bscc[state]] += probability
-    if not transient:
+    starts_inside = np.flatnonzero((initial > 0) & (component_of >= 0))
+    weights = np.bincount(
+        component_of[starts_inside], weights=initial[starts_inside], minlength=len(bsccs)
+    ).astype(np.float64, copy=False)  # int64 when no mass starts inside
+    transient = np.flatnonzero(component_of < 0)
+    size = len(transient)
+    if not size:
         return weights
-    transient_index = {state: position for position, state in enumerate(transient)}
-    exit_rates = np.zeros(len(transient))
-    rows, cols, data = [], [], []
-    into_bscc = np.zeros((len(transient), len(bsccs)))
-    for source, rate, target in ctmc.transitions():
-        if source not in transient_index:
-            continue
-        position = transient_index[source]
-        exit_rates[position] += rate
-        if target in transient_index:
-            rows.append(position)
-            cols.append(transient_index[target])
-            data.append(rate)
-        else:
-            into_bscc[position, in_bscc[target]] += rate
+    position = np.full(ctmc.num_states, -1, dtype=np.int64)
+    position[transient] = np.arange(size)
+    source, rate, target = ctmc.edge_arrays()
+    leaving = component_of[source] < 0
+    source, rate, target = position[source[leaving]], rate[leaving], target[leaving]
+    exit_rates = np.bincount(source, weights=rate, minlength=size)
     if np.any(exit_rates <= 0):
         raise AnalysisError("a transient state has no outgoing transition")
+    inside = component_of[target] < 0
+    into = ~inside
+    into_bscc = np.bincount(
+        source[into] * len(bsccs) + component_of[target[into]],
+        weights=rate[into],
+        minlength=size * len(bsccs),
+    ).reshape(size, len(bsccs))
     # Embedded jump chain: P = R / exit, absorption solves (I - P_TT) x = P_TB.
     scale = 1.0 / exit_rates
+    rows = source[inside]
     p_tt = sparse.csr_matrix(
-        (np.array(data) * scale[np.array(rows, dtype=int)], (rows, cols)),
-        shape=(len(transient), len(transient)),
-    ) if data else sparse.csr_matrix((len(transient), len(transient)))
+        (rate[inside] * scale[rows], (rows, position[target[inside]])),
+        shape=(size, size),
+    )
     p_tb = into_bscc * scale[:, None]
-    system = sparse.identity(len(transient), format="csc") - p_tt.tocsc()
+    system = sparse.identity(size, format="csc") - p_tt.tocsc()
     solution = sparse_linalg.spsolve(system, p_tb)
     solution = np.atleast_2d(solution)
-    if solution.shape != (len(transient), len(bsccs)):
-        solution = solution.reshape(len(transient), len(bsccs))
-    initial_transient = np.array(
-        [ctmc.initial_distribution[state] for state in transient]
-    )
-    weights += initial_transient @ solution
+    if solution.shape != (size, len(bsccs)):
+        solution = solution.reshape(size, len(bsccs))
+    weights += initial[transient] @ solution
     return weights
 
 

@@ -5,7 +5,8 @@ chain (Section 4): after every composition step the intermediate I/O-IMC is
 reduced so that the state-space explosion is kept in check.
 
 All three minimisation passes (strong, weak and branching — the notion
-CADP's minimisation in the paper actually uses) run on the vectorised
+CADP's minimisation in the paper actually uses), and the final ordinary
+lumping of the CTMC (:mod:`repro.ctmc.lumping`), run on the vectorised
 worklist refinement engine of :mod:`repro.lumping.refinement`, operating on
 the flat CSR adjacency of :class:`repro.ioimc.TransitionIndex`: block
 signatures are encoded as integer keys and grouped with ``np.unique``
@@ -19,7 +20,7 @@ and backend layout.
 
 from .branching import branching_bisimulation_partition, minimize_branching
 from .partition import Partition, label_codes
-from .refinement import refine_partition_vectorized, refine_with_worklist
+from .refinement import refine_partition_vectorized
 from .reductions import (
     eliminate_vanishing_chains,
     maximal_progress_cut,
@@ -39,7 +40,6 @@ __all__ = [
     "branching_bisimulation_partition",
     "label_codes",
     "refine_partition_vectorized",
-    "refine_with_worklist",
     "eliminate_vanishing_chains",
     "maximal_progress_cut",
     "prune_unreachable",

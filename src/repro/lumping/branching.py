@@ -73,9 +73,7 @@ from .refinement import refine_partition_vectorized
 from .strong import LumpingResult
 
 
-def branching_bisimulation_partition(
-    automaton: IOIMC, *, respect_labels: bool = True
-) -> Partition:
+def branching_bisimulation_partition(automaton: IOIMC) -> Partition:
     """Compute the coarsest branching-bisimulation partition of ``automaton``."""
     index = automaton.index()
     num_states = automaton.num_states
@@ -186,15 +184,13 @@ def branching_bisimulation_partition(
 
     return refine_partition_vectorized(
         num_states,
-        label_codes(automaton, respect_labels=respect_labels),
+        label_codes(automaton),
         signature_edges,
         (observer_indptr, reader),
     )
 
 
-def minimize_branching(
-    automaton: IOIMC, *, respect_labels: bool = True
-) -> LumpingResult:
+def minimize_branching(automaton: IOIMC) -> LumpingResult:
     """Minimise ``automaton`` modulo branching bisimulation.
 
     The quotient is the shared tau-abstracting construction
@@ -209,9 +205,7 @@ def minimize_branching(
     with telemetry_span(
         "reduce.branching", states=automaton.num_states
     ) as reduce_span:
-        partition = branching_bisimulation_partition(
-            automaton, respect_labels=respect_labels
-        )
+        partition = branching_bisimulation_partition(automaton)
         result = quotient_modulo_inert_tau(automaton, partition)
         reduce_span.set(blocks=partition.num_blocks)
         return result

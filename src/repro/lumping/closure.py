@@ -15,9 +15,9 @@ edges (:func:`repro.nputil.reachable_pairs`).  Shared here:
   engine redistributes a rate to the tau-sinks of its target
   (:mod:`repro.lumping.weak`), the branching engine attributes it to the
   direct target (:mod:`repro.lumping.branching`).  Rates are summed in
-  transition order with ``np.bincount`` and quantised with
-  :func:`repro.nputil.round_rates_to_ids` (``float(f"{rate:.9e}")`` applied
-  to the unique sums), so every engine — scalar or vectorised — groups rates
+  transition order and quantised by the engine's shared
+  :func:`repro.lumping.refinement.rate_profile_codes`, so every notion —
+  strong, weak, branching and final CTMC lumping — groups rates
   identically;
 * :func:`quotient_modulo_inert_tau` — the quotient construction both
   notions share: internal moves that stay inside an equivalence class are
@@ -32,8 +32,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioimc import IOIMC
-from ..nputil import gather_row_indices, round_rates_to_ids
-from .refinement import group_states_by_code_sets
+from ..nputil import gather_row_indices
+from .refinement import group_states_by_code_sets, rate_profile_codes
 from .strong import LumpingResult
 
 
@@ -59,21 +59,15 @@ def markovian_profile_ids(
     profile_groups = 1
     if len(posts):
         picked_rates = gather_row_indices(markovian_csr.indptr, posts)
-        if len(picked_rates):
-            pair = markovian_csr.source[picked_rates].astype(np.int64) * num_blocks + block[
-                landing_of_edge[picked_rates]
-            ]
-            unique_pairs, pair_index = np.unique(pair, return_inverse=True)
-            sums = np.bincount(pair_index, weights=markovian_csr.rate[picked_rates])
-            rate_ids, distinct = round_rates_to_ids(sums)
-            profile_codes = (unique_pairs % num_blocks) * max(distinct, 1) + rate_ids
-            profile_sources = np.searchsorted(posts, unique_pairs // num_blocks)
-        else:
-            profile_codes = np.empty(0, dtype=np.int64)
-            profile_sources = np.empty(0, dtype=np.int64)
+        profile_sources, profile_codes = rate_profile_codes(
+            markovian_csr.source[picked_rates],
+            block[landing_of_edge[picked_rates]],
+            markovian_csr.rate[picked_rates],
+            num_blocks,
+        )
         gids = group_states_by_code_sets(
             len(posts),
-            profile_sources,
+            np.searchsorted(posts, profile_sources),
             profile_codes,
             np.zeros(len(posts), dtype=np.int64),
         )

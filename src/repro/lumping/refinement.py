@@ -1,58 +1,49 @@
-"""Partition refinement engines shared by all minimisation passes.
+"""The partition-refinement engine shared by every minimisation pass.
 
-The seed implementation refined by global rounds: every round recomputed the
-signature of *every* state and re-grouped the whole state space, giving
-``O(rounds * (states + transitions))`` work even when a round split a single
-block.  PR 1 replaced it with the splitter-worklist engine
-(:func:`refine_with_worklist`), which only re-examines blocks whose states
-may have changed signature; per-state signatures were still built as Python
-tuples and hashed through a dict.
-
-This module now also provides the **vectorised** engine
-(:func:`refine_partition_vectorized`) that the strong and weak minimisation
-passes run on.  It keeps the worklist idea — only blocks containing an
-*observer* of a state whose block id changed are re-examined — but evaluates
-signatures for a whole batch of states at once over the flat CSR adjacency
-arrays of :class:`~repro.ioimc.indexed.TransitionIndex`:
+:func:`refine_partition_vectorized` computes the coarsest stable partition
+for strong, weak and branching bisimulation of I/O-IMCs and for ordinary
+lumpability of the final CTMC (:mod:`repro.ctmc.lumping`).  It is a worklist
+engine — only blocks containing an *observer* of a state whose block id
+changed are re-examined — that evaluates signatures for a whole batch of
+states at once over flat CSR adjacency arrays:
 
 * a signature provider encodes every (state, signature-element) pair as an
   ``int64`` code — e.g. ``action_id * num_blocks + block_of[target]`` for a
-  strong interactive move — with set semantics per state;
+  strong interactive move — with set semantics per state; any injective
+  encoding works, because block numbering never depends on code values;
 * states of the re-examined blocks are grouped by their code *sets* with
   ``np.unique``-based grouping (:func:`group_states_by_code_sets`): codes are
   deduplicated per state, then folded position-by-position, each fold one
   ``np.unique`` over the still-active states — total sort work proportional
   to the number of codes, never ``states x max_degree``;
-* Markovian rates are summed per (state, target block) with ``np.bincount``
-  in transition order and quantised exactly like the dict-based engines
-  (``float(f"{rate:.9e}")``, applied to the unique sums only), so the two
-  code paths group rates identically.
+* Markovian rates are summed per (state, landing block) with ``np.bincount``
+  in transition order and quantised with ``float(f"{rate:.9e}")``, applied
+  to the unique sums only (:func:`rate_profile_codes`, which every engine
+  uses), so all notions group rates identically.
 
-Both engines compute the same (unique) coarsest stable partition and
-canonicalise block numbering to first-occurrence order over the state order
-— exactly the numbering the seed's round-based implementation produced, so
-either engine is a drop-in replacement, bit-identical downstream.
-
-For the signature functionals used here (strong bisimulation, the weak
-signature of :mod:`repro.lumping.weak`, ordinary CTMC lumpability) the
-coarsest stable partition is unique, so the processing order of splits
-cannot change the result, only the running time.
+The result's blocks are numbered by first occurrence over the state order,
+the numbering a round-based refinement (regroup every state by
+``(block, signature)`` each round) produces.  Each round re-examines every
+block such a full round could split, against the same partition, so the two
+compute the same partition round by round (``tests/lumping_oracle.py`` keeps
+the round-based one as the reference).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Hashable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from ..nputil import first_occurrence_renumber, gather_row_indices, unique_sorted
+from ..nputil import (
+    first_occurrence_renumber,
+    gather_row_indices,
+    round_rates_to_ids,
+    unique_sorted,
+)
 from ..telemetry.trace import observe
 from ..telemetry.trace import span as telemetry_span
 from .partition import Partition
-
-#: A signature function: ``signature(state, block_of) -> hashable key``.
-SignatureFn = Callable[[int, Sequence[int]], Hashable]
 
 #: A vectorised signature provider: ``(block, num_blocks, states) -> (src, code)``.
 #: Given the current block assignment (``int64`` per state) and the sorted
@@ -65,92 +56,6 @@ VectorSignatureFn = Callable[
 ]
 
 
-def refine_with_worklist(
-    initial_keys: Sequence[Hashable],
-    signature_of: SignatureFn,
-    observers_of: Sequence[Sequence[int]],
-) -> Partition:
-    """Refine the partition induced by ``initial_keys`` to the coarsest
-    partition stable under ``signature_of`` (scalar reference engine).
-
-    Parameters
-    ----------
-    initial_keys:
-        One hashable key per state; states with equal keys start in the same
-        block (same contract as :meth:`Partition.from_keys`).
-    signature_of:
-        ``signature_of(state, block_of)`` returns the hashable refinement
-        signature of ``state`` against the current block assignment.  It must
-        be *monotone*: states with equal signatures under a finer stable
-        partition also have equal signatures under any coarser one — all
-        bisimulation-style signatures are.
-    observers_of:
-        For every state ``x``, the states whose signature reads
-        ``block_of[x]`` (typically the predecessors of ``x``).  When a block
-        splits, the blocks of the observers of its states are re-examined.
-    """
-    block_index: dict[Hashable, int] = {}
-    block_of: list[int] = []
-    for key in initial_keys:
-        block_of.append(block_index.setdefault(key, len(block_index)))
-    members: list[list[int]] = [[] for _ in range(len(block_index))]
-    for state, block in enumerate(block_of):
-        members[block].append(state)
-
-    worklist: deque[int] = deque(
-        block for block, states in enumerate(members) if len(states) > 1
-    )
-    queued: list[bool] = [len(states) > 1 for states in members]
-
-    while worklist:
-        block = worklist.popleft()
-        queued[block] = False
-        states = members[block]
-        if len(states) <= 1:
-            continue
-        groups: dict[Hashable, list[int]] = {}
-        for state in states:
-            groups.setdefault(signature_of(state, block_of), []).append(state)
-        if len(groups) == 1:
-            continue
-
-        # Split: the first group keeps the old block id, the rest get fresh
-        # ids.  Insertion order of ``groups`` is first-occurrence order, so
-        # the assignment is deterministic.
-        group_iter = iter(groups.values())
-        members[block] = next(group_iter)
-        for group in group_iter:
-            fresh = len(members)
-            members.append(group)
-            queued.append(False)
-            for state in group:
-                block_of[state] = fresh
-
-        # Every state of the former block may now be distinguished from its
-        # old block-mates, so any block containing an observer of any of them
-        # must be re-examined.
-        touched: set[int] = set()
-        for group in groups.values():
-            for state in group:
-                for observer in observers_of[state]:
-                    touched.add(block_of[observer])
-        for candidate in touched:
-            if not queued[candidate] and len(members[candidate]) > 1:
-                queued[candidate] = True
-                worklist.append(candidate)
-
-    # Canonical numbering: first occurrence over the state order, matching
-    # what iterated Partition.refine produced.
-    renumber: dict[int, int] = {}
-    for block in block_of:
-        if block not in renumber:
-            renumber[block] = len(renumber)
-    return Partition([renumber[block] for block in block_of])
-
-
-# ---------------------------------------------------------------------- #
-# vectorised engine
-# ---------------------------------------------------------------------- #
 def _dedupe_state_codes(
     local: np.ndarray, code: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -211,6 +116,30 @@ def group_states_by_code_sets(
     return final.astype(np.int64)
 
 
+def rate_profile_codes(
+    source: np.ndarray, landing_block: np.ndarray, rate: np.ndarray, num_blocks: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Encode cumulative rates per (state, landing block) as signature codes.
+
+    Edge ``i`` moves ``rate[i]`` from state ``source[i]`` into block
+    ``landing_block[i]``.  The rates of each (state, block) pair are summed in
+    edge order with ``np.bincount`` and quantised by
+    :func:`repro.nputil.round_rates_to_ids`.  Returns ``(state, code)`` with
+    one entry per pair; two pairs share a code iff they land in the same
+    block with the same quantised sum.  Codes lie in
+    ``[0, num_blocks * distinct_sums)``.
+    """
+    pair = source.astype(np.int64) * num_blocks + landing_block
+    unique_pairs, pair_index = np.unique(pair, return_inverse=True)
+    rate_ids, distinct = round_rates_to_ids(
+        np.bincount(pair_index, weights=rate, minlength=len(unique_pairs))
+    )
+    return (
+        unique_pairs // num_blocks,
+        (unique_pairs % num_blocks) * max(distinct, 1) + rate_ids,
+    )
+
+
 def refine_partition_vectorized(
     num_states: int,
     initial_codes: np.ndarray,
@@ -223,9 +152,9 @@ def refine_partition_vectorized(
     rounds, resulting blocks) when a telemetry session is active; the rounds
     also feed the ``lumping.refine_rounds`` histogram.
 
-    Same contract (and same result, including block numbering) as
-    :func:`refine_with_worklist`, with the signature function replaced by a
-    batch provider and the observer lists by a CSR table:
+    Returns the coarsest partition that refines ``initial_codes`` and in
+    which all members of a block have equal signatures, with blocks
+    numbered by first occurrence over the state order.
 
     Parameters
     ----------
@@ -233,8 +162,7 @@ def refine_partition_vectorized(
         Number of states being partitioned.
     initial_codes:
         One ``int64`` code per state; states with equal codes start in the
-        same block, numbered by first occurrence exactly as
-        :meth:`Partition.from_keys` numbers equal keys
+        same block, numbered by first occurrence
         (:func:`repro.lumping.partition.label_codes` builds them from the
         atomic propositions).
     signature_edges:
@@ -318,6 +246,6 @@ def _refine_vectorized(
 
 __all__ = [
     "group_states_by_code_sets",
+    "rate_profile_codes",
     "refine_partition_vectorized",
-    "refine_with_worklist",
 ]

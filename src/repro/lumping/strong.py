@@ -28,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ioimc import IOIMC
-from ..nputil import gather_row_indices, round_rates_to_ids
+from ..nputil import gather_row_indices
 from ..telemetry.trace import span as telemetry_span
 from .partition import Partition, label_codes
-from .refinement import refine_partition_vectorized
+from .refinement import rate_profile_codes, refine_partition_vectorized
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,13 @@ class LumpingResult:
         return self.quotient.num_states
 
 
-def strong_bisimulation_partition(
-    automaton: IOIMC, *, respect_labels: bool = True
-) -> Partition:
+def strong_bisimulation_partition(automaton: IOIMC) -> Partition:
     """Compute the coarsest strong-bisimulation partition of ``automaton``.
 
-    States start grouped by their atomic propositions (unless
-    ``respect_labels`` is ``False``) and are refined until every block agrees
-    on enabled interactive moves per target block and on cumulative Markovian
-    rates per target block (quantised to 10 significant digits, see
-    :func:`repro.nputil.round_rates_to_ids`).
+    States start grouped by their atomic propositions and are refined until
+    every block agrees on enabled interactive moves per target block and on
+    cumulative Markovian rates per target block (quantised to 10 significant
+    digits, see :func:`repro.nputil.round_rates_to_ids`).
     """
     index = automaton.index()
     interactive = index.interactive_csr
@@ -89,28 +86,22 @@ def strong_bisimulation_partition(
         picked = gather_row_indices(markovian.indptr, states)
         if not len(picked):
             return move_src, move_code
-        # Markovian behaviour: cumulative rate per (state, target block),
-        # summed in transition order (bit-identical to the dict-based
-        # accumulation), quantised, and encoded as one code per pair.
-        pair = markovian.source[picked].astype(np.int64) * num_blocks + block[
-            markovian.target[picked]
-        ]
-        unique_pairs, pair_index = np.unique(pair, return_inverse=True)
-        sums = np.bincount(pair_index, weights=markovian.rate[picked])
-        rate_ids, distinct = round_rates_to_ids(sums)
-        rate_code = (
-            num_actions * num_blocks  # disjoint from the interactive code range
-            + (unique_pairs % num_blocks) * max(distinct, 1)
-            + rate_ids
+        # Markovian behaviour: one code per (state, target block) with its
+        # quantised cumulative rate, shifted past the interactive codes.
+        rate_src, rate_code = rate_profile_codes(
+            markovian.source[picked],
+            block[markovian.target[picked]],
+            markovian.rate[picked],
+            num_blocks,
         )
         return (
-            np.concatenate([move_src, unique_pairs // num_blocks]),
-            np.concatenate([move_code, rate_code]),
+            np.concatenate([move_src, rate_src]),
+            np.concatenate([move_code, num_actions * num_blocks + rate_code]),
         )
 
     return refine_partition_vectorized(
         automaton.num_states,
-        label_codes(automaton, respect_labels=respect_labels),
+        label_codes(automaton),
         signature_edges,
         index.predecessor_csr(),
     )
@@ -121,12 +112,10 @@ def quotient_by_partition(automaton: IOIMC, partition: Partition) -> IOIMC:
     return automaton.relabel_states(partition.block_of, partition.num_blocks)
 
 
-def minimize_strong(automaton: IOIMC, *, respect_labels: bool = True) -> LumpingResult:
+def minimize_strong(automaton: IOIMC) -> LumpingResult:
     """Minimise ``automaton`` modulo strong bisimulation."""
     with telemetry_span("reduce.strong", states=automaton.num_states) as reduce_span:
-        partition = strong_bisimulation_partition(
-            automaton, respect_labels=respect_labels
-        )
+        partition = strong_bisimulation_partition(automaton)
         quotient = quotient_by_partition(automaton, partition)
         reduce_span.set(blocks=partition.num_blocks)
         return LumpingResult(quotient=quotient, block_of_state=tuple(partition.block_of))

@@ -83,9 +83,7 @@ from .refinement import refine_partition_vectorized
 from .strong import LumpingResult
 
 
-def weak_bisimulation_partition(
-    automaton: IOIMC, *, respect_labels: bool = True
-) -> Partition:
+def weak_bisimulation_partition(automaton: IOIMC) -> Partition:
     """Compute a weak-bisimulation partition of ``automaton``."""
     index = automaton.index()
     interactive_csr = index.interactive_csr
@@ -214,7 +212,7 @@ def weak_bisimulation_partition(
 
     partition = refine_partition_vectorized(
         num_states,
-        label_codes(automaton, respect_labels=respect_labels),
+        label_codes(automaton),
         signature_edges,
         (observer_indptr, reader),
     )
@@ -258,7 +256,7 @@ def _ambiguous_attribution(
     )
 
 
-def minimize_weak(automaton: IOIMC, *, respect_labels: bool = True) -> LumpingResult:
+def minimize_weak(automaton: IOIMC) -> LumpingResult:
     """Minimise ``automaton`` modulo the weak bisimulation described above.
 
     The quotient follows the branching-bisimulation recipe
@@ -271,9 +269,7 @@ def minimize_weak(automaton: IOIMC, *, respect_labels: bool = True) -> LumpingRe
     to ``-1`` in ``block_of_state``.
     """
     with telemetry_span("reduce.weak", states=automaton.num_states) as reduce_span:
-        partition = weak_bisimulation_partition(
-            automaton, respect_labels=respect_labels
-        )
+        partition = weak_bisimulation_partition(automaton)
         result = quotient_modulo_inert_tau(automaton, partition)
         reduce_span.set(blocks=partition.num_blocks)
         return result

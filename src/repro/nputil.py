@@ -83,8 +83,8 @@ def reachable_pairs(
 def first_occurrence_renumber(values: np.ndarray) -> np.ndarray:
     """Renumber integer ``values`` to 0..k-1 by order of first occurrence.
 
-    Matches the ``dict.setdefault`` numbering the dict-based engines produce
-    (:meth:`repro.lumping.partition.Partition.from_keys`).
+    The numbering ``dict.setdefault`` gives equal keys met in order: block
+    ids of a partition are canonicalised this way.
     """
     _, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
     order = np.argsort(first_index, kind="stable")
@@ -153,8 +153,8 @@ def round_rates_to_ids(sums: np.ndarray) -> tuple[np.ndarray, int]:
     """Intern float rate sums to small ids after 10-significant-digit rounding.
 
     Applies exactly the ``float(f"{rate:.9e}")`` quantisation of the
-    dict-based signature code (so vectorised and scalar engines group rates
-    identically), formatting only the *unique* sums through Python.
+    round-based reference refinements in the tests, formatting only the
+    *unique* sums through Python.
     Returns ``(id_per_sum, number_of_distinct_ids)``.
     """
     unique_sums, inverse = np.unique(sums, return_inverse=True)

@@ -18,13 +18,14 @@ import random
 
 import pytest
 
+from lumping_oracle import from_keys, refine
+
 from repro.arcade.semantics import translate_model
 from repro.casestudies.dds import DDSParameters, build_dds_model
 from repro.ctmc import extract_ctmc, steady_state_availability
 from repro.errors import LumpingError
 from repro.ioimc import IOIMC, IOIMCBuilder, Signature, compose, hide
 from repro.lumping import (
-    Partition,
     branching_bisimulation_partition,
     maximal_progress_cut,
     minimize_branching,
@@ -240,7 +241,17 @@ def _random_tau_automaton(seed: int):
     return builder.build()
 
 
-def branching_partition_reference(automaton, *, respect_labels=True):
+def labelled_pair():
+    """Two states that differ only in a label (bisimilar without it)."""
+    builder = IOIMCBuilder("labels", Signature.create())
+    builder.state("a", initial=True, labels={"down"})
+    builder.state("b")
+    builder.markovian("a", 1.0, "b")
+    builder.markovian("b", 1.0, "a")
+    return builder.build()
+
+
+def branching_partition_reference(automaton):
     """Naive round-based branching-bisimulation refinement.
 
     The executable specification of
@@ -264,11 +275,7 @@ def branching_partition_reference(automaton, *, respect_labels=True):
     is_visible = index.is_visible
     stable = index.stable
 
-    if respect_labels:
-        keys = [automaton.label_of(state) for state in automaton.states()]
-    else:
-        keys = [frozenset()] * automaton.num_states
-    partition = Partition.from_keys(keys)
+    partition = from_keys([automaton.label_of(state) for state in automaton.states()])
 
     def signature(state):
         block_of = partition.block_of
@@ -306,7 +313,7 @@ def branching_partition_reference(automaton, *, respect_labels=True):
                 )
         return frozenset(elements)
 
-    while partition.refine(signature):
+    while refine(partition, signature):
         pass
     return partition
 
@@ -317,7 +324,7 @@ class TestScalarVsVectorised:
     reference — same blocks, same first-occurrence numbering."""
 
     def test_matches_reference_on_hand_examples(self):
-        for automaton in (classic_weak_vs_branching(),):
+        for automaton in (classic_weak_vs_branching(), labelled_pair()):
             vectorised = branching_bisimulation_partition(automaton)
             reference = branching_partition_reference(automaton)
             assert vectorised.block_of == reference.block_of
@@ -328,20 +335,6 @@ class TestScalarVsVectorised:
             vectorised = branching_bisimulation_partition(automaton)
             reference = branching_partition_reference(automaton)
             assert vectorised.block_of == reference.block_of, f"seed {seed}"
-
-    def test_respect_labels_false_ignores_propositions(self):
-        builder = IOIMCBuilder("labels", Signature.create())
-        builder.state("a", initial=True, labels={"down"})
-        builder.state("b")
-        builder.markovian("a", 1.0, "b")
-        builder.markovian("b", 1.0, "a")
-        automaton = builder.build()
-        respectful = branching_bisimulation_partition(automaton)
-        oblivious = branching_bisimulation_partition(automaton, respect_labels=False)
-        assert respectful.num_blocks == 2
-        assert oblivious.num_blocks == 1
-        reference = branching_partition_reference(automaton, respect_labels=False)
-        assert oblivious.block_of == reference.block_of
 
 
 def quotient_modulo_inert_tau_reference(automaton, partition):
@@ -428,16 +421,13 @@ PARTITIONS = {
 class TestInertTauQuotientMatchesReference:
     """The CSR quotient must reproduce the per-state construction exactly."""
 
-    @pytest.mark.parametrize("respect_labels", [True, False])
     @pytest.mark.parametrize("mode", sorted(PARTITIONS))
-    def test_random_tau_graphs(self, mode, respect_labels):
+    def test_random_tau_graphs(self, mode):
         compared = 0
         for seed in range(40):
             automaton = _random_tau_automaton(seed)
             try:
-                partition = PARTITIONS[mode](
-                    automaton, respect_labels=respect_labels
-                )
+                partition = PARTITIONS[mode](automaton)
             except LumpingError:
                 continue  # weak: tau-nondeterministic rate attribution
             result = quotient_modulo_inert_tau(automaton, partition)

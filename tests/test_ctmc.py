@@ -11,6 +11,7 @@ from scipy import sparse
 from repro.ctmc import (
     CTMC,
     bottom_strongly_connected_components,
+    extract_ctmc,
     interval_unavailability,
     lump,
     make_absorbing,
@@ -25,8 +26,16 @@ from repro.ctmc import (
     unreliability,
 )
 from repro.ctmc.csl import Atomic, CSLChecker, Not, ProbabilisticUntil, SteadyState, eventually
-from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system
-from repro.errors import AnalysisError, ModelError
+from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system, absorption_probabilities
+from repro.errors import AnalysisError, ModelError, NondeterminismError
+from repro.ioimc import IOIMCBuilder, Signature
+
+from lumping_oracle import (
+    absorption_probabilities_reference,
+    lump_reference,
+    mean_time_to_failure_reference,
+    pair_rates_reference,
+)
 
 
 def two_state_machine(failure_rate=0.01, repair_rate=1.0) -> CTMC:
@@ -673,11 +682,11 @@ def test_steady_state_is_probability_vector(data):
     )
 )
 def test_from_arrays_matches_loop_constructor(data):
-    """CTMC.from_arrays is bit-identical to the triple-loop constructor.
+    """Both constructors store exactly what a dict accumulation would.
 
-    Same pair interning order (first occurrence), same rate accumulation
-    order (edge order), same self-loop dropping — pinned because
-    extract_ctmc now builds every chain through the array path.
+    Pairs interned in first-occurrence order, rates summed in edge order,
+    self-loops dropped — pinned because extract_ctmc and lump build every
+    chain through the array path.
     """
     loop_built = CTMC(6, list(data), labels={1: frozenset({"down"})})
     array_built = CTMC.from_arrays(
@@ -687,6 +696,178 @@ def test_from_arrays_matches_loop_constructor(data):
         np.array([t for _, _, t in data], dtype=np.int64),
         labels={1: frozenset({"down"})},
     )
-    assert list(array_built._rates.items()) == list(loop_built._rates.items())
+    expected = pair_rates_reference(data)
+    for chain in (loop_built, array_built):
+        assert [(s, t, r) for s, r, t in chain.transitions()] == expected
+        source, rate, target = chain.edge_arrays()
+        assert (source.dtype, rate.dtype, target.dtype) == (np.int64, np.float64, np.int64)
+        assert rate.tobytes() == np.array([r for _, _, r in expected], dtype=np.float64).tobytes()
     assert array_built.labels == loop_built.labels
     assert (array_built.initial_distribution == loop_built.initial_distribution).all()
+
+
+def _build_with_rate(constructor, value):
+    if constructor == "triples":
+        return CTMC(2, [(0, 1.0, 1), (1, value, 0)])
+    return CTMC.from_arrays(
+        2, np.array([0, 1]), np.array([1.0, value]), np.array([1, 0])
+    )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("constructor", ["triples", "arrays"])
+def test_constructors_reject_non_finite_or_non_positive_rates(constructor, value):
+    with pytest.raises(ModelError, match=f"finite and positive, got {value}$"):
+        _build_with_rate(constructor, value)
+
+
+# --------------------------------------------------------------------------- #
+# final lumping and the absorbing solvers against their scalar oracles
+# --------------------------------------------------------------------------- #
+#: Rates whose ``%.9e`` quantisation flips under a relative nudge of 1e-10:
+#: 1.00000000049 rounds to 1.000000000, its nudged copy to 1.000000001.
+STRADDLING_RATES = [0.5, 1.0, 2.0, 1.00000000049, 3.0000000015]
+
+
+@st.composite
+def random_chains(draw, rates=st.sampled_from(STRADDLING_RATES), max_states=10):
+    """Small chains with a few labels and a point or spread initial
+    distribution.  By default the rates repeat and straddle the ``%.9e``
+    boundary, so states lump; any rate strategy can be passed instead."""
+    size = draw(st.integers(min_value=1, max_value=max_states))
+    state = st.integers(min_value=0, max_value=size - 1)
+    base = draw(st.lists(rates, min_size=1, max_size=3))
+    edges = draw(
+        st.lists(
+            st.tuples(state, st.sampled_from(base), st.booleans(), state),
+            min_size=size,
+            max_size=4 * size,
+        )
+    )
+    transitions = [
+        (source, rate * (1 + 1e-10) if nudged else rate, target)
+        for source, rate, nudged, target in edges
+    ]
+    labels = {
+        s: frozenset({"down"}) for s in draw(st.sets(state, max_size=max(1, size // 3)))
+    }
+    spread = draw(
+        st.none()
+        | st.lists(
+            st.floats(min_value=0.01, max_value=1.0), min_size=size, max_size=size
+        )
+    )
+    if spread is None:
+        initial = draw(state)
+    else:
+        total = sum(spread)
+        initial = [weight / total for weight in spread]
+    names = [f"x{index}" for index in range(size)]
+    return CTMC(size, transitions, initial, labels, names)
+
+
+def assert_same_chain(actual: CTMC, expected: CTMC) -> None:
+    assert actual.num_states == expected.num_states
+    for column, reference in zip(actual.edge_arrays(), expected.edge_arrays()):
+        assert column.dtype == reference.dtype
+        assert column.tobytes() == reference.tobytes()
+    assert actual.initial_distribution.tobytes() == expected.initial_distribution.tobytes()
+    assert list(actual.labels.items()) == list(expected.labels.items())
+    assert actual.state_names == expected.state_names
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=random_chains())
+def test_lump_matches_round_based_dict_oracle(chain):
+    result = lump(chain)
+    expected = lump_reference(chain)
+    assert result.block_of_state == expected.block_of_state
+    assert_same_chain(result.quotient, expected.quotient)
+
+
+#: Unrepeated rates of mixed magnitude, so that summation order shows.
+SOLVER_RATES = st.floats(min_value=1e-3, max_value=10.0)
+
+
+def solver_outcome(solve, *args):
+    """The result's bytes, or the error it raised (singular systems)."""
+    try:
+        return np.asarray(solve(*args), dtype=np.float64).tobytes()
+    except AnalysisError as error:
+        return str(error)
+
+
+# A transient state without exits makes both assemblies exactly singular.
+@pytest.mark.filterwarnings("ignore::scipy.sparse.linalg.MatrixRankWarning")
+@settings(max_examples=150, deadline=None)
+@given(chain=random_chains(rates=SOLVER_RATES))
+def test_mttf_matches_per_edge_oracle_bytes(chain):
+    assert solver_outcome(mean_time_to_failure, chain) == solver_outcome(
+        mean_time_to_failure_reference, chain
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=random_chains(rates=SOLVER_RATES))
+def test_absorption_probabilities_match_per_edge_oracle_bytes(chain):
+    # Absorbing down states leave more of the chain transient.
+    for variant in (chain, make_absorbing(chain, chain.states_with_label("down"))):
+        bsccs = bottom_strongly_connected_components(variant)
+        assert solver_outcome(
+            absorption_probabilities, variant, bsccs
+        ) == solver_outcome(absorption_probabilities_reference, variant, bsccs)
+
+
+def test_absorption_probabilities_reject_exitless_transient_states():
+    # Declared transient, state 0 has no exit: it cannot reach the BSCC.
+    chain = CTMC(3, [(1, 1.0, 2), (2, 1.0, 1)], initial=[0.5, 0.5, 0.0])
+    bsccs = [[1, 2]]
+    with pytest.raises(AnalysisError, match="no outgoing transition"):
+        absorption_probabilities(chain, bsccs)
+
+
+# --------------------------------------------------------------------------- #
+# extraction's loud failures
+# --------------------------------------------------------------------------- #
+class TestExtractionFailures:
+    def test_open_system_with_inputs_is_rejected(self):
+        builder = IOIMCBuilder("open", Signature.create(inputs={"go"}))
+        builder.state("s", initial=True)
+        builder.interactive("s", "go", "t")
+        builder.markovian("t", 1.0, "s")
+        with pytest.raises(NondeterminismError, match=r"input actions \['go'\]"):
+            extract_ctmc(builder.build())
+
+    def test_vanishing_state_reaching_two_tangible_states_is_named(self):
+        builder = IOIMCBuilder("choice", Signature.create(internals={"tau"}))
+        builder.state("up", initial=True)
+        builder.markovian("up", 1.0, "choose")
+        builder.interactive("choose", "tau", "left")
+        builder.interactive("choose", "tau", "right")
+        builder.markovian("left", 1.0, "up")
+        builder.markovian("right", 2.0, "up")
+        with pytest.raises(
+            NondeterminismError,
+            match="vanishing state choose can reach 2 different tangible states",
+        ):
+            extract_ctmc(builder.build())
+
+    def test_vanishing_state_on_a_tau_cycle_is_named(self):
+        builder = IOIMCBuilder("divergent", Signature.create(internals={"tau"}))
+        builder.state("up", initial=True)
+        builder.markovian("up", 1.0, "spin")
+        builder.interactive("spin", "tau", "spun")
+        builder.interactive("spun", "tau", "spin")
+        with pytest.raises(NondeterminismError, match="vanishing state spin reaches no"):
+            extract_ctmc(builder.build())
+
+    def test_confluent_vanishing_chain_resolves(self):
+        builder = IOIMCBuilder("chain", Signature.create(internals={"tau"}))
+        builder.state("up", initial=True)
+        builder.markovian("up", 1.0, "via")
+        builder.interactive("via", "tau", "down")
+        builder.markovian("down", 2.0, "up")
+        builder.label("down", "down")
+        chain = extract_ctmc(builder.build())
+        assert chain.state_names == ["up", "down"]
+        assert list(chain.transitions()) == [(0, 1.0, 1), (1, 2.0, 0)]

@@ -2,6 +2,8 @@
 
 import pytest
 
+from lumping_oracle import from_keys, refine
+
 from repro.ctmc import extract_ctmc, steady_state_availability
 from repro.errors import LumpingError
 from repro.ioimc import IOIMCBuilder, Signature, compose, hide
@@ -45,9 +47,8 @@ class TestStrongBisimulation:
         builder.state("b")
         builder.markovian("a", 1.0, "b")
         builder.markovian("b", 1.0, "a")
-        # Without label-respect the two states are bisimilar; with labels not.
-        respectful = minimize_strong(builder.build(), respect_labels=True)
-        assert respectful.quotient.num_states == 2
+        # Without their labels the two states would be bisimilar.
+        assert minimize_strong(builder.build()).quotient.num_states == 2
 
     def test_distinct_rates_not_merged(self):
         builder = IOIMCBuilder("rates", Signature.create())
@@ -355,11 +356,7 @@ def reference_strong_partition(automaton):
     Serves as the executable specification the worklist engine must match,
     including the 9-significant-digit rate rounding of the signature.
     """
-    from repro.lumping.partition import Partition
-
-    reference = Partition.from_keys(
-        [automaton.label_of(state) for state in automaton.states()]
-    )
+    reference = from_keys([automaton.label_of(state) for state in automaton.states()])
 
     def signature(state):
         interactive = frozenset(
@@ -375,7 +372,7 @@ def reference_strong_partition(automaton):
         )
         return (interactive, markovian)
 
-    while reference.refine(signature):
+    while refine(reference, signature):
         pass
     return reference
 

@@ -2,7 +2,7 @@
 
 ``unique_sorted`` is pinned against ``np.unique`` (values and dtype),
 ``first_occurrence_renumber`` and ``label_codes`` against the dict-based
-``Partition.from_keys`` numbering, and both branches of
+numbering of the oracle ``lumping_oracle.from_keys``, and both branches of
 ``dedupe_packed_triples`` against a Python ``sorted(set(...))``.  The last
 test keeps every plain dedupe in the package on the sort-based kernel: from
 numpy 2.3 on a bare ``np.unique`` (and ``np.union1d``, which calls it) takes
@@ -15,8 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lumping_oracle import from_keys
+
 from repro.ioimc import IOIMC, Signature
-from repro.lumping.partition import Partition, label_codes
+from repro.lumping.partition import label_codes
 from repro.nputil import dedupe_packed_triples, first_occurrence_renumber, unique_sorted
 
 SOURCE_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -71,7 +73,7 @@ def test_first_occurrence_renumber_matches_partition_from_keys():
     for size in (1, 5, 300):
         for high in (1, 3, 40, 2**50):
             values = rng.integers(0, high, size=size)
-            expected = Partition.from_keys(values.tolist()).block_of
+            expected = from_keys(values.tolist()).block_of
             assert first_occurrence_renumber(values).tolist() == expected
 
 
@@ -100,13 +102,10 @@ def _labelled_automaton(labels, num_states):
 )
 def test_label_codes_number_like_label_keys(labels, num_states):
     automaton = _labelled_automaton(labels, num_states)
-    expected = Partition.from_keys(
-        [automaton.label_of(state) for state in automaton.states()]
-    ).block_of
+    expected = from_keys([automaton.label_of(state) for state in automaton.states()]).block_of
     codes = label_codes(automaton)
     assert codes.dtype == np.int64
     assert first_occurrence_renumber(codes).tolist() == expected
-    assert not label_codes(automaton, respect_labels=False).any()
 
 
 # --------------------------------------------------------------------------- #

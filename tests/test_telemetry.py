@@ -237,6 +237,30 @@ class TestPipelineInstrumentation:
         assert counters["cache.hits"] == summary["hits"]
         assert counters["cache.misses"] == summary["misses"]
 
+    def test_final_lump_span_wraps_its_refinement(self):
+        telemetry = Telemetry(MemorySink())
+        with telemetry.activate():
+            evaluator = build_dds_evaluator(SMALL)
+            chain = evaluator.ctmc
+        events = telemetry.export_events()
+        lumps = [event for event in events if event["name"] == "ctmc.lump"]
+        assert len(lumps) == 1
+        (run,) = [event for event in events if event["name"] == "compose.run"]
+        assert lumps[0]["parent_id"] == run["span_id"]
+        assert lumps[0]["attrs"]["blocks"] == chain.num_states
+        assert lumps[0]["attrs"]["states"] >= chain.num_states
+        refinements = [
+            event
+            for event in events
+            if event["name"] == "lumping.refine"
+            and event["parent_id"] == lumps[0]["span_id"]
+        ]
+        assert len(refinements) == 1
+        assert refinements[0]["attrs"]["blocks"] == chain.num_states
+        rounds = telemetry.metrics.snapshot()["histograms"]["lumping.refine_rounds"]
+        reductions = [event for event in events if event["name"].startswith("reduce.")]
+        assert rounds["count"] == len(reductions) + 1
+
     def test_parallel_workers_merge_into_one_trace(self):
         telemetry = Telemetry(MemorySink())
         with telemetry.activate():
