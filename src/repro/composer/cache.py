@@ -169,24 +169,22 @@ class StepSkeleton:
         the provenance map and its state names (``"left|right"``, as the
         product writes them) are the operand-state pairs.
         """
-        left_edges = left.index().markovian_csr().num_edges
+        left_edges = left.index().markovian_csr.num_edges
         result, states_before, transitions_before = prefix(
             _position_probe(left, 0), _position_probe(right, left_edges)
         )
         index = result.index()
-        markovian = index.markovian_csr()
+        markovian = index.markovian_csr
         pairs = np.array(
             [name.split("|") for name in result.state_names], dtype=np.int64
         )
-        template = IOIMC.trusted(
+        template = IOIMC.from_tables(
             result.name,
             result.signature,
-            result.num_states,
             result.initial,
-            None,  # rows materialise lazily from the index attached below
-            None,
+            index.interactive_csr,
+            markovian,
         )
-        template._index = index.adopt(template, markovian)
         return cls(
             template=template,
             origin=markovian.rate.astype(np.int64) - 1,
@@ -204,7 +202,7 @@ class StepSkeleton:
         the template.
         """
         rates = np.concatenate(
-            [left.index().markovian_csr().rate, right.index().markovian_csr().rate]
+            [left.index().markovian_csr.rate, right.index().markovian_csr.rate]
         )[self.origin]
         lefts = self.left_state.tolist()
         rights = self.right_state.tolist()
@@ -219,23 +217,16 @@ class StepSkeleton:
                 if merged:
                     labels[state] = merged
         template = self.template
-        automaton = IOIMC.trusted(
+        markovian = template.index().markovian_csr
+        return IOIMC.from_tables(
             name,
             template.signature,
-            template.num_states,
             template.initial,
-            None,  # rows materialise lazily from the index attached below
-            None,
+            template.index().interactive_csr,
+            MarkovianCSR(markovian.indptr, markovian.source, rates, markovian.target),
             labels,
             names,
         )
-        index = template.index()
-        markovian = index.markovian_csr()
-        automaton._index = index.adopt(
-            automaton,
-            MarkovianCSR(markovian.indptr, markovian.source, rates, markovian.target),
-        )
-        return automaton
 
 
 def structure_key(
@@ -254,7 +245,7 @@ def structure_key(
     for automaton in (left, right):
         index = automaton.index()
         interactive = index.interactive_csr
-        markovian = index.markovian_csr()
+        markovian = index.markovian_csr
         digest.update(
             f"|{automaton.num_states}|{automaton.initial}|{index.actions}|"
             f"{[_KIND_CODE.get(kind, ';') for kind in index.kinds]}".encode()
@@ -275,25 +266,19 @@ def _position_probe(automaton: IOIMC, first: int) -> IOIMC:
     """``automaton`` with rates ``first + 1, first + 2, ...`` in edge order
     and each state named by its index."""
     index = automaton.index()
-    markovian = index.markovian_csr()
-    probe = IOIMC.trusted(
-        automaton.name,
-        automaton.signature,
-        automaton.num_states,
-        automaton.initial,
-        None,  # rows materialise lazily from the index attached below
-        None,
-        None,
-        [str(state) for state in automaton.states()],
-    )
+    markovian = index.markovian_csr
     positions = np.arange(
         first + 1, first + 1 + markovian.num_edges, dtype=np.float64
     )
-    probe._index = index.adopt(
-        probe,
+    return IOIMC.from_tables(
+        automaton.name,
+        automaton.signature,
+        automaton.initial,
+        index.interactive_csr,
         MarkovianCSR(markovian.indptr, markovian.source, positions, markovian.target),
+        None,
+        [str(state) for state in automaton.states()],
     )
-    return probe
 
 
 class QuotientCache:
@@ -705,8 +690,8 @@ def _verified_isomorphic(
     )
     if not all(np.array_equal(a, b) for a, b in zip(c_triples, r_triples)):
         return False
-    c_markov = candidate_index.markovian_csr()
-    r_markov = reference_index.markovian_csr()
+    c_markov = candidate_index.markovian_csr
+    r_markov = reference_index.markovian_csr
     if c_markov.num_edges != r_markov.num_edges:
         return False
 

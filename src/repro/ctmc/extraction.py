@@ -59,7 +59,7 @@ def extract_ctmc(automaton: IOIMC) -> CTMC:
     automaton = maximal_progress_cut(automaton)
     index = automaton.index()
     interactive_csr = index.interactive_csr
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
 
     # With no inputs left every interactive transition is urgent, so the
     # tangible states are exactly the index's stable ones.

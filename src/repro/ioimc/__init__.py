@@ -7,9 +7,10 @@ This package provides the I/O-IMC formalism of Section 2 of the paper:
 * :func:`~repro.ioimc.composition.compose` — the parallel composition ``||``,
 * :func:`~repro.ioimc.hiding.hide` — the hiding operator,
 * :class:`~repro.ioimc.builder.IOIMCBuilder` — a named-state construction aid,
-* :class:`~repro.ioimc.indexed.TransitionIndex` — the interned-action CSR
-  view (flat numpy adjacency arrays) the vectorised composition and
-  refinement/reduction engines operate on, with
+* :class:`~repro.ioimc.indexed.TransitionIndex` — an automaton's one
+  transition store: interned-action CSR columns (flat numpy adjacency
+  arrays) the vectorised composition and refinement/reduction engines
+  operate on, with
   :class:`~repro.ioimc.indexed.InteractiveCSR` /
   :class:`~repro.ioimc.indexed.MarkovianCSR` as the raw table layout.
 """

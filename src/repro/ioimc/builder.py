@@ -9,6 +9,8 @@ states and transitions and produces an immutable :class:`IOIMC`.
 
 from __future__ import annotations
 
+import math
+
 from ..errors import ModelError
 from .actions import Signature
 from .ioimc import IOIMC
@@ -74,8 +76,10 @@ class IOIMCBuilder:
 
     def markovian(self, source: str, rate: float, target: str) -> None:
         """Add a Markovian transition with exponential ``rate``."""
-        if rate <= 0:
-            raise ModelError(f"{self.name}: Markovian rate must be positive, got {rate}")
+        if not (rate > 0 and math.isfinite(rate)):
+            raise ModelError(
+                f"{self.name}: Markovian rate must be finite and positive, got {rate}"
+            )
         src = self.state(source)
         dst = self.state(target)
         self._markovian[src].append((rate, dst))

@@ -51,7 +51,7 @@ import numpy as np
 
 from ..nputil import unique_sorted
 from .actions import ActionKind, Signature, TAU
-from .indexed import TransitionIndex
+from .indexed import InteractiveCSR, TransitionIndex, intern_actions
 from .ioimc import IOIMC
 
 #: Initial action colours: the three kinds, with ``tau`` pinned separately
@@ -146,7 +146,7 @@ def canonical_form(automaton: IOIMC) -> CanonicalForm:
     """Compute the canonical form (and fingerprint) of ``automaton``."""
     index = automaton.index()
     interactive = index.interactive_csr
-    markovian = index.markovian_csr()
+    markovian = index.markovian_csr
     num_states = automaton.num_states
     num_actions = len(index.actions)
 
@@ -302,7 +302,7 @@ def encode_renumbered(
     two encodings can never silently drift apart.
     """
     interactive = index.interactive_csr
-    markovian = index.markovian_csr()
+    markovian = index.markovian_csr
     digest = hashlib.sha256()
     initial = automaton.initial if state_of is None else int(state_of[automaton.initial])
     digest.update(
@@ -376,8 +376,8 @@ def rebase_actions(
 ) -> IOIMC:
     """Rename visible actions of ``automaton`` and re-canonicalise edge order.
 
-    Unlike :meth:`TransitionIndex.with_renamed_actions` (which keeps the old
-    edge order), the interactive edge columns are re-sorted by the *new*
+    Unlike :func:`repro.ioimc.hiding.hide` (which keeps the old edge
+    order), the interactive edge columns are re-sorted by the *new*
     interned action ids — the order every library transformation produces —
     so the result is indistinguishable from having run the construction
     under the new names in the first place.  ``rename`` must be injective on
@@ -395,8 +395,7 @@ def rebase_actions(
 
     index = automaton.index()
     old_csr = index.interactive_csr
-    new_actions = sorted(new_signature.all_actions)
-    new_id_of = {action: aid for aid, action in enumerate(new_actions)}
+    new_id_of = intern_actions(new_signature).id_of
     remap = np.fromiter(
         (new_id_of[rename.get(action, action)] for action in index.actions),
         dtype=np.int64,
@@ -412,24 +411,15 @@ def rebase_actions(
     tgt = old_csr.target.astype(np.int64)
     order = np.lexsort((tgt, act, src))
     new_src, new_act, new_tgt = src[order], act[order], tgt[order]
-    from .ioimc import _interactive_csr_from_edges
-
-    rebased = IOIMC.trusted(
+    return IOIMC.from_tables(
         name if name is not None else automaton.name,
         new_signature,
-        automaton.num_states,
         automaton.initial,
-        None,  # rows materialise lazily from the index attached below
-        None,
+        InteractiveCSR.from_edges(new_src, new_act, new_tgt, automaton.num_states),
+        index.markovian_csr,
         automaton.labels,
         automaton.state_names,
     )
-    rebased._index = TransitionIndex.from_tables(
-        rebased,
-        _interactive_csr_from_edges(new_src, new_act, new_tgt, automaton.num_states),
-        index.markovian_csr(),
-    )
-    return rebased
 
 
 __all__ = [

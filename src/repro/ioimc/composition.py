@@ -44,7 +44,7 @@ import numpy as np
 from ..errors import CompositionError
 from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices, unique_sorted
 from .actions import Signature
-from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
+from .indexed import InteractiveCSR, MarkovianCSR
 from .ioimc import IOIMC
 
 
@@ -97,24 +97,17 @@ def compose(
         f"{left_names[pair // width]}|{right_names[pair % width]}" for pair in pairs
     ]
 
-    composite = IOIMC.trusted(
+    # The composed signature's action universe is exactly the (sorted) union
+    # the batched engine interned, so the action ids line up.
+    return IOIMC.from_tables(
         composite_name,
         signature,
-        len(pairs),
         0,
-        None,  # rows materialise lazily from the CSR tables attached below
-        None,
+        interactive_csr,
+        markovian_csr,
         labels,
         state_names,
     )
-    # The product was built from flat arrays; hand them straight to the
-    # transition index instead of re-deriving them from the Python rows.
-    # The composed signature's action universe is exactly the (sorted) union
-    # the batched engine interned, so the ids line up.
-    composite._index = TransitionIndex.from_tables(
-        composite, interactive_csr, markovian_csr
-    )
-    return composite
 
 
 def _product_tables_batched(
@@ -148,8 +141,8 @@ def _product_tables_batched(
 
     left_free, left_sync = _split_component_edges(left, action_id, shared_flags, code_dtype)
     right_free, right_sync = _split_component_edges(right, action_id, shared_flags, code_dtype)
-    left_markov = left.index().markovian_csr()
-    right_markov = right.index().markovian_csr()
+    left_markov = left.index().markovian_csr
+    right_markov = right.index().markovian_csr
     left_stable = left.index().stable_flags
     right_stable = right.index().stable_flags
 
@@ -277,8 +270,8 @@ def _product_tables_batched(
         int_chunks.append((src, act, known_ids[np.searchsorted(known_codes, code)]))
         mkv_chunks.append((msrc, mval, known_ids[np.searchsorted(known_codes, mcode)]))
 
-    interactive_csr = _csr_from_chunks_interactive(int_chunks, len(pair_of_state))
-    markovian_csr = _csr_from_chunks_markovian(mkv_chunks, len(pair_of_state))
+    interactive_csr = _csr_from_chunks(InteractiveCSR, int_chunks, len(pair_of_state))
+    markovian_csr = _csr_from_chunks(MarkovianCSR, mkv_chunks, len(pair_of_state))
     return pair_of_state, interactive_csr, markovian_csr
 
 
@@ -378,39 +371,16 @@ def _join_synchronised(
     return batch, action, code
 
 
-def _csr_from_chunks_interactive(
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], num_states: int
-) -> InteractiveCSR:
-    """Assemble the composite's interactive CSR from batched edge arrays."""
-    if chunks:
-        src = np.concatenate([c[0] for c in chunks])
-        act = np.concatenate([c[1] for c in chunks])
-        tgt = np.concatenate([c[2] for c in chunks])
-    else:  # pragma: no cover - a product always has at least one level
-        src = act = tgt = np.empty(0, dtype=np.int64)
+def _csr_from_chunks(
+    csr_type: type,
+    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    num_states: int,
+):
+    """Assemble one of the composite's CSR tables from batched edge arrays
+    (a product always has at least one level, so ``chunks`` is not empty)."""
+    src, payload, tgt = (np.concatenate(column) for column in zip(*chunks))
     order = np.argsort(src, kind="stable")
-    src, act, tgt = src[order], act[order], tgt[order]
-    indptr = csr_indptr(src, num_states)
-    return InteractiveCSR(
-        indptr, src.astype(np.int32), act.astype(np.int32), tgt.astype(np.int32)
-    )
-
-
-def _csr_from_chunks_markovian(
-    chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], num_states: int
-) -> MarkovianCSR:
-    """Assemble the composite's Markovian CSR from batched edge arrays."""
-    if chunks:
-        src = np.concatenate([c[0] for c in chunks])
-        rate = np.concatenate([c[1] for c in chunks])
-        tgt = np.concatenate([c[2] for c in chunks])
-    else:  # pragma: no cover
-        src = tgt = np.empty(0, dtype=np.int64)
-        rate = np.empty(0, dtype=np.float64)
-    order = np.argsort(src, kind="stable")
-    src, rate, tgt = src[order], rate[order], tgt[order]
-    indptr = csr_indptr(src, num_states)
-    return MarkovianCSR(indptr, src.astype(np.int32), rate, tgt.astype(np.int32))
+    return csr_type.from_edges(src[order], payload[order], tgt[order], num_states)
 
 
 def compose_many(components: Sequence[IOIMC], name: str | None = None) -> IOIMC:

@@ -16,78 +16,43 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .actions import TAU, Signature
+from .indexed import InteractiveCSR, intern_actions
 from .ioimc import IOIMC
 
 
-def hide(automaton: IOIMC, actions: Iterable[str], *, rename_to_tau: bool = True) -> IOIMC:
-    """Return ``hide actions in automaton``.
+def hide(automaton: IOIMC, actions: Iterable[str]) -> IOIMC:
+    """Return ``hide actions in automaton``, the hidden actions renamed to ``tau``.
 
-    Parameters
-    ----------
-    automaton:
-        The I/O-IMC to transform.
-    actions:
-        Output actions to hide.  Actions not present in the signature are
-        silently ignored (this keeps the composer's hiding schedule simple).
-    rename_to_tau:
-        When ``True`` (default) hidden actions are renamed to ``tau``.
+    ``actions`` are the output actions to hide; actions not present in the
+    signature are silently ignored (this keeps the composer's hiding
+    schedule simple).  Hiding only renames actions, so the result remaps
+    the action column and shares every other column with ``automaton``.
     """
     to_hide = frozenset(actions) & automaton.signature.outputs
     if not to_hide:
         return automaton
-    hidden_signature = automaton.signature.hide(to_hide)
-    if rename_to_tau:
-        internals = (hidden_signature.internals - to_hide) | {TAU}
-        signature = Signature(hidden_signature.inputs, hidden_signature.outputs, internals)
-        if automaton._interactive is None:
-            # Lazy automaton (built from CSR tables): hiding only renames
-            # actions, so the hidden automaton stays lazy and its index is
-            # the old one with a remapped action column (no per-edge work).
-            interactive = None
-        else:
-            # Rows without a hidden action are shared with the source
-            # automaton (transition tables are immutable by convention) — on
-            # the composer's hiding schedule most rows are untouched by any
-            # single hide step.
-            interactive = []
-            for row in automaton.interactive:
-                for action, _ in row:
-                    if action in to_hide:
-                        interactive.append(
-                            [
-                                (TAU if action in to_hide else action, target)
-                                for action, target in row
-                            ]
-                        )
-                        break
-                else:
-                    interactive.append(row)
-    else:
-        signature = hidden_signature
-        interactive = automaton.interactive
-    # Only the tau-renaming branch re-attaches a CSR index below; any other
-    # combination must hand over materialised rows (an automaton with None
-    # rows and no index would be unusable).
-    markovian = (
-        automaton._markovian if rename_to_tau and interactive is None
-        else automaton.markovian
+    old = automaton.signature
+    signature = Signature(old.inputs, old.outputs - to_hide, old.internals | {TAU})
+    index = automaton.index()
+    new_id_of = intern_actions(signature).id_of
+    remap = np.fromiter(
+        (new_id_of[TAU if action in to_hide else action] for action in index.actions),
+        dtype=np.int32,
+        count=len(index.actions),
     )
-    hidden = IOIMC.trusted(
+    csr = index.interactive_csr
+    return IOIMC.from_tables(
         automaton.name,
         signature,
-        automaton.num_states,
         automaton.initial,
-        interactive,
-        markovian,
+        InteractiveCSR(csr.indptr, csr.source, remap[csr.action], csr.target),
+        index.markovian_csr,
         automaton.labels,
         automaton.state_names,
     )
-    if rename_to_tau and automaton._index is not None:
-        hidden._index = automaton._index.with_renamed_actions(
-            hidden, {action: TAU for action in to_hide}
-        )
-    return hidden
 
 
 def hide_all_outputs(automaton: IOIMC) -> IOIMC:

@@ -14,24 +14,29 @@ visualisation.  Each state may additionally carry a set of atomic
 propositions (*labels*) such as ``"down"`` — labels survive composition and
 minimisation and are used to identify system-failure states when the final
 model is converted into a labelled CTMC.
+
+The transitions are stored once, as the flat CSR columns of the automaton's
+:class:`~repro.ioimc.indexed.TransitionIndex`.  The per-state row tables
+(:attr:`IOIMC.interactive`, :attr:`IOIMC.markovian`) are views rebuilt from
+those columns on each access.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..errors import InputEnablednessError, ModelError
 from ..nputil import (
-    csr_indptr,
     dedupe_packed_triples,
     gather_row_indices,
     rows_from_edges,
     unique_sorted,
 )
 from .actions import ActionKind, Signature, natural_sort_key
+from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex, intern_actions
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,10 @@ class IOIMC:
         Optional mapping from state index to a set of atomic propositions.
     state_names:
         Optional human readable state names (one per state).
+
+    The constructor converts the rows to CSR columns once, in row order, and
+    validates them (:meth:`validate`).  The library's own transformations
+    build through :meth:`from_tables` instead.
     """
 
     __slots__ = (
@@ -80,14 +89,11 @@ class IOIMC:
         "signature",
         "num_states",
         "initial",
-        "_interactive",
-        "_markovian",
         "labels",
         "state_names",
         "_index",
-        "_transition_counts",
-        # Lets the transition index and identity-keyed memos (the quotient
-        # cache's leaf fingerprints) refer to an automaton weakly.
+        # Lets identity-keyed memos (the quotient cache's leaf fingerprints)
+        # refer to an automaton weakly.
         "__weakref__",
     )
 
@@ -104,137 +110,146 @@ class IOIMC:
     ) -> None:
         if num_states <= 0:
             raise ModelError("an I/O-IMC needs at least one state")
-        if not 0 <= initial < num_states:
-            raise ModelError(f"initial state {initial} out of range 0..{num_states - 1}")
         if len(interactive) != num_states or len(markovian) != num_states:
             raise ModelError("transition tables must have exactly one entry per state")
-        self.name = name
-        self.signature = signature
-        self.num_states = num_states
-        self.initial = initial
-        self._interactive: list[list[tuple[str, int]]] | None = [
-            list(row) for row in interactive
-        ]
-        self._markovian: list[list[tuple[float, int]]] | None = [
-            list(row) for row in markovian
-        ]
-        self.labels: dict[int, frozenset[str]] = {
+        table = intern_actions(signature)
+        indptr, source, names, target = _row_columns(interactive, num_states)
+        action = np.fromiter(
+            (table.id_of.get(action, -1) for action in names),
+            dtype=np.int64,
+            count=len(names),
+        )
+        if len(action) and action.min() < 0:
+            edge = int(np.argmax(action < 0))
+            raise ModelError(
+                f"{name}: state {source[edge]} uses action {names[edge]!r} "
+                "which is not declared in the signature"
+            )
+        m_indptr, m_source, rates, m_target = _row_columns(markovian, num_states)
+        rate = np.array(rates, dtype=np.float64)
+        labels = {
             state: frozenset(props) for state, props in (labels or {}).items() if props
         }
-        self.state_names = list(state_names) if state_names is not None else None
-        self._index = None
-        self._transition_counts = None
-        self._validate()
+        state_names = list(state_names) if state_names is not None else None
+        _check_tables(
+            name,
+            len(table.actions),
+            initial,
+            InteractiveCSR(indptr, source, action, target),
+            MarkovianCSR(m_indptr, m_source, rate, m_target),
+            labels,
+            state_names,
+        )
+        # The id columns are narrowed only once they are known to be in range.
+        self._attach(
+            name,
+            signature,
+            initial,
+            InteractiveCSR(
+                indptr, source, action.astype(np.int32), target.astype(np.int32)
+            ),
+            MarkovianCSR(m_indptr, m_source, rate, m_target.astype(np.int32)),
+            labels,
+            state_names,
+        )
 
     @classmethod
-    def trusted(
+    def from_tables(
         cls,
         name: str,
         signature: Signature,
-        num_states: int,
         initial: int,
-        interactive: list[list[tuple[str, int]]],
-        markovian: list[list[tuple[float, int]]],
+        interactive_csr: InteractiveCSR,
+        markovian_csr: MarkovianCSR,
         labels: Mapping[int, frozenset[str]] | None = None,
         state_names: list[str] | None = None,
     ) -> "IOIMC":
-        """Construct without validation or defensive copies (internal use only).
+        """Construct from CSR columns, without validation or copies.
 
         The library's own transformations (composition, hiding, reductions,
-        quotients) produce transition tables that are valid by construction;
-        re-validating and re-copying them accounted for a measurable share of
-        the composition pipeline's runtime.  Callers hand over ownership of
-        ``interactive``/``markovian``/``state_names`` and must guarantee every
-        invariant that ``__init__`` checks.
+        quotients) produce columns that are valid by construction;
+        re-validating them would cost a measurable share of the pipeline.
+        The caller hands over ownership of the columns, ``labels`` (empty
+        label sets omitted) and ``state_names``, and guarantees every
+        invariant :meth:`validate` checks; ``num_states`` is the row count
+        of the columns.
         """
         self = cls.__new__(cls)
-        self.name = name
-        self.signature = signature
-        self.num_states = num_states
-        self.initial = initial
-        self._interactive = interactive
-        self._markovian = markovian
-        self.labels = {
-            state: props for state, props in (labels or {}).items() if props
-        }
-        self.state_names = state_names
-        self._index = None
-        self._transition_counts = None
+        self._attach(
+            name,
+            signature,
+            initial,
+            interactive_csr,
+            markovian_csr,
+            labels if labels is not None else {},
+            state_names,
+        )
         return self
 
-    def index(self):
-        """The cached :class:`~repro.ioimc.indexed.TransitionIndex` of this automaton."""
-        if self._index is None:
-            from .indexed import TransitionIndex
+    def _attach(
+        self,
+        name,
+        signature,
+        initial,
+        interactive_csr,
+        markovian_csr,
+        labels,
+        state_names,
+    ) -> None:
+        self.name = name
+        self.signature = signature
+        self.num_states = len(interactive_csr.indptr) - 1
+        self.initial = initial
+        self.labels = labels
+        self.state_names = state_names
+        self._index = TransitionIndex(signature, interactive_csr, markovian_csr)
 
-            self._index = TransitionIndex(self)
+    def index(self) -> TransitionIndex:
+        """The :class:`~repro.ioimc.indexed.TransitionIndex` holding this
+        automaton's transitions."""
         return self._index
+
+    def validate(self) -> None:
+        """Raise :class:`ModelError` unless the columns form a valid I/O-IMC.
+
+        Row offsets must run from 0 to the edge count with ``source`` their
+        expansion; action and target ids must be in range; rates must be
+        finite and positive; ``initial``, the labels and the state names
+        must fit ``num_states``.
+        """
+        index = self._index
+        _check_tables(
+            self.name,
+            len(index.actions),
+            self.initial,
+            index.interactive_csr,
+            index.markovian_csr,
+            self.labels,
+            self.state_names,
+        )
 
     # ------------------------------------------------------------------ #
     # transition tables
     # ------------------------------------------------------------------ #
-    # The library's own transformations construct automata from the flat CSR
-    # arrays of a pre-seeded TransitionIndex and leave the Python rows
-    # unmaterialised; the properties below rebuild them on first access (in
-    # CSR edge order, which is exactly the order an eager construction would
-    # have produced).  Invariant: whenever a row table is None, ``_index``
-    # carries explicit CSR tables for it.
-
     @property
     def interactive(self) -> list[list[tuple[str, int]]]:
         """Per state, the ``(action, target)`` interactive transitions."""
-        rows = self._interactive
-        if rows is None:
-            csr = self._index.interactive_csr
-            names = np.array(self._index.actions)
-            rows = rows_from_edges(
-                csr.source,
-                names[csr.action].tolist(),
-                csr.target.tolist(),
-                self.num_states,
-            )
-            self._interactive = rows
-        return rows
+        csr = self._index.interactive_csr
+        names = self._index.actions
+        return rows_from_edges(
+            csr.source,
+            [names[action] for action in csr.action.tolist()],
+            csr.target.tolist(),
+            self.num_states,
+        )
 
     @property
     def markovian(self) -> list[list[tuple[float, int]]]:
         """Per state, the ``(rate, target)`` Markovian transitions."""
-        rows = self._markovian
-        if rows is None:
-            csr = self._index._markovian_csr
-            rows = rows_from_edges(
-                csr.source, csr.rate.tolist(), csr.target.tolist(), self.num_states
-            )
-            self._markovian = rows
-        return rows
-
-    # ------------------------------------------------------------------ #
-    # validation
-    # ------------------------------------------------------------------ #
-    def _validate(self) -> None:
-        known = self.signature.all_actions
-        for state, row in enumerate(self.interactive):
-            for action, target in row:
-                if action not in known:
-                    raise ModelError(
-                        f"{self.name}: state {state} uses action {action!r} "
-                        "which is not declared in the signature"
-                    )
-                if not 0 <= target < self.num_states:
-                    raise ModelError(f"{self.name}: interactive target {target} out of range")
-        for state, row in enumerate(self.markovian):
-            for rate, target in row:
-                if rate <= 0:
-                    raise ModelError(
-                        f"{self.name}: state {state} has a non-positive Markovian rate {rate}"
-                    )
-                if not 0 <= target < self.num_states:
-                    raise ModelError(f"{self.name}: Markovian target {target} out of range")
-        for state in self.labels:
-            if not 0 <= state < self.num_states:
-                raise ModelError(f"{self.name}: label attached to unknown state {state}")
-        if self.state_names is not None and len(self.state_names) != self.num_states:
-            raise ModelError(f"{self.name}: need exactly one state name per state")
+        csr = self._index.markovian_csr
+        return rows_from_edges(
+            csr.source, csr.rate.tolist(), csr.target.tolist(), self.num_states
+        )
 
     # ------------------------------------------------------------------ #
     # basic queries
@@ -257,21 +272,28 @@ class IOIMC:
         """Kind of ``action`` in this automaton's signature."""
         return self.signature.kind_of(action)
 
+    def _interactive_row(self, state: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(action ids, targets)`` of the interactive edges leaving ``state``."""
+        csr = self._index.interactive_csr
+        span = slice(csr.indptr[state], csr.indptr[state + 1])
+        return csr.action[span], csr.target[span]
+
     def interactive_successors(self, state: int, action: str) -> list[int]:
         """Targets of all ``action`` transitions leaving ``state``."""
-        return [target for act, target in self.interactive[state] if act == action]
+        actions, targets = self._interactive_row(state)
+        return targets[actions == self._index.id_of.get(action, -1)].tolist()
 
     def enabled_actions(self, state: int) -> set[str]:
         """All actions with at least one transition leaving ``state``."""
-        return {action for action, _ in self.interactive[state]}
+        names = self._index.actions
+        return {names[action] for action in self._interactive_row(state)[0].tolist()}
 
     def enabled_urgent_actions(self, state: int) -> set[str]:
         """Output and internal actions enabled in ``state`` (cannot be delayed)."""
-        urgent = set()
-        for action, _ in self.interactive[state]:
-            if self.signature.kind_of(action) is not ActionKind.INPUT:
-                urgent.add(action)
-        return urgent
+        names = self._index.actions
+        actions = self._interactive_row(state)[0]
+        urgent = actions[~self._index.input_flags[actions]]
+        return {names[action] for action in urgent.tolist()}
 
     def is_stable(self, state: int) -> bool:
         """A state is *stable* when no output or internal transition is enabled.
@@ -279,32 +301,20 @@ class IOIMC:
         Only stable states may let time pass (maximal progress assumption);
         Markovian transitions are therefore only meaningful in stable states.
         """
-        return not self.enabled_urgent_actions(state)
+        return bool(self._index.stable_flags[state])
 
     def exit_rate(self, state: int) -> float:
         """Sum of the Markovian rates leaving ``state``."""
-        return sum(rate for rate, _ in self.markovian[state])
+        csr = self._index.markovian_csr
+        return sum(csr.rate[csr.indptr[state] : csr.indptr[state + 1]].tolist())
 
     def num_interactive_transitions(self) -> int:
         """Total number of interactive transitions."""
-        return self._counts()[0]
+        return self._index.interactive_csr.num_edges
 
     def num_markovian_transitions(self) -> int:
         """Total number of Markovian transitions."""
-        return self._counts()[1]
-
-    def _counts(self) -> tuple[int, int]:
-        if self._transition_counts is None:
-            if self._interactive is None:
-                interactive_count = self._index.interactive_csr.num_edges
-            else:
-                interactive_count = sum(len(row) for row in self._interactive)
-            if self._markovian is None:
-                markovian_count = self._index._markovian_csr.num_edges
-            else:
-                markovian_count = sum(len(row) for row in self._markovian)
-            self._transition_counts = (interactive_count, markovian_count)
-        return self._transition_counts
+        return self._index.markovian_csr.num_edges
 
     def num_transitions(self) -> int:
         """Total number of transitions of either kind."""
@@ -344,62 +354,44 @@ class IOIMC:
 
         The paper omits these self-loops in figures "for the sake of clarity";
         semantically a state without an explicit ``a?`` transition simply stays
-        put when ``a`` occurs.  This helper materialises that convention.
+        put when ``a`` occurs.  This helper materialises that convention: the
+        missing ``(state, input)`` self-loops are appended after each state's
+        own edges, in natural name order (not set hash order: the self-loop
+        positions then depend only on the naming scheme, keeping replicated
+        blocks structurally aligned for the cache).
         """
-        inputs = self.signature.inputs
+        inputs = sorted(self.signature.inputs, key=natural_sort_key)
         if not inputs:
             return self
-        if self._interactive is None and self._fully_input_enabled():
-            # CSR fast path: quotients/products of input-enabled automata are
-            # input-enabled already — confirm without materialising the rows.
+        index = self._index
+        csr = index.interactive_csr
+        input_ids = np.array([index.id_of[action] for action in inputs], dtype=np.int64)
+        column_of = np.full(len(index.actions), -1, dtype=np.int64)
+        column_of[input_ids] = np.arange(len(inputs), dtype=np.int64)
+        column = column_of[csr.action]
+        is_input = column >= 0
+        present = np.zeros((self.num_states, len(inputs)), dtype=bool)
+        present[csr.source[is_input], column[is_input]] = True
+        loop_state, loop_column = np.nonzero(~present)
+        if not len(loop_state):
             return self
-        interactive: list[list[tuple[str, int]]] = []
-        changed = False
-        for state, row in enumerate(self.interactive):
-            missing = inputs - {action for action, _ in row}
-            if missing:
-                # Natural name order (not set hash order): the self-loop
-                # positions then depend only on the naming scheme, keeping
-                # replicated blocks structurally aligned for the cache.
-                interactive.append(
-                    list(row)
-                    + [
-                        (action, state)
-                        for action in sorted(missing, key=natural_sort_key)
-                    ]
-                )
-                changed = True
-            else:
-                interactive.append(row)
-        if not changed:
-            return self
-        return IOIMC.trusted(
+        # A stable sort keeps each state's own edges ahead of its new loops.
+        source = np.concatenate([csr.source, loop_state])
+        order = np.argsort(source, kind="stable")
+        return IOIMC.from_tables(
             self.name,
             self.signature,
-            self.num_states,
             self.initial,
-            interactive,
-            self.markovian,
+            InteractiveCSR.from_edges(
+                source[order],
+                np.concatenate([csr.action, input_ids[loop_column]])[order],
+                np.concatenate([csr.target, loop_state])[order],
+                self.num_states,
+            ),
+            index.markovian_csr,
             self.labels,
             self.state_names,
         )
-
-    def _fully_input_enabled(self) -> bool:
-        """Vectorised check that every state enables every input action."""
-        index = self._index
-        csr = index.interactive_csr
-        is_input_edge = index.input_flags[csr.action]
-        num_inputs = int(index.input_flags.sum())
-        if num_inputs == 0:
-            return True
-        pairs = unique_sorted(
-            csr.source[is_input_edge].astype(np.int64) * len(index.actions)
-            + csr.action[is_input_edge]
-        )
-        distinct_inputs = np.bincount(
-            pairs // len(index.actions), minlength=self.num_states
-        )
-        return bool((distinct_inputs == num_inputs).all())
 
     # ------------------------------------------------------------------ #
     # transformations
@@ -428,12 +420,11 @@ class IOIMC:
         all) are unioned per new state by one sorted dedupe of packed
         ``(new source, action, new target)`` triples.  Each new state takes
         its rates, name and (unless ``union_labels``) labels from its first
-        stable member, or its first member if none is stable.  The tables
-        are attached as a derived index; no row is materialised.
+        stable member, or its first member if none is stable.
         """
-        index = self.index()
+        index = self._index
         interactive_csr = index.interactive_csr
-        markovian_csr = index.markovian_csr()
+        markovian_csr = index.markovian_csr
         keep = slice(None) if keep_edge is None else keep_edge
         new_src, new_action, new_tgt = dedupe_packed_triples(
             block[interactive_csr.source[keep]],
@@ -482,22 +473,15 @@ class IOIMC:
         names = [f"s{index}" for index in range(num_new_states)]
         for new, old in zip(present, representative):
             names[new] = self.state_name(old)
-        quotient = IOIMC.trusted(
+        return IOIMC.from_tables(
             self.name,
             self.signature,
-            num_new_states,
             int(block[self.initial]),
-            None,  # rows materialise lazily from the index attached below
-            None,
+            InteractiveCSR.from_edges(new_src, new_action, new_tgt, num_new_states),
+            MarkovianCSR.from_edges(rate_src, rate_sum, rate_tgt, num_new_states),
             labels,
             names,
         )
-        quotient._index = index.derive(
-            quotient,
-            _interactive_csr_from_edges(new_src, new_action, new_tgt, num_new_states),
-            _markovian_csr_from_edges(rate_src, rate_sum, rate_tgt, num_new_states),
-        )
-        return quotient
 
     def restrict_to_reachable(self) -> "IOIMC":
         """Drop states that are unreachable from the initial state."""
@@ -510,7 +494,7 @@ class IOIMC:
         num_reachable = int(reachable.sum())
         if num_reachable == self.num_states:
             return self, np.arange(self.num_states, dtype=np.int64)
-        index = self.index()
+        index = self._index
         order = np.flatnonzero(reachable)  # ascending old state ids
         new_of_old = np.full(self.num_states, -1, dtype=np.int64)
         new_of_old[order] = np.arange(num_reachable, dtype=np.int64)
@@ -520,7 +504,7 @@ class IOIMC:
         new_isrc = new_of_old[interactive_csr.source[picked]]
         new_iact = interactive_csr.action[picked]
         new_itgt = new_of_old[interactive_csr.target[picked]]
-        markovian_csr = index.markovian_csr()
+        markovian_csr = index.markovian_csr
         picked = gather_row_indices(markovian_csr.indptr, order)
         new_msrc = new_of_old[markovian_csr.source[picked]]
         new_mrate = markovian_csr.rate[picked]
@@ -535,20 +519,14 @@ class IOIMC:
             if self.state_names
             else None
         )
-        restricted = IOIMC.trusted(
+        restricted = IOIMC.from_tables(
             self.name,
             self.signature,
-            num_reachable,
             int(new_of_old[self.initial]),
-            None,  # rows materialise lazily from the index attached below
-            None,
+            InteractiveCSR.from_edges(new_isrc, new_iact, new_itgt, num_reachable),
+            MarkovianCSR.from_edges(new_msrc, new_mrate, new_mtgt, num_reachable),
             labels,
             names,
-        )
-        restricted._index = index.derive(
-            restricted,
-            _interactive_csr_from_edges(new_isrc, new_iact, new_itgt, num_reachable),
-            _markovian_csr_from_edges(new_msrc, new_mrate, new_mtgt, num_reachable),
         )
         return restricted, new_of_old
 
@@ -559,9 +537,8 @@ class IOIMC:
         expanded per step, so the cost is a few array operations per level of
         the reachability tree instead of Python work per transition.
         """
-        index = self.index()
-        interactive_csr = index.interactive_csr
-        markovian_csr = index.markovian_csr()
+        interactive_csr = self._index.interactive_csr
+        markovian_csr = self._index.markovian_csr
         seen = np.zeros(self.num_states, dtype=bool)
         seen[self.initial] = True
         frontier = np.array([self.initial], dtype=np.int64)
@@ -587,76 +564,35 @@ class IOIMC:
 
     def renamed(self, name: str) -> "IOIMC":
         """Return a shallow copy carrying a different automaton name."""
-        clone = IOIMC.trusted(
+        return IOIMC.from_tables(
             name,
             self.signature,
-            self.num_states,
             self.initial,
-            self._interactive,
-            self._markovian,
+            self._index.interactive_csr,
+            self._index.markovian_csr,
             self.labels,
             self.state_names,
         )
-        if self._index is not None:
-            clone._index = self._index.derive(
-                clone, self._index.interactive_csr, self._index._markovian_csr
-            )
-        return clone
 
     # ------------------------------------------------------------------ #
     # pickling
     # ------------------------------------------------------------------ #
-    # An automaton crosses process boundaries (the composer's worker pool)
-    # in whichever of its two representations is authoritative: the Python
-    # row tables when no index was ever built, or the flat CSR arrays when
-    # one was.  Lazy caches (materialised rows, predecessor tables,
-    # transition counts) are never serialised — they are cheap to rebuild
-    # and would multiply the payload.  The lazy-row invariant survives by
-    # construction: a CSR-path automaton unpickles with rows ``None`` and an
-    # index whose Markovian CSR is explicit (materialised here if need be).
-
-    def __getstate__(self) -> dict:
-        state = {
-            "name": self.name,
-            "signature": self.signature,
-            "num_states": self.num_states,
-            "initial": self.initial,
-            "labels": self.labels,
-            "state_names": self.state_names,
-        }
-        index = self._index
-        if index is None:
-            state["interactive"] = self._interactive
-            state["markovian"] = self._markovian
-        else:
-            icsr = index.interactive_csr
-            mcsr = index.markovian_csr()
-            state["interactive_csr"] = (icsr.indptr, icsr.source, icsr.action, icsr.target)
-            state["markovian_csr"] = (mcsr.indptr, mcsr.source, mcsr.rate, mcsr.target)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.signature = state["signature"]
-        self.num_states = state["num_states"]
-        self.initial = state["initial"]
-        self.labels = state["labels"]
-        self.state_names = state["state_names"]
-        self._transition_counts = None
-        if "interactive_csr" in state:
-            from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
-
-            self._interactive = None
-            self._markovian = None
-            self._index = TransitionIndex.from_tables(
-                self,
-                InteractiveCSR(*state["interactive_csr"]),
-                MarkovianCSR(*state["markovian_csr"]),
-            )
-        else:
-            self._interactive = state["interactive"]
-            self._markovian = state["markovian"]
-            self._index = None
+    def __reduce__(self):
+        # One serialised form, the CSR columns: the derived caches (stability
+        # bits, predecessor table) are cheap to rebuild and would multiply
+        # the payload of every automaton the composer's worker pool ships.
+        return (
+            IOIMC.from_tables,
+            (
+                self.name,
+                self.signature,
+                self.initial,
+                self._index.interactive_csr,
+                self._index.markovian_csr,
+                self.labels,
+                self.state_names,
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # dunder helpers
@@ -678,27 +614,88 @@ class IOIMC:
         }
 
 
-def _interactive_csr_from_edges(source, action, target, num_rows: int):
-    """Interactive CSR from aligned edge columns (``source`` sorted)."""
-    from .indexed import InteractiveCSR
-
-    indptr = csr_indptr(source, num_rows)
-    return InteractiveCSR(
-        indptr,
-        source.astype(np.int32),
-        action.astype(np.int32),
-        target.astype(np.int32),
+def _row_columns(rows, num_states: int):
+    """``(indptr, source, first entries, int64 targets)`` of a row table."""
+    counts = np.fromiter(map(len, rows), dtype=np.int64, count=num_states)
+    indptr = np.zeros(num_states + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    source = np.repeat(np.arange(num_states, dtype=np.int32), counts)
+    first = [entry for row in rows for entry, _ in row]
+    target = np.fromiter(
+        (target for row in rows for _, target in row),
+        dtype=np.int64,
+        count=len(first),
     )
+    return indptr, source, first, target
 
 
-def _markovian_csr_from_edges(source, rate, target, num_rows: int):
-    """Markovian CSR from aligned edge columns (``source`` sorted)."""
-    from .indexed import MarkovianCSR
-
-    indptr = csr_indptr(source, num_rows)
-    return MarkovianCSR(
-        indptr, source.astype(np.int32), np.asarray(rate), target.astype(np.int32)
-    )
+def _check_tables(
+    name: str,
+    num_actions: int,
+    initial: int,
+    interactive: InteractiveCSR,
+    markovian: MarkovianCSR,
+    labels: Mapping[int, frozenset[str]],
+    state_names: Sequence[str] | None,
+) -> None:
+    """The validating core behind :meth:`IOIMC.__init__` and
+    :meth:`IOIMC.validate` (see there)."""
+    num_states = len(interactive.indptr) - 1
+    if num_states <= 0:
+        raise ModelError("an I/O-IMC needs at least one state")
+    for kind, csr, payload, payload_kinds in (
+        ("interactive", interactive, interactive.action, "iu"),
+        ("Markovian", markovian, markovian.rate, "f"),
+    ):
+        indptr, source, target = csr.indptr, csr.source, csr.target
+        edges = len(target)
+        ids = (indptr, source, target)
+        if (
+            any(column.ndim != 1 for column in (*ids, payload))
+            or any(column.dtype.kind not in "iu" for column in ids)
+            or payload.dtype.kind not in payload_kinds
+        ):
+            raise ModelError(f"{name}: {kind} columns have the wrong shape or type")
+        if (
+            len(indptr) != num_states + 1
+            or indptr[0] != 0
+            or indptr[-1] != edges
+            or (np.diff(indptr) < 0).any()
+        ):
+            raise ModelError(
+                f"{name}: {kind} row offsets must run from 0 to {edges} "
+                f"over {num_states} states"
+            )
+        expansion = np.repeat(np.arange(num_states), np.diff(indptr))
+        if len(payload) != edges or not np.array_equal(source, expansion):
+            raise ModelError(f"{name}: {kind} columns do not match the row offsets")
+        bad = np.flatnonzero((target < 0) | (target >= num_states))
+        if len(bad):
+            raise ModelError(
+                f"{name}: state {source[bad[0]]} has {kind} target "
+                f"{target[bad[0]]} out of range 0..{num_states - 1}"
+            )
+    action = interactive.action
+    bad = np.flatnonzero((action < 0) | (action >= num_actions))
+    if len(bad):
+        raise ModelError(
+            f"{name}: state {interactive.source[bad[0]]} uses action id "
+            f"{action[bad[0]]} outside the signature's {num_actions} actions"
+        )
+    rate = markovian.rate
+    bad = np.flatnonzero(~(np.isfinite(rate) & (rate > 0)))
+    if len(bad):
+        raise ModelError(
+            f"{name}: Markovian rate of state {markovian.source[bad[0]]} must be "
+            f"finite and positive, got {float(rate[bad[0]])}"
+        )
+    if not 0 <= initial < num_states:
+        raise ModelError(f"initial state {initial} out of range 0..{num_states - 1}")
+    for state in labels:
+        if not 0 <= state < num_states:
+            raise ModelError(f"{name}: label attached to unknown state {state}")
+    if state_names is not None and len(state_names) != num_states:
+        raise ModelError(f"{name}: need exactly one state name per state")
 
 
 def merge_label_sets(label_sets: Iterable[frozenset[str]]) -> frozenset[str]:

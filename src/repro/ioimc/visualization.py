@@ -50,11 +50,14 @@ def to_text(automaton: IOIMC, *, include_input_self_loops: bool = False) -> str:
         f"  outputs:   {sorted(automaton.signature.outputs)}",
         f"  internals: {sorted(automaton.signature.internals)}",
     ]
+    # The row tables are views rebuilt on each access: read each once.
+    interactive = automaton.interactive
+    markovian = automaton.markovian
     for state in automaton.states():
         labels = automaton.label_of(state)
         suffix = f"  {{{', '.join(sorted(labels))}}}" if labels else ""
         lines.append(f"  state {automaton.state_name(state)}{suffix}")
-        for action, target in automaton.interactive[state]:
+        for action, target in interactive[state]:
             kind = automaton.kind_of(action)
             if (
                 not include_input_self_loops
@@ -65,7 +68,7 @@ def to_text(automaton: IOIMC, *, include_input_self_loops: bool = False) -> str:
             lines.append(
                 f"    --{kind.decorate(action)}--> {automaton.state_name(target)}"
             )
-        for rate, target in automaton.markovian[state]:
+        for rate, target in markovian[state]:
             lines.append(f"    --rate {rate:g}--> {automaton.state_name(target)}")
     return "\n".join(lines)
 

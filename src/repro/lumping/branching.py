@@ -79,7 +79,7 @@ def branching_bisimulation_partition(automaton: IOIMC) -> Partition:
     num_states = automaton.num_states
     num_actions = len(index.actions)
     interactive_csr = index.interactive_csr
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
     stable_flags = index.stable_flags
     markovian_target = markovian_csr.target.astype(np.int64)
 

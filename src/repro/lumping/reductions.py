@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..ioimc import IOIMC
-from ..ioimc.indexed import MarkovianCSR
-from ..ioimc.ioimc import _interactive_csr_from_edges, _markovian_csr_from_edges
+from ..ioimc.indexed import InteractiveCSR, MarkovianCSR
 from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices
 
 
@@ -33,31 +32,26 @@ def maximal_progress_cut(automaton: IOIMC) -> IOIMC:
     the state.
     """
     index = automaton.index()
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
     keep = index.stable_flags[markovian_csr.source]
     if bool(keep.all()):
         return automaton
-    cut = IOIMC.trusted(
+    source = markovian_csr.source[keep]
+    # The interactive columns are untouched and shared.
+    return IOIMC.from_tables(
         automaton.name,
         automaton.signature,
-        automaton.num_states,
         automaton.initial,
-        automaton._interactive,  # shared (possibly still unmaterialised) rows
-        None,
+        index.interactive_csr,
+        MarkovianCSR(
+            csr_indptr(source, automaton.num_states),
+            source,
+            markovian_csr.rate[keep],
+            markovian_csr.target[keep],
+        ),
         automaton.labels,
         automaton.state_names,
     )
-    source = markovian_csr.source[keep]
-    indptr = csr_indptr(source, automaton.num_states)
-    # The interactive table is untouched: share the interned-action index,
-    # swapping in the filtered Markovian CSR.
-    cut._index = index.adopt(
-        cut,
-        MarkovianCSR(
-            indptr, source, markovian_csr.rate[keep], markovian_csr.target[keep]
-        ),
-    )
-    return cut
 
 
 def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
@@ -80,7 +74,7 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
         return automaton  # no internal actions, hence no vanishing chains
     index = automaton.index()
     interactive_csr = index.interactive_csr
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
     num_states = automaton.num_states
     states = np.arange(num_states, dtype=np.int64)
 
@@ -155,20 +149,14 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
     }
     names = [automaton.state_name(old) for old in kept.tolist()]
 
-    reduced = IOIMC.trusted(
+    reduced = IOIMC.from_tables(
         automaton.name,
         automaton.signature,
-        num_kept,
         int(mapping[automaton.initial]),
-        None,  # rows materialise lazily from the index attached below
-        None,
+        InteractiveCSR.from_edges(new_src, action, new_tgt, num_kept),
+        MarkovianCSR.from_edges(new_msrc, new_mrate, new_mtgt, num_kept),
         labels,
         names,
-    )
-    reduced._index = index.derive(
-        reduced,
-        _interactive_csr_from_edges(new_src, action, new_tgt, num_kept),
-        _markovian_csr_from_edges(new_msrc, new_mrate, new_mtgt, num_kept),
     )
     return reduced.restrict_to_reachable()
 

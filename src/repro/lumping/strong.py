@@ -70,7 +70,7 @@ def strong_bisimulation_partition(automaton: IOIMC) -> Partition:
     """
     index = automaton.index()
     interactive = index.interactive_csr
-    markovian = index.markovian_csr()
+    markovian = index.markovian_csr
     num_actions = len(index.actions)
 
     def signature_edges(

@@ -87,7 +87,7 @@ def weak_bisimulation_partition(automaton: IOIMC) -> Partition:
     """Compute a weak-bisimulation partition of ``automaton``."""
     index = automaton.index()
     interactive_csr = index.interactive_csr
-    markovian_csr = index.markovian_csr()
+    markovian_csr = index.markovian_csr
     stable_flags = index.stable_flags
     num_states = automaton.num_states
     num_actions = len(index.actions)

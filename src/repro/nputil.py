@@ -139,9 +139,9 @@ def rows_from_edges(source: np.ndarray, first, second, num_rows: int) -> list[li
     """Split aligned edge columns into per-row lists of ``(first, second)``.
 
     ``source`` must be sorted ascending (edges grouped by row); ``first`` and
-    ``second`` are Python lists aligned with it.  This is the fast path for
-    materialising :class:`~repro.ioimc.IOIMC` transition tables from flat
-    arrays: one ``zip`` over the whole edge set, then views per row.
+    ``second`` are Python lists aligned with it.  This is how the row views
+    of an :class:`~repro.ioimc.IOIMC` are rebuilt from its CSR columns: one
+    ``zip`` over the whole edge set, then one slice per row.
     """
     indptr = csr_indptr(source, num_rows)
     flat = list(zip(first, second))

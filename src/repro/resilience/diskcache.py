@@ -14,21 +14,27 @@ holding a canonical-JSON document::
                   "slots": [...], "states_before": ..., ...}, ...]}
 
 and each entry owns eight array members under its ``slot`` prefix — the CSR
-tables of its automaton, exactly the arrays :meth:`IOIMC.__getstate__`
-pickles (``<slot>.ii/is/ia/it`` interactive indptr/source/action/target,
-``<slot>.mi/ms/mr/mt`` Markovian indptr/source/rate/target).  Action ids
-index ``sorted(signature.all_actions)`` — an invariant every
-:class:`~repro.ioimc.indexed.TransitionIndex` constructor maintains — so the
-signature name lists in the index fully decode the action column.  No pickle
-anywhere: the archive is loaded with ``allow_pickle=False`` and a hostile
-file can at worst fail to verify.
+tables of its automaton, exactly the columns an :class:`IOIMC` pickles and
+is rebuilt from by :meth:`IOIMC.from_tables` (``<slot>.ii/is/ia/it``
+interactive indptr/source/action/target, ``<slot>.mi/ms/mr/mt`` Markovian
+indptr/source/rate/target).  Action ids index
+``sorted(signature.all_actions)`` — the interning of
+:class:`~repro.ioimc.indexed.TransitionIndex` — so the signature name lists
+in the index fully decode the action column.  No pickle anywhere: the
+archive is loaded with ``allow_pickle=False``.
 
 Integrity
 ---------
 Every entry carries a SHA-256 over its structural metadata plus the raw
 bytes (with dtype and shape) of its eight arrays, in fixed order.  On load
-the checksum is verified *before* any reconstruction; an entry that fails —
-corrupt bytes, missing member, undecodable metadata — is **quarantined**:
+the checksum is verified first, then the columns go through the structural
+checks of :meth:`IOIMC.validate` (row offsets, id ranges, finite positive
+rates, labels and names that fit the state count).  The checksum is
+unkeyed: it catches accidental corruption, not tampering.  Anyone who edits
+an entry can recompute it, and an edit that stays structurally valid (a
+changed rate, say) loads and changes the results.  Treat a cache file as
+trusted input.  An entry that fails — corrupt bytes, missing member,
+undecodable metadata, invalid columns — is **quarantined**:
 counted, reported by key in the :class:`CacheLoadReport`, surfaced through
 the ``resilience.cache.quarantined`` telemetry counter, and skipped.  Only
 whole-file problems (unreadable archive, missing/unparsable index,
@@ -57,7 +63,7 @@ import numpy as np
 
 from ..composer.cache import CacheEntry, QuotientCache
 from ..errors import CacheStoreError
-from ..ioimc import IOIMC
+from ..ioimc import IOIMC, InteractiveCSR, MarkovianCSR
 from ..ioimc.actions import Signature
 from ..telemetry import incr, span
 from .faults import active_fault
@@ -124,7 +130,7 @@ def _entry_metadata(key: str, entry: CacheEntry) -> dict:
 def _entry_arrays(entry: CacheEntry) -> dict[str, np.ndarray]:
     index = entry.automaton.index()
     icsr = index.interactive_csr
-    mcsr = index.markovian_csr()
+    mcsr = index.markovian_csr
     return {
         "ii": icsr.indptr,
         "is": icsr.source,
@@ -224,8 +230,9 @@ def _decode_entry(metadata: dict, archive) -> tuple[str, CacheEntry]:
     """Verify one entry's checksum and rebuild its :class:`CacheEntry`.
 
     Raises on any problem — missing member, checksum mismatch, malformed
-    metadata; the caller quarantines.  Verification happens strictly before
-    reconstruction, so corrupt bytes can never reach the automaton builders.
+    metadata, columns that fail :meth:`IOIMC.validate`; the caller
+    quarantines.  Verification happens strictly before the entry is used,
+    so structurally invalid columns can never reach the pipeline.
     """
     slot = metadata["slot"]
     arrays = {field: archive[f"{slot}.{field}"] for field in _ARRAY_FIELDS}
@@ -241,24 +248,27 @@ def _decode_entry(metadata: dict, archive) -> tuple[str, CacheEntry]:
         outputs=metadata["outputs"],
         internals=metadata["internals"],
     )
-    automaton = IOIMC.__new__(IOIMC)
-    automaton.__setstate__(
+    automaton = IOIMC.from_tables(
+        metadata["name"],
+        signature,
+        metadata["initial"],
+        InteractiveCSR(arrays["ii"], arrays["is"], arrays["ia"], arrays["it"]),
+        MarkovianCSR(arrays["mi"], arrays["ms"], arrays["mr"], arrays["mt"]),
         {
-            "name": metadata["name"],
-            "signature": signature,
-            "num_states": metadata["num_states"],
-            "initial": metadata["initial"],
-            "labels": {
-                int(state): frozenset(props)
-                for state, props in metadata["labels"].items()
-            },
-            "state_names": list(metadata["state_names"])
-            if metadata["state_names"] is not None
-            else None,
-            "interactive_csr": (arrays["ii"], arrays["is"], arrays["ia"], arrays["it"]),
-            "markovian_csr": (arrays["mi"], arrays["ms"], arrays["mr"], arrays["mt"]),
-        }
+            int(state): frozenset(props)
+            for state, props in metadata["labels"].items()
+        },
+        list(metadata["state_names"])
+        if metadata["state_names"] is not None
+        else None,
     )
+    # The checksum is unkeyed, so a re-checksummed edit passes it: run the
+    # constructor's structural checks before anything indexes the columns.
+    automaton.validate()
+    if automaton.num_states != metadata["num_states"]:
+        raise CacheStoreError(
+            f"state count mismatch for entry {metadata['key']!r}"
+        )
     slots = tuple(metadata["slots"])
     if set(slots) != set(signature.visible):
         raise CacheStoreError(

@@ -79,7 +79,7 @@ def ioimc_bytes(automaton):
     """Everything an I/O-IMC stores, with every array as dtype + bytes."""
     index = automaton.index()
     interactive = index.interactive_csr
-    markovian = index.markovian_csr()
+    markovian = index.markovian_csr
     columns = (
         interactive.indptr,
         interactive.source,

@@ -179,7 +179,7 @@ def canonical_form(automaton: IOIMC, pairs: list[int]):
     """
     index = automaton.index()
     interactive = index.interactive_csr
-    markovian = index.markovian_csr()
+    markovian = index.markovian_csr
     actions = index.actions
     return {
         "signature": automaton.signature,

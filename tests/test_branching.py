@@ -269,11 +269,12 @@ def branching_partition_reference(automaton):
     pairs = list(zip(csr.action.tolist(), csr.target.tolist()))
     interactive = [pairs[start:end] for start, end in zip(bounds, bounds[1:])]
     internal_successors = [
-        [target for action_id, target in row if index.is_internal[action_id]]
+        [target for action_id, target in row if index.internal_flags[action_id]]
         for row in interactive
     ]
-    is_visible = index.is_visible
-    stable = index.stable
+    is_visible = index.visible_flags.tolist()
+    stable = index.stable_flags.tolist()
+    markovian = automaton.markovian
 
     partition = from_keys([automaton.label_of(state) for state in automaton.states()])
 
@@ -297,7 +298,7 @@ def branching_partition_reference(automaton):
                     elements.add(("tau", block_of[target]))
             if stable[member]:
                 rates = {}
-                for rate, target in automaton.markovian[member]:
+                for rate, target in markovian[member]:
                     landing = block_of[target]
                     rates[landing] = rates.get(landing, 0.0) + rate
                 elements.add(
@@ -349,8 +350,10 @@ def quotient_modulo_inert_tau_reference(automaton, partition):
     """
     block_of = partition.block_of
     num_blocks = partition.num_blocks
-    stable = automaton.index().stable
+    stable = automaton.index().stable_flags.tolist()
     internals = automaton.signature.internals
+    rows = automaton.interactive
+    rate_rows = automaton.markovian
 
     representative = [None] * num_blocks
     interactive = [[] for _ in range(num_blocks)]
@@ -360,7 +363,7 @@ def quotient_modulo_inert_tau_reference(automaton, partition):
         current = representative[block]
         if current is None or (stable[state] and not stable[current]):
             representative[block] = state
-        for action, target in automaton.interactive[state]:
+        for action, target in rows[state]:
             target_block = block_of[target]
             if target_block == block and action in internals:
                 continue  # inert: internal move inside the class
@@ -378,11 +381,11 @@ def quotient_modulo_inert_tau_reference(automaton, partition):
         if props:
             labels[block] = props
         rates = {}
-        for rate, target in automaton.markovian[state]:
+        for rate, target in rate_rows[state]:
             rates[block_of[target]] = rates.get(block_of[target], 0.0) + rate
         markovian[block] = [(rate, target) for target, rate in sorted(rates.items())]
 
-    quotient = IOIMC.trusted(
+    quotient = IOIMC(
         automaton.name,
         automaton.signature,
         num_blocks,
@@ -400,8 +403,8 @@ def assert_same_quotient(actual, expected):
     assert actual.initial == expected.initial
     assert actual.labels == expected.labels
     assert actual.state_names == expected.state_names
-    actual_rates = actual.index().markovian_csr()
-    expected_rates = expected.index().markovian_csr()
+    actual_rates = actual.index().markovian_csr
+    expected_rates = expected.index().markovian_csr
     for column in ("indptr", "source", "rate", "target"):
         assert (
             getattr(actual_rates, column).tobytes()

@@ -370,10 +370,10 @@ class TestRateReuse:
         hidable = composer._hidable_signals(
             left.signature, right.signature, frozenset(names)
         )
-        left_edges = left.index().markovian_csr().num_edges
-        right_edges = right.index().markovian_csr().num_edges
+        left_edges = left.index().markovian_csr.num_edges
+        right_edges = right.index().markovian_csr.num_edges
         probe = _position_probe(right, left_edges)
-        assert probe.index().markovian_csr().rate.tolist() == list(
+        assert probe.index().markovian_csr.rate.tolist() == list(
             range(left_edges + 1, left_edges + right_edges + 1)
         )
 
@@ -381,7 +381,7 @@ class TestRateReuse:
 
         def prefix(probe_left, probe_right):
             built = composer._build_prefix(probe_left, probe_right, hidable, "step")
-            probed.append(built[0].index().markovian_csr().rate)
+            probed.append(built[0].index().markovian_csr.rate)
             return built
 
         skeleton = StepSkeleton.probe(left, right, prefix)
@@ -394,8 +394,8 @@ class TestRateReuse:
         cold, states, transitions = composer._build_prefix(left, right, hidable, "step")
         warm = skeleton.regather(left, right, "step")
         assert (skeleton.states_before, skeleton.transitions_before) == (states, transitions)
-        assert warm.index().markovian_csr().rate.tobytes() == (
-            cold.index().markovian_csr().rate.tobytes()
+        assert warm.index().markovian_csr.rate.tobytes() == (
+            cold.index().markovian_csr.rate.tobytes()
         )
         assert warm.state_names == cold.state_names
         assert list(warm.labels.items()) == list(cold.labels.items())

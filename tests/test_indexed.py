@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.ioimc import ActionKind, IOIMCBuilder, Signature, TransitionIndex
+from repro.ioimc import ActionKind, IOIMCBuilder, Signature
 from repro.lumping import maximal_progress_cut
 
 
@@ -40,7 +40,7 @@ class TestTransitionIndex:
     def test_stability_bits_match_is_stable(self, automaton):
         index = automaton.index()
         for state in automaton.states():
-            assert index.stable[state] == automaton.is_stable(state)
+            assert index.stable_flags[state] == automaton.is_stable(state)
 
     def test_internal_successors(self, automaton):
         index = automaton.index()
@@ -108,33 +108,48 @@ class TestTransitionIndex:
         assert closure(by_name["a"]) == sorted({by_name["a"], by_name["b"]})
         assert closure(by_name["c"]) == [by_name["c"]]
 
-    def test_adopt_shares_interactive_tables(self, automaton):
-        index = automaton.index()
-        cut = maximal_progress_cut(automaton)
-        # The cut shares its interactive table, so the adopted index must
-        # share the interactive-derived caches but rebuild predecessors.
-        assert cut is automaton or cut.index().stable is index.stable
+    def test_cut_shares_interactive_columns(self, automaton):
+        builder = IOIMCBuilder("cut", automaton.signature)
+        builder.state("a", initial=True)
+        builder.interactive("a", "done", "b")
+        builder.markovian("a", 1.0, "b")
+        builder.markovian("b", 2.0, "a")
+        unstable = builder.build()
+        cut = maximal_progress_cut(unstable)
+        # The cut drops a's rate and shares the interactive columns.
+        assert cut.num_markovian_transitions() == 1
+        assert cut.index().interactive_csr is unstable.index().interactive_csr
+
+    def test_equal_signatures_share_the_interning(self, automaton):
+        # Interning depends only on the signature: an automaton built
+        # independently over an equal signature shares the tables.
+        builder = IOIMCBuilder(
+            "other",
+            Signature.create(inputs={"go"}, outputs={"done"}, internals={"tau"}),
+        )
+        builder.state("x", initial=True)
+        other = builder.build()
+        assert other.index() is not automaton.index()
+        assert other.index().id_of is automaton.index().id_of
+        assert other.index().input_flags is automaton.index().input_flags
+        assert not other.index().input_flags.flags.writeable
 
     def test_visibility_flags(self, automaton):
         index = automaton.index()
         tau = index.id_of["tau"]
         go = index.id_of["go"]
         done = index.id_of["done"]
-        assert index.is_internal[tau] and not index.is_visible[tau]
-        assert index.is_input[go] and index.is_visible[go]
-        assert not index.is_input[done] and index.is_visible[done]
+        assert index.internal_flags[tau] and not index.visible_flags[tau]
+        assert index.input_flags[go] and index.visible_flags[go]
+        assert not index.input_flags[done] and index.visible_flags[done]
         assert index.kinds[done] is ActionKind.OUTPUT
 
-    def test_summary_matches_automaton(self, automaton):
-        assert automaton.index().summary() == automaton.summary()
-
     def test_indexed_automaton_is_freed_without_the_cycle_collector(self, automaton):
-        # The index refers back to its automaton weakly, so an indexed
-        # automaton (every intermediate product) is freed as soon as its
-        # last reference goes, not whenever the cycle collector next runs.
+        # The index holds no reference to its automaton, so an automaton
+        # (every intermediate product) is freed as soon as its last
+        # reference goes, not whenever the cycle collector next runs.
         copy = automaton.relabel_states(list(automaton.states()), automaton.num_states)
         index = copy.index()
-        assert index.automaton is copy
         freed = weakref.ref(copy)
         gc.disable()
         try:
@@ -142,7 +157,6 @@ class TestTransitionIndex:
             assert freed() is None
         finally:
             gc.enable()
-        assert index.automaton is None
         # What the index derived from its own tables keeps working.
         assert len(index.stable_flags) == automaton.num_states
         assert index.predecessor_csr()[0][-1] > 0

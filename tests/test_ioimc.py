@@ -1,5 +1,7 @@
 """Tests for the I/O-IMC core: signatures, composition and hiding (Section 2)."""
 
+import math
+
 import pytest
 
 from repro.errors import (
@@ -13,6 +15,8 @@ from repro.ioimc import (
     ActionKind,
     IOIMC,
     IOIMCBuilder,
+    InteractiveCSR,
+    MarkovianCSR,
     Signature,
     compose,
     compose_many,
@@ -121,6 +125,67 @@ class TestIOIMCStructure:
     def test_rejects_bad_rate(self):
         with pytest.raises(ModelError):
             IOIMC("bad", Signature.create(), 1, 0, [[]], [[(-1.0, 0)]])
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_constructor_rejects_non_finite_or_non_positive_rates(self, rate):
+        message = f"rate of state 0 must be finite and positive, got {rate}$"
+        with pytest.raises(ModelError, match=message):
+            IOIMC(
+                "x", Signature.create(), 2, 0, [[], []], [[(rate, 1)], [(1.0, 0)]]
+            )
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_builder_rejects_non_finite_or_non_positive_rates(self, rate):
+        builder = IOIMCBuilder("x", Signature.create())
+        builder.state("A", initial=True)
+        with pytest.raises(ModelError, match=f"finite and positive, got {rate}$"):
+            builder.markovian("A", rate, "B")
+
+    def test_constructor_names_undeclared_actions_and_bad_targets(self):
+        signature = Signature.create(outputs={"x"})
+        with pytest.raises(ModelError, match="state 1 uses action 'y'"):
+            IOIMC("u", signature, 2, 0, [[("x", 1)], [("y", 0)]], [[], []])
+        with pytest.raises(ModelError, match="state 0 has interactive target 2"):
+            IOIMC("u", signature, 2, 0, [[("x", 2)], []], [[], []])
+        with pytest.raises(ModelError, match="state 1 has Markovian target -1"):
+            IOIMC("u", signature, 2, 0, [[], []], [[], [(1.0, -1)]])
+
+    def test_validate_checks_the_columns(self):
+        automaton = figure1_ioimc()
+        automaton.validate()  # a valid automaton passes
+        index = automaton.index()
+        icsr, mcsr = index.interactive_csr, index.markovian_csr
+        indptr, source, action, target = (
+            icsr.indptr, icsr.source, icsr.action, icsr.target
+        )
+        m_indptr, m_source, rate, m_target = (
+            mcsr.indptr, mcsr.source, mcsr.rate, mcsr.target
+        )
+        broken = [
+            # Row offsets that do not end at the edge count.
+            (InteractiveCSR(indptr + 1, source, action, target), mcsr),
+            # A source column that is not the expansion of the offsets.
+            (InteractiveCSR(indptr, source[::-1], action, target), mcsr),
+            # An action id outside the signature.
+            (InteractiveCSR(indptr, source, action + 9, target), mcsr),
+            # A Markovian target out of range.
+            (icsr, MarkovianCSR(m_indptr, m_source, rate, m_target + 9)),
+            # A rate that is not finite.
+            (icsr, MarkovianCSR(m_indptr, m_source, rate * math.inf, m_target)),
+        ]
+        for interactive, markovian in broken:
+            candidate = IOIMC.from_tables(
+                "b", automaton.signature, 0, interactive, markovian
+            )
+            with pytest.raises(ModelError):
+                candidate.validate()
+        misfits = ((5, None, None), (0, {5: frozenset("d")}, None), (0, None, ["one"]))
+        for initial, labels, names in misfits:
+            candidate = IOIMC.from_tables(
+                "b", automaton.signature, initial, icsr, mcsr, labels, names
+            )
+            with pytest.raises(ModelError):
+                candidate.validate()
 
     def test_labels_preserved(self):
         builder = IOIMCBuilder("l", Signature.create())

@@ -53,6 +53,7 @@ from repro.sweep import (
     run_sweep,
 )
 from repro.distributions import Exponential
+from repro.resilience.diskcache import _ARRAY_FIELDS, _checksum
 
 
 # --------------------------------------------------------------------------- #
@@ -266,6 +267,80 @@ class TestCacheFile:
         _, report = load_cache(path)
         assert report.quarantined == 1
         assert report.loaded == len(cache.entries()) - 1
+
+    @staticmethod
+    def _rechecksummed(path, edit):
+        """Apply ``edit(metadata, arrays)`` to the archive's largest entry and
+        recompute its checksum, as anyone editing the file can; returns the
+        edited entry's key."""
+        with np.load(path, allow_pickle=False) as archive:
+            members = {name: archive[name] for name in archive.files}
+        document = json.loads(bytes(members["index"]).decode())
+        metadata = max(document["entries"], key=lambda entry: entry["num_states"])
+        slot = metadata.pop("slot")
+        metadata.pop("checksum")
+        arrays = {field: members[f"{slot}.{field}"].copy() for field in _ARRAY_FIELDS}
+        edit(metadata, arrays)
+        for field, array in arrays.items():
+            members[f"{slot}.{field}"] = array
+        metadata["checksum"] = _checksum(metadata, arrays)
+        metadata["slot"] = slot
+        members["index"] = np.frombuffer(json.dumps(document).encode(), dtype=np.uint8)
+        np.savez(path, **members)
+        return metadata["key"]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda meta, arrays: arrays["mt"].__setitem__(0, meta["num_states"] + 5),
+            lambda meta, arrays: arrays["it"].__setitem__(-1, -1),
+            lambda meta, arrays: arrays["ia"].__setitem__(0, 99),
+            lambda meta, arrays: arrays["mr"].__setitem__(0, math.nan),
+            lambda meta, arrays: arrays["mr"].__setitem__(0, 0.0),
+            lambda meta, arrays: arrays["ii"].__setitem__(-1, arrays["ii"][-1] + 1),
+            lambda meta, arrays: arrays["ms"].__setitem__(0, 1),
+            lambda meta, arrays: meta.__setitem__("initial", meta["num_states"]),
+            lambda meta, arrays: meta["labels"].__setitem__("999999", ["down"]),
+            lambda meta, arrays: meta.__setitem__("num_states", meta["num_states"] + 1),
+        ],
+        ids=[
+            "markovian-target",
+            "interactive-target",
+            "action-id",
+            "nan-rate",
+            "zero-rate",
+            "indptr-end",
+            "source-not-expansion",
+            "initial",
+            "label-state",
+            "state-count",
+        ],
+    )
+    def test_rechecksummed_invalid_entry_is_quarantined(self, tmp_path, edit):
+        # The checksum is unkeyed, so an edited entry can carry a valid one;
+        # the structural checks must still keep it out of the pipeline.
+        cache = _populated_cache()
+        path = tmp_path / "cache.npz"
+        save_cache(cache, path)
+        victim = self._rechecksummed(path, edit)
+        restored, report = load_cache(path)
+        assert report.quarantined_keys == (victim,)
+        assert report.loaded == len(cache.entries()) - 1
+        assert victim not in restored.entries()
+
+    def test_rechecksummed_valid_edit_loads(self, tmp_path):
+        # What the checks cannot catch: a structurally valid edit (a changed
+        # rate) loads, which is why a cache file is trusted input.
+        cache = _populated_cache()
+        path = tmp_path / "cache.npz"
+        save_cache(cache, path)
+        victim = self._rechecksummed(
+            path, lambda meta, arrays: arrays["mr"].__setitem__(0, 123.0)
+        )
+        restored, report = load_cache(path)
+        assert report.quarantined == 0
+        rates = restored.entries()[victim].automaton.index().markovian_csr.rate
+        assert rates[0] == 123.0
 
     def test_missing_and_malformed_files_fail_loudly(self, tmp_path):
         with pytest.raises(CacheStoreError, match="cannot read"):
