@@ -15,6 +15,8 @@ and exposes the dependability measures of the case studies:
 
 from __future__ import annotations
 
+import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -112,6 +114,7 @@ class ArcadeEvaluator:
             raise ModelError(
                 f"unknown backend {backend!r} (use 'compose', 'simulate' or 'auto')"
             )
+        _check_simulation_arguments(sim_replications, sim_horizon, sim_confidence)
         self.backend = backend
         #: Flat state-space bound above which ``backend="auto"`` falls back
         #: to simulation (the product of the block state counts bounds what
@@ -173,10 +176,17 @@ class ArcadeEvaluator:
     def translated(self) -> TranslatedModel:
         """The building-block I/O-IMCs of the model."""
         if self._translated is None:
-            self._translated = translate_model(
-                self.model, max_gate_width=self.max_gate_width
-            )
+            with self._telemetry_scope():
+                self._translated = self._translate(self.model)
         return self._translated
+
+    def _translate(self, model: ArcadeModel) -> TranslatedModel:
+        """Translate ``model``, sharing blocks through the cache's memo."""
+        return translate_model(
+            model,
+            max_gate_width=self.max_gate_width,
+            blocks=self.cache.blocks if self.cache is not None else None,
+        )
 
     @property
     def resolved_backend(self) -> str:
@@ -233,14 +243,13 @@ class ArcadeEvaluator:
     def composed_without_repair(self) -> ComposedSystem:
         """The composed system of the model with all repair units removed."""
         if self._composed_no_repair is None:
-            stripped = self.model.without_repair()
-            translated = translate_model(stripped, max_gate_width=self.max_gate_width)
-            order = self.order
-            if order is not None and not isinstance(order, str):
-                # Explicit orders lose the blocks that no longer exist;
-                # "auto" passes through and re-plans on the stripped model.
-                order = _filter_order(order, set(translated.blocks))
             with self._telemetry_scope():
+                translated = self._translate(self.model.without_repair())
+                order = self.order
+                if order is not None and not isinstance(order, str):
+                    # Explicit orders lose the blocks that no longer exist;
+                    # "auto" passes through and re-plans on the stripped model.
+                    order = _filter_order(order, set(translated.blocks))
                 self._composed_no_repair = compose_model(
                     translated,
                     order=order,
@@ -366,6 +375,23 @@ class ArcadeEvaluator:
             largest_intermediate_states=statistics.largest_intermediate_states,
             largest_intermediate_transitions=statistics.largest_intermediate_transitions,
         )
+
+
+def _check_simulation_arguments(
+    replications: int, horizon: float, confidence: float
+) -> None:
+    """Reject simulation knobs the estimators cannot use."""
+    integral = isinstance(replications, numbers.Integral) and not isinstance(
+        replications, bool
+    )
+    if not (integral and replications >= 1):
+        raise ModelError(
+            f"sim_replications must be a positive integer, got {replications!r}"
+        )
+    if not (math.isfinite(horizon) and horizon > 0):
+        raise ModelError(f"sim_horizon must be finite and positive, got {horizon!r}")
+    if not 0 < confidence < 1:  # NaN fails the comparison too
+        raise ModelError(f"sim_confidence must lie in (0, 1), got {confidence!r}")
 
 
 def _filter_order(order: CompositionOrder, keep: set[str]) -> CompositionOrder:

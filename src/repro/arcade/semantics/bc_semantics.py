@@ -24,7 +24,7 @@ the phase restarts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from ...distributions import PhaseType
@@ -90,12 +90,22 @@ def start_phase(distribution: PhaseType) -> int:
 
 
 class ComponentTranslator:
-    """Builds the I/O-IMC of one basic component within a model context."""
+    """Builds the I/O-IMC of one basic component within a model context.
+
+    Everything :meth:`build` reads of the model is resolved here, so
+    :meth:`key` names the block exactly: equal keys build equal blocks.
+    """
 
     def __init__(self, component: BasicComponent, model: ArcadeModel):
-        self.component = component
-        self.model = model
+        #: The spec without its repair distributions: only the repair unit
+        #: reads those, so a repair-rate change does not rebuild the component.
+        self.component = replace(component, time_to_repairs=(), time_to_repair_df=None)
         self.repairable = model.is_repairable(component.name)
+        #: ``(name, failure signals)`` of every watched component.
+        self.watched = tuple(
+            (name, tuple(signals.component_failure_signals(model.component(name))))
+            for name in sorted(component.dependencies())
+        )
         self.spare_capable = component.is_spare_capable
         self.accessibility_group = component.group_of_kind(
             OMGroupKind.ACCESSIBLE_INACCESSIBLE
@@ -106,6 +116,10 @@ class ComponentTranslator:
         self.literals = self._collect_literals()
         self.literal_index = {literal: index for index, literal in enumerate(self.literals)}
         self.watch_effects = self._build_watch_effects()
+
+    def key(self) -> tuple:
+        """Hashable identity of the block: the fields :meth:`build` reads."""
+        return (self.component, self.repairable, self.watched)
 
     # ------------------------------------------------------------------ #
     # static structure
@@ -126,9 +140,9 @@ class ComponentTranslator:
         def entry(signal: str) -> tuple[set[int], set[int]]:
             return effects.setdefault(signal, (set(), set()))
 
+        watched = dict(self.watched)
         for index, literal in enumerate(self.literals):
-            watched = self.model.component(literal.component)
-            for signal in signals.literal_set_signals(literal, watched):
+            for signal in signals.literal_set_signals(literal, watched[literal.component]):
                 entry(signal)[0].add(index)
             entry(signals.literal_clear_signal(literal))[1].add(index)
         return {

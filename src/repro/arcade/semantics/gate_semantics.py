@@ -19,7 +19,6 @@ component I/O-IMCs small for complex trigger expressions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from ...errors import ModelError
 from ...ioimc import IOIMC, IOIMCBuilder, Signature
@@ -38,9 +37,11 @@ class GateInput:
 
     @staticmethod
     def from_literal(literal: Literal, model: ArcadeModel) -> "GateInput":
-        component = model.component(literal.component)
+        failure_signals = signals.component_failure_signals(
+            model.component(literal.component)
+        )
         return GateInput(
-            tuple(signals.literal_set_signals(literal, component)),
+            tuple(signals.literal_set_signals(literal, failure_signals)),
             (signals.literal_clear_signal(literal),),
             str(literal),
         )
@@ -100,6 +101,10 @@ class GateTranslator:
                     seen.add(signal)
                     ordered.append(signal)
         self._ordered_inputs = tuple(ordered)
+
+    def key(self) -> VotingGate:
+        """Hashable identity of the block: the frozen gate spec."""
+        return self.gate
 
     def signature(self) -> Signature:
         inputs: set[str] = set()
@@ -162,15 +167,8 @@ class GateTranslator:
         return builder.build()
 
 
-@cache
 def build_gate_ioimc(gate: VotingGate) -> IOIMC:
-    """Translate one fault-tree gate into its I/O-IMC.
-
-    Memoised by the frozen gate spec: gates carry no rate, so every
-    translation of a model family (the points of a rate sweep) gets the very
-    same automaton objects back, and their quotient-cache fingerprints are
-    computed once.  The result is shared and must not be mutated.
-    """
+    """Translate one fault-tree gate into its I/O-IMC."""
     return GateTranslator(gate).build()
 
 

@@ -59,29 +59,38 @@ class _RUState:
 
 
 class RepairUnitTranslator:
-    """Builds the I/O-IMC of one repair unit within a model context."""
+    """Builds the I/O-IMC of one repair unit within a model context.
+
+    Everything :meth:`build` reads of the model is resolved here, so
+    :meth:`key` names the block exactly: equal keys build equal blocks.
+    """
 
     def __init__(self, unit: RepairUnit, model: ArcadeModel):
         self.unit = unit
-        self.model = model
-        self.jobs = self._collect_jobs()
-        self.repair_distributions = {job: self._repair_distribution(job) for job in self.jobs}
+        self.jobs = self._collect_jobs(model)
+        self.repair_distributions = {
+            job: self._repair_distribution(job, model) for job in self.jobs
+        }
+
+    def key(self) -> tuple:
+        """Hashable identity of the block: the fields :meth:`build` reads."""
+        return (self.unit, tuple(self.repair_distributions.items()))
 
     # ------------------------------------------------------------------ #
     # static structure
     # ------------------------------------------------------------------ #
-    def _collect_jobs(self) -> list[_Job]:
+    def _collect_jobs(self, model: ArcadeModel) -> list[_Job]:
         jobs: list[_Job] = []
         for name in self.unit.components:
-            component = self.model.component(name)
+            component = model.component(name)
             for index in range(component.num_failure_modes):
                 jobs.append(_Job(name, f"m{index + 1}"))
             if component.destructive_fdep is not None:
                 jobs.append(_Job(name, "df"))
         return jobs
 
-    def _repair_distribution(self, job: _Job) -> PhaseType:
-        component = self.model.component(job.component)
+    def _repair_distribution(self, job: _Job, model: ArcadeModel) -> PhaseType:
+        component = model.component(job.component)
         if job.tag == "df":
             distribution = component.time_to_repair_df
         else:

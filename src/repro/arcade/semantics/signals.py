@@ -19,6 +19,8 @@ agree on the action names they synchronise over:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..component import BasicComponent
 from ..expressions import Literal
 
@@ -58,11 +60,12 @@ def component_failure_signals(component: BasicComponent) -> list[str]:
     return [failed_signal(component.name, tag) for tag in component.failure_mode_tags()]
 
 
-def literal_set_signals(literal: Literal, component: BasicComponent) -> list[str]:
-    """Signals whose arrival makes the failure literal true."""
+def literal_set_signals(literal: Literal, failure_signals: Sequence[str]) -> list[str]:
+    """Signals whose arrival makes the failure literal true, given every
+    failure signal of the literal's component."""
     if literal.mode is None:
-        return component_failure_signals(component)
-    return [failed_signal(component.name, literal.mode)]
+        return list(failure_signals)
+    return [failed_signal(literal.component, literal.mode)]
 
 
 def literal_clear_signal(literal: Literal) -> str:

@@ -42,27 +42,39 @@ class _SMUState:
 
 
 class SpareUnitTranslator:
-    """Builds the I/O-IMC of one spare management unit."""
+    """Builds the I/O-IMC of one spare management unit.
+
+    Everything :meth:`build` reads of the model is resolved here, so
+    :meth:`key` names the block exactly: equal keys build equal blocks.
+    """
 
     def __init__(self, unit: SpareManagementUnit, model: ArcadeModel):
         self.unit = unit
-        self.model = model
         #: Whether the unit observes its spares' health (needed with >1 spare;
         #: the single-spare unit of Fig. 8 does not listen to its spare).
         self.observes_spares = len(unit.spares) > 1
+        self.primary_signals = tuple(
+            signals.component_failure_signals(model.component(unit.primary))
+        )
+        #: Failure signals per spare, in activation preference order.
+        self.spare_signals = tuple(
+            tuple(signals.component_failure_signals(model.component(spare)))
+            for spare in unit.spares
+        )
+
+    def key(self) -> tuple:
+        """Hashable identity of the block: the fields :meth:`build` reads."""
+        return (self.unit, self.primary_signals, self.spare_signals)
 
     # ------------------------------------------------------------------ #
     # static structure
     # ------------------------------------------------------------------ #
     def signature(self) -> Signature:
-        primary = self.model.component(self.unit.primary)
-        inputs = set(signals.component_failure_signals(primary))
+        inputs = set(self.primary_signals)
         inputs.add(signals.up_signal(self.unit.primary))
         if self.observes_spares:
-            for spare in self.unit.spares:
-                inputs.update(
-                    signals.component_failure_signals(self.model.component(spare))
-                )
+            for spare, failure_signals in zip(self.unit.spares, self.spare_signals):
+                inputs.update(failure_signals)
                 inputs.add(signals.up_signal(spare))
         outputs = set()
         for spare in self.unit.spares:
@@ -120,15 +132,13 @@ class SpareUnitTranslator:
     def input_target(self, state: _SMUState, signal: str) -> _SMUState:
         primary_down = state.primary_down
         spares_down = list(state.spares_down)
-        primary = self.model.component(self.unit.primary)
-        if signal in signals.component_failure_signals(primary):
+        if signal in self.primary_signals:
             primary_down = True
         elif signal == signals.up_signal(self.unit.primary):
             primary_down = False
         elif self.observes_spares:
             for index, spare in enumerate(self.unit.spares):
-                spare_component = self.model.component(spare)
-                if signal in signals.component_failure_signals(spare_component):
+                if signal in self.spare_signals[index]:
                     spares_down[index] = True
                 elif signal == signals.up_signal(spare):
                     spares_down[index] = False

@@ -22,12 +22,13 @@ from dataclasses import dataclass, field
 
 from ...errors import ModelError
 from ...ioimc import IOIMC
+from ...telemetry.trace import span as telemetry_span
 from ..expressions import And, Expression, KOutOfN, Literal, Or
 from ..model import ArcadeModel
-from .bc_semantics import build_component_ioimc
-from .gate_semantics import GateInput, VotingGate, build_gate_ioimc
-from .ru_semantics import build_repair_unit_ioimc
-from .smu_semantics import build_spare_unit_ioimc
+from .bc_semantics import ComponentTranslator
+from .gate_semantics import GateInput, GateTranslator, VotingGate
+from .ru_semantics import RepairUnitTranslator
+from .smu_semantics import SpareUnitTranslator
 
 #: Name of the top-level system gate created by the translator.
 SYSTEM_GATE_NAME = "_sys"
@@ -48,7 +49,8 @@ class TranslatedModel:
     top_gate: str
     gates: dict[str, VotingGate] = field(default_factory=dict)
     #: Lazily built ``action -> listening blocks`` table (the blocks are
-    #: immutable after translation, so the memo can never go stale).
+    #: immutable after translation, and may be shared with other
+    #: translations through a block memo, so the table can never go stale).
     _listener_table: dict[str, frozenset[str]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -84,15 +86,41 @@ class TranslatedModel:
         return {name: block.summary() for name, block in self.blocks.items()}
 
 
-class ModelTranslator:
-    """Translates an :class:`ArcadeModel` into its building-block I/O-IMCs."""
+#: Any block translator: each resolves its model context in ``__init__``
+#: and offers ``key()`` (the fields ``build()`` reads) and ``build()``.
+BlockTranslator = (
+    ComponentTranslator | RepairUnitTranslator | SpareUnitTranslator | GateTranslator
+)
 
-    def __init__(self, model: ArcadeModel, *, max_gate_width: int = 2):
+
+class ModelTranslator:
+    """Translates an :class:`ArcadeModel` into its building-block I/O-IMCs.
+
+    ``blocks`` is an optional memo of built blocks keyed by their
+    translator's ``key()``.  Translations that share it (the points of a
+    sweep, the repairable and no-repair models of one evaluation) get the
+    very same block object back wherever a key repeats.  Memoised blocks
+    are shared and must not be mutated.  Without a memo the translator
+    keeps a private one; within one model every key is distinct (each
+    names its block), so every block is then built afresh.
+    """
+
+    def __init__(
+        self,
+        model: ArcadeModel,
+        *,
+        max_gate_width: int = 2,
+        blocks: dict[tuple | VotingGate, IOIMC] | None = None,
+    ):
         if max_gate_width < 2:
             raise ModelError("max_gate_width must be at least 2")
         self.model = model
         self.max_gate_width = max_gate_width
+        self.blocks = blocks if blocks is not None else {}
         self.gates: dict[str, VotingGate] = {}
+        #: Blocks built and blocks served from the memo by the last translation.
+        self.built = 0
+        self.reused = 0
 
     # ------------------------------------------------------------------ #
     # gate-tree compilation
@@ -181,21 +209,50 @@ class ModelTranslator:
         self.gates = {}
         top = self._compile_top(self.model.system_down)
 
+        self.built = self.reused = 0
         blocks: dict[str, IOIMC] = {}
         for name, component in self.model.components.items():
-            blocks[name] = build_component_ioimc(component, self.model)
+            blocks[name] = self._block(ComponentTranslator(component, self.model))
         for name, unit in self.model.repair_units.items():
-            blocks[name] = build_repair_unit_ioimc(unit, self.model)
+            blocks[name] = self._block(RepairUnitTranslator(unit, self.model))
         for name, unit in self.model.spare_units.items():
-            blocks[name] = build_spare_unit_ioimc(unit, self.model)
+            blocks[name] = self._block(SpareUnitTranslator(unit, self.model))
         for name, gate in self.gates.items():
-            blocks[name] = build_gate_ioimc(gate)
+            blocks[name] = self._block(GateTranslator(gate))
         return TranslatedModel(self.model, blocks, top, dict(self.gates))
 
+    def _block(self, translator: BlockTranslator) -> IOIMC:
+        """The block ``translator`` builds, served from the memo on a known key."""
+        key = translator.key()
+        block = self.blocks.get(key)
+        if block is None:
+            block = self.blocks[key] = translator.build()
+            self.built += 1
+        else:
+            self.reused += 1
+        return block
 
-def translate_model(model: ArcadeModel, *, max_gate_width: int = 2) -> TranslatedModel:
-    """Translate ``model`` into the I/O-IMCs of its building blocks."""
-    return ModelTranslator(model, max_gate_width=max_gate_width).translate()
+
+def translate_model(
+    model: ArcadeModel,
+    *,
+    max_gate_width: int = 2,
+    blocks: dict[tuple | VotingGate, IOIMC] | None = None,
+) -> TranslatedModel:
+    """Translate ``model`` into the I/O-IMCs of its building blocks.
+
+    ``blocks`` is the memo of :class:`ModelTranslator` (``None`` builds
+    every block afresh).
+    """
+    with telemetry_span("arcade.translate") as span:
+        translator = ModelTranslator(model, max_gate_width=max_gate_width, blocks=blocks)
+        translated = translator.translate()
+        span.set(
+            blocks=len(translated.blocks),
+            built=translator.built,
+            reused=translator.reused,
+        )
+    return translated
 
 
 __all__ = [

@@ -324,10 +324,15 @@ class QuotientCache:
         self._skeletons: dict[str, StepSkeleton] = {}
         #: Structure keys seen once; the second sighting stores a skeleton.
         self._sighted: set[str] = set()
+        #: Translated building blocks by translator key (the ``blocks`` memo
+        #: of :func:`repro.arcade.semantics.translate_model`): every
+        #: evaluation on this cache gets the same leaf objects back, so
+        #: their fingerprints above are computed once.
+        self.blocks: dict = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        for memo in ("_leaf_fingerprints", "_skeletons", "_sighted"):
+        for memo in ("_leaf_fingerprints", "_skeletons", "_sighted", "blocks"):
             del state[memo]
         return state
 

@@ -30,6 +30,10 @@ from .ctmc import CTMC
 #: Largest BSCC size for which the dense GTH elimination is used.
 _GTH_LIMIT = 1500
 
+#: Largest accepted ``||pi Q||_inf`` of a sparse stationary solve, relative
+#: to the sub-chain's largest exit rate.
+_RESIDUAL_TOLERANCE = 1e-10
+
 
 def steady_state_distribution(ctmc: CTMC) -> np.ndarray:
     """Long-run probability vector of ``ctmc`` from its initial distribution.
@@ -170,9 +174,14 @@ def _gth(rates: np.ndarray) -> np.ndarray:
     return solution / solution.sum()
 
 
-def _balance_system(ctmc: CTMC, states: list[int]) -> sparse.csc_matrix:
+def _balance_system(
+    ctmc: CTMC, states: list[int]
+) -> tuple[sparse.csc_matrix, sparse.csr_matrix, np.ndarray]:
     """Global balance equations ``Q^T pi = 0`` of the sub-chain on ``states``,
-    with the last equation replaced by the normalisation ``sum(pi) = 1``."""
+    with the last equation replaced by the normalisation ``sum(pi) = 1``.
+
+    Also returns the sub-chain's ``Q^T`` and exit rates, for the residual check.
+    """
     size = len(states)
     source, rate, target = ctmc.edge_arrays()
     position = np.full(ctmc.num_states, -1, dtype=np.int64)
@@ -188,19 +197,34 @@ def _balance_system(ctmc: CTMC, states: list[int]) -> sparse.csc_matrix:
     normalisation = sparse.csr_matrix(
         (np.ones(size), np.arange(size), [0, size]), shape=(1, size)
     )
-    return sparse.vstack([generator_t[:-1, :], normalisation]).tocsc()
+    system = sparse.vstack([generator_t[:-1, :], normalisation]).tocsc()
+    return system, generator_t, exit_rates
 
 
 def _sparse_stationary(ctmc: CTMC, states: list[int]) -> np.ndarray:
-    """Solve the global balance equations of a large irreducible sub-chain."""
+    """Solve the global balance equations of a large irreducible sub-chain.
+
+    The clipped, normalised solution must satisfy ``pi Q = 0`` to within
+    :data:`_RESIDUAL_TOLERANCE` times the sub-chain's largest exit rate.
+    """
+    system, generator_t, exit_rates = _balance_system(ctmc, states)
     rhs = np.zeros(len(states))
     rhs[-1] = 1.0
-    solution = sparse_linalg.spsolve(_balance_system(ctmc, states), rhs)
+    solution = sparse_linalg.spsolve(system, rhs)
     solution = np.maximum(solution, 0.0)
     total = solution.sum()
     if total <= 0 or not np.isfinite(total):
         raise AnalysisError("sparse stationary solve failed")
-    return solution / total
+    stationary = solution / total
+    residual = float(np.abs(generator_t @ stationary).max())
+    bound = _RESIDUAL_TOLERANCE * float(exit_rates.max())
+    if not residual <= bound:
+        raise AnalysisError(
+            f"sparse stationary solve is inaccurate: residual ||pi Q||_inf = "
+            f"{residual:.3e} exceeds {bound:.3e} ({_RESIDUAL_TOLERANCE:g} x the "
+            "largest exit rate)"
+        )
+    return stationary
 
 
 __all__ = [

@@ -15,6 +15,7 @@ Three layers:
 
 import dataclasses
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -317,16 +318,25 @@ class TestRateReuse:
         assert report["checked"] == 3
         assert report["identical"], report
 
-        # The leaf-fingerprint memo holds its leaves weakly: once the
-        # evaluators are gone, only leaves something else keeps alive remain
-        # — the class representatives and the spec-memoised gates (which a
-        # fresh translation hands back as the very same objects).
+        # Every leaf the sweep fingerprinted is a memoised block, so points
+        # share their leaves' fingerprints.
         gc.collect()
-        alive = {id(leaf) for leaf, _ in cache._leaf_representatives.values()}
-        alive |= {id(block) for block in translate_model(factory.build(base)).blocks.values()}
+        memoised = {id(block) for block in cache.blocks.values()}
         leaves = list(cache._leaf_fingerprints.keys())
         assert leaves
-        assert all(id(leaf) in alive for leaf in leaves)
+        assert all(id(leaf) in memoised for leaf in leaves)
+
+        # The leaf-fingerprint memo holds its leaves weakly: the leaves of a
+        # translation built without the block memo are fingerprinted, and
+        # once that translation is dropped they leave the memo again.
+        translated = translate_model(factory.build(base))
+        compose_model(translated, order=factory.order(translated, base), cache=cache)
+        fresh = [weakref.ref(block) for block in translated.blocks.values()]
+        assert any(ref() in cache._leaf_fingerprints for ref in fresh)
+        del translated
+        gc.collect()
+        assert all(ref() is None for ref in fresh)
+        assert len(cache._leaf_fingerprints) == len(leaves)
 
     def test_structure_key_covers_structure_but_not_rates_names_or_labels(self):
         translated, _ = _small_dds()

@@ -1,6 +1,7 @@
 """Tests for the CTMC solvers (steady state, transient, absorbing, lumping)."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.ctmc import (
     unreliability,
 )
 from repro.ctmc.csl import Atomic, CSLChecker, Not, ProbabilisticUntil, SteadyState, eventually
+import repro.ctmc.steady_state as steady_state_module
 from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system, absorption_probabilities
 from repro.errors import AnalysisError, ModelError, NondeterminismError
 from repro.ioimc import IOIMCBuilder, Signature
@@ -111,6 +113,30 @@ class TestSteadyState:
         chain = CTMC(size, transitions)
         distribution = steady_state_distribution(chain)
         assert distribution[0] == pytest.approx(1.0 / size, rel=1e-6)
+
+    def test_sparse_path_rejects_an_inaccurate_solve(self, monkeypatch):
+        size = _GTH_LIMIT + 100
+        chain = CTMC(size, [(i, 1.0 + i % 3, (i + 1) % size) for i in range(size)])
+        states = list(range(size))
+        exact = stationary_of_irreducible(chain, states)
+
+        def perturbed(system, rhs):
+            solution = exact.copy()
+            solution[0] *= 1.5
+            return solution
+
+        monkeypatch.setattr(
+            steady_state_module, "sparse_linalg", SimpleNamespace(spsolve=perturbed)
+        )
+        with pytest.raises(AnalysisError, match="residual"):
+            stationary_of_irreducible(chain, states)
+
+    def test_paper_dds_passes_the_residual_check(self, dds_full_evaluator):
+        chain = dds_full_evaluator.ctmc
+        (states,) = bottom_strongly_connected_components(chain)
+        assert len(states) > _GTH_LIMIT
+        distribution = stationary_of_irreducible(chain, states)
+        assert distribution.sum() == pytest.approx(1.0)
 
 
 def _tarjan_scc(num_states: int, successors: list[list[int]]) -> list[int]:
@@ -436,7 +462,7 @@ class TestSolversAgainstOracles:
         assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
         states = list(range(chain.num_states))
         assert_same_sparse(
-            _balance_system(chain, states), reference_balance_system(chain, states)
+            _balance_system(chain, states)[0], reference_balance_system(chain, states)
         )
 
     @pytest.mark.parametrize("seed", range(40))
@@ -446,7 +472,7 @@ class TestSolversAgainstOracles:
         assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
         for states in bottom_strongly_connected_components(chain):
             assert_same_sparse(
-                _balance_system(chain, states), reference_balance_system(chain, states)
+                _balance_system(chain, states)[0], reference_balance_system(chain, states)
             )
             got = stationary_of_irreducible(chain, states)
             assert got.tobytes() == reference_stationary(chain, states).tobytes()
@@ -469,7 +495,7 @@ class TestSolversAgainstOracles:
         chain = CTMC(size, shuffled_transitions(rng, pairs))
         states = list(range(size))
         assert_same_sparse(
-            _balance_system(chain, states), reference_balance_system(chain, states)
+            _balance_system(chain, states)[0], reference_balance_system(chain, states)
         )
         assert_same_sparse(chain.generator_matrix(), reference_generator(chain))
 

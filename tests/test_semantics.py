@@ -1,7 +1,10 @@
 """Tests for the I/O-IMC semantics of the Arcade building blocks (Figs. 2-9)."""
 
+import pickle
+
 import pytest
 
+from repro.analysis import ArcadeEvaluator
 from repro.arcade import (
     ArcadeModel,
     BasicComponent,
@@ -14,6 +17,9 @@ from repro.arcade import (
 from repro.arcade.operational_modes import degradation_group, on_off_group
 from repro.arcade.semantics import (
     SYSTEM_GATE_NAME,
+    ComponentTranslator,
+    RepairUnitTranslator,
+    SpareUnitTranslator,
     build_component_ioimc,
     build_gate_ioimc,
     build_repair_unit_ioimc,
@@ -22,8 +28,11 @@ from repro.arcade.semantics import (
 )
 from repro.arcade.semantics.gate_semantics import GateInput, VotingGate
 from repro.arcade.semantics import signals
+from repro.composer import QuotientCache
 from repro.distributions import Erlang, Exponential
 from repro.ioimc import ActionKind
+
+from differential.test_rate_reuse import ioimc_bytes
 
 
 def single_component_model(**kwargs) -> tuple[ArcadeModel, BasicComponent]:
@@ -378,3 +387,97 @@ class TestTranslator:
         translated = translate_model(model)
         listeners = translated.listeners_of(signals.failed_signal("c", "m1"))
         assert listeners == {"c_rep", SYSTEM_GATE_NAME}
+
+
+def memo_model(
+    *, primary=0.01, spare=0.02, watcher=0.03, repair=1.0
+) -> ArcadeModel:
+    """Primary ``p`` with spares ``s1``/``s2``, and ``w``, which is off while
+    ``p`` is down; one FCFS unit repairs all four."""
+    model = ArcadeModel(name="memo")
+    model.add_component(
+        BasicComponent("p", Exponential(primary), time_to_repairs=Exponential(repair))
+    )
+    for name in ("s1", "s2"):
+        model.add_component(
+            BasicComponent(
+                name,
+                [Exponential(spare), Exponential(spare)],
+                operational_modes=[spare_group()],
+                time_to_repairs=Exponential(repair),
+            )
+        )
+    model.add_component(
+        BasicComponent(
+            "w",
+            Exponential(watcher),
+            operational_modes=[on_off_group(down("p"))],
+            time_to_repairs=Exponential(repair),
+        )
+    )
+    model.add_spare_unit(SpareManagementUnit("smu", "p", ["s1", "s2"]))
+    model.add_repair_unit(RepairUnit("rep", ["p", "s1", "s2", "w"], RepairStrategy.FCFS))
+    model.set_system_down((down("p") & down("s1") & down("s2")) | down("w"))
+    return model
+
+
+class TestBlockMemo:
+    """Translations sharing a ``blocks`` memo reuse every block whose
+    translator key repeats, and only those."""
+
+    @staticmethod
+    def rebuilt(changed: ArcadeModel) -> set[str]:
+        memo: dict = {}
+        before = translate_model(memo_model(), blocks=memo).blocks
+        after = translate_model(changed, blocks=memo).blocks
+        assert set(after) == set(before)
+        return {name for name in after if after[name] is not before[name]}
+
+    def test_unchanged_model_reuses_every_block(self):
+        assert self.rebuilt(memo_model()) == set()
+
+    def test_repair_rate_change_rebuilds_only_the_repair_unit(self):
+        assert self.rebuilt(memo_model(repair=2.0)) == {"rep"}
+
+    def test_watched_failure_rate_change_keeps_the_watchers(self):
+        # ``w`` and the SMU watch ``p``'s failure signals, not its rates.
+        assert self.rebuilt(memo_model(primary=0.05)) == {"p"}
+        assert self.rebuilt(memo_model(spare=0.05)) == {"s1", "s2"}
+
+    def test_equal_rates_of_different_types_share_a_key(self):
+        as_int, component = single_component_model(ttf=Exponential(2))
+        as_float, _ = single_component_model(ttf=Exponential(2.0))
+        assert ComponentTranslator(component, as_int).key() == ComponentTranslator(
+            as_float.component("c"), as_float
+        ).key()
+        memo: dict = {}
+        served = translate_model(as_int, blocks=memo).blocks["c"]
+        assert translate_model(as_float, blocks=memo).blocks["c"] is served
+        fresh = translate_model(as_float).blocks["c"]
+        assert ioimc_bytes(served) == ioimc_bytes(fresh)
+
+    def test_translators_build_without_the_model(self):
+        model = memo_model()
+        fresh = translate_model(model).blocks
+        translators = {
+            "w": ComponentTranslator(model.component("w"), model),
+            "rep": RepairUnitTranslator(model.repair_units["rep"], model),
+            "smu": SpareUnitTranslator(model.spare_units["smu"], model),
+        }
+        for name, translator in translators.items():
+            translator.model = None
+            assert ioimc_bytes(translator.build()) == ioimc_bytes(fresh[name])
+
+    def test_pickled_cache_carries_no_blocks(self):
+        cache = QuotientCache()
+        ArcadeEvaluator(memo_model(), cache=cache).availability()
+        assert cache.blocks
+        assert "blocks" not in cache.__getstate__()
+        assert pickle.loads(pickle.dumps(cache)).blocks == {}
+
+    def test_cache_off_translates_new_objects_every_time(self):
+        first = ArcadeEvaluator(memo_model(), cache="off").translated.blocks
+        second = ArcadeEvaluator(memo_model(), cache="off").translated.blocks
+        assert not {id(block) for block in first.values()} & {
+            id(block) for block in second.values()
+        }

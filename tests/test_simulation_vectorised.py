@@ -7,6 +7,9 @@ fast, deterministic pins of the same machinery plus the statistical
 properties of RESTART on models with known closed-form unavailability.
 """
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -202,6 +205,23 @@ def test_restart_stopping_rule_reaches_target():
 def test_evaluator_rejects_unknown_backend():
     with pytest.raises(ModelError):
         ArcadeEvaluator(anded_model(2), backend="oracle")
+
+
+@pytest.mark.parametrize(
+    "argument,value",
+    [
+        ("sim_replications", 0),
+        ("sim_replications", -5),
+        ("sim_horizon", math.nan),
+        ("sim_horizon", math.inf),
+        ("sim_horizon", 0.0),
+        ("sim_confidence", 1.5),
+    ],
+)
+def test_evaluator_rejects_bad_simulation_arguments(argument, value):
+    pattern = re.escape(argument) + ".*" + re.escape(repr(value))
+    with pytest.raises(ModelError, match=pattern):
+        ArcadeEvaluator(anded_model(2), backend="simulate", **{argument: value})
 
 
 def test_evaluator_simulate_backend_has_no_ctmc():

@@ -5,6 +5,7 @@ pipeline run with telemetry active is bit-identical — measures and cache
 hit/miss flags — to the same run with telemetry off.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -13,8 +14,10 @@ from repro.casestudies.dds import (
     DDSParameters,
     MISSION_TIME_HOURS,
     build_dds_evaluator,
+    dds_sweep_factory,
 )
 from repro.errors import TelemetryError
+from repro.sweep import SweepConfig, run_sweep
 from repro.telemetry import (
     SCHEMA_VERSION,
     JsonlSink,
@@ -236,6 +239,31 @@ class TestPipelineInstrumentation:
         summary = evaluator.cache.summary()
         assert counters["cache.hits"] == summary["hits"]
         assert counters["cache.misses"] == summary["misses"]
+
+    def test_sweep_points_reuse_translated_blocks(self):
+        factory = dds_sweep_factory()
+        base = {**factory.base, "num_clusters": 2.0, "disks_per_cluster": 3.0}
+        factory = dataclasses.replace(factory, base=base)
+        rate = base["disk_failure_rate"]
+        config = SweepConfig(
+            grid={"disk_failure_rate": [rate, 2.0 * rate]},
+            sensitivity_axes=(),
+            importance=False,
+            mission_time=MISSION_TIME_HOURS,
+        )
+        telemetry = Telemetry(MemorySink())
+        with telemetry.activate():
+            run_sweep(factory, config)
+        translations = [
+            event["attrs"]
+            for event in telemetry.export_events()
+            if event["name"] == "arcade.translate"
+        ]
+        # Per point: the repairable model, then the no-repair model.
+        assert len(translations) == 4
+        for attrs in translations[2:]:
+            assert attrs["reused"] > 0
+            assert attrs["built"] + attrs["reused"] == attrs["blocks"]
 
     def test_final_lump_span_wraps_its_refinement(self):
         telemetry = Telemetry(MemorySink())
