@@ -142,13 +142,13 @@ GROWTH_CACHES = ("off", "on")
 GREEDY_MAX_CLUSTERS = 1
 
 
-def _run_point(parameters, reduction, order, cache, row, *, jobs: int = 1):
+def _run_point(parameters, reduction, order, cache, row):
     """One pipeline run; extends ``row`` with its measurements."""
     import time
 
     started = time.perf_counter()
     evaluator = build_dds_evaluator(
-        parameters, reduction=reduction, order=order, cache=cache, jobs=jobs
+        parameters, reduction=reduction, order=order, cache=cache
     )
     availability = evaluator.availability()
     elapsed = time.perf_counter() - started
@@ -170,8 +170,6 @@ def _run_point(parameters, reduction, order, cache, row, *, jobs: int = 1):
             },
         }
     )
-    if jobs > 1:
-        row["jobs"] = stats["jobs"]
     if evaluator.cache is not None:
         row["cache_hits"] = stats["cache_hits"]
         row["cache_saved_seconds"] = round(stats["cache_saved_seconds"], 4)
@@ -314,83 +312,6 @@ def disk_growth_sweep(
     return rows
 
 
-# --------------------------------------------------------------------------- #
-# parallel speedup sweep: jobs x cache on the disk-heavy instance
-# --------------------------------------------------------------------------- #
-#: Worker counts of the parallel sweep.
-PARALLEL_JOBS = (1, 2, 4)
-#: Cluster count of the parallel sweep: three heavy cluster subtrees (they
-#: dominate at 8 disks each) keep the workers busy while the serial spine
-#: joins stay small.
-PARALLEL_CLUSTERS = 3
-#: Disks per cluster of the parallel sweep: the per-subtree work the
-#: workers parallelise.
-PARALLEL_DISKS = 8
-
-
-def parallel_speedup_sweep(
-    jobs=PARALLEL_JOBS,
-    *,
-    num_clusters: int = PARALLEL_CLUSTERS,
-    disks_per_cluster: int = PARALLEL_DISKS,
-) -> list[dict]:
-    """Compose+reduce wall-clock along the jobs axis, cache off and on.
-
-    Cache off is the headline speedup: every cluster subtree is real work
-    and the workers split it.  Cache on dispatches one representative per
-    isomorphism class, so with replicated clusters there is less parallel
-    work to begin with — the jobs axis then mostly measures dispatch
-    overhead, which the sweep records deliberately.  Speedup > 1 requires
-    real cores: on a single-core box the rows only demonstrate
-    bit-identity plus the (then-pure) dispatch overhead.
-    """
-    rows: list[dict] = []
-    for cache_setting in ("off", "on"):
-        baseline_seconds = None
-        baseline_availability = None
-        for workers in jobs:
-            parameters = DDSParameters(
-                num_clusters=num_clusters, disks_per_cluster=disks_per_cluster
-            )
-            row: dict = {
-                "clusters": num_clusters,
-                "disks_per_cluster": disks_per_cluster,
-                "reduction": "strong",
-                "cache": cache_setting,
-                "requested_jobs": workers,
-            }
-            _run_point(
-                parameters, "strong", "hierarchical", cache_setting, row, jobs=workers
-            )
-            compose_reduce = row["compose_seconds"] + row["reduce_seconds"]
-            row["compose_reduce_seconds"] = round(compose_reduce, 4)
-            if workers == 1:
-                baseline_seconds = compose_reduce
-                baseline_availability = row["availability"]
-                row["compose_reduce_speedup"] = 1.0
-            else:
-                row["compose_reduce_speedup"] = (
-                    round(baseline_seconds / compose_reduce, 3)
-                    if compose_reduce
-                    else None
-                )
-            # Parallelism is pure speed-up: the measure must be bit-identical.
-            row["bit_identical_availability"] = (
-                row["availability"] == baseline_availability
-            )
-            rows.append(row)
-            log.info(
-                "jobs=%s cache=%-3s compose+reduce %7.2fs  speedup %sx  "
-                "bit-identical %s",
-                workers,
-                cache_setting,
-                compose_reduce,
-                row["compose_reduce_speedup"],
-                row["bit_identical_availability"],
-            )
-    return rows
-
-
 def main(argv: list[str] | None = None) -> None:
     """Write the growth sweeps as JSON (CI artifact ``dds-growth-curve``)."""
     import argparse
@@ -421,7 +342,6 @@ def main(argv: list[str] | None = None) -> None:
     with telemetry_session("bench_dds_statespace", args):
         rows = growth_curve_sweep()
         disk_rows = disk_growth_sweep()
-        parallel_rows = parallel_speedup_sweep()
     output.write_text(
         json.dumps(
             {
@@ -431,7 +351,6 @@ def main(argv: list[str] | None = None) -> None:
                 "greedy_max_clusters": GREEDY_MAX_CLUSTERS,
                 "rows": rows,
                 "disk_growth_rows": disk_rows,
-                "parallel_rows": parallel_rows,
             },
             indent=2,
         )

@@ -9,7 +9,7 @@ bisimulation minimisation), plus per-step sizes.  The top-level fields keep
 the historical strong-mode layout so the artifact stays comparable across
 PRs; the ``reductions`` map carries the head-to-head comparison.
 
-Two further sections close the PR-5 loops:
+Two further outputs close the PR-5 loops:
 
 * ``cache`` — the isomorphism-aware quotient cache raced against the
   uncached pipeline, on the paper instance (hit-rate dominated: the
@@ -17,9 +17,6 @@ Two further sections close the PR-5 loops:
   instance where the replicated subtrees dominate and the cache cuts the
   compose+reduce wall-clock by >=2x, with hit-rate and time-saved summaries
   per run.
-* ``parallel`` — the parallel subtree aggregation (``jobs=1/2/4``) raced on
-  the disk-heavy instance with the cache off, recording the compose+reduce
-  speedup per worker count and that the measures stay bit-identical.
 * a ``cost-parameters-dds.json`` side file — damping factors of the
   planner's cost model re-fitted from the recorded strong-mode statistics
   (:meth:`repro.planner.CostModel.calibrated`), for
@@ -75,15 +72,11 @@ REDUCTIONS = ("strong", "weak", "branching")
 CACHE_HEAVY_INSTANCE = {"num_clusters": 3, "disks_per_cluster": 8}
 
 
-def run_one(
-    reduction: str, *, parameters=None, cache: str = "off", jobs: int = 1
-) -> dict:
+def run_one(reduction: str, *, parameters=None, cache: str = "off") -> dict:
     from repro.casestudies.dds import MISSION_TIME_HOURS, build_dds_evaluator
 
     started = time.perf_counter()
-    evaluator = build_dds_evaluator(
-        parameters, reduction=reduction, cache=cache, jobs=jobs
-    )
+    evaluator = build_dds_evaluator(parameters, reduction=reduction, cache=cache)
     availability = evaluator.availability()
     reliability = evaluator.reliability(MISSION_TIME_HOURS)
     wall_clock = time.perf_counter() - started
@@ -137,33 +130,6 @@ def race_cache(parameters=None) -> dict:
     }
 
 
-def race_jobs(parameters=None, jobs=(1, 2, 4)) -> dict:
-    """Strong-mode cache-off pipeline along the worker-count axis.
-
-    Each row carries its compose+reduce wall-clock and the speedup over the
-    serial (``jobs=1``) run of the same sweep; parallelism must leave the
-    measures bit-identical.
-    """
-    rows = {}
-    baseline = None
-    baseline_measures = None
-    for workers in jobs:
-        result = run_one("strong", parameters=parameters, jobs=workers)
-        seconds = (
-            result["phases"]["compose_seconds"] + result["phases"]["reduce_seconds"]
-        )
-        if workers == 1:
-            baseline = seconds
-            baseline_measures = result["measures"]
-        rows[f"jobs_{workers}"] = {
-            "compose_reduce_seconds": round(seconds, 4),
-            "speedup": round(baseline / seconds, 3) if seconds else None,
-            "bit_identical_measures": result["measures"] == baseline_measures,
-            "phases": result["phases"],
-        }
-    return rows
-
-
 def fit_cost_parameters(output_dir: Path) -> Path:
     """Re-fit the planner's damping factors from a recorded strong run."""
     from repro.casestudies.dds import build_dds_evaluator
@@ -215,13 +181,6 @@ def collect_timings() -> dict:
                 **race_cache(DDSParameters(**CACHE_HEAVY_INSTANCE)),
             },
         },
-        # Parallel subtree aggregation raced along the jobs axis on the
-        # disk-heavy instance (cache off: every cluster subtree is real work
-        # for the workers to split).
-        "parallel": {
-            "parameters": dict(CACHE_HEAVY_INSTANCE),
-            **race_jobs(DDSParameters(**CACHE_HEAVY_INSTANCE)),
-        },
     }
 
 
@@ -264,16 +223,6 @@ def main(argv: list[str] | None = None) -> None:
             100.0 * summary.get("hit_rate", 0),
             summary.get("saved_seconds", 0),
             race.get("bit_identical_measures"),
-        )
-    for key, row in timings["parallel"].items():
-        if not key.startswith("jobs_"):
-            continue
-        log.info(
-            "parallel %s: compose+reduce %ss, speedup %sx, bit-identical: %s",
-            key,
-            row["compose_reduce_seconds"],
-            row["speedup"],
-            row["bit_identical_measures"],
         )
     parameters_path = fit_cost_parameters(output.parent)
     log.info("wrote %s and %s", output, parameters_path)

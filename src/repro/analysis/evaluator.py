@@ -96,7 +96,6 @@ class ArcadeEvaluator:
         plan_budget: int | None = None,
         plan_seed: int = 0,
         plan_parameters=None,
-        jobs: int = 1,
         backend: str = "compose",
         auto_state_limit: float = 5e7,
         sim_seed: int = 0,
@@ -107,7 +106,6 @@ class ArcadeEvaluator:
         sim_burn_in: float | None = None,
         sim_confidence: float = 0.99,
         telemetry: "Telemetry | None" = None,
-        retry=None,
         state_budget: int | None = None,
     ) -> None:
         if backend not in ("compose", "simulate", "auto"):
@@ -144,13 +142,8 @@ class ArcadeEvaluator:
         self.plan_budget = plan_budget
         self.plan_seed = plan_seed
         self.plan_parameters = plan_parameters
-        #: Worker processes for the composer's parallel subtree aggregation
-        #: (``1`` = serial; forwarded as ``Composer(jobs=...)``).
-        self.jobs = jobs
-        #: Resilience bounds, forwarded to the composer: the worker-pool
-        #: :class:`~repro.resilience.RetryPolicy` (``None`` = defaults) and
-        #: the pre-reduction state ceiling per composition step.
-        self.retry = retry
+        #: Pre-reduction state ceiling per composition step, forwarded to
+        #: the composer (``None`` = unbounded).
         self.state_budget = state_budget
         #: Explicit telemetry session: the pipeline stages run inside its
         #: activation scope, so composer/lumping/simulation spans land in it
@@ -223,8 +216,6 @@ class ArcadeEvaluator:
                     plan_budget=self.plan_budget,
                     plan_seed=self.plan_seed,
                     plan_parameters=self.plan_parameters,
-                    jobs=self.jobs,
-                    retry=self.retry,
                     state_budget=self.state_budget,
                 )
         return self._composed
@@ -258,8 +249,6 @@ class ArcadeEvaluator:
                     plan_budget=self.plan_budget,
                     plan_seed=self.plan_seed,
                     plan_parameters=self.plan_parameters,
-                    jobs=self.jobs,
-                    retry=self.retry,
                     state_budget=self.state_budget,
                 )
         return self._composed_no_repair

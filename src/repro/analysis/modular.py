@@ -50,8 +50,6 @@ class ModularEvaluator:
         orders: dict[str, CompositionOrder] | None = None,
         reduction: str = "strong",
         cache=None,
-        jobs: int = 1,
-        retry=None,
         state_budget: int | None = None,
     ) -> None:
         if not subsystems:
@@ -66,12 +64,8 @@ class ModularEvaluator:
         #: replicated structures recur *between* subsystems as well (the RCS
         #: pump lines), so the sharing compounds (``None`` = caching off).
         self.cache = resolve_cache(cache)
-        #: Worker processes forwarded to every subsystem evaluator's composer
-        #: (``1`` = serial).
-        self.jobs = jobs
-        #: Resilience bounds forwarded to every subsystem evaluator (the
-        #: worker retry policy and the per-step state-budget ceiling).
-        self.retry = retry
+        #: Per-step state-budget ceiling forwarded to every subsystem
+        #: evaluator.
         self.state_budget = state_budget
         self._check_independence()
         for literal in system_down.atoms():
@@ -86,8 +80,6 @@ class ModularEvaluator:
                 order=self.orders.get(name),
                 reduction=reduction,
                 cache=self.cache,
-                jobs=jobs,
-                retry=retry,
                 state_budget=state_budget,
             )
             for name, model in self.subsystems.items()

@@ -35,7 +35,7 @@ from ..arcade import (
 )
 from ..arcade.expressions import And, Expression, Literal, Or
 from ..arcade.semantics import TranslatedModel
-from ..composer import CompositionOrder, hierarchical_order
+from ..composer import CompositionOrder, hierarchical_order, require_serial
 from ..distributions import Exponential
 from .orders import ORDER_CHOICES, validate_order_choice
 
@@ -202,7 +202,6 @@ def build_dds_evaluator(
     cache="off",
     jobs: int = 1,
     telemetry=None,
-    retry=None,
     state_budget: int | None = None,
 ) -> ArcadeEvaluator:
     """Evaluator for the full compositional-aggregation pipeline on the DDS.
@@ -214,16 +213,17 @@ def build_dds_evaluator(
     quotient cache (``"on"``/``"off"`` or a shared
     :class:`~repro.composer.QuotientCache`): the six disk clusters are
     isomorphic up to signal renaming, so with the cache each replicated
-    subtree is composed and minimised once.  ``jobs`` > 1 aggregates the
-    independent subsystem subtrees in parallel worker processes.
-    ``telemetry`` threads an explicit
+    subtree is composed and minimised once.  ``jobs`` must be 1 (see
+    :func:`~repro.composer.require_serial`).  ``telemetry`` threads an explicit
     :class:`~repro.telemetry.Telemetry` session through the evaluator.
     """
+    # perfbench/ passes jobs as 1; anything else is refused.
+    require_serial(jobs)
     validate_order_choice(order)
     model = build_dds_model(parameters)
     evaluator = ArcadeEvaluator(
-        model, reduction=reduction, cache=cache, jobs=jobs, telemetry=telemetry,
-        retry=retry, state_budget=state_budget,
+        model, reduction=reduction, cache=cache, telemetry=telemetry,
+        state_budget=state_budget,
     )
     if order == "hierarchical":
         evaluator.order = dds_composition_order(evaluator.translated, parameters)
@@ -426,12 +426,6 @@ def main(argv: list[str] | None = None) -> None:
         help="disks per cluster (paper: 4); scales the replicated subtrees",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for parallel subtree aggregation (1 = serial)",
-    )
-    parser.add_argument(
         "--backend",
         choices=("compose", "simulate"),
         default="compose",
@@ -539,7 +533,7 @@ def _run(args, log, run_sweep_cli) -> None:
         log.info("  wall-clock %.1fs", elapsed)
         return
     from ..composer import resolve_cache
-    from .sweep_cli import load_cache_file, retry_from_args, save_cache_file
+    from .sweep_cli import load_cache_file, save_cache_file
 
     started = time.perf_counter()
     cache = resolve_cache(args.cache)
@@ -549,21 +543,17 @@ def _run(args, log, run_sweep_cli) -> None:
         reduction=args.reduction,
         order=args.order,
         cache=cache if cache is not None else "off",
-        jobs=args.jobs,
-        retry=retry_from_args(args),
         state_budget=args.state_budget,
     )
     availability = evaluator.availability()
     reliability = evaluator.reliability(MISSION_TIME_HOURS)
     elapsed = time.perf_counter() - started
     statistics = evaluator.composed.statistics
-    jobs_note = f", jobs={args.jobs}" if args.jobs > 1 else ""
     log.info(
-        "DDS (%s clusters), reduction=%s, order=%s%s",
+        "DDS (%s clusters), reduction=%s, order=%s",
         args.clusters,
         args.reduction,
         args.order,
-        jobs_note,
     )
     if evaluator.composed.plan_report is not None:
         log.info("  %s", evaluator.composed.plan_report.summary())
@@ -588,15 +578,6 @@ def _run(args, log, run_sweep_cli) -> None:
     )
     log.info("  availability          %.9f", availability)
     log.info("  reliability (5 weeks) %.9f", reliability)
-    if statistics.serial_fallbacks or statistics.worker_retries:
-        log.warning(
-            "  resilience: %s retry(ies), %s timeout(s), %s pool break(s), "
-            "%s serial fallback(s)",
-            statistics.worker_retries,
-            statistics.worker_timeouts,
-            statistics.pool_breaks,
-            statistics.serial_fallbacks,
-        )
     log.info(
         "  wall-clock %.1fs (compose %.1fs, reduce %.1fs)",
         elapsed,

@@ -48,7 +48,7 @@ from ..arcade import (
 from ..arcade.expressions import And, Expression, Literal, Or
 from ..arcade.operational_modes import degradation_group
 from ..arcade.semantics import TranslatedModel
-from ..composer import CompositionOrder, hierarchical_order
+from ..composer import CompositionOrder, hierarchical_order, require_serial
 from ..distributions import Erlang, Exponential
 from .orders import ORDER_CHOICES, validate_order_choice
 
@@ -307,7 +307,6 @@ def build_rcs_modular_evaluator(
     order: str = "hierarchical",
     cache="off",
     jobs: int = 1,
-    retry=None,
     state_budget: int | None = None,
 ) -> ModularEvaluator:
     """Modular evaluator of the full RCS (the paper's Section 5.2.2 analysis).
@@ -319,9 +318,10 @@ def build_rcs_modular_evaluator(
     or a shared :class:`~repro.composer.QuotientCache`) enables the
     isomorphism-aware quotient cache, shared across both subsystem
     evaluators — the two pump lines are isomorphic up to signal renaming.
-    ``jobs`` > 1 lets each subsystem composer aggregate its independent
-    subtrees in parallel worker processes.
+    ``jobs`` must be 1 (see :func:`~repro.composer.require_serial`).
     """
+    # perfbench/ passes jobs as 1; anything else is refused.
+    require_serial(jobs)
     validate_order_choice(order)
     p = parameters or RCSParameters()
     subsystems = {
@@ -332,7 +332,7 @@ def build_rcs_modular_evaluator(
     system_down = Or([Literal("pumps", None), Literal("heat_exchange", None)])
     evaluator = ModularEvaluator(
         subsystems, system_down, orders=orders, reduction=reduction, cache=cache,
-        jobs=jobs, retry=retry, state_budget=state_budget,
+        state_budget=state_budget,
     )
     if order == "hierarchical":
         evaluator.evaluators["pumps"].order = subsystem_order(
@@ -441,12 +441,6 @@ def main(argv: list[str] | None = None) -> None:
         "evaluators (the pump lines are isomorphic up to signal renaming)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for parallel subtree aggregation (1 = serial)",
-    )
-    parser.add_argument(
         "--backend",
         choices=("compose", "simulate"),
         default="compose",
@@ -540,7 +534,7 @@ def _run(args, log, run_sweep_cli) -> None:
         return
 
     from ..composer import resolve_cache
-    from .sweep_cli import load_cache_file, retry_from_args, save_cache_file
+    from .sweep_cli import load_cache_file, save_cache_file
 
     started = time.perf_counter()
     cache = resolve_cache(args.cache)
@@ -549,8 +543,6 @@ def _run(args, log, run_sweep_cli) -> None:
         reduction=args.reduction,
         order=args.order,
         cache=cache if cache is not None else "off",
-        jobs=args.jobs,
-        retry=retry_from_args(args),
         state_budget=args.state_budget,
     )
     pumps = modular.evaluators["pumps"]
@@ -561,10 +553,7 @@ def _run(args, log, run_sweep_cli) -> None:
     )
     unreliability_50h = modular.unreliability(MISSION_TIME_HOURS)
     elapsed = time.perf_counter() - started
-    jobs_note = f", jobs={args.jobs}" if args.jobs > 1 else ""
-    log.info(
-        "RCS (modular), reduction=%s, order=%s%s", args.reduction, args.order, jobs_note
-    )
+    log.info("RCS (modular), reduction=%s, order=%s", args.reduction, args.order)
     for name in ("pumps", "heat_exchange"):
         report = modular.evaluators[name].composed.plan_report
         if report is not None:

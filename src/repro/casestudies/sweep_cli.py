@@ -6,7 +6,7 @@ Both case studies expose the same sweep vocabulary::
         --sweep-grid disk_failure_rate=1e-4,1.6667e-4,2.5e-4 \\
         --sweep-grid repair_rate=0.5,1.0,2.0 \\
         --sweep-prior processor_failure_rate=2e-4,1e-3 \\
-        --sweep-lhs 32 --cache on --jobs 2 \\
+        --sweep-lhs 32 --cache on \\
         --sweep-out results/dds_sweep
 
 Grid axes are explicit value lists, priors are ``low,high[,log|linear]``
@@ -129,56 +129,6 @@ def add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
         "would exceed it fails fast with StateBudgetError instead of "
         "exhausting memory",
     )
-    group.add_argument(
-        "--retry-attempts",
-        type=int,
-        default=3,
-        metavar="N",
-        help="attempts per parallel subtree task before the serial fallback",
-    )
-    group.add_argument(
-        "--task-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-task timeout of the parallel subtree dispatch "
-        "(default: no timeout)",
-    )
-    group.add_argument(
-        "--retry-backoff",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="base backoff between retry rounds (doubles per round)",
-    )
-    group.add_argument(
-        "--no-serial-fallback",
-        action="store_true",
-        help="fail the evaluation when a subtree exhausts its retries "
-        "instead of recomputing it serially in the parent",
-    )
-
-
-def retry_from_args(args: argparse.Namespace):
-    """Build the :class:`~repro.resilience.RetryPolicy` the CLI asked for.
-
-    Returns ``None`` when every knob is at its default, so the composer's
-    own default policy applies unchanged.
-    """
-    from ..resilience import RetryPolicy
-
-    attempts = getattr(args, "retry_attempts", 3)
-    timeout = getattr(args, "task_timeout", None)
-    backoff = getattr(args, "retry_backoff", 0.0)
-    fallback = not getattr(args, "no_serial_fallback", False)
-    if attempts == 3 and timeout is None and backoff == 0.0 and fallback:
-        return None
-    return RetryPolicy(
-        max_attempts=attempts,
-        timeout_seconds=timeout,
-        backoff_seconds=backoff,
-        serial_fallback=fallback,
-    )
 
 
 def load_cache_file(cache, args: argparse.Namespace) -> None:
@@ -278,7 +228,6 @@ def run_sweep_cli(factory, args: argparse.Namespace, *, default_grid=None) -> Sw
         backend=getattr(args, "backend", "compose"),
         reduction=getattr(args, "reduction", "strong"),
         cache=cache,
-        jobs=getattr(args, "jobs", 1),
         root_seed=args.root_seed,
         fd_step=args.fd_step,
         importance=not args.no_importance,
@@ -287,7 +236,6 @@ def run_sweep_cli(factory, args: argparse.Namespace, *, default_grid=None) -> Sw
         sim_horizon=getattr(args, "sim_horizon", 10_000.0),
         isolate_failures=getattr(args, "isolate_failures", False),
         state_budget=getattr(args, "state_budget", None),
-        retry=retry_from_args(args),
         checkpoint=checkpoint,
         checkpoint_every=getattr(args, "checkpoint_every", 1),
         resume=getattr(args, "resume", False),
@@ -358,7 +306,6 @@ __all__ = [
     "load_cache_file",
     "parse_grid_specs",
     "parse_prior_specs",
-    "retry_from_args",
     "run_sweep_cli",
     "save_cache_file",
 ]

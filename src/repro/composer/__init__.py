@@ -9,6 +9,7 @@ from .composer import (
     CompositionStep,
     Composer,
     compose_model,
+    require_serial,
 )
 from .ordering import GateScheduler, flatten_order, hierarchical_order
 
@@ -26,5 +27,6 @@ __all__ = [
     "compose_model",
     "flatten_order",
     "hierarchical_order",
+    "require_serial",
     "resolve_cache",
 ]

@@ -499,44 +499,6 @@ class QuotientCache:
         self.skeleton_stores += 1
 
     # ------------------------------------------------------------------ #
-    # merging (parallel subtree aggregation)
-    # ------------------------------------------------------------------ #
-    def merge_from(self, other: "QuotientCache") -> bool:
-        """Import a worker cache's entries and counters into this cache.
-
-        The parallel composer gives every worker a fresh cache and merges
-        them back in deterministic (spine) order, so duplicate subtrees the
-        dispatcher did not send out are served in the parent exactly as a
-        serial run would have served them.
-
-        Digest classes are anchored by their first representative.  Where
-        both caches know a digest, the two representatives are verified
-        isomorphic *before anything is imported*; a failed verification —
-        a cross-process digest collision — aborts the whole import (the
-        worker's step keys were derived from the colliding identity) and
-        returns ``False`` so the caller can drop the worker's fingerprint.
-        Entries already present keep the incumbent: first-stored witnesses
-        stay authoritative for later rebasing.
-        """
-        for digest, (candidate, candidate_slots) in other._leaf_representatives.items():
-            mine = self._leaf_representatives.get(digest)
-            if mine is not None and not _verified_isomorphic(
-                candidate, candidate_slots, mine[0], mine[1]
-            ):
-                return False
-        for digest, representative in other._leaf_representatives.items():
-            self._leaf_representatives.setdefault(digest, representative)
-        for key, entry in other._entries.items():
-            self._entries.setdefault(key, entry)
-        self.hits += other.hits
-        self.misses += other.misses
-        self.stores += other.stores
-        self.regathers += other.regathers
-        self.skeleton_stores += other.skeleton_stores
-        self.saved_seconds += other.saved_seconds
-        return True
-
-    # ------------------------------------------------------------------ #
     # persistence hooks (see repro.resilience.diskcache)
     # ------------------------------------------------------------------ #
     def entries(self) -> dict[str, CacheEntry]:

@@ -27,11 +27,7 @@ rebased from the cache onto its concrete signal names (see
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as PoolTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -47,10 +43,8 @@ from ..lumping import (
     minimize_weak,
 )
 from ..arcade.semantics import TranslatedModel
-from ..resilience.faults import active_fault, active_fault_plan, inject_faults
-from ..resilience.retry import RecoveryEvent, RetryPolicy
-from ..telemetry.sink import MemorySink
-from ..telemetry.trace import Telemetry, current_telemetry, gauge_max, incr
+from ..resilience.faults import active_fault
+from ..telemetry.trace import gauge_max, incr
 from ..telemetry.trace import span as telemetry_span
 from .cache import (
     QuotientCache,
@@ -118,27 +112,9 @@ class CompositionStatistics:
 
     steps: list[CompositionStep] = field(default_factory=list)
     final_reduce_seconds: float = 0.0
-    #: Worker-pool size the run used (1 = fully serial).
-    jobs: int = 1
-    #: Subtree tasks re-submitted after a timeout or a pool break.
-    worker_retries: int = 0
-    #: Subtree tasks whose worker future exceeded the retry policy's deadline.
-    worker_timeouts: int = 0
-    #: Times the process pool broke (a worker died) and was recreated.
-    pool_breaks: int = 0
-    #: Subtree tasks composed serially in the parent after exhausting retries.
-    serial_fallbacks: int = 0
-    #: Every recovery action of the run, in the order it was taken — the
-    #: never-silent record: a run that survived a fault says so here, in the
-    #: ``resilience.*`` telemetry counters, and nowhere in its measures.
-    recovery_events: list[RecoveryEvent] = field(default_factory=list)
 
     def record(self, step: CompositionStep) -> None:
         self.steps.append(step)
-
-    def record_recovery(self, event: RecoveryEvent) -> None:
-        self.recovery_events.append(event)
-        incr(f"resilience.{event.kind}")
 
     @property
     def largest_intermediate_states(self) -> int:
@@ -200,7 +176,6 @@ class CompositionStatistics:
         """JSON-serialisable summary — the schema the telemetry stream and
         the benchmark exporters share (per-step rows under ``"steps"``)."""
         return {
-            "jobs": self.jobs,
             "num_steps": len(self.steps),
             "largest_intermediate_states": self.largest_intermediate_states,
             "largest_intermediate_transitions": self.largest_intermediate_transitions,
@@ -210,19 +185,6 @@ class CompositionStatistics:
             "total_seconds": self.total_seconds,
             "cache_hits": self.cache_hits,
             "cache_saved_seconds": self.cache_saved_seconds,
-            "worker_retries": self.worker_retries,
-            "worker_timeouts": self.worker_timeouts,
-            "pool_breaks": self.pool_breaks,
-            "serial_fallbacks": self.serial_fallbacks,
-            "recovery_events": [
-                {
-                    "kind": event.kind,
-                    "key": event.key,
-                    "attempt": event.attempt,
-                    "detail": event.detail,
-                }
-                for event in self.recovery_events
-            ],
             "steps": self.as_table(),
         }
 
@@ -284,26 +246,6 @@ class Composer:
         file persisted by :func:`repro.planner.save_cost_parameters` (e.g.
         the per-family files the benchmarks export).  ``None`` uses the
         built-in DDS/RCS-fitted defaults.
-    jobs:
-        Worker-pool size for parallel subtree aggregation.  With ``jobs >
-        1`` the independent nested groups of the composition order (the
-        affinity-group subtrees) are composed, hidden and reduced in a
-        :class:`~concurrent.futures.ProcessPoolExecutor`, their statistics
-        and cache entries merged back, and only the left-deep join spine
-        runs serially — bit-identical to the serial run (see
-        ``docs/architecture.md``).  Flat orders and single-subtree orders
-        fall back to the serial path.
-    retry:
-        :class:`~repro.resilience.RetryPolicy` bounding the parallel
-        dispatch's recovery from crashed (``BrokenProcessPool``) and hung
-        (per-task timeout) workers: bounded retry with backoff, then — when
-        the policy allows — graceful serial fallback in the parent.  Every
-        recovery is recorded in :class:`CompositionStatistics` and the
-        ``resilience.*`` telemetry counters; the composed result stays
-        bit-identical to an undisturbed run because the serial fallback and
-        the workers run the very same fold.  ``None`` uses the defaults
-        (3 attempts, no deadline, serial fallback on).  See
-        ``docs/robustness.md``.
     state_budget:
         Hard ceiling on any step's *pre-reduction* product size (the
         states it builds).
@@ -312,7 +254,7 @@ class Composer:
         :class:`~repro.errors.CompositionError`) instead of consuming
         unbounded memory — the sweep driver's per-point isolation turns
         that into an error row.  Checked identically on cache hits (from
-        the entry's recorded pre-reduction size) and in worker processes.
+        the entry's recorded pre-reduction size) and on re-gathered steps.
         ``None`` (default) disables the check.
     """
 
@@ -327,16 +269,12 @@ class Composer:
         plan_budget: int | None = None,
         plan_seed: int = 0,
         plan_parameters: "CostParameters | str | None" = None,
-        jobs: int = 1,
-        retry: "RetryPolicy | None" = None,
         state_budget: int | None = None,
     ) -> None:
         if reduction not in REDUCTION_MODES:
             raise CompositionError(
                 f"unknown reduction {reduction!r} (expected one of {REDUCTION_MODES})"
             )
-        if jobs < 1:
-            raise CompositionError(f"jobs must be >= 1, got {jobs}")
         if state_budget is not None and state_budget < 1:
             raise CompositionError(
                 f"state_budget must be >= 1, got {state_budget}"
@@ -363,10 +301,6 @@ class Composer:
         #: pipelines (availability + no-repair reliability, growth sweeps)
         #: compound their hits.
         self.cache: QuotientCache | None = resolve_cache(cache)
-        #: Worker-pool size for parallel subtree aggregation (1 = serial).
-        self.jobs = jobs
-        #: Recovery bounds of the parallel dispatch (defaults when ``None``).
-        self.retry = retry if retry is not None else RetryPolicy()
         #: Pre-reduction state ceiling per step (``None`` = unbounded).
         self.state_budget = state_budget
         self.statistics = CompositionStatistics()
@@ -381,7 +315,6 @@ class Composer:
             "compose.run",
             model=self.translated.model.name,
             reduction=self.reduction,
-            jobs=self.jobs,
             cache="on" if self.cache is not None else "off",
             blocks=len(self.translated.blocks),
         ) as run_span:
@@ -395,10 +328,7 @@ class Composer:
             # accumulate steps/timings across invocations.  (The quotient
             # cache, in contrast, deliberately survives re-runs.)
             self.statistics = CompositionStatistics()
-            if self.jobs > 1:
-                system, _, _ = self._compose_parallel(order)
-            else:
-                system, _, _ = self._compose_group(order)
+            system, _, _ = self._compose_group(order)
             missing = set(self.translated.blocks) - self._composed_blocks
             if missing:
                 raise CompositionError(
@@ -532,359 +462,9 @@ class Composer:
             )
             # Keep the running composite's name short; the full history is in
             # the recorded statistics.  The count is *local* to this subtree
-            # (not the global composed-block tally), so a subtree composed in
-            # a worker process names its steps identically to a serial run.
+            # (not the global composed-block tally).
             composite = composite.renamed(f"composite[{len(blocks)} blocks]")
         return composite, blocks, fingerprint
-
-    # ------------------------------------------------------------------ #
-    # parallel subtree aggregation
-    # ------------------------------------------------------------------ #
-    def _compose_parallel(
-        self, order: CompositionOrder
-    ) -> tuple[IOIMC, frozenset[str], SubtreeFingerprint | None]:
-        """Compose the order's independent subtrees in a process pool.
-
-        The left-deep spine of the nested order is unrolled into its
-        top-level items (see :func:`_spine_items`); every non-leaf item is a
-        self-contained subtree — its hiding schedule depends only on its own
-        blocks and the full-model listener table — so the subtrees can be
-        composed, hidden and reduced concurrently and joined serially
-        afterwards, reproducing the serial run bit for bit.  With the cache
-        on, only one representative per structural task class is dispatched;
-        duplicate subtrees recompose in the parent through the ordinary
-        cached path (every step a verified hit) after the worker caches have
-        been merged, which also reproduces the serial hit pattern.
-        """
-        items = _spine_items(order)
-        tasks = [
-            (index, item)
-            for index, item in enumerate(items)
-            if not isinstance(item, str)
-        ]
-        if len(tasks) < 2:
-            return self._compose_group(order)
-        dispatch: list[tuple[int, CompositionOrder]] = []
-        if self.cache is not None:
-            seen: set = set()
-            for index, item in tasks:
-                key = self._task_key(item)
-                if key is not None:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                dispatch.append((index, item))
-        else:
-            dispatch = tasks
-        if len(dispatch) < 2:
-            return self._compose_group(order)
-
-        workers = min(self.jobs, len(dispatch))
-        self.statistics.jobs = workers
-        telemetry = current_telemetry()
-        results: dict[int, _SubtreeResult] = {}
-        with telemetry_span(
-            "compose.parallel", workers=workers, subtrees=len(dispatch)
-        ) as parallel_span:
-            self._run_dispatch(dispatch, workers, telemetry is not None, results)
-            if self.statistics.recovery_events:
-                parallel_span.set(
-                    worker_retries=self.statistics.worker_retries,
-                    worker_timeouts=self.statistics.worker_timeouts,
-                    pool_breaks=self.statistics.pool_breaks,
-                    serial_fallbacks=self.statistics.serial_fallbacks,
-                )
-
-            # Merge the worker-side observability alongside the statistics and
-            # cache merges below: worker span events splice into this trace
-            # (re-parented onto the compose.parallel span), worker metrics
-            # snapshots fold into the ambient registry — in item order, so the
-            # merged stream is deterministic across worker counts.
-            if telemetry is not None:
-                for index in sorted(results):
-                    result = results[index]
-                    telemetry.ingest(
-                        result.events, parent_id=parallel_span.span_id
-                    )
-                    telemetry.metrics.merge_snapshot(result.metrics_snapshot)
-
-        # Merge the worker caches in item order — not completion order — so
-        # the parent cache's contents and counters are deterministic across
-        # runs and worker counts.
-        if self.cache is not None:
-            for index in sorted(results):
-                result = results[index]
-                if result.cache is None:
-                    continue
-                if self.cache.merge_from(result.cache):
-                    incr("cache.merges")
-                else:
-                    # A cross-process digest collision failed verification:
-                    # the worker's entries were not imported, and no
-                    # descendant key may be derived from its identity.
-                    result.fingerprint = None
-
-        composite: IOIMC | None = None
-        fingerprint: SubtreeFingerprint | None = None
-        blocks: frozenset[str] = frozenset()
-        for index, item in enumerate(items):
-            result = results.get(index)
-            if result is not None:
-                duplicates = self._composed_blocks & result.blocks
-                if duplicates:
-                    raise CompositionError(
-                        f"block {sorted(duplicates)[0]!r} appears twice in the "
-                        "composition order"
-                    )
-                self._composed_blocks |= result.blocks
-                self.statistics.steps.extend(result.steps)
-                part, part_blocks, part_fingerprint = (
-                    result.ioimc,
-                    result.blocks,
-                    result.fingerprint,
-                )
-            else:
-                part, part_blocks, part_fingerprint = self._compose_group(item)
-            if composite is None:
-                composite, blocks, fingerprint = part, part_blocks, part_fingerprint
-                continue
-            operand_blocks = (len(blocks), len(part_blocks))
-            blocks |= part_blocks
-            composite, fingerprint = self._step(
-                composite, fingerprint, part, part_fingerprint, blocks, operand_blocks
-            )
-            composite = composite.renamed(f"composite[{len(blocks)} blocks]")
-        assert composite is not None  # len(items) >= 2 here
-        return composite, blocks, fingerprint
-
-    def _subtree_payload(
-        self, item, traced: bool, task_id: str | None, attempt: int, fault_plan
-    ):
-        """The picklable argument tuple of one subtree task.
-
-        ``task_id``/``attempt`` key the worker-side injection sites
-        (``worker.crash``, ``worker.timeout``); the serial fallback passes
-        ``task_id=None`` and ``fault_plan=None`` so those sites stay dead in
-        the parent process — the parent-side sites (``compose.blowup``)
-        still see the ambient plan through the contextvar.
-        """
-        return (
-            self._subtree_translated(item),
-            item,
-            self.reduction,
-            self.eliminate_vanishing,
-            self.cache is not None,
-            traced,
-            self.state_budget,
-            task_id,
-            attempt,
-            fault_plan,
-        )
-
-    def _run_dispatch(
-        self,
-        dispatch: list,
-        workers: int,
-        traced: bool,
-        results: "dict[int, _SubtreeResult]",
-    ) -> None:
-        """Run the subtree tasks through the pool under the retry policy.
-
-        Fault model: a dispatched task either returns, raises a library
-        error, stalls past the policy deadline, or takes the pool down
-        (``BrokenProcessPool``).  Timeouts and pool breaks are *recoverable*
-        — the task is re-submitted up to ``max_attempts`` times (a broken
-        pool is recreated first), then composed serially in the parent when
-        the policy allows.  A library exception raised *by* the worker is
-        deterministic — retrying cannot change it — and propagates
-        immediately.  Every recovery is recorded on the statistics and the
-        ``resilience.*`` counters; none changes the composed result, because
-        workers, retries and the serial fallback all run the identical fold.
-
-        On any escaping exception — including ``KeyboardInterrupt`` — the
-        pool is torn down hard (``cancel_futures`` plus ``terminate`` on
-        live workers), so an aborted run leaves no orphan processes behind.
-        """
-        policy = self.retry
-        fault_plan = active_fault_plan()
-        statistics = self.statistics
-        pending: dict[int, tuple] = {index: (item, 0) for index, item in dispatch}
-        stalled = False
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            while pending:
-                futures = []
-                for index in sorted(pending):
-                    item, attempt = pending[index]
-                    delay = policy.backoff(attempt)
-                    if delay > 0.0:
-                        time.sleep(delay)
-                    futures.append(
-                        (
-                            index,
-                            pool.submit(
-                                _compose_subtree_worker,
-                                self._subtree_payload(
-                                    item,
-                                    traced,
-                                    f"subtree:{index}",
-                                    attempt,
-                                    fault_plan,
-                                ),
-                            ),
-                        )
-                    )
-                failures: dict[int, tuple[str, str]] = {}
-                pool_broken = False
-                for index, future in futures:
-                    if pool_broken:
-                        # The pool died earlier in this round: harvest what
-                        # finished, mark the rest as casualties of the break.
-                        if (
-                            future.done()
-                            and not future.cancelled()
-                            and future.exception() is None
-                        ):
-                            results[index] = future.result()
-                            del pending[index]
-                        else:
-                            failures[index] = (
-                                "pool_broken",
-                                "process pool broke during the round",
-                            )
-                        continue
-                    try:
-                        results[index] = future.result(
-                            timeout=policy.timeout_seconds
-                        )
-                        del pending[index]
-                    except PoolTimeout:
-                        # The stalled worker keeps its slot until it finishes;
-                        # its late result is discarded (the pool is killed at
-                        # the end instead of drained).
-                        stalled = True
-                        statistics.worker_timeouts += 1
-                        failures[index] = (
-                            "timeout",
-                            f"no result within {policy.timeout_seconds}s",
-                        )
-                    except BrokenProcessPool as error:
-                        pool_broken = True
-                        failures[index] = ("pool_broken", repr(error))
-                if pool_broken:
-                    statistics.pool_breaks += 1
-                    statistics.record_recovery(
-                        RecoveryEvent(
-                            kind="pool_broken",
-                            key="pool",
-                            attempt=-1,
-                            detail="a worker died; recreating the pool",
-                        )
-                    )
-                    _terminate_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                for index in sorted(failures):
-                    kind, detail = failures[index]
-                    item, attempt = pending[index]
-                    if kind == "timeout":
-                        statistics.record_recovery(
-                            RecoveryEvent(
-                                kind="timeout",
-                                key=f"subtree:{index}",
-                                attempt=attempt,
-                                detail=detail,
-                            )
-                        )
-                    if attempt + 1 < policy.max_attempts:
-                        statistics.worker_retries += 1
-                        statistics.record_recovery(
-                            RecoveryEvent(
-                                kind="retry",
-                                key=f"subtree:{index}",
-                                attempt=attempt + 1,
-                                detail=f"re-dispatch after {kind}",
-                            )
-                        )
-                        pending[index] = (item, attempt + 1)
-                    elif policy.serial_fallback:
-                        statistics.serial_fallbacks += 1
-                        statistics.record_recovery(
-                            RecoveryEvent(
-                                kind="serial_fallback",
-                                key=f"subtree:{index}",
-                                attempt=attempt,
-                                detail=f"attempts exhausted after {kind}; "
-                                "composing in the parent",
-                            )
-                        )
-                        results[index] = _compose_subtree_worker(
-                            self._subtree_payload(item, traced, None, 0, None)
-                        )
-                        del pending[index]
-                    else:
-                        raise CompositionError(
-                            f"subtree task {index} failed after "
-                            f"{policy.max_attempts} attempt(s) ({kind}: {detail}) "
-                            "and serial fallback is disabled"
-                        )
-        except BaseException:
-            _terminate_pool(pool)
-            raise
-        if stalled:
-            _terminate_pool(pool)
-        else:
-            pool.shutdown(wait=True)
-
-    def _task_key(self, item: "CompositionOrder | str"):
-        """Structural identity of one subtree task (leaf digests + shape).
-
-        ``None`` disables deduplication for subtrees containing a leaf the
-        cache cannot fingerprint.  The key is a dispatch heuristic only:
-        falsely merged tasks cannot corrupt anything (the "duplicate"
-        recomposes in the parent through the verified cache path, missing
-        where its steps differ), a false split merely costs a redundant
-        worker.
-        """
-        if isinstance(item, str):
-            block = self.translated.blocks.get(item)
-            if block is None:
-                raise CompositionError(f"unknown block {item!r} in composition order")
-            fingerprint = self.cache.leaf_fingerprint(block)
-            return None if fingerprint is None else fingerprint.key
-        parts = []
-        for member in item:
-            key = self._task_key(member)
-            if key is None:
-                return None
-            parts.append(key)
-        return tuple(parts)
-
-    def _subtree_translated(self, item: CompositionOrder) -> TranslatedModel:
-        """The restricted model one worker composes against.
-
-        Carries only the subtree's blocks, but the *full model's* listener
-        table — a signal observed outside the subtree must stay open until
-        the join, exactly as in the serial composer's hiding rule.
-        """
-        blocks: dict[str, IOIMC] = {}
-        for name in _flatten_names(item):
-            block = self.translated.blocks.get(name)
-            if block is None:
-                raise CompositionError(f"unknown block {name!r} in composition order")
-            blocks[name] = block
-        listener_table: dict[str, frozenset[str]] = {}
-        for block in blocks.values():
-            for action in block.signature.all_actions:
-                listeners = self.translated.listeners_of(action)
-                if listeners:
-                    listener_table[action] = listeners
-        return TranslatedModel(
-            model=None,  # workers never consult the Arcade source model
-            blocks=blocks,
-            top_gate="",
-            gates={},
-            _listener_table=listener_table,
-        )
 
     def _step(
         self,
@@ -1155,145 +735,19 @@ class Composer:
         return automaton
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Tear a pool down without draining it, leaving no orphan workers.
+def require_serial(jobs: int) -> None:
+    """Reject any ``jobs`` other than 1: the composer is one serial fold.
 
-    Used on abort (``KeyboardInterrupt``/SIGTERM, escaping errors), after a
-    ``BrokenProcessPool`` and when timed-out workers are still stalled at
-    the end of dispatch: queued futures are cancelled and live worker
-    processes terminated, then reaped with a short join.
+    Subtree parallelism was removed (``BENCH_jobs.json`` records why), but
+    the benchmark harness in ``perfbench/`` still passes ``jobs`` as 1 to
+    the DDS and RCS evaluator builders and to ``SweepConfig``, so those
+    three keep the parameter and call this guard.
     """
-    processes = list((getattr(pool, "_processes", None) or {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        if process.is_alive():
-            process.terminate()
-    for process in processes:
-        process.join(timeout=1.0)
-
-
-def _flatten_names(item: "CompositionOrder | str") -> list[str]:
-    """Block names of a (possibly nested) order item, in composition sequence."""
-    if isinstance(item, str):
-        return [item]
-    names: list[str] = []
-    for member in item:
-        names.extend(_flatten_names(member))
-    return names
-
-
-def _spine_items(order: CompositionOrder) -> list:
-    """Unroll a left-deep nested order into its top-level spine items.
-
-    The composer's fold of ``[prev, nested, *gates]`` is equivalent to
-    walking ``_spine_items(prev) + [nested, *gates]`` left to right: hiding
-    decisions depend only on the accumulated block set, which grows
-    identically either way.  A leading run of leaf names (the first
-    subsystem group of a hierarchical order) is kept together as one item
-    so it can be dispatched as a subtree of its own.
-    """
-    items = list(order)
-    if not items:
-        raise CompositionError("empty group in composition order")
-    first = items[0]
-    if isinstance(first, str):
-        split = 1
-        while split < len(items) and isinstance(items[split], str):
-            split += 1
-        head = first if split == 1 else items[:split]
-        return [head] + items[split:]
-    return _spine_items(first) + items[1:]
-
-
-@dataclass
-class _SubtreeResult:
-    """What one worker sends back for its subtree."""
-
-    ioimc: IOIMC
-    blocks: frozenset
-    fingerprint: SubtreeFingerprint | None
-    steps: tuple
-    cache: QuotientCache | None
-    #: Telemetry span events the worker's session buffered (empty when the
-    #: parent ran without telemetry); spliced into the parent trace via
-    #: :meth:`repro.telemetry.trace.Telemetry.ingest`.
-    events: tuple = ()
-    #: The worker registry's snapshot, folded into the parent's metrics.
-    metrics_snapshot: dict | None = None
-
-
-def _compose_subtree_worker(payload) -> _SubtreeResult:
-    """Process-pool entry point: compose one independent subtree.
-
-    The payload carries a restricted :class:`TranslatedModel` (the subtree's
-    blocks plus the full-model listener table), the reduction settings, the
-    state budget, and the fault-injection context: the parent's
-    :class:`~repro.resilience.FaultPlan` (contextvars do not cross the
-    process boundary, so the plan travels in the payload and is re-activated
-    here) plus this task's stable id and retry attempt, which key the
-    worker-side injection sites — ``worker.crash`` fail-stops the process
-    (the parent observes a ``BrokenProcessPool``), ``worker.timeout`` stalls
-    it past the parent's deadline.  The serial fallback calls this function
-    in-process with ``task_id=None``, which keeps both sites dead.
-
-    The worker runs the ordinary serial fold — against a fresh cache when
-    the parent run caches, so within-subtree replicas still hit — and
-    returns the composite, its per-step statistics and the cache for the
-    parent to merge.  When the parent run is traced, the worker runs its own
-    memory-sink telemetry session and ships the buffered span events and
-    metrics snapshot back alongside.
-    """
-    (
-        translated,
-        item,
-        reduction,
-        eliminate_vanishing,
-        use_cache,
-        traced,
-        state_budget,
-        task_id,
-        attempt,
-        fault_plan,
-    ) = payload
-    with inject_faults(fault_plan):
-        if task_id is not None:
-            if active_fault("worker.crash", key=task_id, attempt=attempt) is not None:
-                # Fail-stop, as a real worker crash would be: no unwinding, no
-                # result, the parent's pool breaks.
-                os._exit(17)
-            stall = active_fault("worker.timeout", key=task_id, attempt=attempt)
-            if stall is not None:
-                time.sleep(stall.sleep_seconds)
-        composer = Composer(
-            translated,
-            order=item,
-            reduction=reduction,
-            eliminate_vanishing=eliminate_vanishing,
-            cache="on" if use_cache else None,
-            state_budget=state_budget,
+    if jobs != 1:
+        raise CompositionError(
+            f"jobs must be 1, got {jobs!r}: subtree parallelism was removed "
+            "and the composer is serial"
         )
-        events: tuple = ()
-        metrics_snapshot: dict | None = None
-        if traced:
-            telemetry = Telemetry(MemorySink())
-            with telemetry.activate():
-                with telemetry.span("compose.subtree", subtree_blocks=len(_flatten_names(item))):
-                    ioimc, blocks, fingerprint = composer._compose_group(item)
-            events = tuple(telemetry.export_events())
-            metrics_snapshot = telemetry.metrics.snapshot() or None
-        else:
-            ioimc, blocks, fingerprint = composer._compose_group(item)
-    # The cache's per-process memos (identity-keyed leaf fingerprints, step
-    # skeletons) stay out of the pickled payload; see QuotientCache.__getstate__.
-    return _SubtreeResult(
-        ioimc=ioimc,
-        blocks=blocks,
-        fingerprint=fingerprint,
-        steps=tuple(composer.statistics.steps),
-        cache=composer.cache,
-        events=events,
-        metrics_snapshot=metrics_snapshot,
-    )
 
 
 def compose_model(
@@ -1306,8 +760,6 @@ def compose_model(
     plan_budget: int | None = None,
     plan_seed: int = 0,
     plan_parameters: "CostParameters | str | None" = None,
-    jobs: int = 1,
-    retry: "RetryPolicy | None" = None,
     state_budget: int | None = None,
 ) -> ComposedSystem:
     """One-call wrapper around :class:`Composer`.
@@ -1315,8 +767,8 @@ def compose_model(
     Accepts the same keyword arguments (see the :class:`Composer` docstring
     for the reduction — ``reduction``, ``eliminate_vanishing`` — the
     quotient cache — ``cache`` — the order planner — ``order="auto"``, ``plan_budget``,
-    ``plan_seed``, ``plan_parameters`` — and the resilience bounds —
-    ``retry``, ``state_budget``) and returns the fully composed
+    ``plan_seed``, ``plan_parameters`` — and the per-step ceiling
+    ``state_budget``) and returns the fully composed
     :class:`ComposedSystem` with its I/O-IMC, CTMC and per-step statistics.
     """
     composer = Composer(
@@ -1328,8 +780,6 @@ def compose_model(
         plan_budget=plan_budget,
         plan_seed=plan_seed,
         plan_parameters=plan_parameters,
-        jobs=jobs,
-        retry=retry,
         state_budget=state_budget,
     )
     return composer.compose()
@@ -1343,4 +793,5 @@ __all__ = [
     "Composer",
     "REDUCTION_MODES",
     "compose_model",
+    "require_serial",
 ]

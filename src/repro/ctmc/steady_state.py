@@ -30,8 +30,8 @@ from .ctmc import CTMC
 #: Largest BSCC size for which the dense GTH elimination is used.
 _GTH_LIMIT = 1500
 
-#: Largest accepted ``||pi Q||_inf`` of a sparse stationary solve, relative
-#: to the sub-chain's largest exit rate.
+#: Largest accepted ``||pi Q||_inf`` of a stationary solve (GTH or sparse),
+#: relative to the sub-chain's largest exit rate.
 _RESIDUAL_TOLERANCE = 1e-10
 
 
@@ -134,11 +134,18 @@ def absorption_probabilities(ctmc: CTMC, bsccs: list[list[int]]) -> np.ndarray:
 
 
 def stationary_of_irreducible(ctmc: CTMC, states: list[int]) -> np.ndarray:
-    """Stationary distribution of the irreducible sub-chain induced by ``states``."""
+    """Stationary distribution of the irreducible sub-chain induced by ``states``.
+
+    Either solver's result must satisfy ``pi Q = 0`` to within
+    :data:`_RESIDUAL_TOLERANCE` times the sub-chain's largest exit rate
+    (:func:`_check_residual`).
+    """
     if len(states) == 1:
         return np.array([1.0])
     if len(states) <= _GTH_LIMIT:
-        return _gth(ctmc.rate_matrix()[states][:, states].toarray())
+        stationary = _gth(ctmc.rate_matrix()[states][:, states].toarray())
+        _check_residual("GTH", stationary, *_transposed_generator(ctmc, states))
+        return stationary
     return _sparse_stationary(ctmc, states)
 
 
@@ -174,14 +181,10 @@ def _gth(rates: np.ndarray) -> np.ndarray:
     return solution / solution.sum()
 
 
-def _balance_system(
+def _transposed_generator(
     ctmc: CTMC, states: list[int]
-) -> tuple[sparse.csc_matrix, sparse.csr_matrix, np.ndarray]:
-    """Global balance equations ``Q^T pi = 0`` of the sub-chain on ``states``,
-    with the last equation replaced by the normalisation ``sum(pi) = 1``.
-
-    Also returns the sub-chain's ``Q^T`` and exit rates, for the residual check.
-    """
+) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """``Q^T`` and the exit rates of the sub-chain on ``states``."""
     size = len(states)
     source, rate, target = ctmc.edge_arrays()
     position = np.full(ctmc.num_states, -1, dtype=np.int64)
@@ -194,6 +197,19 @@ def _balance_system(
     generator_t = sparse.csr_matrix(
         (rate, (target, source)), shape=(size, size)
     ) - sparse.diags(exit_rates, dtype=np.float64)
+    return generator_t, exit_rates
+
+
+def _balance_system(
+    ctmc: CTMC, states: list[int]
+) -> tuple[sparse.csc_matrix, sparse.csr_matrix, np.ndarray]:
+    """Global balance equations ``Q^T pi = 0`` of the sub-chain on ``states``,
+    with the last equation replaced by the normalisation ``sum(pi) = 1``.
+
+    Also returns the sub-chain's ``Q^T`` and exit rates, for the residual check.
+    """
+    size = len(states)
+    generator_t, exit_rates = _transposed_generator(ctmc, states)
     normalisation = sparse.csr_matrix(
         (np.ones(size), np.arange(size), [0, size]), shape=(1, size)
     )
@@ -202,11 +218,7 @@ def _balance_system(
 
 
 def _sparse_stationary(ctmc: CTMC, states: list[int]) -> np.ndarray:
-    """Solve the global balance equations of a large irreducible sub-chain.
-
-    The clipped, normalised solution must satisfy ``pi Q = 0`` to within
-    :data:`_RESIDUAL_TOLERANCE` times the sub-chain's largest exit rate.
-    """
+    """Solve the global balance equations of a large irreducible sub-chain."""
     system, generator_t, exit_rates = _balance_system(ctmc, states)
     rhs = np.zeros(len(states))
     rhs[-1] = 1.0
@@ -216,15 +228,26 @@ def _sparse_stationary(ctmc: CTMC, states: list[int]) -> np.ndarray:
     if total <= 0 or not np.isfinite(total):
         raise AnalysisError("sparse stationary solve failed")
     stationary = solution / total
+    _check_residual("sparse", stationary, generator_t, exit_rates)
+    return stationary
+
+
+def _check_residual(
+    solver: str,
+    stationary: np.ndarray,
+    generator_t: sparse.csr_matrix,
+    exit_rates: np.ndarray,
+) -> None:
+    """Raise unless ``||pi Q||_inf`` is within :data:`_RESIDUAL_TOLERANCE`
+    times the largest exit rate.  The check only reads ``stationary``."""
     residual = float(np.abs(generator_t @ stationary).max())
     bound = _RESIDUAL_TOLERANCE * float(exit_rates.max())
     if not residual <= bound:
         raise AnalysisError(
-            f"sparse stationary solve is inaccurate: residual ||pi Q||_inf = "
+            f"{solver} stationary solve is inaccurate: residual ||pi Q||_inf = "
             f"{residual:.3e} exceeds {bound:.3e} ({_RESIDUAL_TOLERANCE:g} x the "
             "largest exit rate)"
         )
-    return stationary
 
 
 __all__ = [

@@ -69,7 +69,7 @@ class SweepError(ArcadeError):
 
 
 class ResilienceError(ArcadeError):
-    """The resilience layer itself was misused (bad fault plan, bad policy)."""
+    """The resilience layer itself was misused (e.g. a bad fault plan)."""
 
 
 class StateBudgetError(CompositionError):

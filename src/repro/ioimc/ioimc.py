@@ -580,7 +580,7 @@ class IOIMC:
     def __reduce__(self):
         # One serialised form, the CSR columns: the derived caches (stability
         # bits, predecessor table) are cheap to rebuild and would multiply
-        # the payload of every automaton the composer's worker pool ships.
+        # the size of every pickled automaton.
         return (
             IOIMC.from_tables,
             (

@@ -1,30 +1,26 @@
-"""Resilient execution layer: fault injection and the recovery machinery.
+"""Resilient execution layer: fault injection and crash-safe persistence.
 
 The paper is about evaluating systems that survive component failures — and
-this package makes the *pipeline itself* survive the same fault classes it
-models:
+this package makes the *pipeline itself* survive the faults a long serial
+run meets:
 
 * :mod:`repro.resilience.faults` — a deterministic, seeded fault-injection
-  harness.  Injection points (worker crash, step timeout, cache-entry
-  corruption, state-space blowup, sweep interruption) are consulted at fixed
-  sites in the pipeline and fire according to an explicit
-  :class:`~repro.resilience.faults.FaultPlan`, so every chaos test replays
-  bit-for-bit.
-* :mod:`repro.resilience.retry` — the :class:`~repro.resilience.retry.RetryPolicy`
-  governing the composer's parallel subtree dispatch: per-task timeout,
-  bounded retry with backoff, pool recreation after a fail-stop worker, and
-  graceful serial fallback — every recovery recorded in statistics and
-  telemetry, never silent.
+  harness.  Injection points (cache-entry corruption, state-space blowup,
+  sweep interruption) are consulted at fixed sites in the pipeline and fire
+  according to an explicit :class:`~repro.resilience.faults.FaultPlan`, so
+  every chaos test replays bit-for-bit.
 * :mod:`repro.resilience.diskcache` — a checksummed, pickle-free on-disk
   persistence format for :class:`~repro.composer.QuotientCache` (atomic
-  write, verify-on-load, quarantine-don't-crash on corrupt entries): the
-  seed of the cross-run shared cache of ROADMAP item 1.
+  write, verify-on-load, quarantine-don't-crash on corrupt entries).
 * :mod:`repro.resilience.checkpoint` — crash-safe checkpoint/resume for
   :func:`repro.sweep.run_sweep`: atomic-rename partial stores plus the
   persisted shared cache, so an interrupted sweep resumes exactly where it
   stopped and reproduces an uninterrupted run bit for bit.
 
-See ``docs/robustness.md`` for the fault model and the recovery guarantees.
+The per-step ``state_budget`` of :class:`~repro.composer.Composer` and the
+sweep's ``isolate_failures`` turn a runaway point into an error instead of
+an exhausted machine.  See ``docs/robustness.md`` for the fault model and
+the recovery guarantees.
 """
 
 from .faults import (
@@ -32,10 +28,8 @@ from .faults import (
     FaultPlan,
     FaultSpec,
     active_fault,
-    active_fault_plan,
     inject_faults,
 )
-from .retry import RecoveryEvent, RetryPolicy
 from .diskcache import CACHE_STORE_VERSION, CacheLoadReport, load_cache, save_cache
 from .checkpoint import SweepCheckpoint
 
@@ -45,11 +39,8 @@ __all__ = [
     "FaultPlan",
     "FaultSpec",
     "INJECTION_SITES",
-    "RecoveryEvent",
-    "RetryPolicy",
     "SweepCheckpoint",
     "active_fault",
-    "active_fault_plan",
     "inject_faults",
     "load_cache",
     "save_cache",

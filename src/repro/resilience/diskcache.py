@@ -293,10 +293,10 @@ def load_cache(
     """Load a persisted cache, quarantining (not raising on) corrupt entries.
 
     Entries are restored into ``cache`` (a fresh :class:`QuotientCache` when
-    ``None``) and the saved counters are *added* to its counters — the same
-    convention as :meth:`QuotientCache.merge_from`, and an exact restore when
-    the target is fresh.  Raises :class:`~repro.errors.CacheStoreError` only
-    for whole-file failures.
+    ``None``) and the saved counters are *added* to its counters, so loading
+    into a warm cache keeps its own traffic and loading into a fresh one
+    restores the saved counters exactly.  Raises
+    :class:`~repro.errors.CacheStoreError` only for whole-file failures.
     """
     path = Path(path)
     with span("resilience.cache.load", path=str(path)):

@@ -5,18 +5,13 @@ code that ask the ambient :class:`FaultPlan` (if any) whether a fault should
 fire here, now.  With no plan active every consultation is a contextvar read
 plus a ``None`` check, so production runs pay nothing.
 
-Faults are identified by ``(site, key, attempt)``:
+Faults are identified by ``(site, key)``:
 
 ``site``
     One of :data:`INJECTION_SITES` — the fault class.
 ``key``
-    The concrete unit the site is handling: a subtree task id
-    (``"subtree:3"``), a cache entry key, a composition step description, a
-    sweep point index (``"point:17"``).
-``attempt``
-    The retry attempt currently executing (0 = first try).  Matching on the
-    attempt is what makes "crash the worker on its first attempt only"
-    expressible — and replayable.
+    The concrete unit the site is handling: a cache entry key, a
+    composition step description, a sweep point index (``"point:17"``).
 
 Two firing modes compose:
 
@@ -24,15 +19,8 @@ Two firing modes compose:
   Fully deterministic by construction; the chaos acceptance tests use this.
 * **Seeded random** — ``FaultPlan(seed=..., rate=p, sites=(...))`` fires
   each consultation with probability ``p`` decided by a SHA-256 hash of
-  ``(seed, site, key, attempt)``.  Deterministic across runs, processes and
-  schedulers for the same seed; the chaos differential suite uses this to
-  sample the fault space without losing replayability.
-
-Process boundaries: contextvars do not cross
-:class:`~concurrent.futures.ProcessPoolExecutor`, so the composer ships the
-active plan inside the worker payload and the worker re-activates it with
-:func:`inject_faults` — the worker-side sites then consult the very same
-plan (see :func:`repro.composer.composer._compose_subtree_worker`).
+  ``(seed, site, key)``.  Deterministic across runs and processes for the
+  same seed, so a sampled fault still replays exactly.
 """
 
 from __future__ import annotations
@@ -46,12 +34,6 @@ from ..errors import ResilienceError
 
 #: The pipeline's injection sites and the behaviour a firing triggers.
 INJECTION_SITES = (
-    # Fail-stop: the worker process handling a dispatched subtree calls
-    # os._exit, so the parent observes a BrokenProcessPool.
-    "worker.crash",
-    # The worker sleeps for the spec's sleep_seconds before computing, so a
-    # per-task timeout in the parent expires.
-    "worker.timeout",
     # The on-disk cache writer flips one byte of the entry's payload after
     # checksumming it, so verify-on-load quarantines exactly this entry.
     "cache.corrupt_entry",
@@ -68,16 +50,11 @@ INJECTION_SITES = (
 class FaultSpec:
     """One declarative fault: where it fires and what it carries.
 
-    ``key=None`` matches every key at the site; ``attempts`` lists the retry
-    attempts on which the fault fires (so a transient fault is simply a spec
-    with ``attempts=(0,)`` — the retry succeeds).
+    ``key=None`` matches every key at the site.
     """
 
     site: str
     key: str | None = None
-    attempts: tuple[int, ...] = (0,)
-    #: ``worker.timeout``: how long the worker stalls before computing.
-    sleep_seconds: float = 1.0
     #: ``compose.blowup``: factor the observed product size is inflated by.
     factor: float = float("inf")
 
@@ -88,20 +65,16 @@ class FaultSpec:
                 f"(expected one of {INJECTION_SITES})"
             )
 
-    def matches(self, key: str | None, attempt: int) -> bool:
-        if self.key is not None and self.key != key:
-            return False
-        return attempt in self.attempts
+    def matches(self, key: str | None) -> bool:
+        return self.key is None or self.key == key
 
 
 @dataclass
 class FaultPlan:
     """A replayable set of faults: declarative specs plus a seeded rate.
 
-    The plan is picklable (it travels inside worker payloads) and records
-    every fault it fired in :attr:`fired` — parent-side assertions read it;
-    worker-side firings are observed through their effects instead (a
-    crashed process, a timed-out future).
+    The plan records every fault it fired in :attr:`fired`, so a test can
+    assert exactly which consultations fired.
     """
 
     specs: tuple[FaultSpec, ...] = ()
@@ -111,7 +84,7 @@ class FaultPlan:
     rate: float = 0.0
     #: Sites the probabilistic mode may fire at (None = all sites).
     sites: tuple[str, ...] | None = None
-    #: ``(site, key, attempt)`` of every fault this plan instance fired.
+    #: ``(site, key)`` of every fault this plan instance fired.
     fired: list = field(default_factory=list, compare=False)
 
     def __post_init__(self) -> None:
@@ -128,7 +101,7 @@ class FaultPlan:
                     f"(expected among {INJECTION_SITES})"
                 )
 
-    def spec_for(self, site: str, key: str | None, attempt: int) -> FaultSpec | None:
+    def spec_for(self, site: str, key: str | None) -> FaultSpec | None:
         """The fault to fire at this consultation, or None.
 
         Declarative specs win over the probabilistic mode (so a test can pin
@@ -136,28 +109,28 @@ class FaultPlan:
         applies.
         """
         for spec in self.specs:
-            if spec.site == site and spec.matches(key, attempt):
-                self.fired.append((site, key, attempt))
+            if spec.site == site and spec.matches(key):
+                self.fired.append((site, key))
                 return spec
         if (
             self.rate > 0.0
             and (self.sites is None or site in self.sites)
-            and _seeded_draw(self.seed, site, key, attempt) < self.rate
+            and _seeded_draw(self.seed, site, key) < self.rate
         ):
-            spec = FaultSpec(site=site, key=key, attempts=(attempt,))
-            self.fired.append((site, key, attempt))
+            spec = FaultSpec(site=site, key=key)
+            self.fired.append((site, key))
             return spec
         return None
 
 
-def _seeded_draw(seed: int | None, site: str, key: str | None, attempt: int) -> float:
+def _seeded_draw(seed: int | None, site: str, key: str | None) -> float:
     """Uniform [0, 1) draw, a pure function of its arguments.
 
     SHA-256 rather than ``hash()``: Python's string hashing is salted per
-    process, and a fault that fires in the parent but not in a replay (or in
-    a worker) is worthless for differential testing.
+    process, and a fault that fires in one run but not in its replay is
+    worthless for differential testing.
     """
-    message = f"{seed}|{site}|{key}|{attempt}".encode()
+    message = f"{seed}|{site}|{key}".encode()
     digest = hashlib.sha256(message).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
@@ -185,17 +158,12 @@ def inject_faults(plan: FaultPlan | None):
         _ACTIVE_PLAN.reset(token)
 
 
-def active_fault_plan() -> FaultPlan | None:
-    """The ambient fault plan, or None when no injection is active."""
-    return _ACTIVE_PLAN.get()
-
-
-def active_fault(site: str, key: str | None = None, attempt: int = 0) -> FaultSpec | None:
+def active_fault(site: str, key: str | None = None) -> FaultSpec | None:
     """Consult the ambient plan at an injection site (free no-op without one)."""
     plan = _ACTIVE_PLAN.get()
     if plan is None:
         return None
-    return plan.spec_for(site, key, attempt)
+    return plan.spec_for(site, key)
 
 
 __all__ = [
@@ -203,6 +171,5 @@ __all__ = [
     "FaultSpec",
     "INJECTION_SITES",
     "active_fault",
-    "active_fault_plan",
     "inject_faults",
 ]

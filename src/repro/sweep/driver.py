@@ -5,9 +5,8 @@ evaluation cheap enough to ask *many* what-if questions of one architecture.
 :func:`run_sweep` is that workload: a parameterised model factory, a
 parameter space (grid axes + Latin-hypercube samples over rate priors), and
 one evaluation per point — all flowing through a **single shared**
-:class:`~repro.composer.QuotientCache` and the composer's ``jobs=`` worker
-pool, so the replicated subtrees of the family are composed once across the
-whole sweep, not once per point.
+:class:`~repro.composer.QuotientCache`, so the replicated subtrees of the
+family are composed once across the whole sweep, not once per point.
 
 Per point the driver
 
@@ -39,11 +38,10 @@ import numpy as np
 
 from ..analysis import ArcadeEvaluator
 from ..arcade.model import ArcadeModel
-from ..composer import QuotientCache, resolve_cache
+from ..composer import QuotientCache, require_serial, resolve_cache
 from ..errors import ArcadeError, SweepError
 from ..resilience.checkpoint import SweepCheckpoint
 from ..resilience.faults import active_fault
-from ..resilience.retry import RetryPolicy
 from ..simulation.rng import point_seed
 from ..telemetry.trace import incr, observe
 from ..telemetry.trace import span as telemetry_span
@@ -97,7 +95,8 @@ class SweepConfig:
     #: Shared across every evaluation: ``"on"`` (fresh shared instance),
     #: ``"off"``/None, or an existing :class:`QuotientCache`.
     cache: "QuotientCache | str | None" = "on"
-    #: Worker processes per evaluation (the composer's subtree pool).
+    #: Must be 1 (see :func:`~repro.composer.require_serial`); kept because
+    #: the benchmark harness in ``perfbench/`` passes and reads it.
     jobs: int = 1
     #: Root of the per-point ``SeedSequence`` spawning discipline.
     root_seed: int = 0
@@ -121,8 +120,6 @@ class SweepConfig:
     #: composer (:class:`~repro.errors.StateBudgetError` on excess — an
     #: error row under ``isolate_failures``).
     state_budget: int | None = None
-    #: Retry policy of the composer's parallel subtree dispatch.
-    retry: "RetryPolicy | None" = None
     #: Base path of the crash-safe checkpoint pair (``None`` disables);
     #: see :class:`~repro.resilience.SweepCheckpoint`.
     checkpoint: "str | None" = None
@@ -133,6 +130,9 @@ class SweepConfig:
     #: anything live; bit-identical to an uninterrupted run (the shared
     #: cache state travels in the checkpoint).
     resume: bool = False
+
+    def __post_init__(self) -> None:
+        require_serial(self.jobs)
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,6 @@ def evaluate_point(
     *,
     seed: int,
     cache: "QuotientCache | None" = None,
-    jobs: int = 1,
     backend: str = "compose",
     reduction: str = "strong",
     auto_state_limit: float = 5e7,
@@ -177,7 +176,6 @@ def evaluate_point(
     index: int = 0,
     kind: str = "grid",
     model: ArcadeModel | None = None,
-    retry: "RetryPolicy | None" = None,
     state_budget: int | None = None,
 ) -> PointResult:
     """Evaluate one parameter point (deterministic given its arguments).
@@ -199,14 +197,12 @@ def evaluate_point(
         target,
         reduction=reduction,
         cache=cache,
-        jobs=jobs,
         backend=backend,
         auto_state_limit=auto_state_limit,
         sim_seed=seed,
         sim_horizon=sim_horizon,
         sim_replications=sim_replications,
         sim_rel_error=sim_rel_error,
-        retry=retry,
         state_budget=state_budget,
     )
     resolved = evaluator.resolved_backend
@@ -273,7 +269,7 @@ def enumerate_points(config: SweepConfig) -> list[tuple[str, dict]]:
 def run_sweep(factory: SweepFactory, config: SweepConfig) -> SweepResult:
     """Evaluate the whole parameter space against one shared cache."""
     with telemetry_span(
-        "sweep.run", factory=factory.name, jobs=config.jobs, backend=config.backend
+        "sweep.run", factory=factory.name, backend=config.backend
     ) as sweep_span:
         result = _run_sweep_impl(factory, config)
         totals = result.manifest["totals"]
@@ -341,7 +337,6 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
         arguments = dict(
             seed=point_seed(config.root_seed, index),
             cache=cache,
-            jobs=config.jobs,
             backend=config.backend,
             reduction=config.reduction,
             auto_state_limit=config.auto_state_limit,
@@ -351,7 +346,6 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
             sim_rel_error=config.sim_rel_error,
             index=index,
             kind=kind,
-            retry=config.retry,
             state_budget=config.state_budget,
         )
         arguments.update(overrides)
@@ -525,7 +519,6 @@ def verify_bit_identical(
             values,
             seed=int(record["seed"]),
             cache=None,
-            jobs=1,
             backend=str(record["backend"]),
             reduction=config.reduction,
             auto_state_limit=config.auto_state_limit,
@@ -682,7 +675,6 @@ def _sweep_block(factory: SweepFactory, config: SweepConfig) -> dict:
         "lhs_samples": config.lhs_samples,
         "backend": config.backend,
         "reduction": config.reduction,
-        "jobs": config.jobs,
         "root_seed": config.root_seed,
         "mission_time": config.mission_time,
         "fd_step": config.fd_step,
@@ -700,14 +692,10 @@ def _config_fingerprint(
 ) -> str:
     """Digest of everything that determines the evaluation sequence.
 
-    ``jobs`` is deliberately excluded: the measures are bit-identical across
-    worker counts (the parallel-consistency guarantee), so a checkpoint
-    written under ``jobs=4`` may legitimately resume under ``jobs=1`` — the
-    typical post-crash posture.  Anything that *does* change the sequence or
-    the numbers (space, seeds, backend knobs, derived-phase setup) is in.
+    Anything that changes the sequence or the numbers (space, seeds,
+    backend knobs, derived-phase setup) is in.
     """
     block = _sweep_block(factory, config)
-    block.pop("jobs")
     material = {
         "sweep": block,
         "axes": list(axes),

@@ -6,10 +6,10 @@ near-zero-cost no-op and results are bit-identical to an uninstrumented
 run.
 
 * :mod:`repro.telemetry.trace` — hierarchical spans with contextvar parent
-  propagation and cross-process merging (:class:`Telemetry`, ambient
-  :func:`span` / :func:`incr` / :func:`gauge_max` / :func:`observe`);
+  propagation (:class:`Telemetry`, ambient :func:`span` / :func:`incr` /
+  :func:`gauge_max` / :func:`observe`);
 * :mod:`repro.telemetry.metrics` — counters / gauges / histograms with
-  QuotientCache-style snapshot/merge semantics;
+  JSON snapshots;
 * :mod:`repro.telemetry.sink` — JSONL and in-memory sinks, the versioned
   event schema and the per-run :class:`RunManifest`;
 * :mod:`repro.telemetry.report` — ``python -m repro.telemetry report``:

@@ -109,12 +109,11 @@ def _graceful_sigterm():
 
     The default SIGTERM disposition kills the process without unwinding the
     stack, so ``finally`` blocks never run: telemetry sinks are left with
-    truncated JSONL lines and worker pools with orphan processes.  Raising
-    ``SystemExit`` instead routes the shutdown through the ordinary
-    exception machinery — the composer terminates its pool, the sweep writes
-    its checkpoint, and the session's ``close()`` flushes the sink.  Only
+    truncated JSONL lines.  Raising ``SystemExit`` instead routes the
+    shutdown through the ordinary exception machinery — the sweep writes
+    its checkpoint and the session's ``close()`` flushes the sink.  Only
     the main thread may set signal handlers; anywhere else (tests driving
-    the CLI from a worker thread) this is a no-op.
+    the CLI from another thread) this is a no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
@@ -141,8 +140,8 @@ def telemetry_session(
     """Activated telemetry scope for a whole CLI run (no-op when unset).
 
     The scope also converts SIGTERM into a normal ``SystemExit`` unwind so
-    an externally killed run still flushes its telemetry sink, checkpoints
-    and worker pools (see :func:`_graceful_sigterm`) — that part applies
+    an externally killed run still flushes its telemetry sink and writes
+    its checkpoint (see :func:`_graceful_sigterm`) — that part applies
     with or without ``--telemetry``.
     """
     telemetry = telemetry_from_args(tool, args, seeds=seeds)

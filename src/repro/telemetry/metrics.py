@@ -10,24 +10,15 @@ Three instrument kinds cover every series the pipeline records:
 
 ``Counter``
     Monotonically increasing total (``cache.hits``, ``simulate.events``).
-    Merging adds.
 ``Gauge``
     High-water mark (``compose.peak_states``, ``restart.peak_population``).
-    ``set`` records the latest value, ``update_max`` ratchets; merging takes
-    the maximum, so a parent merging worker snapshots keeps the fleet-wide
-    peak.
+    ``set`` records the latest value, ``update_max`` ratchets.
 ``Histogram``
     Streaming ``count/sum/min/max`` summary (``simulate.events_per_second``,
-    ``sweep.point_seconds``) without storing samples.  Merging combines the
-    summaries exactly.
+    ``sweep.point_seconds``) without storing samples.
 
-Snapshots are plain JSON-serialisable dicts, and
-:meth:`MetricsRegistry.merge_snapshot` folds one registry's snapshot into
-another — mirroring how the parallel composer merges worker
-``QuotientCache`` instances back into the parent
-(:meth:`repro.composer.cache.QuotientCache.merge_from`): workers run against
-a fresh registry, and the parent imports their totals in deterministic
-order.
+Snapshots are plain JSON-serialisable dicts; the telemetry session emits
+one as the ``metrics`` event when it closes.
 """
 
 from __future__ import annotations
@@ -38,7 +29,7 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Counter:
-    """A monotonically increasing total.  Merge semantics: add."""
+    """A monotonically increasing total."""
 
     name: str
     value: float = 0.0
@@ -49,13 +40,13 @@ class Counter:
 
 @dataclass
 class Gauge:
-    """A high-water mark.  Merge semantics: maximum."""
+    """A high-water mark."""
 
     name: str
     value: float = 0.0
-    #: Whether the gauge was ever written (an untouched gauge merges as
-    #: absent, so a worker that never saw the series cannot drag a parent's
-    #: peak down to 0).
+    #: Whether the gauge was ever written: an untouched gauge is left out
+    #: of the snapshot, and the first ``update_max`` takes its value
+    #: whatever its sign.
     touched: bool = False
 
     def set(self, value: float) -> None:
@@ -152,34 +143,6 @@ class MetricsRegistry:
                 for name, histogram in sorted(self.histograms.items())
             }
         return state
-
-    def merge_snapshot(self, snapshot: dict | None) -> None:
-        """Fold another registry's :meth:`snapshot` into this registry.
-
-        Counters add, gauges take the maximum, histograms combine their
-        summaries — the semantics a parent needs to absorb worker-process
-        registries without double counting or losing peaks (mirroring
-        :meth:`repro.composer.cache.QuotientCache.merge_from`).
-        """
-        if not snapshot:
-            return
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).update_max(value)
-        for name, summary in snapshot.get("histograms", {}).items():
-            histogram = self.histogram(name)
-            count = int(summary.get("count", 0))
-            if not count:
-                continue
-            histogram.count += count
-            histogram.total += float(summary.get("sum", 0.0))
-            low = summary.get("min")
-            high = summary.get("max")
-            if low is not None and low < histogram.minimum:
-                histogram.minimum = float(low)
-            if high is not None and high > histogram.maximum:
-                histogram.maximum = float(high)
 
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]

@@ -158,7 +158,6 @@ def cache_row(run: RunData) -> dict | None:
         "hit_rate": hits / lookups if lookups else 0.0,
         "stores": int(counters.get("cache.stores", 0)),
         "saved_seconds": float(counters.get("cache.saved_seconds", 0.0)),
-        "merges": int(counters.get("cache.merges", 0)),
         "regathers": int(counters.get("cache.regathers", 0)),
         "skeleton_stores": int(counters.get("cache.skeleton_stores", 0)),
     }

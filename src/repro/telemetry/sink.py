@@ -22,8 +22,7 @@ Two sinks implement the ``emit``/``close`` protocol:
   durable format the report CLI (:mod:`repro.telemetry.report`) and the
   future dashboard consume;
 * :class:`MemorySink` buffers events in a list — used by tests and by
-  worker processes, whose buffered events are shipped back to the parent
-  and re-emitted into the parent's sink.
+  callers that inspect a run's spans in process.
 
 The schema is versioned (:data:`SCHEMA_VERSION`); consumers refuse files
 from a future major version rather than misread them.
@@ -46,7 +45,7 @@ SCHEMA_VERSION = 1
 
 
 class MemorySink:
-    """In-memory event buffer (tests, worker processes)."""
+    """In-memory event buffer (tests, in-process inspection)."""
 
     def __init__(self) -> None:
         self.events: list[dict] = []

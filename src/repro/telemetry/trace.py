@@ -17,19 +17,6 @@ The instrumentation contract is deliberately one-sided:
 * **Attributes are data, not messages.**  ``span.set(states_before=...,
   cache_hit=True)`` records machine-readable facts; rendering is the report
   CLI's job.
-
-Process safety
---------------
-Contextvars do not cross :class:`~concurrent.futures.ProcessPoolExecutor`
-boundaries, so parallel-composition workers run their own
-:class:`Telemetry` session against a :class:`~repro.telemetry.sink.MemorySink`
-and ship the buffered events back with their results.  The parent calls
-:meth:`Telemetry.ingest` to splice them into its own stream: worker root
-spans are re-parented onto the dispatching span and every worker event is
-re-stamped with the parent's trace id, so a ``--jobs 8`` run still reads as
-one tree (the ``pid`` field keeps the worker attribution).  This mirrors how
-worker ``CompositionStatistics`` and ``QuotientCache`` instances merge back
-in :meth:`repro.composer.Composer._compose_parallel`.
 """
 
 from __future__ import annotations
@@ -49,8 +36,8 @@ _ACTIVE: ContextVar["Telemetry | None"] = ContextVar("repro_telemetry", default=
 #: Span id of the innermost open span (the parent of the next span).
 _CURRENT_SPAN: ContextVar[str | None] = ContextVar("repro_telemetry_span", default=None)
 
-#: Per-process span id sequence; combined with the pid so ids stay unique
-#: across the worker processes of one trace.
+#: Per-process span id sequence; combined with the pid so ids from
+#: different processes never collide.
 _SPAN_IDS = itertools.count(1)
 
 
@@ -121,8 +108,8 @@ class Telemetry:
     ----------
     sink:
         Event sink (:class:`~repro.telemetry.sink.JsonlSink` for durable
-        runs, :class:`~repro.telemetry.sink.MemorySink` for tests and
-        worker processes).  Defaults to a fresh memory sink.
+        runs, :class:`~repro.telemetry.sink.MemorySink` for tests).
+        Defaults to a fresh memory sink.
     manifest:
         Optional :class:`~repro.telemetry.sink.RunManifest`; emitted as the
         stream's first event, and its ``run_id`` becomes the trace id of
@@ -184,35 +171,13 @@ class Telemetry:
             self.sink.emit(record.to_event())
 
     # ------------------------------------------------------------------ #
-    # cross-process merging
+    # inspection
     # ------------------------------------------------------------------ #
     def export_events(self) -> list[dict]:
-        """The buffered events of a memory-sink session (worker side)."""
+        """The buffered events of a memory-sink session (empty otherwise)."""
         if isinstance(self.sink, MemorySink):
             return list(self.sink.events)
         return []
-
-    def ingest(self, events, *, parent_id: str | None = None) -> None:
-        """Splice a worker session's events into this stream.
-
-        Worker span events whose parent lies outside the shipped batch
-        (the worker's root spans) are re-parented onto ``parent_id``, and
-        every span is re-stamped with this session's trace id so the merged
-        stream reads as one trace.  Non-span events pass through untouched.
-        """
-        events = list(events or ())
-        shipped = {
-            event.get("span_id")
-            for event in events
-            if event.get("type") == "span"
-        }
-        for event in events:
-            if event.get("type") == "span":
-                event = dict(event)
-                event["trace_id"] = self.run_id
-                if event.get("parent_id") not in shipped:
-                    event["parent_id"] = parent_id
-            self.sink.emit(event)
 
     # ------------------------------------------------------------------ #
     # lifecycle

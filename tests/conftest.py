@@ -14,9 +14,8 @@ Markers
     with ``--run-differential``.
 ``chaos``
     The fault-injection suite under ``tests/chaos/``: pipelines run under
-    injected worker crashes, timeouts, corrupted cache entries and
-    interrupts must recover to bit-identical results.  Skipped by default
-    (process pools and deliberate stalls make it slow); enable with
+    injected cache-entry corruption and sweep interrupts must recover to
+    bit-identical results.  Skipped by default; enable with
     ``--run-chaos``.
 """
 
@@ -75,19 +74,6 @@ def pytest_addoption(parser):
         default=False,
         help="run the fault-injection chaos suite (tests/chaos/)",
     )
-    parser.addoption(
-        "--compose-jobs",
-        type=int,
-        default=1,
-        help="worker processes for the differential suite's compositional "
-        "pipelines (exercises the parallel subtree aggregation; 1 = serial)",
-    )
-
-
-@pytest.fixture(scope="session")
-def compose_jobs(request):
-    """The ``--compose-jobs`` value, for suites that parameterise over it."""
-    return request.config.getoption("--compose-jobs")
 
 
 def pytest_configure(config):

@@ -86,6 +86,20 @@ class TestCachedPipelineIsBitIdentical:
         assert system.statistics.cache_saved_seconds == pytest.approx(
             sum(step.saved_seconds for step in hits)
         )
+        assert system.statistics.cache_hits == len(hits)
+        assert system.cache.hits == len(hits)
+
+
+class TestAboveLeafCacheHits:
+    def test_auto_order_records_a_composite_level_hit(self):
+        """Planner pairing makes at least one above-leaf join (both operands
+        composite) a cache hit on the 2-cluster DDS auto order."""
+        translated, _ = _small_dds()
+        system = compose_model(translated, order="auto", cache="on")
+        assert any(
+            step.cache_hit and min(step.operand_blocks) > 1
+            for step in system.statistics.steps
+        )
 
 
 class TestCacheSharing:
@@ -232,57 +246,6 @@ class TestCostParameterPersistence:
         system = compose_model(translated, order="auto", plan_parameters=str(path))
         assert system.plan_report is not None
         assert system.ctmc.num_states > 0
-
-
-class TestMergeFromRejection:
-    """A cross-process digest collision must abort the import atomically."""
-
-    def test_forced_collision_leaves_parent_entries_and_counters_untouched(self):
-        translated, order = _small_dds()
-        parent = QuotientCache()
-        compose_model(translated, order=order, cache=parent)
-        worker = QuotientCache()
-        compose_model(translated, order=order, cache=worker)
-
-        # Forge a collision: make some worker digest point at an automaton
-        # that is NOT isomorphic to the parent's representative of the same
-        # digest (different state count guarantees non-isomorphism).
-        collision = None
-        for parent_digest, (mine, _) in parent._leaf_representatives.items():
-            for candidate, slots in worker._leaf_representatives.values():
-                if candidate.num_states != mine.num_states:
-                    collision = (parent_digest, (candidate, slots))
-                    break
-            if collision:
-                break
-        assert collision is not None, "need two non-isomorphic representatives"
-        worker._leaf_representatives[collision[0]] = collision[1]
-
-        entries_before = {key: id(entry) for key, entry in parent._entries.items()}
-        representatives_before = {
-            digest: id(rep[0]) for digest, rep in parent._leaf_representatives.items()
-        }
-        counters_before = parent.snapshot()
-
-        assert parent.merge_from(worker) is False
-
-        # Nothing imported: entries, witnesses and counters are
-        # exactly the pre-merge state (identity, not just equality).
-        assert {key: id(entry) for key, entry in parent._entries.items()} == entries_before
-        assert {
-            digest: id(rep[0]) for digest, rep in parent._leaf_representatives.items()
-        } == representatives_before
-        assert parent.snapshot() == counters_before
-
-    def test_honest_merge_imports_and_sums_counters(self):
-        translated, order = _small_dds()
-        parent = QuotientCache()
-        worker = QuotientCache()
-        compose_model(translated, order=order, cache=worker)
-        worker_counters = worker.snapshot()
-        assert parent.merge_from(worker) is True
-        assert parent.snapshot() == worker_counters
-        assert set(parent._entries) == set(worker._entries)
 
 
 class TestRateReuse:

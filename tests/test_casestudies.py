@@ -5,13 +5,17 @@ import pytest
 from repro.casestudies.dds import (
     DDSParameters,
     MISSION_TIME_HOURS,
+    build_dds_evaluator,
     build_dds_model,
 )
 from repro.casestudies.rcs import (
     MISSION_TIME_HOURS as RCS_MISSION_TIME,
     RCSParameters,
     build_rcs_model,
+    build_rcs_modular_evaluator,
 )
+from repro.errors import ArcadeError
+from repro.sweep import SweepConfig
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +136,23 @@ class TestRCSModel:
         assert pump.time_to_failure_of(1).mean() == pytest.approx(
             pump.time_to_failure_of(0).mean() / 2.0
         )
+
+
+class TestSerialOnly:
+    """The composer is serial; the entry points that keep a ``jobs``
+    parameter refuse every value but 1."""
+
+    @pytest.mark.parametrize("jobs", [0, 2, 4])
+    @pytest.mark.parametrize(
+        "entry_point",
+        [
+            lambda jobs: build_dds_evaluator(jobs=jobs),
+            lambda jobs: build_rcs_modular_evaluator(jobs=jobs),
+            lambda jobs: SweepConfig(grid={"repair_rate": [1.0]}, jobs=jobs),
+        ],
+        ids=["build_dds_evaluator", "build_rcs_modular_evaluator", "SweepConfig"],
+    )
+    def test_jobs_other_than_one_is_refused(self, entry_point, jobs):
+        pattern = r"jobs must be 1.*subtree parallelism was removed"
+        with pytest.raises(ArcadeError, match=pattern):
+            entry_point(jobs)

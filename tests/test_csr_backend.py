@@ -161,8 +161,8 @@ def test_summary_counts_are_edge_counts():
 class TestPickleRoundTrip:
     """Pickling ships the CSR columns, and only them.
 
-    The parallel composer ships automata between processes; the unpickled
-    copy must carry byte-equal columns and an index of its own.
+    The unpickled copy must carry byte-equal columns and an index of its
+    own.
     """
 
     @pytest.mark.parametrize("seed", SEEDS)

@@ -131,6 +131,23 @@ class TestSteadyState:
         with pytest.raises(AnalysisError, match="residual"):
             stationary_of_irreducible(chain, states)
 
+    def test_gth_path_rejects_an_inaccurate_solution(self, monkeypatch):
+        size = 40
+        chain = CTMC(size, [(i, 1.0 + i % 3, (i + 1) % size) for i in range(size)])
+        states = list(range(size))
+        exact = stationary_of_irreducible(chain, states)
+        real_gth = steady_state_module._gth
+
+        def perturbed(rates):
+            assert np.array_equal(real_gth(rates), exact)
+            solution = exact.copy()
+            solution[0] *= 1.5
+            return solution / solution.sum()
+
+        monkeypatch.setattr(steady_state_module, "_gth", perturbed)
+        with pytest.raises(AnalysisError, match=r"GTH .*residual \|\|pi Q\|\|_inf"):
+            stationary_of_irreducible(chain, states)
+
     def test_paper_dds_passes_the_residual_check(self, dds_full_evaluator):
         chain = dds_full_evaluator.ctmc
         (states,) = bottom_strongly_connected_components(chain)

@@ -1,10 +1,9 @@
 """The resilience layer (:mod:`repro.resilience`): fast tier-1 coverage.
 
-Four groups:
+Three groups:
 
 * **fault harness** — the declarative and seeded injection modes are
   deterministic and scoped (no ambient plan = no behaviour change);
-* **retry policy** — validation and the backoff schedule;
 * **crash-safe cache file** — checksummed save/load round-trips the quotient
   cache exactly (entries, sizes *and* counters), a corrupted entry is
   quarantined without failing the load, and structural damage fails loudly;
@@ -12,9 +11,7 @@ Four groups:
   into an error row, and an interrupted sweep resumed from its checkpoint
   produces a canonically bit-identical store.
 
-The process-pool recovery paths (worker crash, timeout, serial fallback)
-live in ``tests/chaos/`` — they need real worker pools and deliberate
-stalls, which is exactly what tier-1 must not wait for.
+The end-to-end recovery walks on the DDS live in ``tests/chaos/``.
 """
 
 import json
@@ -39,7 +36,6 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     INJECTION_SITES,
-    RetryPolicy,
     SweepCheckpoint,
     active_fault,
     inject_faults,
@@ -54,6 +50,7 @@ from repro.sweep import (
 )
 from repro.distributions import Exponential
 from repro.resilience.diskcache import _ARRAY_FIELDS, _checksum
+from repro.sweep.driver import _config_fingerprint
 
 
 # --------------------------------------------------------------------------- #
@@ -96,7 +93,7 @@ def _populated_cache() -> QuotientCache:
 class TestFaultHarness:
     def test_unknown_site_is_rejected(self):
         with pytest.raises(ResilienceError, match="unknown injection site"):
-            FaultSpec(site="worker.meltdown")
+            FaultSpec(site="compose.meltdown")
         with pytest.raises(ResilienceError, match="unknown injection site"):
             FaultPlan(seed=1, rate=0.5, sites=("nope",))
 
@@ -107,21 +104,23 @@ class TestFaultHarness:
             FaultPlan(seed=1, rate=1.5)
 
     def test_no_ambient_plan_means_no_fault(self):
-        assert active_fault("worker.crash", key="subtree:0") is None
+        assert active_fault("sweep.interrupt", key="point:0") is None
 
-    def test_declarative_spec_matches_site_key_and_attempt(self):
+    def test_declarative_spec_matches_site_and_key(self):
         plan = FaultPlan(
-            specs=(FaultSpec(site="worker.crash", key="subtree:1", attempts=(0, 2)),)
+            specs=(
+                FaultSpec(site="sweep.interrupt", key="point:1"),
+                FaultSpec(site="cache.corrupt_entry"),
+            )
         )
         with inject_faults(plan):
-            assert active_fault("worker.crash", key="subtree:1", attempt=0)
-            assert active_fault("worker.crash", key="subtree:1", attempt=1) is None
-            assert active_fault("worker.crash", key="subtree:1", attempt=2)
-            assert active_fault("worker.crash", key="subtree:2", attempt=0) is None
-            assert active_fault("worker.timeout", key="subtree:1") is None
+            assert active_fault("sweep.interrupt", key="point:1")
+            assert active_fault("sweep.interrupt", key="point:2") is None
+            assert active_fault("compose.blowup", key="point:1") is None
+            assert active_fault("cache.corrupt_entry", key="any entry")
         assert plan.fired == [
-            ("worker.crash", "subtree:1", 0),
-            ("worker.crash", "subtree:1", 2),
+            ("sweep.interrupt", "point:1"),
+            ("cache.corrupt_entry", "any entry"),
         ]
 
     def test_plan_is_scoped_to_the_block(self):
@@ -132,14 +131,14 @@ class TestFaultHarness:
     def test_none_plan_is_a_noop(self):
         with inject_faults(None) as plan:
             assert plan is None
-            assert active_fault("worker.crash") is None
+            assert active_fault("sweep.interrupt") is None
 
     def test_seeded_mode_is_deterministic_and_seed_sensitive(self):
         def firings(seed):
-            plan = FaultPlan(seed=seed, rate=0.3, sites=("worker.crash",))
+            plan = FaultPlan(seed=seed, rate=0.3, sites=("sweep.interrupt",))
             with inject_faults(plan):
                 for index in range(40):
-                    active_fault("worker.crash", key=f"subtree:{index}")
+                    active_fault("sweep.interrupt", key=f"point:{index}")
             return list(plan.fired)
 
         first, again, other = firings(7), firings(7), firings(8)
@@ -148,10 +147,10 @@ class TestFaultHarness:
         assert first != other
 
     def test_seeded_mode_respects_the_site_filter(self):
-        plan = FaultPlan(seed=7, rate=1.0, sites=("worker.timeout",))
+        plan = FaultPlan(seed=7, rate=1.0, sites=("cache.corrupt_entry",))
         with inject_faults(plan):
-            assert active_fault("worker.crash", key="x") is None
-            assert active_fault("worker.timeout", key="x") is not None
+            assert active_fault("sweep.interrupt", key="x") is None
+            assert active_fault("cache.corrupt_entry", key="x") is not None
 
     def test_declarative_spec_wins_over_probabilistic_mode(self):
         spec = FaultSpec(site="compose.blowup", key="step", factor=2.0)
@@ -163,7 +162,7 @@ class TestFaultHarness:
         import pickle
 
         plan = FaultPlan(
-            specs=(FaultSpec(site="worker.crash", key="subtree:0"),), seed=3, rate=0.1
+            specs=(FaultSpec(site="sweep.interrupt", key="point:0"),), seed=3, rate=0.1
         )
         clone = pickle.loads(pickle.dumps(plan))
         assert clone.specs == plan.specs
@@ -171,32 +170,6 @@ class TestFaultHarness:
 
     def test_all_sites_are_documented_strings(self):
         assert all(isinstance(site, str) and "." in site for site in INJECTION_SITES)
-
-
-# --------------------------------------------------------------------------- #
-# retry policy
-# --------------------------------------------------------------------------- #
-class TestRetryPolicy:
-    def test_validation(self):
-        with pytest.raises(ResilienceError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ResilienceError, match="timeout"):
-            RetryPolicy(timeout_seconds=0.0)
-        with pytest.raises(ResilienceError, match="backoff"):
-            RetryPolicy(backoff_seconds=-1.0)
-        with pytest.raises(ResilienceError, match="factor"):
-            RetryPolicy(backoff_factor=0.5)
-
-    def test_backoff_schedule_is_exponential(self):
-        policy = RetryPolicy(backoff_seconds=0.5, backoff_factor=2.0)
-        assert policy.backoff(0) == 0.0  # first attempt never waits
-        assert policy.backoff(1) == 0.5
-        assert policy.backoff(2) == 1.0
-        assert policy.backoff(3) == 2.0
-
-    def test_zero_backoff_by_default(self):
-        policy = RetryPolicy()
-        assert all(policy.backoff(attempt) == 0.0 for attempt in range(4))
 
 
 # --------------------------------------------------------------------------- #
@@ -241,7 +214,7 @@ class TestCacheFile:
         plan = FaultPlan(specs=(FaultSpec(site="cache.corrupt_entry", key=victim),))
         with inject_faults(plan):
             save_cache(cache, path)
-        assert plan.fired == [("cache.corrupt_entry", victim, 0)]
+        assert plan.fired == [("cache.corrupt_entry", victim)]
 
         restored, report = load_cache(path)
         assert report.quarantined == 1
@@ -489,23 +462,14 @@ class TestSweepCheckpointResume:
                 ),
             )
 
-    def test_jobs_is_excluded_from_the_fingerprint(self, tmp_path):
-        # A checkpoint written under jobs=2 must resume under jobs=1: the
-        # measures are identical across worker counts, and post-crash
-        # serial resumption is the common case.
-        checkpoint = str(tmp_path / "sweep")
-        plan = FaultPlan(specs=(FaultSpec(site="sweep.interrupt", key="point:2"),))
-        with inject_faults(plan):
-            with pytest.raises(KeyboardInterrupt):
-                run_sweep(
-                    _pair_factory(), _sweep_config(checkpoint=checkpoint, jobs=2)
-                )
-        resumed = run_sweep(
-            _pair_factory(), _sweep_config(checkpoint=checkpoint, resume=True, jobs=1)
+    def test_fingerprint_of_a_fixed_config_is_pinned(self):
+        # Checkpoints written before the sweep manifest lost its "jobs" key
+        # hashed the block without it, so they must still resume.
+        fingerprint = _config_fingerprint(
+            _pair_factory(), _sweep_config(), ["fail_a", "fail_b"], ["fail_a"]
         )
-        golden = run_sweep(_pair_factory(), _sweep_config(jobs=1))
-        assert np.array_equal(
-            resumed.points["availability"], golden.points["availability"]
+        assert fingerprint == (
+            "e00dbb2e0e6287819286b40a048e51857107ed672f64e0142dc57ad10e6b1330"
         )
 
     def test_checkpoint_clear_removes_both_files(self, tmp_path):

@@ -57,41 +57,11 @@ class TestMetricsRegistry:
         assert rounds["max"] == 5.0
         assert rounds["mean"] == 4.0
 
-    def test_merge_snapshot_semantics(self):
-        """Counters add, gauges max, histograms combine — like the cache merge."""
-        parent = MetricsRegistry()
-        parent.counter("cache.hits").inc(2)
-        parent.gauge("peak").update_max(100)
-        parent.histogram("rounds").observe(7)
-
-        worker = MetricsRegistry()
-        worker.counter("cache.hits").inc(3)
-        worker.gauge("peak").update_max(40)
-        worker.histogram("rounds").observe(1)
-        worker.histogram("rounds").observe(9)
-
-        parent.merge_snapshot(worker.snapshot())
-        snapshot = parent.snapshot()
-        assert snapshot["counters"]["cache.hits"] == 5.0
-        assert snapshot["gauges"]["peak"] == 100.0
-        rounds = snapshot["histograms"]["rounds"]
-        assert rounds["count"] == 3
-        assert rounds["min"] == 1.0
-        assert rounds["max"] == 9.0
-
-    def test_untouched_gauge_cannot_drag_a_peak_down(self):
-        parent = MetricsRegistry()
-        parent.gauge("peak").update_max(50)
-        worker = MetricsRegistry()
-        worker.gauge("peak")  # created, never written
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.snapshot()["gauges"]["peak"] == 50.0
-
-    def test_merge_empty_snapshot_is_noop(self):
+    def test_untouched_gauge_is_left_out_of_the_snapshot(self):
         registry = MetricsRegistry()
-        registry.merge_snapshot(None)
-        registry.merge_snapshot({})
-        assert registry.snapshot() == {}
+        registry.gauge("peak")  # created, never written
+        registry.gauge("floor").update_max(-3)
+        assert registry.snapshot()["gauges"] == {"floor": -3.0}
 
 
 # --------------------------------------------------------------------------- #
@@ -120,28 +90,6 @@ class TestSpans:
             assert record is NULL_SPAN
             record.set(swallowed=True)  # must not raise
         incr("nothing")  # must not raise
-
-    def test_ingest_reparents_worker_roots_and_restamps_trace(self):
-        worker = Telemetry(MemorySink())
-        with worker.activate():
-            with worker.span("compose.subtree"):
-                with worker.span("compose.step"):
-                    pass
-        shipped = worker.export_events()
-
-        parent = Telemetry(MemorySink())
-        with parent.activate():
-            with parent.span("compose.parallel") as dispatch:
-                parent.ingest(shipped, parent_id=dispatch.span_id)
-        events = parent.export_events()
-        by_name = {event["name"]: event for event in events}
-        assert by_name["compose.subtree"]["parent_id"] == dispatch.span_id
-        # The intra-worker edge survives untouched.
-        assert (
-            by_name["compose.step"]["parent_id"]
-            == by_name["compose.subtree"]["span_id"]
-        )
-        assert {event["trace_id"] for event in events} == {parent.run_id}
 
 
 # --------------------------------------------------------------------------- #
@@ -288,29 +236,6 @@ class TestPipelineInstrumentation:
         rounds = telemetry.metrics.snapshot()["histograms"]["lumping.refine_rounds"]
         reductions = [event for event in events if event["name"].startswith("reduce.")]
         assert rounds["count"] == len(reductions) + 1
-
-    def test_parallel_workers_merge_into_one_trace(self):
-        telemetry = Telemetry(MemorySink())
-        with telemetry.activate():
-            evaluator = build_dds_evaluator(SMALL, jobs=2)
-            availability = evaluator.availability()
-        events = [
-            event
-            for event in telemetry.export_events()
-            if event.get("type") == "span"
-        ]
-        assert {event["trace_id"] for event in events} == {telemetry.run_id}
-        pids = {event["pid"] for event in events}
-        assert len(pids) > 1, "worker spans must ship back to the parent"
-        subtrees = [e for e in events if e["name"] == "compose.subtree"]
-        parallels = {
-            e["span_id"] for e in events if e["name"] == "compose.parallel"
-        }
-        assert subtrees, "workers must record their subtree spans"
-        assert all(e["parent_id"] in parallels for e in subtrees)
-        # Same result as the serial run, worker spans or not.
-        serial = build_dds_evaluator(SMALL)
-        assert availability == serial.availability()
 
     @pytest.mark.slow
     def test_report_gives_one_state_space_row_per_pipeline(self, tmp_path):
