@@ -86,8 +86,19 @@ class TestCachedPipelineIsBitIdentical:
         assert system.statistics.cache_saved_seconds == pytest.approx(
             sum(step.saved_seconds for step in hits)
         )
-        assert system.statistics.cache_hits == len(hits)
-        assert system.cache.hits == len(hits)
+
+    def test_cache_counters_stay_consistent(self):
+        """The run's statistics, the cache's own counter and the per-step
+        hit flags agree, on the hierarchical and the planned order."""
+        translated, order = _small_dds()
+        for run_order in (order, "auto"):
+            system = compose_model(translated, order=run_order, cache="on")
+            hit_steps = [step for step in system.statistics.steps if step.cache_hit]
+            assert system.statistics.cache_hits == len(hit_steps)
+            assert system.cache.hits == len(hit_steps)
+            assert system.statistics.cache_saved_seconds == pytest.approx(
+                sum(step.saved_seconds for step in hit_steps)
+            )
 
 
 class TestAboveLeafCacheHits:
