@@ -19,7 +19,7 @@ import math
 import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class ArcadeEvaluator:
     :class:`repro.composer.Composer`, which reduces after every
     composition step.  ``order`` accepts an explicit nested
     order, ``None`` for the greedy heuristic, or ``"auto"`` for the
-    cost-model-guided planner (``plan_budget`` / ``plan_seed`` /
-    ``plan_parameters`` tune its search; see :mod:`repro.planner`).
+    cost-model-guided planner (see :mod:`repro.planner`).
     ``cache`` enables the isomorphism-aware quotient cache
     (:mod:`repro.composer.cache`): ``"on"`` resolves to a single
     :class:`~repro.composer.QuotientCache` instance shared between the
@@ -91,11 +90,7 @@ class ArcadeEvaluator:
         *,
         order: CompositionOrder | str | None = None,
         reduction: str = "strong",
-        max_gate_width: int = 2,
         cache: QuotientCache | str | None = None,
-        plan_budget: int | None = None,
-        plan_seed: int = 0,
-        plan_parameters=None,
         backend: str = "compose",
         auto_state_limit: float = 5e7,
         sim_seed: int = 0,
@@ -133,15 +128,9 @@ class ArcadeEvaluator:
         self.model = model
         self.order = order
         self.reduction = reduction
-        self.max_gate_width = max_gate_width
         #: The resolved quotient cache, shared by every pipeline this
         #: evaluator runs (``None`` when caching is off).
         self.cache: QuotientCache | None = resolve_cache(cache)
-        #: Search budget / RNG seed forwarded to the planner when
-        #: ``order="auto"`` (``None`` budget = the planner's default).
-        self.plan_budget = plan_budget
-        self.plan_seed = plan_seed
-        self.plan_parameters = plan_parameters
         #: Pre-reduction state ceiling per composition step, forwarded to
         #: the composer (``None`` = unbounded).
         self.state_budget = state_budget
@@ -177,7 +166,6 @@ class ArcadeEvaluator:
         """Translate ``model``, sharing blocks through the cache's memo."""
         return translate_model(
             model,
-            max_gate_width=self.max_gate_width,
             blocks=self.cache.blocks if self.cache is not None else None,
         )
 
@@ -213,9 +201,6 @@ class ArcadeEvaluator:
                     order=self.order,
                     reduction=self.reduction,
                     cache=self.cache,
-                    plan_budget=self.plan_budget,
-                    plan_seed=self.plan_seed,
-                    plan_parameters=self.plan_parameters,
                     state_budget=self.state_budget,
                 )
         return self._composed
@@ -246,9 +231,6 @@ class ArcadeEvaluator:
                     order=order,
                     reduction=self.reduction,
                     cache=self.cache,
-                    plan_budget=self.plan_budget,
-                    plan_seed=self.plan_seed,
-                    plan_parameters=self.plan_parameters,
                     state_budget=self.state_budget,
                 )
         return self._composed_no_repair

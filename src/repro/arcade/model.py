@@ -207,7 +207,7 @@ class ArcadeModel:
     # statistics
     # ------------------------------------------------------------------ #
     def summary(self) -> dict[str, int]:
-        """Building-block counts (used by the documentation and benchmarks)."""
+        """Building-block counts."""
         return {
             "components": len(self.components),
             "repair_units": len(self.repair_units),

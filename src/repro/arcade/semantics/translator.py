@@ -7,13 +7,13 @@ step that was not yet automated in the original tool chain and is fully
 automated here.
 
 The ``SYSTEM DOWN`` expression is compiled into a tree of voting gates; wide
-conjunctions/disjunctions are split into balanced binary trees by default,
-which keeps the intermediate models of the compositional aggregation small
-(an n-input gate has 2^n states, and its inputs stay unconstrained until the
-corresponding subsystems have been composed in).  The top gate carries the
-``down`` label on every state in which its condition holds; this label
-survives composition, minimisation and CTMC extraction and identifies the
-system-failure states.
+conjunctions/disjunctions are split into balanced trees of binary gates
+(``GATE_WIDTH``), which keeps the intermediate models of the compositional
+aggregation small (an n-input gate has 2^n states, and its inputs stay
+unconstrained until the corresponding subsystems have been composed in).
+The top gate carries the ``down`` label on every state in which its
+condition holds; this label survives composition, minimisation and CTMC
+extraction and identifies the system-failure states.
 """
 
 from __future__ import annotations
@@ -38,6 +38,9 @@ _NO_LISTENERS: frozenset[str] = frozenset()
 
 #: Atomic proposition carried by the system gate while its condition holds.
 DOWN_LABEL = "down"
+#: Widest gate the translator builds: a wider AND/OR becomes a balanced
+#: tree of binary gates, so every gate's state space stays small.
+GATE_WIDTH = 2
 
 
 @dataclass
@@ -52,7 +55,7 @@ class TranslatedModel:
     #: immutable after translation, and may be shared with other
     #: translations through a block memo, so the table can never go stale).
     _listener_table: dict[str, frozenset[str]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def block_names(self) -> list[str]:
@@ -80,11 +83,6 @@ class TranslatedModel:
             self._listener_table = table
         return table.get(action, _NO_LISTENERS)
 
-    def summary(self) -> dict[str, dict[str, int]]:
-        """Per-block size statistics: :meth:`IOIMC.summary` keyed by block
-        name, the building-block sizes the benchmark scripts report."""
-        return {name: block.summary() for name, block in self.blocks.items()}
-
 
 #: Any block translator: each resolves its model context in ``__init__``
 #: and offers ``key()`` (the fields ``build()`` reads) and ``build()``.
@@ -109,13 +107,9 @@ class ModelTranslator:
         self,
         model: ArcadeModel,
         *,
-        max_gate_width: int = 2,
         blocks: dict[tuple | VotingGate, IOIMC] | None = None,
     ):
-        if max_gate_width < 2:
-            raise ModelError("max_gate_width must be at least 2")
         self.model = model
-        self.max_gate_width = max_gate_width
         self.blocks = blocks if blocks is not None else {}
         self.gates: dict[str, VotingGate] = {}
         #: Blocks built and blocks served from the memo by the last translation.
@@ -157,11 +151,11 @@ class ModelTranslator:
         """Build a (possibly narrowed) gate tree for a conjunction/disjunction.
 
         Wide gates are split into a balanced tree of gates of width at most
-        ``max_gate_width``; splitting is sound because both connectives are
+        :data:`GATE_WIDTH`; splitting is sound because both connectives are
         associative.  The gate registered under ``name`` is the root of the
         tree.
         """
-        width = self.max_gate_width
+        width = GATE_WIDTH
         level = 0
         while len(inputs) > width:
             grouped: list[GateInput] = []
@@ -236,7 +230,6 @@ class ModelTranslator:
 def translate_model(
     model: ArcadeModel,
     *,
-    max_gate_width: int = 2,
     blocks: dict[tuple | VotingGate, IOIMC] | None = None,
 ) -> TranslatedModel:
     """Translate ``model`` into the I/O-IMCs of its building blocks.
@@ -245,7 +238,7 @@ def translate_model(
     every block afresh).
     """
     with telemetry_span("arcade.translate") as span:
-        translator = ModelTranslator(model, max_gate_width=max_gate_width, blocks=blocks)
+        translator = ModelTranslator(model, blocks=blocks)
         translated = translator.translate()
         span.set(
             blocks=len(translated.blocks),

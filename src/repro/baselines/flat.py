@@ -3,7 +3,7 @@
 The point of the compositional aggregation pipeline of Section 4 is that the
 *naive* alternative — composing every building block and only then (if at
 all) minimising — explodes.  This module provides that naive alternative so
-the benchmarks can quantify the difference: the block I/O-IMCs are composed
+the difference can be measured: the block I/O-IMCs are composed
 in a fixed order with **no intermediate reduction and no early hiding**, and
 the construction aborts with a :class:`FlatCompositionBudgetExceeded` result
 once a state budget is exceeded (which is the expected outcome for anything

@@ -1,4 +1,4 @@
-"""The paper's case studies (Section 5) and parametric benchmark workloads."""
+"""The paper's case studies (Section 5) and parametric model generators."""
 
 from . import dds, rcs, workloads
 from .dds import (

@@ -1,10 +1,10 @@
-"""Parametric workload generators for the scaling and ablation benchmarks.
+"""Parametric model generators beside the paper's two case studies.
 
 The paper's evaluation is built around two fixed case studies; the
-benchmarks additionally sweep model size and design parameters (number of
-redundant components, repair strategy, gate width) to show *why* the
-compositional aggregation pipeline matters.  The generators below produce
-families of Arcade models for those sweeps.
+generators below produce families of Arcade models that vary size and
+design parameters (number of redundant components, repair strategy), which
+the tests use to compare the compositional pipeline with the flat and
+simulation baselines.
 """
 
 from __future__ import annotations

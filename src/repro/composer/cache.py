@@ -229,19 +229,15 @@ class StepSkeleton:
         )
 
 
-def structure_key(
-    left: IOIMC, right: IOIMC, hidden: list[str], *, eliminate_vanishing: bool
-) -> str:
+def structure_key(left: IOIMC, right: IOIMC, hidden: list[str]) -> str:
     """Digest of one step's rate-free inputs: the :class:`StepSkeleton` key.
 
     Covers each operand's signature, state count, initial state, interactive
-    CSR and Markovian CSR minus its rate column, plus the hidden set and the
-    vanishing-elimination flag — everything the prefix reads.  State names
-    and labels are not hashed: the prefix only carries them along.
+    CSR and Markovian CSR minus its rate column, plus the hidden set —
+    everything the prefix reads.  State names and labels are not hashed:
+    the prefix only carries them along.
     """
-    digest = hashlib.sha256(
-        f"hide={sorted(hidden)}|v={int(eliminate_vanishing)}".encode()
-    )
+    digest = hashlib.sha256(f"hide={sorted(hidden)}".encode())
     for automaton in (left, right):
         index = automaton.index()
         interactive = index.interactive_csr
@@ -310,10 +306,7 @@ class QuotientCache:
         #: ``CompositionStatistics.cache_saved_seconds``, so the two reports
         #: reconcile exactly however many runs share the instance.
         self.saved_seconds = 0.0
-        self._reset_memos()
-
-    def _reset_memos(self) -> None:
-        """Create the per-process memos, which are never persisted or pickled."""
+        # The per-process memos below are never persisted.
         #: Keyed weakly by the automaton *object*: an entry lives exactly as
         #: long as its leaf, so a recycled ``id()`` can never serve a stale
         #: fingerprint, and the leaves of finished evaluations are not kept.
@@ -329,16 +322,6 @@ class QuotientCache:
         #: evaluation on this cache gets the same leaf objects back, so
         #: their fingerprints above are computed once.
         self.blocks: dict = {}
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        for memo in ("_leaf_fingerprints", "_skeletons", "_sighted", "blocks"):
-            del state[memo]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._reset_memos()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -421,13 +404,13 @@ class QuotientCache:
         )
 
     @staticmethod
-    def result_key(plan: StepPlan, *, reduction: str, eliminate_vanishing: bool) -> str:
+    def result_key(plan: StepPlan, *, reduction: str) -> str:
         """Dictionary key of one step under one reduction configuration.
 
         The string format is persisted by ``--cache-file`` archives and
         sweep checkpoints; changing it orphans every stored entry.
         """
-        return plan.base + f"|{reduction}|v={int(eliminate_vanishing)}"
+        return plan.base + f"|{reduction}"
 
     # ------------------------------------------------------------------ #
     # lookup / store

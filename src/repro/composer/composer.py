@@ -55,7 +55,7 @@ from .cache import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner uses composer)
-    from ..planner import CostParameters, PlanReport
+    from ..planner import PlanReport
 
 #: Composition orders are nested sequences of block names.
 CompositionOrder = Sequence["str | CompositionOrder"]
@@ -154,40 +154,6 @@ class CompositionStatistics:
         the serve time, per hit)."""
         return sum(step.saved_seconds for step in self.steps if step.cache_hit)
 
-    def as_table(self) -> list[dict[str, object]]:
-        """Per-step rows: the ``"steps"`` block of :meth:`to_dict`, which the
-        benchmark exporters print and serialise."""
-        return [
-            {
-                "step": step.description,
-                "states_before": step.states_before_reduction,
-                "transitions_before": step.transitions_before_reduction,
-                "states_after": step.states_after_reduction,
-                "transitions_after": step.transitions_after_reduction,
-                "hidden": len(step.hidden_actions),
-                "compose_s": round(step.compose_seconds, 4),
-                "reduce_s": round(step.reduce_seconds, 4),
-                "cache_hit": step.cache_hit,
-            }
-            for step in self.steps
-        ]
-
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable summary — the schema the telemetry stream and
-        the benchmark exporters share (per-step rows under ``"steps"``)."""
-        return {
-            "num_steps": len(self.steps),
-            "largest_intermediate_states": self.largest_intermediate_states,
-            "largest_intermediate_transitions": self.largest_intermediate_transitions,
-            "total_compose_seconds": self.total_compose_seconds,
-            "total_reduce_seconds": self.total_reduce_seconds,
-            "final_reduce_seconds": self.final_reduce_seconds,
-            "total_seconds": self.total_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_saved_seconds": self.cache_saved_seconds,
-            "steps": self.as_table(),
-        }
-
 
 @dataclass
 class ComposedSystem:
@@ -229,9 +195,6 @@ class Composer:
         ``"branching"`` (inert-tau-abstracting — the equivalence CADP's
         minimisation uses in the paper's tool chain), ``"weak"``
         (tau-abstracting, the coarsest of the three) or ``"none"``.
-    eliminate_vanishing:
-        Collapse tau-only vanishing chains between composition steps
-        (:func:`repro.lumping.eliminate_vanishing_chains`).
     cache:
         Isomorphism-aware memoisation policy: ``"on"`` (a fresh
         :class:`~repro.composer.cache.QuotientCache`), ``"off"``/``None``
@@ -240,12 +203,6 @@ class Composer:
         reduced once; further copies are rebased from the cache via their
         canonical renaming witness, reproducing the uncached pipeline's
         results exactly (see ``docs/caching.md``).
-    plan_parameters:
-        Cost-model damping parameters for ``order="auto"``: a
-        :class:`~repro.planner.CostParameters` instance or a path to a JSON
-        file persisted by :func:`repro.planner.save_cost_parameters` (e.g.
-        the per-family files the benchmarks export).  ``None`` uses the
-        built-in DDS/RCS-fitted defaults.
     state_budget:
         Hard ceiling on any step's *pre-reduction* product size (the
         states it builds).
@@ -264,11 +221,7 @@ class Composer:
         *,
         order: CompositionOrder | str | None = None,
         reduction: str = "strong",
-        eliminate_vanishing: bool = True,
         cache: QuotientCache | str | None = None,
-        plan_budget: int | None = None,
-        plan_seed: int = 0,
-        plan_parameters: "CostParameters | str | None" = None,
         state_budget: int | None = None,
     ) -> None:
         if reduction not in REDUCTION_MODES:
@@ -286,16 +239,10 @@ class Composer:
             )
         self.translated = translated
         self.order = order
-        #: Search budget / RNG seed forwarded to the planner for
-        #: ``order="auto"`` (``None`` budget = the planner's default).
-        self.plan_budget = plan_budget
-        self.plan_seed = plan_seed
-        self.plan_parameters = plan_parameters
         #: The planner's :class:`~repro.planner.PlanReport` of the last
         #: ``order="auto"`` run (``None`` otherwise).
         self.plan_report: "PlanReport | None" = None
         self.reduction = reduction
-        self.eliminate_vanishing = eliminate_vanishing
         #: The resolved quotient cache (``None`` when caching is off).  The
         #: same instance survives re-runs of :meth:`compose`, so repeated
         #: pipelines (availability + no-repair reliability, growth sweeps)
@@ -366,20 +313,15 @@ class Composer:
         if isinstance(self.order, str):  # validated to be "auto" in __init__
             from ..planner import plan_order  # late import: planner uses composer
 
-            keywords: dict = {} if self.plan_budget is None else {"budget": self.plan_budget}
-            if self.plan_parameters is not None:
-                keywords["parameters"] = self.plan_parameters
-            if self.cache is not None:
-                # Let the search price the 2nd..N-th copy of an isomorphic
-                # sibling group at ~0 (the cache will serve them), and hand
-                # the cache itself over so folds it already stores — from a
-                # shared pre-warmed cache — discount the *first* copy too.
-                keywords["cache_aware"] = True
-                keywords["cache"] = self.cache
-                keywords["reduction"] = self.reduction
-                keywords["eliminate_vanishing"] = self.eliminate_vanishing
+            # With a cache, let the search price the 2nd..N-th copy of an
+            # isomorphic sibling group at ~0 (the cache will serve them), and
+            # hand the cache itself over so folds it already stores — from a
+            # shared pre-warmed cache — discount the *first* copy too.
             order, self.plan_report = plan_order(
-                self.translated, seed=self.plan_seed, **keywords
+                self.translated,
+                cache_aware=self.cache is not None,
+                cache=self.cache,
+                reduction=self.reduction,
             )
             return order
         return self.order
@@ -510,11 +452,7 @@ class Composer:
         key = None
         entry = None
         if plan is not None:
-            key = cache.result_key(
-                plan,
-                reduction=self.reduction,
-                eliminate_vanishing=self.eliminate_vanishing,
-            )
+            key = cache.result_key(plan, reduction=self.reduction)
             entry = cache.get(key)
 
         if entry is not None:
@@ -622,9 +560,7 @@ class Composer:
         cache = self.cache
         if cache is None:
             return *self._build_prefix(left, right, hidable, description), False
-        key = structure_key(
-            left, right, hidable, eliminate_vanishing=self.eliminate_vanishing
-        )
+        key = structure_key(left, right, hidable)
         skeleton = cache.skeleton(key)
         regathered = skeleton is not None
         if regathered:
@@ -714,15 +650,13 @@ class Composer:
         return self._minimise(self._prune(automaton))
 
     def _prune(self, automaton: IOIMC) -> IOIMC:
-        """Vanishing-chain elimination (if enabled) and reachability.
+        """Vanishing-chain elimination and reachability.
 
         Like the product and hiding, this only selects and copies edges and
         never reads a rate, which is what lets a step skeleton stand in for
         all three.
         """
-        if self.eliminate_vanishing:
-            automaton = eliminate_vanishing_chains(automaton)
-        return automaton.restrict_to_reachable()
+        return eliminate_vanishing_chains(automaton).restrict_to_reachable()
 
     def _minimise(self, automaton: IOIMC) -> IOIMC:
         """Bisimulation minimisation under the configured reduction."""
@@ -755,31 +689,22 @@ def compose_model(
     *,
     order: CompositionOrder | str | None = None,
     reduction: str = "strong",
-    eliminate_vanishing: bool = True,
     cache: QuotientCache | str | None = None,
-    plan_budget: int | None = None,
-    plan_seed: int = 0,
-    plan_parameters: "CostParameters | str | None" = None,
     state_budget: int | None = None,
 ) -> ComposedSystem:
     """One-call wrapper around :class:`Composer`.
 
     Accepts the same keyword arguments (see the :class:`Composer` docstring
-    for the reduction — ``reduction``, ``eliminate_vanishing`` — the
-    quotient cache — ``cache`` — the order planner — ``order="auto"``, ``plan_budget``,
-    ``plan_seed``, ``plan_parameters`` — and the per-step ceiling
-    ``state_budget``) and returns the fully composed
+    for ``order`` — ``"auto"`` runs the order planner — ``reduction``, the
+    quotient cache ``cache`` and the per-step ceiling ``state_budget``) and
+    returns the fully composed
     :class:`ComposedSystem` with its I/O-IMC, CTMC and per-step statistics.
     """
     composer = Composer(
         translated,
         order=order,
         reduction=reduction,
-        eliminate_vanishing=eliminate_vanishing,
         cache=cache,
-        plan_budget=plan_budget,
-        plan_seed=plan_seed,
-        plan_parameters=plan_parameters,
         state_budget=state_budget,
     )
     return composer.compose()

@@ -212,7 +212,7 @@ class CTMC:
         return np.flatnonzero(~has_exit).tolist()
 
     def summary(self) -> dict[str, int]:
-        """Size statistics used by the benchmarks."""
+        """State and transition counts."""
         return {"states": self.num_states, "transitions": self.num_transitions}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

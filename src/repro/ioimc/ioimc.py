@@ -575,26 +575,6 @@ class IOIMC:
         )
 
     # ------------------------------------------------------------------ #
-    # pickling
-    # ------------------------------------------------------------------ #
-    def __reduce__(self):
-        # One serialised form, the CSR columns: the derived caches (stability
-        # bits, predecessor table) are cheap to rebuild and would multiply
-        # the size of every pickled automaton.
-        return (
-            IOIMC.from_tables,
-            (
-                self.name,
-                self.signature,
-                self.initial,
-                self._index.interactive_csr,
-                self._index.markovian_csr,
-                self.labels,
-                self.state_names,
-            ),
-        )
-
-    # ------------------------------------------------------------------ #
     # dunder helpers
     # ------------------------------------------------------------------ #
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -605,7 +585,7 @@ class IOIMC:
         )
 
     def summary(self) -> dict[str, int]:
-        """Size statistics used by the benchmarks."""
+        """State and transition counts."""
         return {
             "states": self.num_states,
             "interactive_transitions": self.num_interactive_transitions(),

@@ -6,8 +6,7 @@ flat state space.  This package automates the choice for users who cannot
 hand-craft a hierarchical decomposition:
 
 * :mod:`repro.planner.costmodel` — a fast static estimator of the
-  intermediate state-space sizes a candidate (nested) order will produce,
-  calibratable from the per-step sizes recorded by real runs;
+  intermediate state-space sizes a candidate (nested) order will produce;
 * :mod:`repro.planner.search` — beam search over left-deep order extensions
   plus a seeded simulated-annealing refiner over leaf permutations, both
   scoring candidates through the cost model, with fault-tree gates placed by
@@ -18,14 +17,7 @@ hand-craft a hierarchical decomposition:
 """
 
 from ..errors import PlannerError
-from .costmodel import (
-    CostModel,
-    CostParameters,
-    CostState,
-    load_cost_parameters,
-    resolve_cost_parameters,
-    save_cost_parameters,
-)
+from .costmodel import CostModel, CostParameters, CostState
 from .planner import DEFAULT_BUDGET, PlanReport, plan_order
 from .search import (
     SearchResult,
@@ -53,9 +45,6 @@ __all__ = [
     "beam_search_groups",
     "gate_tree_group_order",
     "group_isomorphism_classes",
-    "load_cost_parameters",
     "order_group_by_cost",
     "plan_order",
-    "resolve_cost_parameters",
-    "save_cost_parameters",
 ]

@@ -31,7 +31,7 @@ from ..composer import CompositionOrder, hierarchical_order
 from ..composer.cache import QuotientCache
 from ..composer.ordering import GateScheduler
 from ..telemetry.trace import span as telemetry_span
-from .costmodel import CostModel, CostParameters, resolve_cost_parameters
+from .costmodel import CostModel
 from .search import (
     SearchResult,
     affinity_groups,
@@ -85,22 +85,6 @@ class PlanReport:
             f"iterations) in {self.wall_clock_seconds:.2f}s"
         )
 
-    def to_dict(self) -> dict[str, object]:
-        """JSON-serialisable form — the telemetry/benchmark export schema."""
-        return {
-            "predicted_peak_states": self.predicted_peak_states,
-            "predicted_total_states": self.predicted_total_states,
-            "predicted_steps": self.predicted_steps,
-            "explored_candidates": self.explored_candidates,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "num_groups": self.num_groups,
-            "beam_width": self.beam_width,
-            "annealing_iterations": self.annealing_iterations,
-            "improved_by_annealing": self.improved_by_annealing,
-            "budget": self.budget,
-            "seed": self.seed,
-        }
-
 
 def plan_order(
     translated: TranslatedModel,
@@ -108,11 +92,9 @@ def plan_order(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     cost_model: CostModel | None = None,
-    parameters: "CostParameters | str | None" = None,
     cache_aware: bool = False,
     cache: "QuotientCache | None" = None,
     reduction: str = "strong",
-    eliminate_vanishing: bool = True,
 ) -> tuple[CompositionOrder, PlanReport]:
     """Search for a good composition order for ``translated``.
 
@@ -130,13 +112,9 @@ def plan_order(
         Seed of the annealing RNG; the whole search is deterministic for a
         fixed ``(translated, budget, seed)``.
     cost_model:
-        Override the default :class:`CostModel` — pass a calibrated model to
-        plan with damping factors fitted from earlier runs.
-    parameters:
-        Damping factors for the default cost model: a
-        :class:`CostParameters` instance or a path to a JSON file persisted
-        by :func:`save_cost_parameters` (the per-family files the
-        benchmarks export).  Ignored when ``cost_model`` is given.
+        Override the default :class:`CostModel` — pass one built with other
+        :class:`~repro.planner.CostParameters` to plan with other damping
+        factors.
     cache_aware:
         Price the internal fold of the second-through-N-th copy of an
         isomorphic sibling group at ~0 — the composer's quotient cache will
@@ -151,10 +129,9 @@ def plan_order(
         consulted (:func:`~repro.planner.search.warm_fold_keys`) so the
         *first* copy of a group a pre-warmed shared cache already holds is
         priced ~free too — not just the later replicas.
-    reduction / eliminate_vanishing:
-        The composer's reduction settings; they parameterise the cache
-        result keys the warm-fold check looks up.  Ignored without a
-        ``cache``.
+    reduction:
+        The composer's reduction mode; it parameterises the cache result
+        keys the warm-fold check looks up.  Ignored without a ``cache``.
 
     Returns
     -------
@@ -171,11 +148,9 @@ def plan_order(
             budget=budget,
             seed=seed,
             cost_model=cost_model,
-            parameters=parameters,
             cache_aware=cache_aware,
             cache=cache,
             reduction=reduction,
-            eliminate_vanishing=eliminate_vanishing,
         )
         plan_span.set(
             predicted_peak_states=report.predicted_peak_states,
@@ -194,18 +169,13 @@ def _plan_order_impl(
     budget: int,
     seed: int,
     cost_model: CostModel | None,
-    parameters: "CostParameters | str | None",
     cache_aware: bool,
     cache: "QuotientCache | None",
     reduction: str,
-    eliminate_vanishing: bool,
 ) -> tuple[CompositionOrder, PlanReport]:
     """The search itself (see :func:`plan_order`, the traced facade)."""
     started = time.perf_counter()
-    if cost_model is not None:
-        model = cost_model
-    else:
-        model = CostModel(translated, resolve_cost_parameters(parameters))
+    model = cost_model if cost_model is not None else CostModel(translated)
     scheduler = GateScheduler(translated)
     num_leaves = max(len(scheduler.non_gate_blocks), 1)
 
@@ -227,7 +197,6 @@ def _plan_order_impl(
             groups,
             cache,
             reduction=reduction,
-            eliminate_vanishing=eliminate_vanishing,
         )
     if len(groups) > 1:
         # Isomorphic sibling groups (the replicated subsystems) collapse the

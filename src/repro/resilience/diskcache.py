@@ -1,11 +1,11 @@
 """Checksummed on-disk persistence for :class:`~repro.composer.QuotientCache`.
 
-File format (``CACHE_STORE_VERSION`` 2)
+File format (``CACHE_STORE_VERSION`` 3)
 ---------------------------------------
 One ``np.savez_compressed`` archive.  The member ``index`` is a uint8 array
 holding a canonical-JSON document::
 
-    {"format": "repro-quotient-cache", "version": 2,
+    {"format": "repro-quotient-cache", "version": 3,
      "counters": {"hits": ..., "misses": ..., "stores": ..., "saved_seconds": ...},
      "entries": [{"key": ..., "slot": "e00000", "checksum": "<sha256 hex>",
                   "name": ..., "inputs": [...], "outputs": [...],
@@ -14,8 +14,8 @@ holding a canonical-JSON document::
                   "slots": [...], "states_before": ..., ...}, ...]}
 
 and each entry owns eight array members under its ``slot`` prefix — the CSR
-tables of its automaton, exactly the columns an :class:`IOIMC` pickles and
-is rebuilt from by :meth:`IOIMC.from_tables` (``<slot>.ii/is/ia/it``
+tables of its automaton, exactly the columns an :class:`IOIMC` is rebuilt
+from by :meth:`IOIMC.from_tables` (``<slot>.ii/is/ia/it``
 interactive indptr/source/action/target, ``<slot>.mi/ms/mr/mt`` Markovian
 indptr/source/rate/target).  Action ids index
 ``sorted(signature.all_actions)`` — the interning of
@@ -71,8 +71,10 @@ from .faults import active_fault
 #: Version of the on-disk archive layout.  Bump on any incompatible change;
 #: the loader refuses other versions loudly instead of misreading them.
 #: Version 2: ``states_before`` counts the product built under maximal
-#: progress; version-1 archives recorded the full product.
-CACHE_STORE_VERSION = 2
+#: progress; version-1 archives recorded the full product.  Version 3: result
+#: keys end in the reduction mode; version-2 keys also ended in a
+#: vanishing-elimination flag, which is no longer an option.
+CACHE_STORE_VERSION = 3
 
 _FORMAT = "repro-quotient-cache"
 

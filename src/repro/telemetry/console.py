@@ -1,6 +1,6 @@
 """Shared observability plumbing for the command-line entry points.
 
-Every CLI in the repository (case studies, sweeps, benchmarks) grows the
+Every CLI in the repository (case studies, sweeps) grows the
 same three options through :func:`add_observability_arguments`::
 
     --telemetry PATH   write a JSONL telemetry run (spans, metrics, manifest)
@@ -30,7 +30,7 @@ import logging
 import signal
 import sys
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 
 from .sink import JsonlSink, RunManifest
 from .trace import Telemetry

@@ -1,9 +1,10 @@
 """Chaos recovery suite: injected faults must not change a single bit.
 
 The resilience contract is *recover exactly, never silently*: a pipeline
-that survives a corrupted cache entry or a mid-sweep interrupt must produce
-results bit-identical to an undisturbed run, and must say what happened (a
-quarantine report, a checkpoint).  This suite drives the serial pipeline
+that survives a corrupted cache entry must produce results bit-identical to
+an undisturbed run, and must say what happened (a quarantine report).  The
+mid-sweep interrupt and resume is checked in ``tests/test_resilience.py``
+(``TestSweepCheckpointResume``).  This suite drives the serial pipeline
 through the declarative fault plans of :mod:`repro.resilience.faults`.
 
 Enable with ``pytest tests/chaos --run-chaos``.
@@ -19,7 +20,6 @@ from repro.casestudies.dds import (
 )
 from repro.composer import QuotientCache, compose_model
 from repro.ctmc import steady_state_availability
-from repro.distributions import Exponential
 from repro.resilience import (
     FaultPlan,
     FaultSpec,
@@ -27,7 +27,6 @@ from repro.resilience import (
     load_cache,
     save_cache,
 )
-from repro.sweep import SweepConfig, SweepFactory, canonical_store_bytes, run_sweep
 
 pytestmark = pytest.mark.chaos
 
@@ -60,60 +59,3 @@ class TestAcceptanceScenario:
         assert rebuilt.ctmc.summary() == golden.ctmc.summary()
         assert steady_state_availability(rebuilt.ctmc) == golden_availability
         assert victim in restored.entries()  # rebuilt on the miss
-
-
-# --------------------------------------------------------------------------- #
-# sweep under chaos: interrupt + resume
-# --------------------------------------------------------------------------- #
-def _pair_factory() -> SweepFactory:
-    from repro.arcade import (
-        ArcadeModel,
-        BasicComponent,
-        RepairStrategy,
-        RepairUnit,
-        down,
-    )
-    from repro.arcade.expressions import And
-
-    def build(values):
-        model = ArcadeModel(name="chaos_pair")
-        for name, rate in (("a", values["fail_a"]), ("b", values["fail_b"])):
-            model.add_component(
-                BasicComponent(
-                    name,
-                    time_to_failures=Exponential(rate),
-                    time_to_repairs=Exponential(1.0),
-                )
-            )
-        model.add_repair_unit(RepairUnit("rep", ["a", "b"], RepairStrategy.FCFS))
-        model.set_system_down(And([down("a"), down("b")]))
-        return model
-
-    return SweepFactory(
-        name="chaos_pair",
-        build=build,
-        base={"fail_a": 0.01, "fail_b": 0.02},
-        rate_axes=("fail_a",),
-    )
-
-
-def test_sweep_survives_an_interrupt_then_resumes_identically(tmp_path):
-    def config(**overrides):
-        base = dict(
-            grid={"fail_a": [0.01, 0.02], "fail_b": [0.02, 0.03]},
-            cache="on",
-            importance=False,
-        )
-        base.update(overrides)
-        return SweepConfig(**base)
-
-    golden = run_sweep(_pair_factory(), config())
-
-    checkpoint = str(tmp_path / "sweep")
-    interrupt = FaultPlan(specs=(FaultSpec(site="sweep.interrupt", key="point:3"),))
-    with inject_faults(interrupt):
-        with pytest.raises(KeyboardInterrupt):
-            run_sweep(_pair_factory(), config(checkpoint=checkpoint))
-
-    resumed = run_sweep(_pair_factory(), config(checkpoint=checkpoint, resume=True))
-    assert canonical_store_bytes(resumed) == canonical_store_bytes(golden)

@@ -58,7 +58,7 @@ def scaled(translated, factor: float, blocks=None):
                 block.state_names,
             )
         scaled_blocks[name] = block
-    return dataclasses.replace(translated, blocks=scaled_blocks, _listener_table=None)
+    return dataclasses.replace(translated, blocks=scaled_blocks)
 
 
 def trajectory(system):

@@ -34,12 +34,6 @@ from repro.composer import Composer, QuotientCache, compose_model, resolve_cache
 from repro.composer.cache import StepPlan, StepSkeleton, _position_probe, structure_key
 from repro.ctmc import steady_state_availability
 from repro.ioimc import IOIMC
-from repro.planner import (
-    CostParameters,
-    load_cost_parameters,
-    plan_order,
-    save_cost_parameters,
-)
 from repro.sweep import SweepConfig, run_sweep, verify_bit_identical
 from test_golden_regression import DDS_GOLDEN, RCS_GOLDEN
 
@@ -222,41 +216,10 @@ class TestResultKeyFormat:
     keyed by these strings; changing the format orphans every stored entry."""
 
     @pytest.mark.parametrize("reduction", ["strong", "weak", "branching"])
-    @pytest.mark.parametrize("eliminate_vanishing", [True, False])
-    def test_key_is_plan_base_mode_and_vanishing_flag(
-        self, reduction, eliminate_vanishing
-    ):
+    def test_key_is_plan_base_and_mode(self, reduction):
         plan = StepPlan(base="0123abcd", slots=("a", "b"))
-        key = QuotientCache.result_key(
-            plan, reduction=reduction, eliminate_vanishing=eliminate_vanishing
-        )
-        assert key == plan.base + f"|{reduction}|v={int(eliminate_vanishing)}"
-
-
-class TestCostParameterPersistence:
-    def test_round_trip_and_planner_loading(self, tmp_path):
-        path = tmp_path / "cost-parameters-test.json"
-        parameters = CostParameters(sync_damping=0.42, hide_damping=0.84)
-        save_cost_parameters(path, parameters, family="test", source="unit-test")
-        assert load_cost_parameters(path) == parameters
-
-        translated, _ = _small_dds()
-        order_file, report_file = plan_order(translated, parameters=str(path))
-        order_direct, report_direct = plan_order(translated, parameters=parameters)
-        assert order_file == order_direct
-        assert (
-            report_file.predicted_peak_states == report_direct.predicted_peak_states
-        )
-
-    def test_composer_auto_accepts_parameter_files(self, tmp_path):
-        path = tmp_path / "cost-parameters-test.json"
-        save_cost_parameters(
-            path, CostParameters(0.7, 0.7), family="test"
-        )
-        translated, _ = _small_dds()
-        system = compose_model(translated, order="auto", plan_parameters=str(path))
-        assert system.plan_report is not None
-        assert system.ctmc.num_states > 0
+        key = QuotientCache.result_key(plan, reduction=reduction)
+        assert key == plan.base + f"|{reduction}"
 
 
 class TestRateReuse:
@@ -316,10 +279,8 @@ class TestRateReuse:
         translated, _ = _small_dds()
         block, other = translated.blocks["d_1"], translated.blocks["cluster_rep_1"]
 
-        def key(left, hidden=(), eliminate_vanishing=True):
-            return structure_key(
-                left, other, list(hidden), eliminate_vanishing=eliminate_vanishing
-            )
+        def key(left, hidden=()):
+            return structure_key(left, other, list(hidden))
 
         def variant(markovian, names=None, labels=None):
             return IOIMC(
@@ -343,7 +304,6 @@ class TestRateReuse:
         moved = list(rows)
         moved[state] = [(rate, (target + 1) % block.num_states), *rest]
         assert key(variant(moved)) != base
-        assert key(block, eliminate_vanishing=False) != base
         assert key(block, hidden=sorted(block.signature.outputs)[:1]) != base
 
     @pytest.mark.parametrize("names", [("cluster_rep_1", "d_1"), ("d_1", "_sys")])
@@ -383,48 +343,3 @@ class TestRateReuse:
         )
         assert warm.state_names == cold.state_names
         assert list(warm.labels.items()) == list(cold.labels.items())
-
-
-class TestCostParameterFailureModes:
-    def test_missing_file_raises_planner_error_naming_the_path(self, tmp_path):
-        from repro.planner import PlannerError
-
-        missing = tmp_path / "does-not-exist.json"
-        with pytest.raises(PlannerError, match="does-not-exist.json"):
-            load_cost_parameters(missing)
-
-    def test_corrupt_json_raises_planner_error(self, tmp_path):
-        from repro.planner import PlannerError
-
-        path = tmp_path / "corrupt.json"
-        path.write_text("{this is not json")
-        with pytest.raises(PlannerError, match="corrupt.json.*not valid JSON"):
-            load_cost_parameters(path)
-
-    def test_missing_damping_keys_raise_planner_error(self, tmp_path):
-        import json as json_module
-
-        from repro.planner import PlannerError
-
-        path = tmp_path / "partial.json"
-        path.write_text(json_module.dumps({"sync_damping": 0.5}))
-        with pytest.raises(PlannerError, match="sync_damping.*hide_damping"):
-            load_cost_parameters(path)
-
-    def test_non_numeric_values_raise_planner_error(self, tmp_path):
-        import json as json_module
-
-        from repro.planner import PlannerError
-
-        path = tmp_path / "bad-types.json"
-        path.write_text(
-            json_module.dumps({"sync_damping": "high", "hide_damping": 0.5})
-        )
-        with pytest.raises(PlannerError, match="bad-types.json"):
-            load_cost_parameters(path)
-
-    def test_resolve_propagates_the_planner_error(self, tmp_path):
-        from repro.planner import PlannerError, resolve_cost_parameters
-
-        with pytest.raises(PlannerError):
-            resolve_cost_parameters(str(tmp_path / "gone.json"))

@@ -58,7 +58,7 @@ class TestComposerPipeline:
         evaluator.availability()
         statistics = evaluator.composed.statistics
         assert statistics.largest_intermediate_states > 0
-        assert len(statistics.as_table()) >= 4
+        assert len(statistics.steps) >= 4
 
     def test_statistics_record_wall_clock(self):
         evaluator = ArcadeEvaluator(quickstart_model())
@@ -69,9 +69,9 @@ class TestComposerPipeline:
         assert statistics.total_seconds == pytest.approx(
             statistics.total_compose_seconds + statistics.total_reduce_seconds
         )
-        for row in statistics.as_table():
-            assert row["compose_s"] >= 0.0
-            assert row["reduce_s"] >= 0.0
+        for step in statistics.steps:
+            assert step.compose_seconds >= 0.0
+            assert step.reduce_seconds >= 0.0
 
     def test_recomposing_does_not_accumulate_statistics(self):
         composer = Composer(translate_model(quickstart_model()))
@@ -182,6 +182,12 @@ class TestEvaluatorMeasures:
         assert report.availability == pytest.approx(evaluator.availability())
         assert report.reliability == pytest.approx(evaluator.reliability(1000.0))
         assert report.ctmc_states == evaluator.ctmc.num_states
+
+    def test_shared_repair_is_no_better_than_dedicated(self):
+        """One FCFS repairman for a whole array cannot beat one per component."""
+        shared = ArcadeEvaluator(redundant_array_model(3, 3, shared_repair=True))
+        dedicated = ArcadeEvaluator(redundant_array_model(3, 3, shared_repair=False))
+        assert dedicated.availability() >= shared.availability()
 
     def test_spare_with_smu_pipeline(self):
         model = ArcadeModel(name="spared")

@@ -158,52 +158,6 @@ def test_summary_counts_are_edge_counts():
     assert summary["states"] == composite.num_states
 
 
-class TestPickleRoundTrip:
-    """Pickling ships the CSR columns, and only them.
-
-    The unpickled copy must carry byte-equal columns and an index of its
-    own.
-    """
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_eager_round_trip(self, seed):
-        import pickle
-
-        for block in blocks_of(seed):
-            restored = pickle.loads(pickle.dumps(block))
-            assert restored.index() is not block.index()
-            assert_same_columns(restored, block)
-            assert_csr_matches_rows(restored)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_lazy_round_trip_keeps_rows_lazy(self, seed):
-        """A product round trips as columns; its row views rebuild from them."""
-        import pickle
-
-        blocks = blocks_of(seed)
-        composite = compose(blocks[0], blocks[1])
-        restored = pickle.loads(pickle.dumps(composite))
-        assert_same_columns(restored, composite)
-        assert rows_from_csr(restored) == rows_from_csr(composite)
-        assert_csr_matches_rows(restored)
-
-    def test_payload_stays_single_representation(self):
-        """Reading row views or the predecessor CSR must not grow the pickle.
-
-        An automaton pickles its CSR columns only; the derived structures
-        (row views, predecessor CSR, stability) are rebuilt on demand after
-        unpickling.
-        """
-        import pickle
-
-        blocks = blocks_of(0)
-        composite = compose(blocks[0], blocks[1])
-        baseline = len(pickle.dumps(composite))
-        _ = composite.interactive  # build the row views
-        composite.index().predecessor_csr()
-        assert len(pickle.dumps(composite)) == baseline
-
-
 def ensure_input_enabled_rows(automaton):
     """Row-loop oracle of :meth:`IOIMC.ensure_input_enabled`: append each
     state's missing input self-loops after its own transitions, in natural

@@ -27,7 +27,13 @@ from repro.arcade.semantics import translate_model
 from repro.casestudies.dds import DDSParameters, build_dds_model
 from repro.casestudies.rcs import build_heat_exchange_subsystem, build_pump_subsystem
 from repro.composer import Composer, GateScheduler, flatten_order
-from repro.planner import CostModel, CostParameters, affinity_groups, plan_order
+from repro.planner import (
+    DEFAULT_BUDGET,
+    CostModel,
+    CostParameters,
+    affinity_groups,
+    plan_order,
+)
 
 
 def _translated_corpus():
@@ -112,42 +118,15 @@ class TestDeterminism:
         composer.order = None
         assert composer.compose().plan_report is None
 
-    def test_evaluator_forwards_plan_budget_and_seed(self):
-        evaluator = ArcadeEvaluator(
-            random_arcade_model(1), order="auto", plan_budget=32, plan_seed=5
-        )
+    def test_evaluator_plans_with_the_default_budget_and_seed(self):
+        evaluator = ArcadeEvaluator(random_arcade_model(1), order="auto")
         report = evaluator.composed.plan_report
         assert report is not None
-        assert report.budget == 32
-        assert report.seed == 5
+        assert report.budget == DEFAULT_BUDGET
+        assert report.seed == 0
 
 
 class TestCostModel:
-    def test_calibration_fits_dampings_from_a_real_run(self):
-        parameters = DDSParameters(num_clusters=1, num_controller_sets=1)
-        translated = translate_model(build_dds_model(parameters))
-        order, _ = plan_order(translated, seed=0)
-        composer = Composer(translated, order=order)
-        composer.compose()
-        model = CostModel(translated)
-        calibrated = model.calibrated(composer.statistics, order=order)
-        for value in (
-            calibrated.parameters.sync_damping,
-            calibrated.parameters.hide_damping,
-        ):
-            assert 0.05 <= value <= 1.0
-        # The case-study fits land near the defaults; calibration must not
-        # run wild on a healthy run of the same model family.
-        assert abs(calibrated.parameters.hide_damping - 0.69) < 0.3
-
-    def test_calibration_rejects_mismatched_order(self):
-        translated = translate_model(random_arcade_model(2))
-        composer = Composer(translated)
-        composer.compose()
-        model = CostModel(translated)
-        with pytest.raises(ValueError):
-            model.calibrated(composer.statistics, order=["nonexistent"])
-
     def test_estimate_order_matches_composer_step_count(self):
         translated = translate_model(build_pump_subsystem())
         order, _ = plan_order(translated, seed=0)
@@ -246,12 +225,11 @@ class TestWarmCachePricing:
 
     def _warm_setup(self):
         from repro.composer import compose_model
-        from repro.planner.costmodel import resolve_cost_parameters
         from repro.planner.search import order_group_by_cost
 
         translated = translate_model(build_dds_model(DDSParameters(num_clusters=2)))
         warmed = compose_model(translated, order="auto", cache="on")
-        model = CostModel(translated, resolve_cost_parameters(None))
+        model = CostModel(translated)
         scheduler = GateScheduler(translated)
         groups = [
             order_group_by_cost(model, group)
@@ -265,7 +243,7 @@ class TestWarmCachePricing:
         translated, cache, model, scheduler, groups = self._warm_setup()
         warm = warm_fold_keys(
             translated, scheduler, model, groups, cache,
-            reduction="strong", eliminate_vanishing=True,
+            reduction="strong",
         )
         assert warm, "a fully warmed cache must mark some group folds warm"
         # An empty cache (or none) marks nothing.
@@ -274,7 +252,7 @@ class TestWarmCachePricing:
         for empty in (QuotientCache(), None):
             assert warm_fold_keys(
                 translated, scheduler, model, groups, empty,
-                reduction="strong", eliminate_vanishing=True,
+                reduction="strong",
             ) == frozenset()
 
     def test_warm_folds_lower_the_cache_aware_score(self):
@@ -283,7 +261,7 @@ class TestWarmCachePricing:
         translated, cache, model, scheduler, groups = self._warm_setup()
         warm = warm_fold_keys(
             translated, scheduler, model, groups, cache,
-            reduction="strong", eliminate_vanishing=True,
+            reduction="strong",
         )
         chain = tuple(tuple(group) for group in groups)
         cold = score_groups(model, scheduler, chain, cache_aware=True)
@@ -300,18 +278,17 @@ class TestWarmCachePricing:
         translated, cache, model, scheduler, groups = self._warm_setup()
         assert warm_fold_keys(
             translated, scheduler, model, groups, cache,
-            reduction="branching", eliminate_vanishing=True,
+            reduction="branching",
         ) == frozenset()
 
 
 class TestPairedReplicatedMembers:
     def test_pairing_preserves_leaves_and_balances_runs(self):
         from repro.composer import flatten_order as flatten
-        from repro.planner.costmodel import resolve_cost_parameters
         from repro.planner.search import pair_replicated_members
 
         translated = translate_model(build_dds_model(DDSParameters(num_clusters=2)))
-        model = CostModel(translated, resolve_cost_parameters(None))
+        model = CostModel(translated)
         for group in affinity_groups(translated):
             paired = pair_replicated_members(model, group)
             assert flatten(paired) == list(group)

@@ -332,19 +332,31 @@ class TestCacheFile:
         with pytest.raises(CacheStoreError, match="unknown format"):
             load_cache(path)
 
-    def test_version_1_archive_is_refused(self, tmp_path):
-        # Version-1 archives recorded the size of the full product, not of
-        # the maximal-progress product a step now builds.
-        path = tmp_path / "cache.npz"
+    @staticmethod
+    def _archive_claiming_version(path, version):
         save_cache(_populated_cache(), path)
         with np.load(path, allow_pickle=False) as archive:
             members = {name: archive[name] for name in archive.files}
         document = json.loads(bytes(members["index"]).decode())
-        assert document["version"] == CACHE_STORE_VERSION == 2
-        document["version"] = 1
+        assert document["version"] == CACHE_STORE_VERSION == 3
+        document["version"] = version
         members["index"] = np.frombuffer(json.dumps(document).encode(), dtype=np.uint8)
         np.savez(path, **members)
+
+    def test_version_1_archive_is_refused(self, tmp_path):
+        # Version-1 archives recorded the size of the full product, not of
+        # the maximal-progress product a step now builds.
+        path = tmp_path / "cache.npz"
+        self._archive_claiming_version(path, 1)
         with pytest.raises(CacheStoreError, match="unsupported version 1 "):
+            load_cache(path)
+
+    def test_version_2_archive_is_refused(self, tmp_path):
+        # Version-2 result keys ended in a vanishing-elimination flag that
+        # no key carries any more.
+        path = tmp_path / "cache.npz"
+        self._archive_claiming_version(path, 2)
+        with pytest.raises(CacheStoreError, match="unsupported version 2 "):
             load_cache(path)
 
     def test_load_into_existing_cache_merges_counters(self, tmp_path):

@@ -1,6 +1,5 @@
 """Tests for the I/O-IMC semantics of the Arcade building blocks (Figs. 2-9)."""
 
-import pickle
 
 import pytest
 
@@ -28,7 +27,6 @@ from repro.arcade.semantics import (
 )
 from repro.arcade.semantics.gate_semantics import GateInput, VotingGate
 from repro.arcade.semantics import signals
-from repro.composer import QuotientCache
 from repro.distributions import Erlang, Exponential
 from repro.ioimc import ActionKind
 
@@ -74,6 +72,10 @@ class TestBasicComponentSemantics:
         automaton = build_component_ioimc(component, model)
         rates = sorted(rate for rate, _ in automaton.markovian[automaton.initial])
         assert rates == pytest.approx([0.25, 0.75])
+        # The split race is the block's only Markovian behaviour: repair
+        # delays live in the repair unit.
+        all_rates = sorted(rate for row in automaton.markovian for rate, _ in row)
+        assert all_rates == pytest.approx([0.25, 0.75])
         assert signals.failed_signal("valve", "m2") in automaton.signature.outputs
 
     def test_erlang_failure_adds_phases(self):
@@ -111,6 +113,39 @@ class TestBasicComponentSemantics:
         # The dormant and active failure rates differ between states.
         rates = {rate for row in automaton.markovian for rate, _ in row}
         assert rates == {0.001, 0.01}
+
+    def test_spare_and_on_off_groups_combine(self):
+        """Figs. 2 and 5: a spare whose power supply can switch it off.
+
+        The two mode groups multiply: 2 (active/inactive) x 2 (on/off)
+        operational states per failure-model state.  Only the two "on"
+        modes fail, each at its own rate.
+        """
+        model = ArcadeModel(name="m")
+        power = BasicComponent("power", Exponential(0.01), time_to_repairs=Exponential(1.0))
+        spare = BasicComponent(
+            "bc",
+            [Exponential(0.001), Exponential(0.002), None, None],
+            operational_modes=[spare_group(), on_off_group(down("power"))],
+            time_to_repairs=Exponential(1.0),
+        )
+        model.add_components([power, spare])
+        model.add_spare_unit(SpareManagementUnit("smu", "power", ["bc"]))
+        model.add_repair_unit(RepairUnit("rp", ["power"], RepairStrategy.DEDICATED))
+        model.add_repair_unit(RepairUnit("rb", ["bc"], RepairStrategy.DEDICATED))
+        model.set_system_down(down("bc"))
+        automaton = build_component_ioimc(spare, model)
+        # 4 operational states x (up, pending fail, down, pending up).
+        assert automaton.num_states == 4 * 4
+        assert automaton.signature.inputs == {
+            signals.activate_signal("bc"),
+            signals.deactivate_signal("bc"),
+            signals.repaired_signal("bc"),
+            signals.failed_signal("power", "m1"),
+            signals.up_signal("power"),
+        }
+        rates = sorted(rate for row in automaton.markovian for rate, _ in row)
+        assert rates == [0.001, 0.002]
 
     def test_on_off_group_stops_failures(self):
         model = ArcadeModel(name="m")
@@ -152,6 +187,10 @@ class TestBasicComponentSemantics:
         model.add_repair_unit(RepairUnit("rc", ["cpu"], RepairStrategy.DEDICATED))
         model.set_system_down(down("cpu"))
         automaton = build_component_ioimc(cpu, model)
+        # Up/down in the own failure mode and in the DF mode, the pending
+        # announcements, and the fan-down bookkeeping.
+        assert automaton.num_states == 11
+        assert automaton.num_markovian_transitions() == 1
         assert signals.failed_signal("cpu", "df") in automaton.signature.outputs
         # Receiving the fan failure puts the cpu into a pending failed.df state.
         target = automaton.interactive_successors(
@@ -376,7 +415,7 @@ class TestTranslator:
         from repro.arcade.expressions import Or
 
         model.set_system_down(Or(literals))
-        translated = translate_model(model, max_gate_width=2)
+        translated = translate_model(model)
         # 5 literals with width 2 need intermediate narrowing gates.
         assert len(translated.gates) > 1
         for gate in translated.gates.values():
@@ -467,13 +506,6 @@ class TestBlockMemo:
         for name, translator in translators.items():
             translator.model = None
             assert ioimc_bytes(translator.build()) == ioimc_bytes(fresh[name])
-
-    def test_pickled_cache_carries_no_blocks(self):
-        cache = QuotientCache()
-        ArcadeEvaluator(memo_model(), cache=cache).availability()
-        assert cache.blocks
-        assert "blocks" not in cache.__getstate__()
-        assert pickle.loads(pickle.dumps(cache)).blocks == {}
 
     def test_cache_off_translates_new_objects_every_time(self):
         first = ArcadeEvaluator(memo_model(), cache="off").translated.blocks

@@ -24,10 +24,12 @@ from repro.arcade import (
 from repro.arcade.expressions import KOutOfN, Or
 from repro.distributions import Exponential
 from repro.errors import ModelError
+from repro.casestudies.dds import build_dds_model
 from repro.simulation import (
     ArcadeSimulator,
     RestartSimulator,
     VectorisedSimulator,
+    batch_means,
     importance_function,
 )
 from repro.simulation.importance import (
@@ -36,6 +38,7 @@ from repro.simulation.importance import (
     min_weighted_cut,
 )
 from repro.simulation.rng import trajectory_generator
+from test_golden_regression import DDS_GOLDEN
 
 
 def anded_model(count: int, *, rate: float = 0.05, repair: float = 1.0) -> ArcadeModel:
@@ -264,3 +267,70 @@ def test_evaluator_simulate_backend_unreliability_matches_closed_form():
     estimate = evaluator.unreliability(mission)
     assert evaluator.simulation_interval is not None
     assert estimate == pytest.approx(exact, rel=0.15)
+
+
+# --------------------------------------------------------------------------- #
+# RESTART on the paper's DDS against the compositional golden
+# --------------------------------------------------------------------------- #
+#: The DDS unavailability the compositional pipeline pins (≈3.5e-6).
+DDS_GOLDEN_U = 1.0 - DDS_GOLDEN["availability"]
+#: Steady-state run shape (hours), splitting factor and confidence level.
+DDS_HORIZON, DDS_BURN_IN, DDS_SPLITTING, DDS_CONFIDENCE = 10_000.0, 500.0, 8, 0.95
+#: Two-sided 95 % normal quantile.
+_Z95 = 1.959963984540054
+
+
+def _restart_on_dds(target: float, root_batch: int, max_roots: int):
+    """Add root batches until the batch-means CI meets ``target``.
+
+    Returns the interval, the event executions spent and the last round's
+    :class:`~repro.simulation.RestartResult`.
+    """
+    simulator = RestartSimulator(build_dds_model(), seed=11, splitting=DDS_SPLITTING)
+    parts, events = [], 0
+    while True:
+        result = simulator.run(
+            DDS_HORIZON, root_batch, burn_in=DDS_BURN_IN, confidence=DDS_CONFIDENCE
+        )
+        parts.append(result.samples)
+        events += result.total_events
+        samples = np.concatenate(parts)
+        interval = batch_means(samples, confidence=DDS_CONFIDENCE)
+        if interval.relative_half_width <= target or samples.size >= max_roots:
+            return interval, events, result
+
+
+@pytest.mark.slow
+def test_restart_covers_the_dds_golden_at_ten_percent():
+    interval, _, last = _restart_on_dds(0.10, root_batch=4096, max_roots=16_384)
+    assert interval.relative_half_width <= 0.10
+    assert interval.contains(DDS_GOLDEN_U), (
+        f"golden {DDS_GOLDEN_U:.4e} outside {interval.describe()}"
+    )
+    assert not last.saturated
+
+
+@pytest.mark.differential
+def test_restart_reaches_one_percent_with_tenfold_fewer_events_than_naive():
+    """The acceptance run: a <= 1 % CI around the golden, >= 10x fewer events.
+
+    Naive Monte Carlo here scores the down indicator of independent
+    replications, so its variance is the Bernoulli U(1-U); its event count
+    at the same precision is extrapolated from that variance (running it
+    would take ~1e10 replications), with the per-replication cost measured
+    on the engine over a horizon just past the model's mixing time.
+    """
+    interval, restart_events, last = _restart_on_dds(
+        0.01, root_batch=120_000, max_roots=1_500_000
+    )
+    assert interval.relative_half_width <= 0.01
+    assert interval.contains(DDS_GOLDEN_U), (
+        f"golden {DDS_GOLDEN_U:.4e} outside {interval.describe()}"
+    )
+    assert not last.saturated
+
+    probe = VectorisedSimulator(build_dds_model(), seed=23).run_batch(100.0, 4096)
+    target_half_width = 0.01 * DDS_GOLDEN_U
+    naive_roots = (_Z95 / target_half_width) ** 2 * DDS_GOLDEN_U * (1.0 - DDS_GOLDEN_U)
+    naive_events = naive_roots * float(probe.events.mean())
+    assert naive_events >= 10.0 * restart_events
