@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,10 +39,14 @@ from ..ctmc import (
     unreliability,
 )
 from ..errors import ModelError
-from ..telemetry.trace import Telemetry, current_telemetry
 
 if TYPE_CHECKING:
     from ..simulation import ConfidenceInterval
+
+#: Flat state-space bound above which ``backend="auto"`` falls back to
+#: simulation (the product of the block state counts bounds what any
+#: composition order could be asked to explore).
+AUTO_STATE_LIMIT = 5e7
 
 
 @dataclass(frozen=True)
@@ -77,11 +80,12 @@ class ArcadeEvaluator:
     (:mod:`repro.composer.cache`): ``"on"`` resolves to a single
     :class:`~repro.composer.QuotientCache` instance shared between the
     repairable and the no-repair pipelines, so replicated subtrees are
-    composed once per evaluator, not once per measure.  ``telemetry``
-    accepts a :class:`~repro.telemetry.Telemetry` session; the pipeline
-    stages run inside its activation scope so composition, lumping and
-    simulation spans land in its sink — purely observational, the computed
-    measures are bit-identical with telemetry on, off or absent.
+    composed once per evaluator, not once per measure.  ``backend``
+    picks ``"compose"``, ``"simulate"`` (RESTART importance splitting,
+    configured by the ``sim_*`` arguments) or ``"auto"`` (per model, by
+    :data:`AUTO_STATE_LIMIT`).  Telemetry is ambient: spans land in the
+    session activated around the calls (``with telemetry.activate():``),
+    and the measures are bit-identical with or without one.
     """
 
     def __init__(
@@ -92,36 +96,24 @@ class ArcadeEvaluator:
         reduction: str = "strong",
         cache: QuotientCache | str | None = None,
         backend: str = "compose",
-        auto_state_limit: float = 5e7,
         sim_seed: int = 0,
         sim_horizon: float = 10_000.0,
         sim_replications: int = 4096,
         sim_rel_error: float | None = None,
-        sim_splitting: int = 4,
-        sim_burn_in: float | None = None,
-        sim_confidence: float = 0.99,
-        telemetry: "Telemetry | None" = None,
         state_budget: int | None = None,
     ) -> None:
         if backend not in ("compose", "simulate", "auto"):
             raise ModelError(
                 f"unknown backend {backend!r} (use 'compose', 'simulate' or 'auto')"
             )
-        _check_simulation_arguments(sim_replications, sim_horizon, sim_confidence)
+        _check_simulation_arguments(sim_replications, sim_horizon, sim_rel_error)
         self.backend = backend
-        #: Flat state-space bound above which ``backend="auto"`` falls back
-        #: to simulation (the product of the block state counts bounds what
-        #: any composition order could be asked to explore).
-        self.auto_state_limit = auto_state_limit
         self._resolved_backend: str | None = None if backend == "auto" else backend
         #: Simulation-backend knobs (ignored under ``backend="compose"``).
         self.sim_seed = sim_seed
         self.sim_horizon = sim_horizon
         self.sim_replications = sim_replications
         self.sim_rel_error = sim_rel_error
-        self.sim_splitting = sim_splitting
-        self.sim_burn_in = sim_burn_in if sim_burn_in is not None else sim_horizon / 20.0
-        self.sim_confidence = sim_confidence
         #: Unavailability CI of the last simulation-backend estimate.
         self.simulation_interval: ConfidenceInterval | None = None
         self._simulated_unavailability: float | None = None
@@ -134,22 +126,9 @@ class ArcadeEvaluator:
         #: Pre-reduction state ceiling per composition step, forwarded to
         #: the composer (``None`` = unbounded).
         self.state_budget = state_budget
-        #: Explicit telemetry session: the pipeline stages run inside its
-        #: activation scope, so composer/lumping/simulation spans land in it
-        #: even when the caller did not activate the session itself.  With
-        #: ``None`` the evaluator is observational-transparent: the ambient
-        #: session (if any) is used, and with none active all
-        #: instrumentation sites are no-ops.
-        self.telemetry = telemetry
         self._translated: TranslatedModel | None = None
         self._composed: ComposedSystem | None = None
         self._composed_no_repair: ComposedSystem | None = None
-
-    def _telemetry_scope(self):
-        """Activation scope of the explicit session (no-op when ambient)."""
-        if self.telemetry is not None and current_telemetry() is not self.telemetry:
-            return self.telemetry.activate()
-        return nullcontext()
 
     # ------------------------------------------------------------------ #
     # pipeline stages (lazily computed and cached)
@@ -158,8 +137,7 @@ class ArcadeEvaluator:
     def translated(self) -> TranslatedModel:
         """The building-block I/O-IMCs of the model."""
         if self._translated is None:
-            with self._telemetry_scope():
-                self._translated = self._translate(self.model)
+            self._translated = self._translate(self.model)
         return self._translated
 
     def _translate(self, model: ArcadeModel) -> TranslatedModel:
@@ -176,7 +154,7 @@ class ArcadeEvaluator:
         ``backend="auto"`` picks per model: compositional aggregation while
         the flat state-space bound (the product of the translated block
         state counts — an upper bound on what any composition order could
-        be asked to explore) stays within ``auto_state_limit``, simulation
+        be asked to explore) stays within :data:`AUTO_STATE_LIMIT`, simulation
         beyond it.  The sweep engine uses this to route each parameter
         point to the cheaper backend.
         """
@@ -184,10 +162,10 @@ class ArcadeEvaluator:
             bound = 1.0
             for block in self.translated.blocks.values():
                 bound *= float(block.num_states)
-                if bound > self.auto_state_limit:
+                if bound > AUTO_STATE_LIMIT:
                     break
             self._resolved_backend = (
-                "simulate" if bound > self.auto_state_limit else "compose"
+                "simulate" if bound > AUTO_STATE_LIMIT else "compose"
             )
         return self._resolved_backend
 
@@ -195,14 +173,7 @@ class ArcadeEvaluator:
     def composed(self) -> ComposedSystem:
         """The composed system (I/O-IMC, CTMC and composition statistics)."""
         if self._composed is None:
-            with self._telemetry_scope():
-                self._composed = compose_model(
-                    self.translated,
-                    order=self.order,
-                    reduction=self.reduction,
-                    cache=self.cache,
-                    state_budget=self.state_budget,
-                )
+            self._composed = self._compose(self.translated, self.order)
         return self._composed
 
     @property
@@ -219,21 +190,23 @@ class ArcadeEvaluator:
     def composed_without_repair(self) -> ComposedSystem:
         """The composed system of the model with all repair units removed."""
         if self._composed_no_repair is None:
-            with self._telemetry_scope():
-                translated = self._translate(self.model.without_repair())
-                order = self.order
-                if order is not None and not isinstance(order, str):
-                    # Explicit orders lose the blocks that no longer exist;
-                    # "auto" passes through and re-plans on the stripped model.
-                    order = _filter_order(order, set(translated.blocks))
-                self._composed_no_repair = compose_model(
-                    translated,
-                    order=order,
-                    reduction=self.reduction,
-                    cache=self.cache,
-                    state_budget=self.state_budget,
-                )
+            translated = self._translate(self.model.without_repair())
+            order = self.order
+            if order is not None and not isinstance(order, str):
+                # Explicit orders lose the blocks that no longer exist;
+                # "auto" passes through and re-plans on the stripped model.
+                order = _filter_order(order, set(translated.blocks))
+            self._composed_no_repair = self._compose(translated, order)
         return self._composed_no_repair
+
+    def _compose(self, translated: TranslatedModel, order) -> ComposedSystem:
+        return compose_model(
+            translated,
+            order=order,
+            reduction=self.reduction,
+            cache=self.cache,
+            state_budget=self.state_budget,
+        )
 
     # ------------------------------------------------------------------ #
     # simulation backend
@@ -241,36 +214,30 @@ class ArcadeEvaluator:
     def _simulate_unavailability(self) -> float:
         """Long-run unavailability via RESTART importance splitting.
 
-        The time-average unavailability over ``[burn_in, horizon]``
+        The time-average unavailability over ``[horizon / 20, horizon]``
         approaches the steady-state value the compositional backend computes
         once the burn-in passes the model's mixing time; the confidence
         interval of the estimate is kept in :attr:`simulation_interval`.
-        RESTART with no splitting thresholds (e.g. a single-component cut)
-        degenerates to plain vectorised Monte Carlo.
+        The simulators' defaults apply: splitting factor 4 and 99 %
+        intervals.  RESTART with no splitting thresholds (e.g. a
+        single-component cut) degenerates to plain vectorised Monte Carlo.
         """
         if self._simulated_unavailability is None:
             from ..simulation import RestartSimulator
 
-            with self._telemetry_scope():
-                simulator = RestartSimulator(
-                    self.model, seed=self.sim_seed, splitting=self.sim_splitting
-                )
-                if self.sim_rel_error is not None:
-                    report = simulator.estimate_until(
-                        self.sim_horizon,
-                        rel_error=self.sim_rel_error,
-                        burn_in=self.sim_burn_in,
-                        confidence=self.sim_confidence,
-                        batch_size=max(self.sim_replications, 2),
-                    )
-                    interval = report.interval
-                else:
-                    interval = simulator.run(
-                        self.sim_horizon,
-                        max(self.sim_replications, 2),
-                        burn_in=self.sim_burn_in,
-                        confidence=self.sim_confidence,
-                    ).interval
+            simulator = RestartSimulator(self.model, seed=self.sim_seed)
+            burn_in = self.sim_horizon / 20.0
+            if self.sim_rel_error is not None:
+                interval = simulator.estimate_until(
+                    self.sim_horizon,
+                    rel_error=self.sim_rel_error,
+                    burn_in=burn_in,
+                    batch_size=max(self.sim_replications, 2),
+                ).interval
+            else:
+                interval = simulator.run(
+                    self.sim_horizon, max(self.sim_replications, 2), burn_in=burn_in
+                ).interval
             self.simulation_interval = interval
             self._simulated_unavailability = interval.mean
         return self._simulated_unavailability
@@ -304,14 +271,11 @@ class ArcadeEvaluator:
         if self.resolved_backend == "simulate":
             from ..simulation import VectorisedSimulator, batch_means
 
-            with self._telemetry_scope():
-                target = self.model.without_repair() if assume_no_repair else self.model
-                simulator = VectorisedSimulator(target, seed=self.sim_seed)
-                batch = simulator.run_batch(mission_time, max(self.sim_replications, 2))
+            target = self.model.without_repair() if assume_no_repair else self.model
+            simulator = VectorisedSimulator(target, seed=self.sim_seed)
+            batch = simulator.run_batch(mission_time, max(self.sim_replications, 2))
             failed = (~np.isnan(batch.first_failure_time)).astype(float)
-            self.simulation_interval = batch_means(
-                failed, confidence=self.sim_confidence
-            )
+            self.simulation_interval = batch_means(failed)
             return self.simulation_interval.mean
         if assume_no_repair:
             chain = self.composed_without_repair.ctmc
@@ -349,7 +313,7 @@ class ArcadeEvaluator:
 
 
 def _check_simulation_arguments(
-    replications: int, horizon: float, confidence: float
+    replications: int, horizon: float, rel_error: float | None
 ) -> None:
     """Reject simulation knobs the estimators cannot use."""
     integral = isinstance(replications, numbers.Integral) and not isinstance(
@@ -361,8 +325,10 @@ def _check_simulation_arguments(
         )
     if not (math.isfinite(horizon) and horizon > 0):
         raise ModelError(f"sim_horizon must be finite and positive, got {horizon!r}")
-    if not 0 < confidence < 1:  # NaN fails the comparison too
-        raise ModelError(f"sim_confidence must lie in (0, 1), got {confidence!r}")
+    if rel_error is not None and not (math.isfinite(rel_error) and rel_error > 0):
+        raise ModelError(
+            f"sim_rel_error must be None or finite and positive, got {rel_error!r}"
+        )
 
 
 def _filter_order(order: CompositionOrder, keep: set[str]) -> CompositionOrder:
@@ -379,4 +345,4 @@ def _filter_order(order: CompositionOrder, keep: set[str]) -> CompositionOrder:
     return filtered
 
 
-__all__ = ["ArcadeEvaluator", "EvaluationReport"]
+__all__ = ["AUTO_STATE_LIMIT", "ArcadeEvaluator", "EvaluationReport"]

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from ..arcade.expressions import And, Expression, KOutOfN, Literal, Or
 from ..arcade.model import ArcadeModel
-from ..composer import CompositionOrder
 from ..errors import AnalysisError, ModelError
 from .evaluator import ArcadeEvaluator
 
@@ -40,14 +39,19 @@ class SubsystemResult:
 
 
 class ModularEvaluator:
-    """Evaluate a system composed of stochastically independent subsystems."""
+    """Evaluate a system composed of stochastically independent subsystems.
+
+    ``reduction``, ``cache`` and ``state_budget`` configure every subsystem's
+    :class:`ArcadeEvaluator` (one cache shared by all).  Each starts with the
+    greedy composition order; set ``evaluators[name].order`` before the first
+    measure to use another.
+    """
 
     def __init__(
         self,
         subsystems: dict[str, ArcadeModel],
         system_down: Expression,
         *,
-        orders: dict[str, CompositionOrder] | None = None,
         reduction: str = "strong",
         cache=None,
         state_budget: int | None = None,
@@ -56,7 +60,6 @@ class ModularEvaluator:
             raise ModelError("a modular evaluation needs at least one subsystem")
         self.subsystems = dict(subsystems)
         self.system_down = system_down
-        self.orders = dict(orders or {})
         self.reduction = reduction
         from ..composer import resolve_cache
 
@@ -77,7 +80,6 @@ class ModularEvaluator:
         self.evaluators = {
             name: ArcadeEvaluator(
                 model,
-                order=self.orders.get(name),
                 reduction=reduction,
                 cache=self.cache,
                 state_budget=state_budget,

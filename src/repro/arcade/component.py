@@ -18,7 +18,7 @@ the ``repaired`` signal.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..distributions import PhaseType

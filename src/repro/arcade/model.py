@@ -11,12 +11,11 @@ produced by :mod:`repro.arcade.semantics` and evaluated by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from ..errors import ModelError
 from .component import BasicComponent
-from .expressions import Expression, Literal
-from .operational_modes import OMGroupKind
+from .expressions import Expression
 from .repair_unit import RepairUnit
 from .spare_unit import SpareManagementUnit
 

@@ -23,7 +23,7 @@ degradation is expressed naturally).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ..errors import ModelError

@@ -25,7 +25,6 @@ the phase restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 from ...distributions import PhaseType
 from ...errors import ModelError

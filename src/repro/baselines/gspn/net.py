@@ -16,8 +16,8 @@ tests on textbook nets — and the DDS model built on top of it lives in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 from ...ctmc import CTMC
 from ...errors import AnalysisError, ModelError

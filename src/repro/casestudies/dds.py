@@ -201,7 +201,6 @@ def build_dds_evaluator(
     order: str = "hierarchical",
     cache="off",
     jobs: int = 1,
-    telemetry=None,
     state_budget: int | None = None,
 ) -> ArcadeEvaluator:
     """Evaluator for the full compositional-aggregation pipeline on the DDS.
@@ -214,16 +213,14 @@ def build_dds_evaluator(
     :class:`~repro.composer.QuotientCache`): the six disk clusters are
     isomorphic up to signal renaming, so with the cache each replicated
     subtree is composed and minimised once.  ``jobs`` must be 1 (see
-    :func:`~repro.composer.require_serial`).  ``telemetry`` threads an explicit
-    :class:`~repro.telemetry.Telemetry` session through the evaluator.
+    :func:`~repro.composer.require_serial`).
     """
     # perfbench/ passes jobs as 1; anything else is refused.
     require_serial(jobs)
     validate_order_choice(order)
     model = build_dds_model(parameters)
     evaluator = ArcadeEvaluator(
-        model, reduction=reduction, cache=cache, telemetry=telemetry,
-        state_budget=state_budget,
+        model, reduction=reduction, cache=cache, state_budget=state_budget
     )
     if order == "hierarchical":
         evaluator.order = dds_composition_order(evaluator.translated, parameters)
@@ -386,19 +383,13 @@ def main(argv: list[str] | None = None) -> None:
     ``python -m repro.casestudies.dds --reduction branching`` reproduces the
     Table-1 numbers with the reduction the paper's CADP tool chain actually
     used; ``strong`` and ``weak`` allow head-to-head comparisons of the
-    three bisimulation variants on the same model.
+    three bisimulation variants on the same model.  The options shared with
+    the RCS CLI are declared by
+    :func:`~repro.casestudies.sweep_cli.case_study_parser`.
     """
-    import argparse
+    from .sweep_cli import case_study_parser, run_case_study
 
-    parser = argparse.ArgumentParser(
-        description="Distributed Database System case study (Section 5.1)"
-    )
-    parser.add_argument(
-        "--reduction",
-        choices=("strong", "weak", "branching"),
-        default="strong",
-        help="bisimulation variant applied between composition steps",
-    )
+    parser = case_study_parser("Distributed Database System case study (Section 5.1)")
     parser.add_argument(
         "--clusters",
         type=int,
@@ -406,78 +397,25 @@ def main(argv: list[str] | None = None) -> None:
         help="number of disk clusters (paper: 6); scales the model",
     )
     parser.add_argument(
-        "--order",
-        choices=ORDER_CHOICES,
-        default="hierarchical",
-        help="composition-order policy: the paper's hierarchical decomposition, "
-        "the greedy signal-closing heuristic, or the cost-model-guided planner",
-    )
-    parser.add_argument(
-        "--cache",
-        choices=("on", "off"),
-        default="on",
-        help="isomorphism-aware quotient cache: compose each replicated "
-        "subtree (disk cluster, controller set) once and rebase the copies",
-    )
-    parser.add_argument(
         "--disks-per-cluster",
         type=int,
         default=DDSParameters().disks_per_cluster,
         help="disks per cluster (paper: 4); scales the replicated subtrees",
     )
-    parser.add_argument(
-        "--backend",
-        choices=("compose", "simulate"),
-        default="compose",
-        help="compose: the paper's compositional-aggregation pipeline; "
-        "simulate: RESTART rare-event simulation (no state space built)",
-    )
-    parser.add_argument(
-        "--replications",
-        type=int,
-        default=256,
-        help="simulation roots per batch (simulate backend only)",
-    )
-    parser.add_argument(
-        "--rel-error",
-        type=float,
-        default=None,
-        help="target relative CI half-width; keeps adding replication "
-        "batches until reached (simulate backend only)",
-    )
-    parser.add_argument(
-        "--sim-horizon",
-        type=float,
-        default=10_000.0,
-        help="time horizon of each simulated trajectory, hours",
-    )
-    parser.add_argument(
-        "--sim-seed",
-        type=int,
-        default=0,
-        help="seed of the simulation RNG stream",
-    )
-    from ..telemetry import (
-        add_observability_arguments,
-        configure_logging,
-        get_logger,
-        telemetry_session,
-    )
-    from .sweep_cli import add_resilience_arguments, add_sweep_arguments, run_sweep_cli
-
-    add_observability_arguments(parser)
-    add_sweep_arguments(parser)
-    add_resilience_arguments(parser)
-    args = parser.parse_args(argv)
-    configure_logging(args)
-    log = get_logger("dds")
-
-    with telemetry_session("dds", args, seeds={"sim_seed": args.sim_seed}):
-        _run(args, log, run_sweep_cli)
+    run_case_study("dds", parser, _run, argv)
 
 
-def _run(args, log, run_sweep_cli) -> None:
+def _run(args, log) -> None:
     import time
+
+    from ..composer import resolve_cache
+    from .sweep_cli import (
+        load_cache_file,
+        log_cache_summary,
+        run_sweep_cli,
+        save_cache_file,
+        simulation_evaluator,
+    )
 
     if args.sweep:
         import dataclasses
@@ -513,14 +451,7 @@ def _run(args, log, run_sweep_cli) -> None:
     )
     if args.backend == "simulate":
         started = time.perf_counter()
-        evaluator = ArcadeEvaluator(
-            build_dds_model(parameters),
-            backend="simulate",
-            sim_seed=args.sim_seed,
-            sim_horizon=args.sim_horizon,
-            sim_replications=args.replications,
-            sim_rel_error=args.rel_error,
-        )
+        evaluator = simulation_evaluator(build_dds_model(parameters), args)
         availability = evaluator.availability()
         interval = evaluator.simulation_interval
         reliability = evaluator.reliability(MISSION_TIME_HOURS)
@@ -532,8 +463,6 @@ def _run(args, log, run_sweep_cli) -> None:
         log.info("  reliability (5 weeks) %.9f", reliability)
         log.info("  wall-clock %.1fs", elapsed)
         return
-    from ..composer import resolve_cache
-    from .sweep_cli import load_cache_file, save_cache_file
 
     started = time.perf_counter()
     cache = resolve_cache(args.cache)
@@ -558,14 +487,7 @@ def _run(args, log, run_sweep_cli) -> None:
     if evaluator.composed.plan_report is not None:
         log.info("  %s", evaluator.composed.plan_report.summary())
     if evaluator.cache is not None:
-        summary = evaluator.cache.summary()
-        log.info(
-            "  cache: %s hits / %s misses (hit rate %.0f%%), saved %.2fs",
-            summary["hits"],
-            summary["misses"],
-            100.0 * summary["hit_rate"],
-            summary["saved_seconds"],
-        )
+        log_cache_summary(log, evaluator.cache.summary())
     log.info(
         "  final CTMC: %s states / %s transitions",
         evaluator.ctmc.num_states,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..analysis import ArcadeEvaluator, ModularEvaluator
+from ..analysis import ModularEvaluator
 from ..arcade import (
     ArcadeModel,
     BasicComponent,
@@ -276,30 +276,6 @@ def subsystem_order(
     return hierarchical_order(translated, [group for group in filtered if group])
 
 
-def build_pump_evaluator(
-    parameters: RCSParameters | None = None, *, reduction: str = "strong"
-) -> ArcadeEvaluator:
-    """Evaluator for the pump subsystem through the compositional pipeline."""
-    model = build_pump_subsystem(parameters)
-    evaluator = ArcadeEvaluator(model, reduction=reduction)
-    evaluator.order = subsystem_order(
-        evaluator.translated, pump_subsystem_groups(parameters)
-    )
-    return evaluator
-
-
-def build_heat_exchange_evaluator(
-    parameters: RCSParameters | None = None, *, reduction: str = "strong"
-) -> ArcadeEvaluator:
-    """Evaluator for the heat-exchanger subsystem through the compositional pipeline."""
-    model = build_heat_exchange_subsystem(parameters)
-    evaluator = ArcadeEvaluator(model, reduction=reduction)
-    evaluator.order = subsystem_order(
-        evaluator.translated, heat_exchange_subsystem_groups(parameters)
-    )
-    return evaluator
-
-
 def build_rcs_modular_evaluator(
     parameters: RCSParameters | None = None,
     *,
@@ -328,10 +304,9 @@ def build_rcs_modular_evaluator(
         "pumps": build_pump_subsystem(p),
         "heat_exchange": build_heat_exchange_subsystem(p),
     }
-    orders: dict[str, CompositionOrder] = {}
     system_down = Or([Literal("pumps", None), Literal("heat_exchange", None)])
     evaluator = ModularEvaluator(
-        subsystems, system_down, orders=orders, reduction=reduction, cache=cache,
+        subsystems, system_down, reduction=reduction, cache=cache,
         state_budget=state_budget,
     )
     if order == "hierarchical":
@@ -413,88 +388,31 @@ def main(argv: list[str] | None = None) -> None:
     """CLI: run the modular RCS analysis under a chosen reduction mode.
 
     ``python -m repro.casestudies.rcs --reduction branching`` reproduces the
-    Section 5.2.2 numbers with the paper's actual CADP equivalence.
+    Section 5.2.2 numbers with the paper's actual CADP equivalence.  The
+    options are those of
+    :func:`~repro.casestudies.sweep_cli.case_study_parser`.
     """
-    import argparse
+    from .sweep_cli import case_study_parser, run_case_study
 
-    parser = argparse.ArgumentParser(
-        description="Reactor Cooling System case study (Section 5.2)"
+    parser = case_study_parser(
+        "Reactor Cooling System case study (Section 5.2); --backend simulate "
+        "runs on the flat RCS model"
     )
-    parser.add_argument(
-        "--reduction",
-        choices=("strong", "weak", "branching"),
-        default="strong",
-        help="bisimulation variant applied between composition steps",
-    )
-    parser.add_argument(
-        "--order",
-        choices=ORDER_CHOICES,
-        default="hierarchical",
-        help="composition-order policy: the paper's hierarchical decomposition, "
-        "the greedy signal-closing heuristic, or the cost-model-guided planner",
-    )
-    parser.add_argument(
-        "--cache",
-        choices=("on", "off"),
-        default="on",
-        help="isomorphism-aware quotient cache, shared across both subsystem "
-        "evaluators (the pump lines are isomorphic up to signal renaming)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("compose", "simulate"),
-        default="compose",
-        help="compose: the paper's compositional-aggregation pipeline; "
-        "simulate: RESTART rare-event simulation on the flat RCS model",
-    )
-    parser.add_argument(
-        "--replications",
-        type=int,
-        default=256,
-        help="simulation roots per batch (simulate backend only)",
-    )
-    parser.add_argument(
-        "--rel-error",
-        type=float,
-        default=None,
-        help="target relative CI half-width; keeps adding replication "
-        "batches until reached (simulate backend only)",
-    )
-    parser.add_argument(
-        "--sim-horizon",
-        type=float,
-        default=10_000.0,
-        help="time horizon of each simulated trajectory, hours",
-    )
-    parser.add_argument(
-        "--sim-seed",
-        type=int,
-        default=0,
-        help="seed of the simulation RNG stream",
-    )
-    from ..telemetry import (
-        add_observability_arguments,
-        configure_logging,
-        get_logger,
-        telemetry_session,
-    )
-    from .sweep_cli import add_resilience_arguments, add_sweep_arguments, run_sweep_cli
-
-    add_observability_arguments(parser)
-    add_sweep_arguments(parser)
-    add_resilience_arguments(parser)
-    args = parser.parse_args(argv)
-    configure_logging(args)
-    log = get_logger("rcs")
-
-    with telemetry_session("rcs", args, seeds={"sim_seed": args.sim_seed}):
-        _run(args, log, run_sweep_cli)
+    run_case_study("rcs", parser, _run, argv)
 
 
-def _run(args, log, run_sweep_cli) -> None:
+def _run(args, log) -> None:
     import time
 
+    from ..composer import resolve_cache
     from ..ctmc import point_availability
+    from .sweep_cli import (
+        load_cache_file,
+        log_cache_summary,
+        run_sweep_cli,
+        save_cache_file,
+        simulation_evaluator,
+    )
 
     if args.sweep:
         run_sweep_cli(
@@ -513,14 +431,7 @@ def _run(args, log, run_sweep_cli) -> None:
 
     if args.backend == "simulate":
         started = time.perf_counter()
-        evaluator = ArcadeEvaluator(
-            build_rcs_model(),
-            backend="simulate",
-            sim_seed=args.sim_seed,
-            sim_horizon=args.sim_horizon,
-            sim_replications=args.replications,
-            sim_rel_error=args.rel_error,
-        )
+        evaluator = simulation_evaluator(build_rcs_model(), args)
         unavailability = evaluator.unavailability()
         interval = evaluator.simulation_interval
         unreliability_50h = evaluator.unreliability(MISSION_TIME_HOURS)
@@ -532,9 +443,6 @@ def _run(args, log, run_sweep_cli) -> None:
         log.info("  unreliability (50 h)    %.3e", unreliability_50h)
         log.info("  wall-clock %.1fs", elapsed)
         return
-
-    from ..composer import resolve_cache
-    from .sweep_cli import load_cache_file, save_cache_file
 
     started = time.perf_counter()
     cache = resolve_cache(args.cache)
@@ -559,14 +467,7 @@ def _run(args, log, run_sweep_cli) -> None:
         if report is not None:
             log.info("  %s: %s", name, report.summary())
     if modular.cache is not None:
-        summary = modular.cache.summary()
-        log.info(
-            "  cache: %s hits / %s misses (hit rate %.0f%%), saved %.2fs",
-            summary["hits"],
-            summary["misses"],
-            100.0 * summary["hit_rate"],
-            summary["saved_seconds"],
-        )
+        log_cache_summary(log, modular.cache.summary())
     log.info(
         "  pump subsystem CTMC: %s states / %s transitions, unavailability %.6e",
         pumps.ctmc.num_states,
@@ -601,9 +502,7 @@ __all__ = [
     "STUCK_CLOSED",
     "STUCK_OPEN",
     "VALVE_FAILURE_RATE",
-    "build_heat_exchange_evaluator",
     "build_heat_exchange_subsystem",
-    "build_pump_evaluator",
     "build_pump_subsystem",
     "build_rcs_model",
     "build_rcs_modular_evaluator",

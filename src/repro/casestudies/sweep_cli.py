@@ -1,6 +1,10 @@
-"""Shared ``--sweep`` command-line plumbing for the case-study CLIs.
+"""Shared command-line plumbing for the case-study CLIs.
 
-Both case studies expose the same sweep vocabulary::
+:func:`case_study_parser` declares every option the DDS and RCS CLIs share
+(pipeline, simulation, observability, sweep and resilience groups) and
+:func:`run_case_study` parses, configures logging, opens the telemetry
+session and hands the namespace to the case study's ``_run``.  Both case
+studies expose the same sweep vocabulary::
 
     python -m repro.casestudies.dds --sweep \\
         --sweep-grid disk_failure_rate=1e-4,1.6667e-4,2.5e-4 \\
@@ -17,12 +21,138 @@ store (``<out>.npz`` + ``<out>.manifest.json``) of :mod:`repro.sweep.store`.
 from __future__ import annotations
 
 import argparse
+import os
+from typing import Callable
 
+from ..analysis import ArcadeEvaluator
+from ..arcade.model import ArcadeModel
+from ..composer import resolve_cache
 from ..errors import SweepError
 from ..sweep import Prior, SweepConfig, SweepResult, run_sweep
-from ..telemetry import get_logger
+from ..telemetry import (
+    add_observability_arguments,
+    configure_logging,
+    get_logger,
+    telemetry_session,
+)
+from .orders import ORDER_CHOICES
 
 log = get_logger("sweep")
+
+
+def case_study_parser(description: str) -> argparse.ArgumentParser:
+    """A parser with every option the case-study CLIs share.
+
+    Callers add their model-specific options (e.g. the DDS size) to the
+    returned parser and pass it to :func:`run_case_study`.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument(
+        "--reduction",
+        choices=("strong", "weak", "branching"),
+        default="strong",
+        help="bisimulation variant applied between composition steps",
+    )
+    parser.add_argument(
+        "--order",
+        choices=ORDER_CHOICES,
+        default="hierarchical",
+        help="composition-order policy: the paper's hierarchical decomposition, "
+        "the greedy signal-closing heuristic, or the cost-model-guided planner "
+        "(single evaluations only)",
+    )
+    parser.add_argument(
+        "--cache",
+        choices=("on", "off"),
+        default="on",
+        help="isomorphism-aware quotient cache: compose each replicated "
+        "subtree once and rebase the copies",
+    )
+    parser.add_argument(
+        "--backend",
+        choices=("compose", "simulate"),
+        default="compose",
+        help="compose: the paper's compositional-aggregation pipeline; "
+        "simulate: RESTART rare-event simulation (no state space built)",
+    )
+    parser.add_argument(
+        "--replications",
+        type=int,
+        default=256,
+        help="simulation roots per batch (simulate backend only)",
+    )
+    parser.add_argument(
+        "--rel-error",
+        type=float,
+        default=None,
+        help="target relative CI half-width; keeps adding replication "
+        "batches until reached (simulate backend only)",
+    )
+    parser.add_argument(
+        "--sim-horizon",
+        type=float,
+        default=10_000.0,
+        help="time horizon of each simulated trajectory, hours",
+    )
+    parser.add_argument(
+        "--sim-seed",
+        type=int,
+        default=0,
+        help="seed of the simulation RNG stream (single evaluations; sweeps "
+        "derive per-point seeds from --root-seed)",
+    )
+    add_observability_arguments(parser)
+    add_sweep_arguments(parser)
+    add_resilience_arguments(parser)
+    return parser
+
+
+def run_case_study(
+    name: str,
+    parser: argparse.ArgumentParser,
+    run: Callable,
+    argv: list[str] | None = None,
+) -> None:
+    """Parse ``argv`` and call ``run(args, log)`` inside a telemetry session.
+
+    The run manifest records the RNG root the run consumes: ``root_seed``
+    for a sweep, ``sim_seed`` otherwise.
+    """
+    args = parser.parse_args(argv)
+    if args.sweep and args.order != "hierarchical":
+        parser.error(
+            f"--order {args.order} cannot be combined with --sweep: sweep points "
+            "are composed in the model family's hierarchical order"
+        )
+    configure_logging(args)
+    seeds = {"root_seed": args.root_seed} if args.sweep else {"sim_seed": args.sim_seed}
+    with telemetry_session(name, args, seeds=seeds):
+        run(args, get_logger(name))
+
+
+def simulation_evaluator(
+    model: ArcadeModel, args: argparse.Namespace
+) -> ArcadeEvaluator:
+    """The ``--backend simulate`` evaluator configured from the CLI options."""
+    return ArcadeEvaluator(
+        model,
+        backend="simulate",
+        sim_seed=args.sim_seed,
+        sim_horizon=args.sim_horizon,
+        sim_replications=args.replications,
+        sim_rel_error=args.rel_error,
+    )
+
+
+def log_cache_summary(logger, summary: dict) -> None:
+    """One line of quotient-cache statistics."""
+    logger.info(
+        "  cache: %s hits / %s misses (hit rate %.0f%%), saved %.2fs",
+        summary["hits"],
+        summary["misses"],
+        100.0 * summary["hit_rate"],
+        summary["saved_seconds"],
+    )
 
 
 def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
@@ -133,9 +263,7 @@ def add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
 
 def load_cache_file(cache, args: argparse.Namespace) -> None:
     """Warm ``cache`` from ``--cache-file`` when the file exists."""
-    import os
-
-    path = getattr(args, "cache_file", None)
+    path = args.cache_file
     if cache is None or path is None or not os.path.exists(path):
         return
     from ..resilience import load_cache
@@ -154,7 +282,7 @@ def load_cache_file(cache, args: argparse.Namespace) -> None:
 
 def save_cache_file(cache, args: argparse.Namespace) -> None:
     """Persist ``cache`` to ``--cache-file`` (atomic, checksummed)."""
-    path = getattr(args, "cache_file", None)
+    path = args.cache_file
     if cache is None or path is None:
         return
     from ..resilience import save_cache
@@ -210,35 +338,33 @@ def run_sweep_cli(factory, args: argparse.Namespace, *, default_grid=None) -> Sw
                 "the sweep needs at least one --sweep-grid or --sweep-prior axis"
             )
         grid = dict(default_grid)
-    from ..composer import resolve_cache
-
-    checkpoint = getattr(args, "sweep_checkpoint", None)
-    if checkpoint is None and getattr(args, "resume", False):
+    checkpoint = args.sweep_checkpoint
+    if checkpoint is None and args.resume:
         checkpoint = args.sweep_out
-    if getattr(args, "resume", False) and checkpoint is None:
+    if args.resume and checkpoint is None:
         raise SweepError("--resume needs --sweep-checkpoint (or --sweep-out)")
     # Resolve the cache here so --cache-file can warm it before the sweep
     # and persist it afterwards (run_sweep accepts the instance unchanged).
-    cache = resolve_cache(getattr(args, "cache", "on"))
+    cache = resolve_cache(args.cache)
     load_cache_file(cache, args)
     config = SweepConfig(
         grid=grid,
         priors=priors,
         lhs_samples=args.sweep_lhs if priors else 0,
-        backend=getattr(args, "backend", "compose"),
-        reduction=getattr(args, "reduction", "strong"),
+        backend=args.backend,
+        reduction=args.reduction,
         cache=cache,
         root_seed=args.root_seed,
         fd_step=args.fd_step,
         importance=not args.no_importance,
-        sim_replications=getattr(args, "replications", 256),
-        sim_rel_error=getattr(args, "rel_error", None),
-        sim_horizon=getattr(args, "sim_horizon", 10_000.0),
-        isolate_failures=getattr(args, "isolate_failures", False),
-        state_budget=getattr(args, "state_budget", None),
+        sim_replications=args.replications,
+        sim_rel_error=args.rel_error,
+        sim_horizon=args.sim_horizon,
+        isolate_failures=args.isolate_failures,
+        state_budget=args.state_budget,
         checkpoint=checkpoint,
-        checkpoint_every=getattr(args, "checkpoint_every", 1),
-        resume=getattr(args, "resume", False),
+        checkpoint_every=args.checkpoint_every,
+        resume=args.resume,
     )
     result = run_sweep(factory, config)
     _log_summary(factory.name, result)
@@ -261,13 +387,7 @@ def _log_summary(name: str, result: SweepResult) -> None:
     _log_error_rows(result)
     cache = result.manifest.get("cache")
     if cache:
-        log.info(
-            "  cache: %s hits / %s misses (hit rate %.0f%%), saved %.2fs",
-            cache["hits"],
-            cache["misses"],
-            100.0 * cache["hit_rate"],
-            cache["saved_seconds"],
-        )
+        log_cache_summary(log, cache)
     for row in result.sensitivities:
         log.info(
             "  dU/d %s: %+.3e (elasticity %+.3f)",
@@ -303,9 +423,13 @@ def _log_error_rows(result: SweepResult) -> None:
 __all__ = [
     "add_resilience_arguments",
     "add_sweep_arguments",
+    "case_study_parser",
     "load_cache_file",
+    "log_cache_summary",
     "parse_grid_specs",
     "parse_prior_specs",
+    "run_case_study",
     "run_sweep_cli",
     "save_cache_file",
+    "simulation_evaluator",
 ]

@@ -17,7 +17,7 @@ tests and the simulator (mean, variance, cdf, sampling).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

@@ -43,7 +43,6 @@ import numpy as np
 
 from ..errors import CompositionError
 from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices, unique_sorted
-from .actions import Signature
 from .indexed import InteractiveCSR, MarkovianCSR
 from .ioimc import IOIMC
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..arcade.component import BasicComponent
 from ..arcade.expressions import And, Expression, KOutOfN, Literal, Or
 from ..arcade.model import ArcadeModel
 from ..arcade.operational_modes import OMGroupKind

@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -87,10 +87,9 @@ class SweepConfig:
     priors: Mapping[str, "Prior | tuple"] = field(default_factory=dict)
     #: Latin-hypercube samples drawn over ``priors`` (0 disables).
     lhs_samples: int = 0
-    #: ``"compose"``, ``"simulate"`` or ``"auto"`` (per-point choice).
+    #: ``"compose"``, ``"simulate"`` or ``"auto"`` (per-point choice by
+    #: :data:`~repro.analysis.evaluator.AUTO_STATE_LIMIT`).
     backend: str = "compose"
-    #: Flat-product bound for the auto backend choice.
-    auto_state_limit: float = 5e7
     reduction: str = "strong"
     #: Shared across every evaluation: ``"on"`` (fresh shared instance),
     #: ``"off"``/None, or an existing :class:`QuotientCache`.
@@ -163,22 +162,19 @@ class PointResult:
 def evaluate_point(
     factory: SweepFactory,
     values: Mapping[str, float],
+    config: SweepConfig,
     *,
     seed: int,
     cache: "QuotientCache | None" = None,
-    backend: str = "compose",
-    reduction: str = "strong",
-    auto_state_limit: float = 5e7,
-    mission_time: float | None = None,
-    sim_horizon: float = 10_000.0,
-    sim_replications: int = 256,
-    sim_rel_error: float | None = None,
     index: int = 0,
     kind: str = "grid",
     model: ArcadeModel | None = None,
-    state_budget: int | None = None,
 ) -> PointResult:
     """Evaluate one parameter point (deterministic given its arguments).
+
+    The backend, reduction, mission time, simulation settings and state
+    budget come from ``config``; ``cache`` is the resolved shared cache
+    (``config.cache`` is not consulted).
 
     This is the unit the sweep loops over *and* the serial baseline of the
     bit-identity guarantee: running it with ``cache=None`` and the seed the
@@ -195,15 +191,14 @@ def evaluate_point(
     target = model if model is not None else factory.build(full)
     evaluator = ArcadeEvaluator(
         target,
-        reduction=reduction,
+        reduction=config.reduction,
         cache=cache,
-        backend=backend,
-        auto_state_limit=auto_state_limit,
+        backend=config.backend,
         sim_seed=seed,
-        sim_horizon=sim_horizon,
-        sim_replications=sim_replications,
-        sim_rel_error=sim_rel_error,
-        state_budget=state_budget,
+        sim_horizon=config.sim_horizon,
+        sim_replications=config.sim_replications,
+        sim_rel_error=config.sim_rel_error,
+        state_budget=config.state_budget,
     )
     resolved = evaluator.resolved_backend
     if resolved == "compose" and factory.order is not None:
@@ -217,6 +212,7 @@ def evaluate_point(
         # Captured before the mission-time estimate, which would overwrite it.
         interval = evaluator.simulation_interval
         half_width = interval.half_width if interval is not None else math.nan
+    mission_time = config.mission_time
     unreliability = (
         evaluator.unreliability(mission_time) if mission_time is not None else math.nan
     )
@@ -320,7 +316,9 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
     #: written at any moment records the full deterministic prefix.
     history: list[PointResult] = []
 
-    def evaluate(values: Mapping[str, float], kind: str, **overrides) -> PointResult:
+    def evaluate(
+        values: Mapping[str, float], kind: str, model: ArcadeModel | None = None
+    ) -> PointResult:
         nonlocal evaluations
         index = evaluations
         evaluations += 1
@@ -334,25 +332,14 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
         fault = active_fault("sweep.interrupt", key=f"point:{index}")
         if fault is not None:
             raise KeyboardInterrupt(f"injected sweep interrupt before point {index}")
-        arguments = dict(
-            seed=point_seed(config.root_seed, index),
-            cache=cache,
-            backend=config.backend,
-            reduction=config.reduction,
-            auto_state_limit=config.auto_state_limit,
-            mission_time=config.mission_time,
-            sim_horizon=config.sim_horizon,
-            sim_replications=config.sim_replications,
-            sim_rel_error=config.sim_rel_error,
-            index=index,
-            kind=kind,
-            state_budget=config.state_budget,
-        )
-        arguments.update(overrides)
+        seed = point_seed(config.root_seed, index)
         with telemetry_span("sweep.point", index=index, kind=kind) as point_span:
             elapsed_from = time.perf_counter()
             try:
-                row = evaluate_point(factory, values, **arguments)
+                row = evaluate_point(
+                    factory, values, config, seed=seed, cache=cache, index=index,
+                    kind=kind, model=model,
+                )
             except ArcadeError as error:
                 if not config.isolate_failures:
                     raise
@@ -365,7 +352,7 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
                     index=index,
                     kind=kind,
                     values=full,
-                    seed=arguments["seed"],
+                    seed=seed,
                     backend="none",
                     availability=math.nan,
                     unavailability=math.nan,
@@ -514,19 +501,9 @@ def verify_bit_identical(
         if "status" in (points.dtype.names or ()) and str(record["status"]) != "ok":
             continue  # error rows have no measures to reproduce
         values = {axis: float(record[axis]) for axis in result.axes}
-        fresh = evaluate_point(
-            factory,
-            values,
-            seed=int(record["seed"]),
-            cache=None,
-            backend=str(record["backend"]),
-            reduction=config.reduction,
-            auto_state_limit=config.auto_state_limit,
-            mission_time=config.mission_time,
-            sim_horizon=config.sim_horizon,
-            sim_replications=config.sim_replications,
-            sim_rel_error=config.sim_rel_error,
-        )
+        # Re-run on the backend the point actually used (``auto`` resolved).
+        point_config = replace(config, backend=str(record["backend"]))
+        fresh = evaluate_point(factory, values, point_config, seed=int(record["seed"]))
         checked += 1
         for column, fresh_value in (
             ("unavailability", fresh.unavailability),

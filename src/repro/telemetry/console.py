@@ -75,9 +75,9 @@ def configure_logging(args: argparse.Namespace | None = None) -> logging.Logger:
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
         logger.propagate = False
-    if args is not None and getattr(args, "quiet", False):
+    if args is not None and args.quiet:
         logger.setLevel(logging.WARNING)
-    elif args is not None and getattr(args, "verbose", False):
+    elif args is not None and args.verbose:
         logger.setLevel(logging.DEBUG)
     else:
         logger.setLevel(logging.INFO)
@@ -96,7 +96,7 @@ def telemetry_from_args(
     seeds: dict | None = None,
 ) -> Telemetry | None:
     """Build a JSONL-backed session from ``--telemetry`` (None when unset)."""
-    path = getattr(args, "telemetry", None)
+    path = args.telemetry
     if not path:
         return None
     manifest = RunManifest.capture(tool, args=vars(args), seeds=seeds)

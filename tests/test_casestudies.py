@@ -1,7 +1,10 @@
 """Tests for the paper's case studies (Section 5): DDS and RCS."""
 
+import logging
+
 import pytest
 
+from repro.casestudies import dds, rcs
 from repro.casestudies.dds import (
     DDSParameters,
     MISSION_TIME_HOURS,
@@ -10,7 +13,6 @@ from repro.casestudies.dds import (
 )
 from repro.casestudies.rcs import (
     MISSION_TIME_HOURS as RCS_MISSION_TIME,
-    RCSParameters,
     build_rcs_model,
     build_rcs_modular_evaluator,
 )
@@ -156,3 +158,86 @@ class TestSerialOnly:
         pattern = r"jobs must be 1.*subtree parallelism was removed"
         with pytest.raises(ArcadeError, match=pattern):
             entry_point(jobs)
+
+
+@pytest.fixture
+def cli_log(caplog):
+    """Capture the case-study CLI log (its logger does not propagate)."""
+    logger = logging.getLogger("repro.cli")
+    logger.addHandler(caplog.handler)
+    yield caplog
+    logger.removeHandler(caplog.handler)
+
+
+class TestCaseStudyCLIs:
+    """End-to-end runs of the two ``main()`` entry points on small inputs."""
+
+    def test_dds_single_cluster(self, cli_log):
+        dds.main(["--clusters", "1"])
+        assert "  final CTMC: 50 states / 200 transitions" in cli_log.messages
+        assert "  availability          0.999998168" in cli_log.messages
+        assert "  reliability (5 weeks) 0.628324238" in cli_log.messages
+
+    def test_rcs_modular(self, cli_log):
+        rcs.main([])
+        assert any(
+            message.startswith("  pump subsystem CTMC: 1164 states / 8928 transitions")
+            for message in cli_log.messages
+        )
+        assert "  unreliability  (50 h) 4.382500e-09" in cli_log.messages
+
+    def test_dds_simulate_backend(self, cli_log):
+        dds.main(
+            [
+                "--clusters", "1", "--backend", "simulate", "--replications", "16",
+                "--sim-horizon", "2000", "--sim-seed", "3",
+            ]
+        )
+        assert "DDS (1 clusters), backend=simulate (RESTART)" in cli_log.messages
+        assert "  unavailability CI     0.000000e+00 ± 0.00e+00 (99%, n=16)" in (
+            cli_log.messages
+        )
+        assert "  reliability (5 weeks) 0.750000000" in cli_log.messages
+
+    def test_dds_one_point_sweep(self, cli_log):
+        dds.main(
+            [
+                "--clusters", "1", "--sweep", "--sweep-grid", "repair_rate=1.0",
+                "--no-importance",
+            ]
+        )
+        assert any(
+            message.startswith("dds sweep: 1 points, 8 evaluations")
+            for message in cli_log.messages
+        )
+        assert "  dU/d repair_rate: -3.680e-06 (elasticity -2.009)" in (
+            cli_log.messages
+        )
+
+
+class TestCaseStudyCLIOptions:
+    def test_sweep_refuses_an_order_policy(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            dds.main(["--clusters", "1", "--sweep", "--order", "auto"])
+        assert exit_info.value.code == 2
+        assert "--order auto cannot be combined with --sweep" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "arguments,seeds",
+        [
+            (["--sweep", "--sweep-grid", "repair_rate=1.0", "--root-seed", "7"],
+             {"root_seed": 7}),
+            (["--backend", "simulate", "--replications", "2", "--sim-horizon", "20",
+              "--sim-seed", "5"], {"sim_seed": 5}),
+        ],
+        ids=["sweep", "single"],
+    )
+    def test_manifest_records_the_consumed_seed(self, tmp_path, arguments, seeds):
+        from repro.telemetry import load_run
+
+        path = tmp_path / "run.jsonl"
+        dds.main(
+            ["--clusters", "1", "--no-importance", "--quiet", "--telemetry", str(path)]
+            + arguments
+        )
+        assert load_run(path).manifest["seeds"] == seeds

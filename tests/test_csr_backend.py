@@ -14,7 +14,6 @@ differential-suite model generator:
   transitions as their columns.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -26,7 +26,7 @@ from repro.ctmc import (
     transient_distribution,
     unreliability,
 )
-from repro.ctmc.csl import Atomic, CSLChecker, Not, ProbabilisticUntil, SteadyState, eventually
+from repro.ctmc.csl import Atomic, CSLChecker, Not, SteadyState, eventually
 import repro.ctmc.steady_state as steady_state_module
 from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system, absorption_probabilities
 from repro.errors import AnalysisError, ModelError, NondeterminismError

@@ -6,7 +6,7 @@ from lumping_oracle import from_keys, refine
 
 from repro.ctmc import extract_ctmc, steady_state_availability
 from repro.errors import LumpingError
-from repro.ioimc import IOIMCBuilder, Signature, compose, hide
+from repro.ioimc import IOIMCBuilder, Signature, hide
 from repro.lumping import (
     eliminate_vanishing_chains,
     maximal_progress_cut,

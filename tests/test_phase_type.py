@@ -149,7 +149,7 @@ class TestNonFiniteInputsFailLoudly:
             Exponential(1.0).scaled(factor)
 
     def test_nan_sweep_axis_names_the_value(self):
-        from repro.casestudies import dds_sweep_factory
+        from repro.casestudies.dds import dds_sweep_factory
         from repro.sweep import SweepConfig, run_sweep
 
         config = SweepConfig(

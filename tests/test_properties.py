@@ -27,7 +27,7 @@ from repro.arcade import (
 from repro.arcade.expressions import And, Expression, Literal, Or
 from repro.arcade.semantics.bc_semantics import evaluate_expression
 from repro.baselines import StaticFaultTreeAnalyzer
-from repro.ctmc import lump, steady_state_availability, steady_state_distribution
+from repro.ctmc import lump, steady_state_distribution
 
 
 # --------------------------------------------------------------------------- #

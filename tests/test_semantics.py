@@ -28,7 +28,6 @@ from repro.arcade.semantics import (
 from repro.arcade.semantics.gate_semantics import GateInput, VotingGate
 from repro.arcade.semantics import signals
 from repro.distributions import Erlang, Exponential
-from repro.ioimc import ActionKind
 
 from differential.test_rate_reuse import ioimc_bytes
 

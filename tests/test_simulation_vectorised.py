@@ -218,7 +218,9 @@ def test_evaluator_rejects_unknown_backend():
         ("sim_horizon", math.nan),
         ("sim_horizon", math.inf),
         ("sim_horizon", 0.0),
-        ("sim_confidence", 1.5),
+        ("sim_rel_error", 0.0),
+        ("sim_rel_error", -0.1),
+        ("sim_rel_error", math.nan),
     ],
 )
 def test_evaluator_rejects_bad_simulation_arguments(argument, value):

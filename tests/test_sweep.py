@@ -345,10 +345,11 @@ class TestDriver:
 
 
 class TestBackendRouting:
-    def test_auto_resolves_by_flat_state_bound(self):
+    def test_auto_resolves_by_flat_state_bound(self, monkeypatch):
         model = _build_tiny({"fail_a": 0.01, "fail_b": 0.02, "repair": 1.0})
         assert ArcadeEvaluator(model, backend="auto").resolved_backend == "compose"
-        tiny_limit = ArcadeEvaluator(model, backend="auto", auto_state_limit=2.0)
+        monkeypatch.setattr("repro.analysis.evaluator.AUTO_STATE_LIMIT", 2.0)
+        tiny_limit = ArcadeEvaluator(model, backend="auto")
         assert tiny_limit.resolved_backend == "simulate"
         fixed = ArcadeEvaluator(model, backend="simulate")
         assert fixed.resolved_backend == "simulate"
@@ -462,8 +463,9 @@ class TestCliParsing:
 
 def test_evaluate_point_is_a_pure_function_of_its_arguments():
     factory = _tiny_factory()
-    first = evaluate_point(factory, {"fail_a": 0.02}, seed=point_seed(3, 0))
-    second = evaluate_point(factory, {"fail_a": 0.02}, seed=point_seed(3, 0))
+    config = SweepConfig()
+    first = evaluate_point(factory, {"fail_a": 0.02}, config, seed=point_seed(3, 0))
+    second = evaluate_point(factory, {"fail_a": 0.02}, config, seed=point_seed(3, 0))
     assert first.unavailability == second.unavailability
     assert first.availability == second.availability
     assert first.values == second.values

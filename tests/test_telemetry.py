@@ -7,6 +7,7 @@ hit/miss flags — to the same run with telemetry off.
 
 import dataclasses
 import json
+from contextlib import nullcontext
 
 import pytest
 
@@ -243,9 +244,10 @@ class TestPipelineInstrumentation:
         ``_no_repair`` model); the report must not pool their steps."""
         path = tmp_path / "dds.jsonl"
         telemetry = Telemetry(JsonlSink(path))
-        evaluator = build_dds_evaluator(cache="on", telemetry=telemetry)
-        evaluator.availability()
-        evaluator.reliability(MISSION_TIME_HOURS)
+        with telemetry.activate():
+            evaluator = build_dds_evaluator(cache="on")
+            evaluator.availability()
+            evaluator.reliability(MISSION_TIME_HOURS)
         telemetry.close()
 
         run = load_run(path)
@@ -274,10 +276,11 @@ class TestPipelineInstrumentation:
 # --------------------------------------------------------------------------- #
 class TestObservationalPurity:
     def _run(self, with_telemetry: bool):
-        telemetry = Telemetry(MemorySink()) if with_telemetry else None
-        evaluator = build_dds_evaluator(SMALL, cache="on", telemetry=telemetry)
-        availability = evaluator.availability()
-        reliability = evaluator.reliability(MISSION_TIME_HOURS)
+        telemetry = Telemetry(MemorySink())
+        with telemetry.activate() if with_telemetry else nullcontext():
+            evaluator = build_dds_evaluator(SMALL, cache="on")
+            availability = evaluator.availability()
+            reliability = evaluator.reliability(MISSION_TIME_HOURS)
         hit_flags = [
             step.cache_hit for step in evaluator.composed.statistics.steps
         ]
