@@ -58,10 +58,6 @@ class TranslatedModel:
         default=None, init=False, repr=False, compare=False
     )
 
-    def block_names(self) -> list[str]:
-        """Names of all blocks (components, units and gates)."""
-        return list(self.blocks)
-
     def listeners_of(self, action: str) -> frozenset[str]:
         """Blocks that have ``action`` in their input signature.
 

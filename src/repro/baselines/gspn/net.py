@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from ...ctmc import CTMC
 from ...errors import AnalysisError, ModelError
 
 #: A marking maps place names to token counts (absent places hold zero).

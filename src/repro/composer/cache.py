@@ -16,20 +16,17 @@ Every cached subtree carries a :class:`SubtreeFingerprint`:
 * ``key`` — for a leaf block, the *positional-form* digest of its I/O-IMC:
   a name-free encoding in which actions are numbered by first structural
   use (the order their edges appear in the state-numbered transition
-  tables).  Unlike the search-based canonical form of
-  :mod:`repro.ioimc.canonical`, the positional form costs one pass even on
-  automata with large symmetry orbits (an 8-disk FCFS repair queue has
-  10^5 states and a full automorphism group over the disks — refining that
-  to a discrete canonical partition is more expensive than composing it),
-  and its slot order follows the generation order of the translator, which
-  is exactly how replicated instances align.  Because the positional form
-  is *not* a decision procedure for isomorphism, every leaf joining an
-  existing digest class is **verified**: its edges are renamed through the
-  slot pairing and compared, exactly, against the class representative —
-  a failed verification simply disables caching through that leaf.  For a
-  composite, the key is a hash derived *algebraically* from the operand
-  keys and the step descriptor (below) — large intermediate products are
-  never themselves fingerprinted.
+  tables).  It costs one pass even on automata with large symmetry orbits
+  (an 8-disk FCFS repair queue has 10^5 states and a full automorphism
+  group over the disks), and its slot order follows the generation order of
+  the translator, which is exactly how replicated instances align.  Because
+  the positional form is *not* a decision procedure for isomorphism, every
+  leaf joining an existing digest class is **verified**: its edges are
+  renamed through the slot pairing and compared, exactly, against the class
+  representative — a failed verification simply disables caching through
+  that leaf.  For a composite, the key is a hash derived *algebraically*
+  from the operand keys and the step descriptor (below) — large
+  intermediate products are never themselves fingerprinted.
 * ``slots`` — the concrete visible action names of this instance, listed in
   slot order.  Two subtrees with equal keys are isomorphic via the
   slot-wise pairing of their ``slots`` (the renaming witness).
@@ -41,8 +38,7 @@ A binary step ``left || right ; hide H ; reduce`` is keyed on
   of ``(left slot, right slot)`` pairs that carry the same concrete name,
 * the hidden-signal set expressed as slots of the (pre-hiding) composite
   alphabet, and
-* the reduction applied: the bisimulation mode and the
-  vanishing-elimination flag.
+* the reduction applied: the bisimulation mode.
 
 Soundness
 ---------
@@ -53,10 +49,10 @@ consistent action renaming, and none of the engines' results depend on
 concrete names (state numbering comes from exploration and
 first-occurrence orders over states; partitions are unique coarsest
 fixpoints), so the cached result differs from a recomputation by exactly
-the slot-wise renaming — which
-:func:`repro.ioimc.canonical.rebase_actions` applies on a hit.  A cache hit
-therefore returns precisely what the uncached pipeline would have built;
-the differential suite pins this (cache on vs off) across the full corpus.
+the slot-wise renaming — which :func:`rebase_actions` applies on a hit.  A
+cache hit therefore returns precisely what the uncached pipeline would have
+built; the differential suite pins this (cache on vs off) across the full
+corpus.
 
 Entries additionally remember the step's pre-reduction sizes and the
 wall-clock originally spent, so statistics recorded on a hit reproduce the
@@ -86,14 +82,17 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from ..ioimc import IOIMC, TAU
-from ..ioimc.actions import ActionKind, natural_sort_key
-from ..ioimc.canonical import _KIND_CODE, encode_renumbered
-from ..ioimc.indexed import MarkovianCSR
+from ..ioimc.actions import ActionKind, Signature, natural_sort_key
+from ..ioimc.indexed import InteractiveCSR, MarkovianCSR, intern_actions
+from ..telemetry.trace import incr
+
+#: Kind codes of visible actions in the leaf and structure digests.
+_KIND_CODE = {ActionKind.INPUT: "?", ActionKind.OUTPUT: "!"}
 
 
 @dataclass(frozen=True)
@@ -285,6 +284,10 @@ class QuotientCache:
     evaluator, or the instances of a growth-curve sweep); sharing is safe
     because keys identify steps structurally, independent of the model they
     came from.
+
+    The cache is the one writer of its counters: each method below that
+    counts an event bumps both the lifetime attribute and the matching
+    ``cache.*`` telemetry counter of the current run.
     """
 
     def __init__(self) -> None:
@@ -418,6 +421,13 @@ class QuotientCache:
     def get(self, key: str) -> CacheEntry | None:
         return self._entries.get(key)
 
+    def record_hit(self, saved_seconds: float) -> None:
+        """Count one served hit and the net seconds it saved."""
+        self.hits += 1
+        self.saved_seconds += saved_seconds
+        incr("cache.hits")
+        incr("cache.saved_seconds", saved_seconds)
+
     def store(
         self,
         key: str,
@@ -429,7 +439,7 @@ class QuotientCache:
         compose_seconds: float,
         reduce_seconds: float,
     ) -> bool:
-        """Memoise a freshly computed step result.
+        """Count a miss and memoise the step result it computed.
 
         Returns ``False`` — and poisons nothing — when the result violates a
         cacheability guard (non-tau internal actions, or a visible alphabet
@@ -438,6 +448,8 @@ class QuotientCache:
         the composer to drop the subtree's fingerprint so no descendant key
         is derived from an unverified identity.
         """
+        self.misses += 1
+        incr("cache.misses")
         signature = automaton.signature
         if signature.internals - {TAU}:
             return False
@@ -455,6 +467,7 @@ class QuotientCache:
             reduce_seconds=reduce_seconds,
         )
         self.stores += 1
+        incr("cache.stores")
         return True
 
     # ------------------------------------------------------------------ #
@@ -463,6 +476,11 @@ class QuotientCache:
     def skeleton(self, key: str) -> StepSkeleton | None:
         """The stored skeleton for a :func:`structure_key`, if any."""
         return self._skeletons.get(key)
+
+    def record_regather(self) -> None:
+        """Count one miss served by re-gathering a stored skeleton."""
+        self.regathers += 1
+        incr("cache.regathers")
 
     def sighted_before(self, key: str) -> bool:
         """Record a sighting of ``key``; ``True`` if it was seen already.
@@ -480,6 +498,7 @@ class QuotientCache:
         self._skeletons[key] = skeleton
         self._sighted.discard(key)
         self.skeleton_stores += 1
+        incr("cache.skeleton_stores")
 
     # ------------------------------------------------------------------ #
     # persistence hooks (see repro.resilience.diskcache)
@@ -498,12 +517,19 @@ class QuotientCache:
     def restore(self, key: str, entry: CacheEntry) -> None:
         """Re-insert one persisted entry without touching the counters.
 
-        Counter state travels separately (the persistence layer restores the
-        saved ``hits``/``misses``/``stores`` block), so re-loading a cache
-        and then resuming a run reproduces the per-evaluation counter deltas
-        of the uninterrupted run exactly.
+        Counter state travels separately (:meth:`restore_counters`), so
+        re-loading a cache and then resuming a run reproduces the
+        per-evaluation counter deltas of the uninterrupted run exactly.
         """
         self._entries[key] = entry
+
+    def restore_counters(self, counters: Mapping[str, float]) -> None:
+        """Add a persisted ``hits``/``misses``/``stores``/``saved_seconds``
+        block to the lifetime counters (no telemetry: nothing ran)."""
+        self.hits += int(counters.get("hits", 0))
+        self.misses += int(counters.get("misses", 0))
+        self.stores += int(counters.get("stores", 0))
+        self.saved_seconds += float(counters.get("saved_seconds", 0.0))
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -540,15 +566,17 @@ def positional_form(automaton: IOIMC) -> tuple[str, tuple[str, ...]]:
 
     Actions are renumbered by first structural use — the position of their
     first edge in the state-numbered transition tables — with ties (unused
-    actions) broken by kind and natural name order.  The digest encodes the
-    renumbered structure exactly (states, initial, labels, kinds, every
-    edge, every rate bit) through the shared
-    :func:`repro.ioimc.canonical.encode_renumbered`; equal digests are a
-    *candidate* match that :func:`_verified_isomorphic` confirms before the
-    class is trusted.
+    actions) broken by kind and natural name order.  The digest is a
+    SHA-256 over the renumbered structure, exactly: state count, initial
+    state, labels, slot kinds, every edge and every rate bit, with states
+    kept in their generation order.  Equal digests are a *candidate* match
+    that :func:`_verified_isomorphic` confirms before the class is trusted.
+    Every persisted step key is derived from these bytes, so the encoding
+    (version tag and field order included) must not change.
     """
     index = automaton.index()
     interactive = index.interactive_csr
+    markovian = index.markovian_csr
     num_actions = len(index.actions)
 
     first_use = np.full(num_actions, interactive.num_edges, dtype=np.int64)
@@ -566,20 +594,49 @@ def positional_form(automaton: IOIMC) -> tuple[str, tuple[str, ...]]:
     slot_of = np.empty(num_actions, dtype=np.int64)
     slot_of[order] = np.arange(num_actions, dtype=np.int64)
 
-    digest = encode_renumbered(
-        automaton,
-        index,
-        version="ioimc-positional-v1",
-        state_of=None,  # leaves keep their generation state numbering
-        action_of=slot_of,
-        action_order=order,
+    digest = hashlib.sha256(
+        f"ioimc-positional-v1|{automaton.num_states}|{num_actions}|"
+        f"{automaton.initial}".encode()
     )
+    # Kinds per slot (internals encode their concrete name: internal
+    # actions are never renamed, so the name is structure).
+    kind_row = "|".join(
+        index.actions[aid]
+        if index.kinds[aid] is ActionKind.INTERNAL
+        else _KIND_CODE[index.kinds[aid]]
+        for aid in order
+    )
+    digest.update(f"|kinds|{kind_row}".encode())
+    if automaton.labels:
+        rows = sorted(
+            (state, ",".join(sorted(props)))
+            for state, props in automaton.labels.items()
+        )
+        digest.update(("|labels|" + ";".join(f"{s}:{p}" for s, p in rows)).encode())
+    # Interactive edges as sorted (source, slot, target) triples.
+    source = interactive.source.astype(np.int64)
+    target = interactive.target.astype(np.int64)
+    action = slot_of[actions]
+    edges = np.lexsort((target, action, source))
+    digest.update(b"|interactive|")
+    digest.update(source[edges].tobytes())
+    digest.update(action[edges].tobytes())
+    digest.update(target[edges].tobytes())
+    # Markovian edges as sorted (source, target, exact rate) rows.
+    source = markovian.source.astype(np.int64)
+    target = markovian.target.astype(np.int64)
+    rate = markovian.rate
+    edges = np.lexsort((rate, target, source))
+    digest.update(b"|markovian|")
+    digest.update(source[edges].tobytes())
+    digest.update(target[edges].tobytes())
+    digest.update(np.ascontiguousarray(rate[edges], dtype=np.float64).tobytes())
     slots = tuple(
         index.actions[aid]
         for aid in order
         if index.kinds[aid] is not ActionKind.INTERNAL
     )
-    return digest, slots
+    return digest.hexdigest(), slots
 
 
 def _verified_isomorphic(
@@ -658,6 +715,57 @@ def _verified_isomorphic(
     )
 
 
+def rebase_actions(
+    automaton: IOIMC, rename: Mapping[str, str], *, name: str | None = None
+) -> IOIMC:
+    """Rename visible actions of ``automaton`` and re-canonicalise edge order.
+
+    Unlike :func:`repro.ioimc.hiding.hide` (which keeps the old edge
+    order), the interactive edge columns are re-sorted by the *new*
+    interned action ids — the order every library transformation produces —
+    so the result is indistinguishable from having run the construction
+    under the new names in the first place.  ``rename`` must be injective on
+    the visible actions and must not touch internals.
+    """
+    signature = automaton.signature
+    for old in rename:
+        if old in signature.internals:
+            raise ValueError(f"cannot rename internal action {old!r}")
+    new_inputs = frozenset(rename.get(a, a) for a in signature.inputs)
+    new_outputs = frozenset(rename.get(a, a) for a in signature.outputs)
+    if len(new_inputs | new_outputs) != len(signature.inputs | signature.outputs):
+        raise ValueError("action renaming must be injective on the visible actions")
+    new_signature = Signature(new_inputs, new_outputs, signature.internals)
+
+    index = automaton.index()
+    old_csr = index.interactive_csr
+    new_id_of = intern_actions(new_signature).id_of
+    remap = np.fromiter(
+        (new_id_of[rename.get(action, action)] for action in index.actions),
+        dtype=np.int64,
+        count=len(index.actions),
+    )
+    # Re-sort the edges by the new interned ids, *keeping duplicates* — an
+    # unreduced compose+hide result may legitimately carry parallel tau
+    # edges, and their multiplicity is part of the recorded transition
+    # counts.  (Nothing downstream is sensitive to interactive edge order,
+    # only to the edge multiset.)
+    src = old_csr.source.astype(np.int64)
+    act = remap[old_csr.action]
+    tgt = old_csr.target.astype(np.int64)
+    order = np.lexsort((tgt, act, src))
+    new_src, new_act, new_tgt = src[order], act[order], tgt[order]
+    return IOIMC.from_tables(
+        name if name is not None else automaton.name,
+        new_signature,
+        automaton.initial,
+        InteractiveCSR.from_edges(new_src, new_act, new_tgt, automaton.num_states),
+        index.markovian_csr,
+        automaton.labels,
+        automaton.state_names,
+    )
+
+
 def resolve_cache(cache: "QuotientCache | str | None") -> QuotientCache | None:
     """Normalise the ``cache=`` policy argument of the composer stack.
 
@@ -686,6 +794,7 @@ __all__ = [
     "StepSkeleton",
     "SubtreeFingerprint",
     "positional_form",
+    "rebase_actions",
     "resolve_cache",
     "structure_key",
 ]

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Sequence
 from ..ctmc import CTMC, extract_ctmc, lump
 from ..errors import CompositionError, StateBudgetError
 from ..ioimc import IOIMC, Signature, compose, hide
-from ..ioimc.canonical import rebase_actions
 from ..lumping import (
     eliminate_vanishing_chains,
     maximal_progress_cut,
@@ -50,6 +49,7 @@ from .cache import (
     QuotientCache,
     StepSkeleton,
     SubtreeFingerprint,
+    rebase_actions,
     resolve_cache,
     structure_key,
 )
@@ -166,10 +166,6 @@ class ComposedSystem:
     plan_report: "PlanReport | None" = None
     #: The quotient cache the run used (``None`` when caching was off).
     cache: QuotientCache | None = None
-
-    @property
-    def ctmc_summary(self) -> dict[str, int]:
-        return self.ctmc.summary()
 
 
 class Composer:
@@ -313,15 +309,12 @@ class Composer:
         if isinstance(self.order, str):  # validated to be "auto" in __init__
             from ..planner import plan_order  # late import: planner uses composer
 
-            # With a cache, let the search price the 2nd..N-th copy of an
+            # With a cache, the search prices the 2nd..N-th copy of an
             # isomorphic sibling group at ~0 (the cache will serve them), and
-            # hand the cache itself over so folds it already stores — from a
-            # shared pre-warmed cache — discount the *first* copy too.
+            # folds the cache already stores — from a shared pre-warmed
+            # cache — discount the *first* copy too.
             order, self.plan_report = plan_order(
-                self.translated,
-                cache_aware=self.cache is not None,
-                cache=self.cache,
-                reduction=self.reduction,
+                self.translated, cache=self.cache, reduction=self.reduction
             )
             return order
         return self.order
@@ -476,10 +469,7 @@ class Composer:
             # ``cache_saved_seconds`` — the two reports cannot drift apart.
             serve_seconds = time.perf_counter() - compose_started
             saved_seconds = max(entry.cost_seconds - serve_seconds, 0.0)
-            cache.hits += 1
-            cache.saved_seconds += saved_seconds
-            incr("cache.hits")
-            incr("cache.saved_seconds", saved_seconds)
+            cache.record_hit(saved_seconds)
             step = CompositionStep(
                 description=description,
                 states_before_reduction=entry.states_before,
@@ -510,20 +500,16 @@ class Composer:
         reduce_seconds = time.perf_counter() - reduce_started
         after = composite.summary()
         next_fingerprint = None
-        if plan is not None:
-            cache.misses += 1
-            incr("cache.misses")
-            if cache.store(
-                key,
-                plan,
-                composite,
-                states_before=states_before,
-                transitions_before=transitions_before,
-                compose_seconds=compose_seconds,
-                reduce_seconds=reduce_seconds,
-            ):
-                incr("cache.stores")
-                next_fingerprint = SubtreeFingerprint(key, plan.slots)
+        if plan is not None and cache.store(
+            key,
+            plan,
+            composite,
+            states_before=states_before,
+            transitions_before=transitions_before,
+            compose_seconds=compose_seconds,
+            reduce_seconds=reduce_seconds,
+        ):
+            next_fingerprint = SubtreeFingerprint(key, plan.slots)
         step = CompositionStep(
             description=description,
             states_before_reduction=states_before,
@@ -565,8 +551,7 @@ class Composer:
         regathered = skeleton is not None
         if regathered:
             self._check_budget(description, skeleton.states_before)
-            cache.regathers += 1
-            incr("cache.regathers")
+            cache.record_regather()
         elif cache.sighted_before(key):
             skeleton = StepSkeleton.probe(
                 left,
@@ -574,7 +559,6 @@ class Composer:
                 lambda l, r: self._build_prefix(l, r, hidable, description),
             )
             cache.store_skeleton(key, skeleton)
-            incr("cache.skeleton_stores")
         else:
             return *self._build_prefix(left, right, hidable, description), False
         return (

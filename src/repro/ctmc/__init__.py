@@ -28,7 +28,7 @@ from .steady_state import (
     stationary_of_irreducible,
     steady_state_distribution,
 )
-from .transient import poisson_window, transient_distribution, transient_probability_of
+from .transient import poisson_window, transient_distribution
 
 __all__ = [
     "CTMC",
@@ -52,6 +52,5 @@ __all__ = [
     "steady_state_distribution",
     "steady_state_unavailability",
     "transient_distribution",
-    "transient_probability_of",
     "unreliability",
 ]

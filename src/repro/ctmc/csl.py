@@ -90,12 +90,6 @@ def eventually(comparison: str, bound: float, operand: Formula, time: float | No
     return ProbabilisticUntil(comparison, bound, TrueFormula(), operand, time)
 
 
-def globally(comparison: str, bound: float, operand: Formula, time: float | None = None):
-    """``P_{~p}(G^{<=t} operand)`` via the duality ``G phi = not F not phi``."""
-    dual_comparison = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[comparison]
-    return Not(eventually(dual_comparison, 1.0 - bound, Not(operand), time))
-
-
 _COMPARATORS: dict[str, Callable[[float, float], bool]] = {
     "<": operator.lt,
     "<=": operator.le,
@@ -217,5 +211,4 @@ __all__ = [
     "SteadyState",
     "TrueFormula",
     "eventually",
-    "globally",
 ]

@@ -81,15 +81,6 @@ def transient_distribution(
     return result / total
 
 
-def transient_probability_of(
-    ctmc: CTMC, label: str, time: float, *, epsilon: float = 1e-12
-) -> float:
-    """Probability of being in a state labelled ``label`` at ``time``."""
-    distribution = transient_distribution(ctmc, time, epsilon=epsilon)
-    states = ctmc.states_with_label(label)
-    return float(distribution[states].sum()) if states else 0.0
-
-
 def poisson_window(mean: float, epsilon: float) -> tuple[int, int, np.ndarray]:
     """Left/right truncation points and weights of a Poisson(mean) distribution.
 
@@ -144,4 +135,4 @@ def _uniformized_matrix(ctmc: CTMC, rate: float) -> sparse.csr_matrix:
     return (identity + generator / rate).tocsr()
 
 
-__all__ = ["transient_distribution", "transient_probability_of", "poisson_window"]
+__all__ = ["transient_distribution", "poisson_window"]

@@ -102,13 +102,6 @@ class PhaseType:
             matrix[phase, phase] -= rate
         return matrix
 
-    def exit_vector(self) -> np.ndarray:
-        """Completion rate of every phase."""
-        vector = np.zeros(self.num_phases)
-        for phase, rate in self.completions:
-            vector[phase] += rate
-        return vector
-
     # ------------------------------------------------------------------ #
     # numerics
     # ------------------------------------------------------------------ #

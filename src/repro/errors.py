@@ -55,15 +55,6 @@ class CompositionError(ArcadeError):
     """Parallel composition failed (incompatible models or bad ordering)."""
 
 
-class PlannerError(ArcadeError):
-    """Composition-order planning failed (bad inputs or persisted parameters).
-
-    Raised, for instance, when a persisted cost-parameter JSON file is
-    missing or corrupt — the message names the offending path so a failure
-    mid-sweep points straight at the artifact instead of a raw traceback.
-    """
-
-
 class SweepError(ArcadeError):
     """A parameter sweep is ill-specified (bad axes, priors or conditioning)."""
 

@@ -17,7 +17,6 @@ This package provides the I/O-IMC formalism of Section 2 of the paper:
 
 from .actions import TAU, ActionKind, Signature
 from .builder import IOIMCBuilder
-from .canonical import CanonicalForm, canonical_form, rebase_actions, renaming_witness
 from .composition import compose, compose_many
 from .hiding import hide, hide_all_outputs
 from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
@@ -28,10 +27,6 @@ __all__ = [
     "TAU",
     "ActionKind",
     "Signature",
-    "CanonicalForm",
-    "canonical_form",
-    "rebase_actions",
-    "renaming_witness",
     "IOIMC",
     "IOIMCBuilder",
     "InteractiveCSR",

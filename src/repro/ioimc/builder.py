@@ -50,10 +50,6 @@ class IOIMCBuilder:
             self._initial = index
         return index
 
-    def has_state(self, name: str) -> bool:
-        """Whether a state called ``name`` has been registered."""
-        return name in self._state_index
-
     def label(self, state_name: str, *labels: str) -> None:
         """Attach atomic propositions to an existing state."""
         index = self.state(state_name)

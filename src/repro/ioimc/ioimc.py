@@ -24,7 +24,7 @@ those columns on each access.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -287,13 +287,6 @@ class IOIMC:
         """All actions with at least one transition leaving ``state``."""
         names = self._index.actions
         return {names[action] for action in self._interactive_row(state)[0].tolist()}
-
-    def enabled_urgent_actions(self, state: int) -> set[str]:
-        """Output and internal actions enabled in ``state`` (cannot be delayed)."""
-        names = self._index.actions
-        actions = self._interactive_row(state)[0]
-        urgent = actions[~self._index.input_flags[actions]]
-        return {names[action] for action in urgent.tolist()}
 
     def is_stable(self, state: int) -> bool:
         """A state is *stable* when no output or internal transition is enabled.
@@ -558,10 +551,6 @@ class IOIMC:
             seen[frontier] = True
         return seen
 
-    def reachable_states(self) -> set[int]:
-        """Set of states reachable from the initial state."""
-        return set(np.flatnonzero(self._reachable_mask()).tolist())
-
     def renamed(self, name: str) -> "IOIMC":
         """Return a shallow copy carrying a different automaton name."""
         return IOIMC.from_tables(
@@ -676,11 +665,3 @@ def _check_tables(
             raise ModelError(f"{name}: label attached to unknown state {state}")
     if state_names is not None and len(state_names) != num_states:
         raise ModelError(f"{name}: need exactly one state name per state")
-
-
-def merge_label_sets(label_sets: Iterable[frozenset[str]]) -> frozenset[str]:
-    """Union of several label sets (helper shared by composition and lumping)."""
-    merged: set[str] = set()
-    for labels in label_sets:
-        merged.update(labels)
-    return frozenset(merged)

@@ -21,11 +21,7 @@ and backend layout.
 from .branching import branching_bisimulation_partition, minimize_branching
 from .partition import Partition, label_codes
 from .refinement import refine_partition_vectorized
-from .reductions import (
-    eliminate_vanishing_chains,
-    maximal_progress_cut,
-    prune_unreachable,
-)
+from .reductions import eliminate_vanishing_chains, maximal_progress_cut
 from .strong import (
     LumpingResult,
     minimize_strong,
@@ -42,7 +38,6 @@ __all__ = [
     "refine_partition_vectorized",
     "eliminate_vanishing_chains",
     "maximal_progress_cut",
-    "prune_unreachable",
     "minimize_branching",
     "minimize_strong",
     "minimize_weak",

@@ -1,6 +1,6 @@
 """Structural reductions applied between composition steps.
 
-Three reductions are used by the compositional-aggregation pipeline (the role
+Two reductions are used by the compositional-aggregation pipeline (the role
 played by CADP's minimisation in the paper's tool chain, Section 4):
 
 * :func:`maximal_progress_cut` — in a state with an enabled output or
@@ -9,9 +9,8 @@ played by CADP's minimisation in the paper's tool chain, Section 4):
 * :func:`eliminate_vanishing_chains` — a state whose only behaviour is a
   single internal (tau) transition (apart from input self-loops) is occupied
   for zero time and is collapsed into its successor.
-* :func:`prune_unreachable` — drop states unreachable from the initial state.
 
-All three preserve weak bisimilarity of the model within the contexts that
+Both preserve weak bisimilarity of the model within the contexts that
 arise from Arcade models (see DESIGN.md, "Key semantic decisions").
 """
 
@@ -161,13 +160,7 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
     return reduced.restrict_to_reachable()
 
 
-def prune_unreachable(automaton: IOIMC) -> IOIMC:
-    """Drop states that cannot be reached from the initial state."""
-    return automaton.restrict_to_reachable()
-
-
 __all__ = [
     "maximal_progress_cut",
     "eliminate_vanishing_chains",
-    "prune_unreachable",
 ]

@@ -16,7 +16,6 @@ hand-craft a hierarchical decomposition:
   and the ``--order auto`` flag of the case-study CLIs.
 """
 
-from ..errors import PlannerError
 from .costmodel import CostModel, CostParameters, CostState
 from .planner import DEFAULT_BUDGET, PlanReport, plan_order
 from .search import (
@@ -28,7 +27,6 @@ from .search import (
     gate_tree_group_order,
     group_isomorphism_classes,
     order_group_by_cost,
-    score_groups,
 )
 
 __all__ = [
@@ -37,7 +35,6 @@ __all__ = [
     "CostState",
     "DEFAULT_BUDGET",
     "PlanReport",
-    "PlannerError",
     "SearchResult",
     "affinity_groups",
     "anneal_order",

@@ -92,7 +92,6 @@ def plan_order(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     cost_model: CostModel | None = None,
-    cache_aware: bool = False,
     cache: "QuotientCache | None" = None,
     reduction: str = "strong",
 ) -> tuple[CompositionOrder, PlanReport]:
@@ -115,20 +114,18 @@ def plan_order(
         Override the default :class:`CostModel` — pass one built with other
         :class:`~repro.planner.CostParameters` to plan with other damping
         factors.
-    cache_aware:
-        Price the internal fold of the second-through-N-th copy of an
-        isomorphic sibling group at ~0 — the composer's quotient cache will
-        serve those copies.  Also folds each group's run of isomorphic
-        members into balanced nested pairs
-        (:func:`~repro.planner.search.pair_replicated_members`), so
-        within-group sibling pairs and above-leaf joins become cacheable.
-        ``Composer(order="auto", cache=...)`` sets this automatically.
     cache:
-        The composer's actual :class:`~repro.composer.cache.QuotientCache`,
-        when one exists.  With ``cache_aware`` set, its stored keys are
-        consulted (:func:`~repro.planner.search.warm_fold_keys`) so the
-        *first* copy of a group a pre-warmed shared cache already holds is
-        priced ~free too — not just the later replicas.
+        The composer's :class:`~repro.composer.cache.QuotientCache`, when
+        caching is on.  A cache makes the plan *cache-aware*: the internal
+        fold of the second-through-N-th copy of an isomorphic sibling group
+        is priced at ~0 (the cache will serve those copies), and each
+        group's run of isomorphic members is folded into balanced nested
+        pairs (:func:`~repro.planner.search.pair_replicated_members`), so
+        within-group sibling pairs and above-leaf joins become cacheable.
+        The cache's stored keys are consulted too
+        (:func:`~repro.planner.search.warm_fold_keys`), so the *first* copy
+        of a group a pre-warmed shared cache already holds is priced ~free
+        as well.
     reduction:
         The composer's reduction mode; it parameterises the cache result
         keys the warm-fold check looks up.  Ignored without a ``cache``.
@@ -141,14 +138,13 @@ def plan_order(
     if budget < 1:
         raise ValueError(f"plan_order budget must be >= 1, got {budget}")
     with telemetry_span(
-        "plan.order", budget=budget, seed=seed, cache_aware=cache_aware
+        "plan.order", budget=budget, seed=seed, cache_aware=cache is not None
     ) as plan_span:
         order, report = _plan_order_impl(
             translated,
             budget=budget,
             seed=seed,
             cost_model=cost_model,
-            cache_aware=cache_aware,
             cache=cache,
             reduction=reduction,
         )
@@ -169,7 +165,6 @@ def _plan_order_impl(
     budget: int,
     seed: int,
     cost_model: CostModel | None,
-    cache_aware: bool,
     cache: "QuotientCache | None",
     reduction: str,
 ) -> tuple[CompositionOrder, PlanReport]:
@@ -188,8 +183,9 @@ def _plan_order_impl(
     groups = [
         order_group_by_cost(model, group) for group in affinity_groups(translated)
     ]
+    cache_aware = cache is not None
     warm_folds: frozenset[tuple[str, ...]] = frozenset()
-    if cache_aware and cache is not None:
+    if cache_aware:
         warm_folds = warm_fold_keys(
             translated,
             scheduler,

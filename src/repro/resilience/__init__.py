@@ -4,7 +4,7 @@ The paper is about evaluating systems that survive component failures — and
 this package makes the *pipeline itself* survive the faults a long serial
 run meets:
 
-* :mod:`repro.resilience.faults` — a deterministic, seeded fault-injection
+* :mod:`repro.resilience.faults` — a deterministic fault-injection
   harness.  Injection points (cache-entry corruption, state-space blowup,
   sweep interruption) are consulted at fixed sites in the pipeline and fire
   according to an explicit :class:`~repro.resilience.faults.FaultPlan`, so

@@ -345,11 +345,7 @@ def load_cache(
                     continue
                 target.restore(key, entry)
                 loaded += 1
-            counters = document.get("counters", {})
-            target.hits += int(counters.get("hits", 0))
-            target.misses += int(counters.get("misses", 0))
-            target.stores += int(counters.get("stores", 0))
-            target.saved_seconds += float(counters.get("saved_seconds", 0.0))
+            target.restore_counters(document.get("counters", {}))
     return target, CacheLoadReport(
         path=str(path),
         loaded=loaded,

@@ -486,10 +486,6 @@ class SimulationEstimate:
     total_events: int = 0
 
     @property
-    def mean_availability(self) -> float:
-        return 1.0 - self.mean_unavailability
-
-    @property
     def reliability(self) -> float:
         return 1.0 - self.unreliability
 

@@ -63,6 +63,24 @@ def add_observability_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _StdoutHandler(logging.StreamHandler):
+    """A stream handler that writes to whatever ``sys.stdout`` is *now*.
+
+    The handler outlives the call that installed it, so binding the stream
+    object at install time would keep writing to a replaced stdout (a
+    ``contextlib.redirect_stdout`` block, a test's capture) after the next
+    in-process CLI run swapped it.
+    """
+
+    @property
+    def stream(self):
+        return sys.stdout
+
+    @stream.setter
+    def stream(self, value) -> None:
+        pass  # always the current sys.stdout
+
+
 def configure_logging(args: argparse.Namespace | None = None) -> logging.Logger:
     """Install the plain stdout handler and set the level from the flags.
 
@@ -71,7 +89,7 @@ def configure_logging(args: argparse.Namespace | None = None) -> logging.Logger:
     """
     logger = logging.getLogger(_LOGGER_ROOT)
     if not logger.handlers:
-        handler = logging.StreamHandler(sys.stdout)
+        handler = _StdoutHandler()
         handler.setFormatter(logging.Formatter("%(message)s"))
         logger.addHandler(handler)
         logger.propagate = False

@@ -10,7 +10,7 @@ Three layers:
   be served from the cache, both within one run and across the runs sharing
   a cache (the evaluator's availability + no-repair reliability pipelines);
 * **policy plumbing** — the ``cache=`` argument resolution, the persisted
-  step-key format, and the persisted cost-parameter loop of the planner.
+  step-key format and the pinned bytes of a leaf digest and a step key.
 """
 
 import dataclasses
@@ -27,11 +27,18 @@ from repro.casestudies.dds import (
     build_dds_model,
     dds_composition_order,
     dds_sweep_factory,
+    disk_name,
 )
 from repro.casestudies.dds import MISSION_TIME_HOURS as DDS_MISSION_TIME
 from repro.casestudies.rcs import build_rcs_modular_evaluator
 from repro.composer import Composer, QuotientCache, compose_model, resolve_cache
-from repro.composer.cache import StepPlan, StepSkeleton, _position_probe, structure_key
+from repro.composer.cache import (
+    StepPlan,
+    StepSkeleton,
+    _position_probe,
+    positional_form,
+    structure_key,
+)
 from repro.ctmc import steady_state_availability
 from repro.ioimc import IOIMC
 from repro.sweep import SweepConfig, run_sweep, verify_bit_identical
@@ -220,6 +227,25 @@ class TestResultKeyFormat:
         plan = StepPlan(base="0123abcd", slots=("a", "b"))
         key = QuotientCache.result_key(plan, reduction=reduction)
         assert key == plan.base + f"|{reduction}"
+
+    def test_leaf_digest_and_step_key_bytes_are_pinned(self):
+        # A persisted entry is found again only if the leaf fingerprint and
+        # the step key derived from it hash exactly the same bytes.
+        parameters = DDSParameters()
+        disk = translate_model(build_dds_model(parameters)).blocks[
+            disk_name(0, 0, parameters)
+        ]
+        digest, slots = positional_form(disk)
+        assert digest == (
+            "795308d4e254ada9babcaa70109c449ed6d75fc61ca94ec5b62a28767e9ece00"
+        )
+        assert slots == ("d_1.repaired", "d_1.failed.m1", "d_1.up")
+        translated, order = _small_dds(num_clusters=1)
+        cache = QuotientCache()
+        compose_model(translated, order=order, cache=cache)
+        assert next(iter(cache.entries())) == (
+            "931e24b4842b1ef2b11f65f3c0666481e494cf4796d26ee65bef8085d106ef78|strong"
+        )
 
 
 class TestRateReuse:

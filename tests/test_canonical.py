@@ -1,24 +1,18 @@
-"""Canonical fingerprints and renaming witnesses (:mod:`repro.ioimc.canonical`).
+"""Leaf fingerprints and renaming witnesses of the quotient cache.
 
-Hand-built isomorphic-but-relabelled automata must land on the same digest
-with a witness that genuinely maps one onto the other; anything that changes
-structure, kinds, rates or labels must change the digest.  The positional
-leaf form of :mod:`repro.composer.cache` is covered alongside, including its
-verification guard.
+:func:`repro.composer.cache.positional_form` gives every leaf block a
+name-free digest and its visible actions in slot order.  Hand-built
+relabelled replicas must land on the same digest, and pairing their slots
+must be a witness that genuinely maps one onto the other; anything that
+changes structure, kinds, rates or labels must change the digest.  The
+verification guard of :meth:`~repro.composer.cache.QuotientCache.leaf_fingerprint`
+is covered alongside.
 """
 
 import pytest
 
-from repro.composer.cache import QuotientCache, positional_form
-from repro.ioimc import (
-    IOIMC,
-    IOIMCBuilder,
-    Signature,
-    TAU,
-    canonical_form,
-    rebase_actions,
-    renaming_witness,
-)
+from repro.composer.cache import QuotientCache, positional_form, rebase_actions
+from repro.ioimc import IOIMC, IOIMCBuilder, Signature, TAU
 
 
 def _pump(fail: str, repair: str, rate: float = 0.25, *, name: str = "pump") -> IOIMC:
@@ -34,51 +28,43 @@ def _pump(fail: str, repair: str, rate: float = 0.25, *, name: str = "pump") -> 
     return builder.build()
 
 
+def _witness(source: IOIMC, target: IOIMC) -> dict[str, str]:
+    """The slot pairing of two leaves with equal positional digests."""
+    source_digest, source_slots = positional_form(source)
+    target_digest, target_slots = positional_form(target)
+    assert source_digest == target_digest
+    return dict(zip(source_slots, target_slots))
+
+
 class TestCanonicalForm:
+    """The positional form: the cache's one canonical (slot) coordinate
+    system for leaf blocks."""
+
     def test_relabelled_automata_share_a_digest(self):
         a = _pump("p1.failed", "p1.repaired", name="p1")
         b = _pump("p2.failed", "p2.repaired", name="p2")
-        fa, fb = canonical_form(a), canonical_form(b)
-        assert fa.digest == fb.digest
-        assert fa.num_states == b.num_states
+        assert positional_form(a)[0] == positional_form(b)[0]
 
     def test_witness_maps_slot_for_slot(self):
         a = _pump("p1.failed", "p1.repaired")
         b = _pump("p2.failed", "p2.repaired")
-        witness = renaming_witness(canonical_form(a), canonical_form(b))
-        assert witness == {"p1.failed": "p2.failed", "p1.repaired": "p2.repaired"}
+        assert _witness(a, b) == {"p1.failed": "p2.failed", "p1.repaired": "p2.repaired"}
 
     def test_rebase_through_witness_reproduces_the_target(self):
         a = _pump("p1.failed", "p1.repaired")
         b = _pump("p2.failed", "p2.repaired")
-        witness = renaming_witness(canonical_form(a), canonical_form(b))
-        rebased = rebase_actions(a, witness)
+        rebased = rebase_actions(a, _witness(a, b))
         assert rebased.signature == b.signature
         assert [sorted(row) for row in rebased.interactive] == [
             sorted(row) for row in b.interactive
         ]
         assert rebased.markovian == b.markovian
-        assert canonical_form(rebased).digest == canonical_form(b).digest
-
-    def test_state_permutation_does_not_change_the_digest(self):
-        base = _pump("f", "r")
-        signature = Signature.create(inputs={"r"}, outputs={"f"})
-        # The same automaton (incl. the input-enabling self-loops the
-        # builder materialises) with states listed in a different order.
-        permuted = IOIMC(
-            "permuted",
-            signature,
-            3,
-            2,  # "up" is now state 2
-            [[("r", 2)], [("f", 0), ("r", 1)], [("r", 2)]],  # wait, down, up
-            [[], [], [(0.25, 1)]],
-        )
-        assert canonical_form(base).digest == canonical_form(permuted).digest
+        assert positional_form(rebased) == positional_form(b)
 
     def test_rate_change_changes_the_digest(self):
         assert (
-            canonical_form(_pump("f", "r", 0.25)).digest
-            != canonical_form(_pump("f", "r", 0.3)).digest
+            positional_form(_pump("f", "r", 0.25))[0]
+            != positional_form(_pump("f", "r", 0.3))[0]
         )
 
     def test_kind_swap_changes_the_digest(self):
@@ -90,7 +76,7 @@ class TestCanonicalForm:
         swapped.markovian("up", 0.25, "down")
         swapped.interactive("down", "f", "wait")
         swapped.interactive("wait", "r", "up")
-        assert canonical_form(a).digest != canonical_form(swapped.build()).digest
+        assert positional_form(a)[0] != positional_form(swapped.build())[0]
 
     def test_labels_are_part_of_the_digest(self):
         plain = _pump("f", "r")
@@ -100,7 +86,7 @@ class TestCanonicalForm:
         builder.state("down", labels={"down"})
         builder.interactive("down", "f", "wait")
         builder.interactive("wait", "r", "up")
-        assert canonical_form(plain).digest != canonical_form(builder.build()).digest
+        assert positional_form(plain)[0] != positional_form(builder.build())[0]
 
     def test_structure_change_changes_the_digest(self):
         builder = IOIMCBuilder("extra", Signature.create(inputs={"r"}, outputs={"f"}))
@@ -109,7 +95,7 @@ class TestCanonicalForm:
         builder.interactive("down", "f", "wait")
         builder.interactive("wait", "r", "up")
         builder.interactive("down", "f", "up")  # an extra edge
-        assert canonical_form(_pump("f", "r")).digest != canonical_form(builder.build()).digest
+        assert positional_form(_pump("f", "r"))[0] != positional_form(builder.build())[0]
 
     def test_tau_is_pinned_and_never_in_the_witness(self):
         def with_tau(fail: str) -> IOIMC:
@@ -121,16 +107,19 @@ class TestCanonicalForm:
             builder.interactive("b", fail, "a")
             return builder.build()
 
-        fa, fb = canonical_form(with_tau("x.f")), canonical_form(with_tau("y.f"))
-        assert fa.digest == fb.digest
-        assert fa.internal_names == (TAU,)
-        witness = renaming_witness(fa, fb)
-        assert witness == {"x.f": "y.f"}  # tau maps implicitly to itself
+        a, b = with_tau("x.f"), with_tau("y.f")
+        assert positional_form(a)[0] == positional_form(b)[0]
+        assert positional_form(a)[1] == ("x.f",)  # tau holds no slot
+        assert _witness(a, b) == {"x.f": "y.f"}  # tau maps implicitly to itself
+        fingerprint = QuotientCache().leaf_fingerprint(a)
+        assert fingerprint is not None and TAU not in fingerprint.slots
 
     def test_no_witness_across_different_digests(self):
-        fa = canonical_form(_pump("f", "r", 0.25))
-        fb = canonical_form(_pump("f", "r", 0.5))
-        assert renaming_witness(fa, fb) is None
+        cache = QuotientCache()
+        slow = cache.leaf_fingerprint(_pump("f", "r", 0.25))
+        fast = cache.leaf_fingerprint(_pump("g", "s", 0.5))
+        # Different keys: no step of one is ever served to the other.
+        assert slow.key != fast.key
 
     def test_rebase_rejects_non_injective_renames(self):
         a = _pump("f", "r")

@@ -1,7 +1,5 @@
 """Tests for the paper's case studies (Section 5): DDS and RCS."""
 
-import logging
-
 import pytest
 
 from repro.casestudies import dds, rcs
@@ -160,59 +158,47 @@ class TestSerialOnly:
             entry_point(jobs)
 
 
-@pytest.fixture
-def cli_log(caplog):
-    """Capture the case-study CLI log (its logger does not propagate)."""
-    logger = logging.getLogger("repro.cli")
-    logger.addHandler(caplog.handler)
-    yield caplog
-    logger.removeHandler(caplog.handler)
-
-
 class TestCaseStudyCLIs:
     """End-to-end runs of the two ``main()`` entry points on small inputs."""
 
-    def test_dds_single_cluster(self, cli_log):
+    def test_dds_single_cluster(self, capsys):
         dds.main(["--clusters", "1"])
-        assert "  final CTMC: 50 states / 200 transitions" in cli_log.messages
-        assert "  availability          0.999998168" in cli_log.messages
-        assert "  reliability (5 weeks) 0.628324238" in cli_log.messages
+        lines = capsys.readouterr().out.splitlines()
+        assert "  final CTMC: 50 states / 200 transitions" in lines
+        assert "  availability          0.999998168" in lines
+        assert "  reliability (5 weeks) 0.628324238" in lines
 
-    def test_rcs_modular(self, cli_log):
+    def test_rcs_modular(self, capsys):
         rcs.main([])
+        lines = capsys.readouterr().out.splitlines()
         assert any(
-            message.startswith("  pump subsystem CTMC: 1164 states / 8928 transitions")
-            for message in cli_log.messages
+            line.startswith("  pump subsystem CTMC: 1164 states / 8928 transitions")
+            for line in lines
         )
-        assert "  unreliability  (50 h) 4.382500e-09" in cli_log.messages
+        assert "  unreliability  (50 h) 4.382500e-09" in lines
 
-    def test_dds_simulate_backend(self, cli_log):
+    def test_dds_simulate_backend(self, capsys):
         dds.main(
             [
                 "--clusters", "1", "--backend", "simulate", "--replications", "16",
                 "--sim-horizon", "2000", "--sim-seed", "3",
             ]
         )
-        assert "DDS (1 clusters), backend=simulate (RESTART)" in cli_log.messages
-        assert "  unavailability CI     0.000000e+00 ± 0.00e+00 (99%, n=16)" in (
-            cli_log.messages
-        )
-        assert "  reliability (5 weeks) 0.750000000" in cli_log.messages
+        lines = capsys.readouterr().out.splitlines()
+        assert "DDS (1 clusters), backend=simulate (RESTART)" in lines
+        assert "  unavailability CI     0.000000e+00 ± 0.00e+00 (99%, n=16)" in lines
+        assert "  reliability (5 weeks) 0.750000000" in lines
 
-    def test_dds_one_point_sweep(self, cli_log):
+    def test_dds_one_point_sweep(self, capsys):
         dds.main(
             [
                 "--clusters", "1", "--sweep", "--sweep-grid", "repair_rate=1.0",
                 "--no-importance",
             ]
         )
-        assert any(
-            message.startswith("dds sweep: 1 points, 8 evaluations")
-            for message in cli_log.messages
-        )
-        assert "  dU/d repair_rate: -3.680e-06 (elasticity -2.009)" in (
-            cli_log.messages
-        )
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("dds sweep: 1 points, 8 evaluations") for line in lines)
+        assert "  dU/d repair_rate: -3.680e-06 (elasticity -2.009)" in lines
 
 
 class TestCaseStudyCLIOptions:

@@ -6,8 +6,9 @@ hit/miss flags — to the same run with telemetry off.
 """
 
 import dataclasses
+import io
 import json
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stdout
 
 import pytest
 
@@ -26,7 +27,9 @@ from repro.telemetry import (
     MetricsRegistry,
     RunManifest,
     Telemetry,
+    configure_logging,
     current_telemetry,
+    get_logger,
     load_run,
     render_text,
     report_data,
@@ -185,9 +188,14 @@ class TestPipelineInstrumentation:
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters["cache.hits"] > 0
         assert counters["cache.misses"] > 0
-        summary = evaluator.cache.summary()
+        # The cache writes each lifetime counter and its telemetry twin
+        # together, so one fresh cache and one run read the same numbers.
+        cache = evaluator.cache
+        summary = cache.summary()
         assert counters["cache.hits"] == summary["hits"]
         assert counters["cache.misses"] == summary["misses"]
+        assert counters["cache.stores"] == cache.stores
+        assert counters["cache.saved_seconds"] == pytest.approx(cache.saved_seconds)
 
     def test_sweep_points_reuse_translated_blocks(self):
         factory = dds_sweep_factory()
@@ -269,6 +277,20 @@ class TestPipelineInstrumentation:
         assert [line.split() for line in table[1:3]] == [
             [str(cell) for cell in row] for row in expected
         ]
+
+
+class TestConsoleLogging:
+    def test_cli_log_follows_the_current_stdout(self):
+        """Each in-process CLI run writes to the stdout of its own scope,
+        not to the one the handler was first installed under."""
+        outputs = []
+        for run in range(2):
+            buffer = io.StringIO()
+            with redirect_stdout(buffer):
+                configure_logging()
+                get_logger("console_test").info(f"run {run}")
+            outputs.append(buffer.getvalue())
+        assert outputs == ["run 0\n", "run 1\n"]
 
 
 # --------------------------------------------------------------------------- #
