@@ -88,7 +88,9 @@ import numpy as np
 
 from ..ioimc import IOIMC, TAU
 from ..ioimc.actions import ActionKind, Signature, natural_sort_key
+from ..ioimc.composition import product_labels
 from ..ioimc.indexed import InteractiveCSR, MarkovianCSR, intern_actions
+from ..names import ProductNames
 from ..telemetry.trace import incr
 
 #: Kind codes of visible actions in the leaf and structure digests.
@@ -143,8 +145,9 @@ class StepSkeleton:
     and labels; ``origin[e]`` is the position, in the concatenated Markovian
     rate columns of the two operands, of the edge that Markovian edge ``e``
     copies; ``left_state``/``right_state`` are the operand states each state
-    was built from.  The sizes are those of the product, as a cold step
-    reports them.
+    was built from (the pair arrays of the result's
+    :class:`~repro.names.ProductNames`).  The sizes are those of the product,
+    as a cold step reports them.
     """
 
     template: IOIMC
@@ -163,10 +166,10 @@ class StepSkeleton:
     ) -> "StepSkeleton":
         """Run ``prefix`` once on position probes of the operands.
 
-        The probes carry each Markovian edge's 1-based position as its rate
-        and each state's index as its name, so the result's rate column is
-        the provenance map and its state names (``"left|right"``, as the
-        product writes them) are the operand-state pairs.
+        The probes carry each Markovian edge's 1-based position as its rate,
+        so the result's rate column is the provenance map; its name source
+        (the product's, with every later selection folded in) holds the
+        operand-state pairs.
         """
         left_edges = left.index().markovian_csr.num_edges
         result, states_before, transitions_before = prefix(
@@ -174,9 +177,7 @@ class StepSkeleton:
         )
         index = result.index()
         markovian = index.markovian_csr
-        pairs = np.array(
-            [name.split("|") for name in result.state_names], dtype=np.int64
-        )
+        pairs = result.name_source
         template = IOIMC.from_tables(
             result.name,
             result.signature,
@@ -187,8 +188,8 @@ class StepSkeleton:
         return cls(
             template=template,
             origin=markovian.rate.astype(np.int64) - 1,
-            left_state=pairs[:, 0],
-            right_state=pairs[:, 1],
+            left_state=pairs.left_index,
+            right_state=pairs.right_index,
             states_before=states_before,
             transitions_before=transitions_before,
         )
@@ -203,18 +204,6 @@ class StepSkeleton:
         rates = np.concatenate(
             [left.index().markovian_csr.rate, right.index().markovian_csr.rate]
         )[self.origin]
-        lefts = self.left_state.tolist()
-        rights = self.right_state.tolist()
-        left_names = [left.state_name(state) for state in left.states()]
-        right_names = [right.state_name(state) for state in right.states()]
-        names = [f"{left_names[l]}|{right_names[r]}" for l, r in zip(lefts, rights)]
-        labels: dict[int, frozenset[str]] = {}
-        if left.labels or right.labels:
-            empty: frozenset[str] = frozenset()
-            for state, (l, r) in enumerate(zip(lefts, rights)):
-                merged = left.labels.get(l, empty) | right.labels.get(r, empty)
-                if merged:
-                    labels[state] = merged
         template = self.template
         markovian = template.index().markovian_csr
         return IOIMC.from_tables(
@@ -223,8 +212,10 @@ class StepSkeleton:
             template.initial,
             template.index().interactive_csr,
             MarkovianCSR(markovian.indptr, markovian.source, rates, markovian.target),
-            labels,
-            names,
+            product_labels(left, right, self.left_state, self.right_state),
+            ProductNames(
+                left.name_source, right.name_source, self.left_state, self.right_state
+            ),
         )
 
 
@@ -258,8 +249,8 @@ def structure_key(left: IOIMC, right: IOIMC, hidden: list[str]) -> str:
 
 
 def _position_probe(automaton: IOIMC, first: int) -> IOIMC:
-    """``automaton`` with rates ``first + 1, first + 2, ...`` in edge order
-    and each state named by its index."""
+    """``automaton`` with rates ``first + 1, first + 2, ...`` in edge order,
+    unnamed and unlabelled."""
     index = automaton.index()
     markovian = index.markovian_csr
     positions = np.arange(
@@ -271,8 +262,6 @@ def _position_probe(automaton: IOIMC, first: int) -> IOIMC:
         automaton.initial,
         index.interactive_csr,
         MarkovianCSR(markovian.indptr, markovian.source, positions, markovian.target),
-        None,
-        [str(state) for state in automaton.states()],
     )
 
 
@@ -762,7 +751,7 @@ def rebase_actions(
         InteractiveCSR.from_edges(new_src, new_act, new_tgt, automaton.num_states),
         index.markovian_csr,
         automaton.labels,
-        automaton.state_names,
+        automaton.name_source,
     )
 
 

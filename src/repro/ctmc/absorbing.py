@@ -32,7 +32,7 @@ def make_absorbing(ctmc: CTMC, states: list[int] | set[int]) -> CTMC:
         target[keep],
         ctmc.initial_distribution,
         ctmc.labels,
-        ctmc.state_names,
+        ctmc.name_source,
     )
 
 

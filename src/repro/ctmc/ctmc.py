@@ -16,6 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from ..errors import ModelError
+from ..names import NameSource, as_name_source, name_of
 
 
 class CTMC:
@@ -40,7 +41,8 @@ class CTMC:
     labels:
         Mapping from state index to a set of atomic propositions.
     state_names:
-        Optional human readable state names.
+        Optional human readable state names: a sequence or a
+        :class:`~repro.names.NameSource`.
     """
 
     def __init__(
@@ -49,7 +51,7 @@ class CTMC:
         transitions: Iterable[tuple[int, float, int]],
         initial: int | Sequence[float] = 0,
         labels: Mapping[int, frozenset[str]] | None = None,
-        state_names: Sequence[str] | None = None,
+        state_names: Sequence[str] | NameSource | None = None,
     ) -> None:
         edges = list(transitions)
         source, rate, target = zip(*edges) if edges else ((), (), ())
@@ -64,7 +66,7 @@ class CTMC:
         target: np.ndarray,
         initial: int | Sequence[float] = 0,
         labels: Mapping[int, frozenset[str]] | None = None,
-        state_names: Sequence[str] | None = None,
+        state_names: Sequence[str] | NameSource | None = None,
     ) -> "CTMC":
         """Build a CTMC from flat per-edge columns without a Python loop.
 
@@ -85,7 +87,7 @@ class CTMC:
         target,
         initial: int | Sequence[float],
         labels: Mapping[int, frozenset[str]] | None,
-        state_names: Sequence[str] | None,
+        state_names: Sequence[str] | NameSource | None,
     ) -> None:
         """The one validating core behind both constructors.
 
@@ -145,8 +147,8 @@ class CTMC:
         self.labels: dict[int, frozenset[str]] = {
             state: frozenset(props) for state, props in (labels or {}).items() if props
         }
-        self.state_names = list(state_names) if state_names is not None else None
-        if self.state_names is not None and len(self.state_names) != num_states:
+        self.name_source = as_name_source(state_names)
+        if self.name_source is not None and len(self.name_source) != num_states:
             raise ModelError("need exactly one state name per state")
 
     # ------------------------------------------------------------------ #
@@ -160,11 +162,14 @@ class CTMC:
         """All states carrying the atomic proposition ``label``."""
         return [state for state in range(self.num_states) if label in self.label_of(state)]
 
+    @property
+    def state_names(self) -> list[str] | None:
+        """Every state's name, built on request (``None``: unnamed)."""
+        return None if self.name_source is None else self.name_source.names()
+
     def state_name(self, state: int) -> str:
         """Human readable name of ``state``."""
-        if self.state_names is not None:
-            return self.state_names[state]
-        return f"s{state}"
+        return name_of(self.name_source, state)
 
     @property
     def num_transitions(self) -> int:

@@ -36,6 +36,7 @@ import numpy as np
 from ..errors import NondeterminismError
 from ..ioimc import IOIMC
 from ..lumping.reductions import maximal_progress_cut
+from ..names import select
 from ..nputil import csr_indptr, unique_sorted
 from .ctmc import CTMC
 
@@ -127,7 +128,6 @@ def extract_ctmc(automaton: IOIMC) -> CTMC:
     for state, props in automaton.labels.items():
         if tangible_flags[state] and props:
             labels[int(tangible_of[state])] = frozenset(props)
-    names = [automaton.state_name(state) for state in tangible.tolist()]
     return CTMC.from_arrays(
         len(tangible),
         tangible_of[markovian_csr.source],
@@ -135,7 +135,7 @@ def extract_ctmc(automaton: IOIMC) -> CTMC:
         edge_target,
         resolve_tangible(automaton.initial),
         labels,
-        names,
+        select(automaton.name_source, tangible),
     )
 
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..lumping.partition import Partition, label_codes
 from ..lumping.refinement import rate_profile_codes, refine_partition_vectorized
+from ..names import select
 from ..nputil import csr_indptr, gather_row_indices, unique_sorted
 from ..telemetry.trace import span as telemetry_span
 from .ctmc import CTMC
@@ -86,7 +87,6 @@ def lump(ctmc: CTMC) -> CTMCLumpingResult:
         source, rate, target = ctmc.edge_arrays()
         picked = np.argsort(source, kind="stable")
         picked = picked[is_representative[source[picked]]]
-        representative = representative.tolist()
         quotient = CTMC.from_arrays(
             num_blocks,
             block_of[source[picked]],
@@ -95,10 +95,10 @@ def lump(ctmc: CTMC) -> CTMCLumpingResult:
             np.bincount(block_of, weights=ctmc.initial_distribution, minlength=num_blocks),
             {
                 block: ctmc.labels[state]
-                for block, state in enumerate(representative)
+                for block, state in enumerate(representative.tolist())
                 if state in ctmc.labels
             },
-            [ctmc.state_name(state) for state in representative],
+            select(ctmc.name_source, representative),
         )
         lump_span.set(blocks=num_blocks)
         return CTMCLumpingResult(quotient=quotient, block_of_state=tuple(partition.block_of))

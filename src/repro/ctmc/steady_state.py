@@ -153,11 +153,12 @@ def _gth(rates: np.ndarray) -> np.ndarray:
     """Grassmann-Taksar-Heyman elimination (no subtractions, very stable).
 
     Eliminating state ``n`` adds ``outer(col, row) / total`` to the leading
-    ``n x n`` block.  Only the rectangle spanned by the first and last
-    nonzero of ``col`` and of ``row`` is updated: every entry outside it
-    would receive ``(0.0 * x) / total == +0.0``, and adding that to a finite
-    non-negative entry leaves it unchanged, so the result is bit-identical
-    to the dense update at a fraction of the work on sparse chains.
+    ``n x n`` block.  Only the rows where ``col`` is nonzero are updated,
+    between the first and last nonzero column of ``row``: every entry
+    outside would receive ``(0.0 * x) / total == +0.0``, and adding that to
+    a finite non-negative entry leaves it unchanged, so the result is
+    bit-identical to the dense update at a fraction of the work on sparse
+    chains.
     """
     size = rates.shape[0]
     matrix = rates.copy().astype(float)
@@ -170,9 +171,8 @@ def _gth(rates: np.ndarray) -> np.ndarray:
         col, row = matrix[:n, n], matrix[n, :n]
         rows, cols = np.flatnonzero(col), np.flatnonzero(row)
         if rows.size and cols.size:
-            r0, r1 = rows[0], rows[-1] + 1
             c0, c1 = cols[0], cols[-1] + 1
-            matrix[r0:r1, c0:c1] += np.outer(col[r0:r1], row[c0:c1]) / total
+            matrix[rows, c0:c1] += np.outer(col[rows], row[c0:c1]) / total
         matrix[:n, n] /= total
     solution = np.zeros(size)
     solution[0] = 1.0

@@ -42,6 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import CompositionError
+from ..names import ProductNames
 from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices, unique_sorted
 from .indexed import InteractiveCSR, MarkovianCSR
 from .ioimc import IOIMC
@@ -77,25 +78,7 @@ def compose(
         left, right, maximal_progress=maximal_progress
     )
 
-    width = right.num_states
-    labels: dict[int, frozenset[str]] = {}
-    if left.labels or right.labels:
-        left_labels = left.labels
-        right_labels = right.labels
-        empty: frozenset[str] = frozenset()
-        for state, pair in enumerate(pairs):
-            left_state, right_state = divmod(pair, width)
-            merged = left_labels.get(left_state, empty) | right_labels.get(
-                right_state, empty
-            )
-            if merged:
-                labels[state] = merged
-    left_names = [left.state_name(state) for state in left.states()]
-    right_names = [right.state_name(state) for state in right.states()]
-    state_names = [
-        f"{left_names[pair // width]}|{right_names[pair % width]}" for pair in pairs
-    ]
-
+    lefts, rights = np.divmod(pairs, right.num_states)
     # The composed signature's action universe is exactly the (sorted) union
     # the batched engine interned, so the action ids line up.
     return IOIMC.from_tables(
@@ -104,21 +87,37 @@ def compose(
         0,
         interactive_csr,
         markovian_csr,
-        labels,
-        state_names,
+        product_labels(left, right, lefts, rights),
+        ProductNames(left.name_source, right.name_source, lefts, rights),
     )
+
+
+def product_labels(
+    left: IOIMC, right: IOIMC, lefts: np.ndarray, rights: np.ndarray
+) -> dict[int, frozenset[str]]:
+    """Per product state, the union of its operand states' labels (empty
+    sets omitted); state ``s`` pairs ``lefts[s]`` with ``rights[s]``."""
+    labels: dict[int, frozenset[str]] = {}
+    if left.labels or right.labels:
+        empty: frozenset[str] = frozenset()
+        for state, (l, r) in enumerate(zip(lefts.tolist(), rights.tolist())):
+            merged = left.labels.get(l, empty) | right.labels.get(r, empty)
+            if merged:
+                labels[state] = merged
+    return labels
 
 
 def _product_tables_batched(
     left: IOIMC, right: IOIMC, *, maximal_progress: bool = False
-) -> tuple[list[int], InteractiveCSR, MarkovianCSR]:
+) -> tuple[np.ndarray, InteractiveCSR, MarkovianCSR]:
     """Reachable product of two (input-enabled, compatible) I/O-IMCs.
 
     Returns ``(pairs, interactive_csr, markovian_csr)`` where ``pairs[s]``
-    is the ``int64`` pair code of composite state ``s`` (the initial state is
-    state 0) and the transition tables are flat CSR adjacency arrays.  States
-    are numbered in BFS-level order, codes ascending within a level.  With
-    ``maximal_progress`` unstable pairs get no Markovian moves.
+    is the pair code of composite state ``s`` (the initial state is state 0;
+    ``int32`` or ``int64``, as below) and the transition tables are flat CSR
+    adjacency arrays.  States are numbered in BFS-level order, codes
+    ascending within a level.  With ``maximal_progress`` unstable pairs get
+    no Markovian moves.
     """
     shared = left.signature.visible & right.signature.visible
     width = right.num_states
@@ -148,7 +147,8 @@ def _product_tables_batched(
     initial = np.array([left.initial * width + right.initial], dtype=code_dtype)
     known_codes = initial.copy()  # sorted pair codes
     known_ids = np.zeros(1, dtype=np.int64)  # composite state id per known code
-    pair_of_state = [int(initial[0])]
+    pair_chunks = [initial]  # pair codes of the composite states, by level
+    num_states = 1
 
     int_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (src, act, code)
     mkv_chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (src, rate, code)
@@ -255,8 +255,9 @@ def _product_tables_batched(
         position = np.minimum(position, len(known_codes) - 1)
         fresh = reached[known_codes[position] != reached]
         if len(fresh):
-            fresh_ids = len(pair_of_state) + np.arange(len(fresh), dtype=np.int64)
-            pair_of_state.extend(fresh.tolist())
+            fresh_ids = num_states + np.arange(len(fresh), dtype=np.int64)
+            pair_chunks.append(fresh)
+            num_states += len(fresh)
             insert_at = np.searchsorted(known_codes, fresh)
             known_codes = np.insert(known_codes, insert_at, fresh)
             known_ids = np.insert(known_ids, insert_at, fresh_ids)
@@ -269,9 +270,9 @@ def _product_tables_batched(
         int_chunks.append((src, act, known_ids[np.searchsorted(known_codes, code)]))
         mkv_chunks.append((msrc, mval, known_ids[np.searchsorted(known_codes, mcode)]))
 
-    interactive_csr = _csr_from_chunks(InteractiveCSR, int_chunks, len(pair_of_state))
-    markovian_csr = _csr_from_chunks(MarkovianCSR, mkv_chunks, len(pair_of_state))
-    return pair_of_state, interactive_csr, markovian_csr
+    interactive_csr = _csr_from_chunks(InteractiveCSR, int_chunks, num_states)
+    markovian_csr = _csr_from_chunks(MarkovianCSR, mkv_chunks, num_states)
+    return np.concatenate(pair_chunks), interactive_csr, markovian_csr
 
 
 class _ComponentEdges:

@@ -51,7 +51,7 @@ def hide(automaton: IOIMC, actions: Iterable[str]) -> IOIMC:
         InteractiveCSR(csr.indptr, csr.source, remap[csr.action], csr.target),
         index.markovian_csr,
         automaton.labels,
-        automaton.state_names,
+        automaton.name_source,
     )
 
 

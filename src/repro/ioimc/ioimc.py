@@ -8,12 +8,13 @@ transitions:
 * *Markovian* transitions, labelled with a rate ``lambda`` of an exponential
   delay.
 
-States are represented as integers ``0 .. num_states - 1``; an optional list
-of human readable state names can be attached for debugging and
-visualisation.  Each state may additionally carry a set of atomic
-propositions (*labels*) such as ``"down"`` — labels survive composition and
-minimisation and are used to identify system-failure states when the final
-model is converted into a labelled CTMC.
+States are represented as integers ``0 .. num_states - 1``; optional human
+readable state names can be attached for debugging and visualisation, as a
+lazy :mod:`~repro.names` source that builds the strings on request.  Each
+state may additionally carry a set of atomic propositions (*labels*) such
+as ``"down"`` — labels survive composition and minimisation and are used
+to identify system-failure states when the final model is converted into a
+labelled CTMC.
 
 The transitions are stored once, as the flat CSR columns of the automaton's
 :class:`~repro.ioimc.indexed.TransitionIndex`.  The per-state row tables
@@ -29,6 +30,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from ..errors import InputEnablednessError, ModelError
+from ..names import NameSource, as_name_source, name_of, select
 from ..nputil import (
     dedupe_packed_triples,
     gather_row_indices,
@@ -77,7 +79,8 @@ class IOIMC:
     labels:
         Optional mapping from state index to a set of atomic propositions.
     state_names:
-        Optional human readable state names (one per state).
+        Optional human readable state names (one per state): a sequence or
+        a :class:`~repro.names.NameSource`.
 
     The constructor converts the rows to CSR columns once, in row order, and
     validates them (:meth:`validate`).  The library's own transformations
@@ -90,7 +93,7 @@ class IOIMC:
         "num_states",
         "initial",
         "labels",
-        "state_names",
+        "name_source",
         "_index",
         # Lets identity-keyed memos (the quotient cache's leaf fingerprints)
         # refer to an automaton weakly.
@@ -106,7 +109,7 @@ class IOIMC:
         interactive: Sequence[Sequence[tuple[str, int]]],
         markovian: Sequence[Sequence[tuple[float, int]]],
         labels: Mapping[int, frozenset[str]] | None = None,
-        state_names: Sequence[str] | None = None,
+        state_names: Sequence[str] | NameSource | None = None,
     ) -> None:
         if num_states <= 0:
             raise ModelError("an I/O-IMC needs at least one state")
@@ -130,7 +133,7 @@ class IOIMC:
         labels = {
             state: frozenset(props) for state, props in (labels or {}).items() if props
         }
-        state_names = list(state_names) if state_names is not None else None
+        state_names = as_name_source(state_names)
         _check_tables(
             name,
             len(table.actions),
@@ -162,7 +165,7 @@ class IOIMC:
         interactive_csr: InteractiveCSR,
         markovian_csr: MarkovianCSR,
         labels: Mapping[int, frozenset[str]] | None = None,
-        state_names: list[str] | None = None,
+        state_names: NameSource | list[str] | None = None,
     ) -> "IOIMC":
         """Construct from CSR columns, without validation or copies.
 
@@ -201,7 +204,7 @@ class IOIMC:
         self.num_states = len(interactive_csr.indptr) - 1
         self.initial = initial
         self.labels = labels
-        self.state_names = state_names
+        self.name_source = as_name_source(state_names)
         self._index = TransitionIndex(signature, interactive_csr, markovian_csr)
 
     def index(self) -> TransitionIndex:
@@ -225,7 +228,7 @@ class IOIMC:
             index.interactive_csr,
             index.markovian_csr,
             self.labels,
-            self.state_names,
+            self.name_source,
         )
 
     # ------------------------------------------------------------------ #
@@ -258,11 +261,14 @@ class IOIMC:
         """Iterate over all state indices."""
         return range(self.num_states)
 
+    @property
+    def state_names(self) -> list[str] | None:
+        """Every state's name, built on request (``None``: unnamed)."""
+        return None if self.name_source is None else self.name_source.names()
+
     def state_name(self, state: int) -> str:
         """Human readable name of ``state`` (falls back to the index)."""
-        if self.state_names is not None:
-            return self.state_names[state]
-        return f"s{state}"
+        return name_of(self.name_source, state)
 
     def label_of(self, state: int) -> frozenset[str]:
         """Atomic propositions attached to ``state``."""
@@ -383,7 +389,7 @@ class IOIMC:
             ),
             index.markovian_csr,
             self.labels,
-            self.state_names,
+            self.name_source,
         )
 
     # ------------------------------------------------------------------ #
@@ -450,8 +456,8 @@ class IOIMC:
             rate_sum = np.bincount(pair_index, weights=markovian_csr.rate[picked])
             rate_src, rate_tgt = np.divmod(unique_pairs, num_new_states)
 
-        present = present.tolist()
-        representative = representative.tolist()
+        named_after = np.full(num_new_states, -1, dtype=np.int64)
+        named_after[present] = representative
         if union_labels:
             merged: dict[int, set[str]] = {}
             for old, props in self.labels.items():
@@ -460,12 +466,9 @@ class IOIMC:
         else:
             labels = {
                 new: self.labels[old]
-                for new, old in zip(present, representative)
+                for new, old in zip(present.tolist(), representative.tolist())
                 if old in self.labels
             }
-        names = [f"s{index}" for index in range(num_new_states)]
-        for new, old in zip(present, representative):
-            names[new] = self.state_name(old)
         return IOIMC.from_tables(
             self.name,
             self.signature,
@@ -473,7 +476,7 @@ class IOIMC:
             InteractiveCSR.from_edges(new_src, new_action, new_tgt, num_new_states),
             MarkovianCSR.from_edges(rate_src, rate_sum, rate_tgt, num_new_states),
             labels,
-            names,
+            select(self.name_source, named_after),
         )
 
     def restrict_to_reachable(self) -> "IOIMC":
@@ -507,11 +510,7 @@ class IOIMC:
             for old, props in self.labels.items()
             if reachable[old]
         }
-        names = (
-            [self.state_name(old) for old in order.tolist()]
-            if self.state_names
-            else None
-        )
+        names = None if self.name_source is None else select(self.name_source, order)
         restricted = IOIMC.from_tables(
             self.name,
             self.signature,
@@ -560,7 +559,7 @@ class IOIMC:
             self._index.interactive_csr,
             self._index.markovian_csr,
             self.labels,
-            self.state_names,
+            self.name_source,
         )
 
     # ------------------------------------------------------------------ #
@@ -605,7 +604,7 @@ def _check_tables(
     interactive: InteractiveCSR,
     markovian: MarkovianCSR,
     labels: Mapping[int, frozenset[str]],
-    state_names: Sequence[str] | None,
+    state_names: NameSource | None,
 ) -> None:
     """The validating core behind :meth:`IOIMC.__init__` and
     :meth:`IOIMC.validate` (see there)."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from ..ioimc import IOIMC
 from ..ioimc.indexed import InteractiveCSR, MarkovianCSR
+from ..names import select
 from ..nputil import csr_indptr, dedupe_packed_triples, gather_row_indices
 
 
@@ -49,7 +50,7 @@ def maximal_progress_cut(automaton: IOIMC) -> IOIMC:
             markovian_csr.target[keep],
         ),
         automaton.labels,
-        automaton.state_names,
+        automaton.name_source,
     )
 
 
@@ -146,8 +147,6 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
         for old, props in automaton.labels.items()
         if resolved[old] == old
     }
-    names = [automaton.state_name(old) for old in kept.tolist()]
-
     reduced = IOIMC.from_tables(
         automaton.name,
         automaton.signature,
@@ -155,7 +154,7 @@ def eliminate_vanishing_chains(automaton: IOIMC) -> IOIMC:
         InteractiveCSR.from_edges(new_src, action, new_tgt, num_kept),
         MarkovianCSR.from_edges(new_msrc, new_mrate, new_mtgt, num_kept),
         labels,
-        names,
+        select(automaton.name_source, kept),
     )
     return reduced.restrict_to_reachable()
 

@@ -116,9 +116,7 @@ def _entry_metadata(key: str, entry: CacheEntry) -> dict:
         "labels": {
             str(state): sorted(props) for state, props in automaton.labels.items()
         },
-        "state_names": list(automaton.state_names)
-        if automaton.state_names is not None
-        else None,
+        "state_names": automaton.state_names,
         "slots": list(entry.slots),
         "states_before": entry.states_before,
         "transitions_before": entry.transitions_before,
@@ -260,9 +258,7 @@ def _decode_entry(metadata: dict, archive) -> tuple[str, CacheEntry]:
             int(state): frozenset(props)
             for state, props in metadata["labels"].items()
         },
-        list(metadata["state_names"])
-        if metadata["state_names"] is not None
-        else None,
+        metadata["state_names"],
     )
     # The checksum is unkeyed, so a re-checksummed edit passes it: run the
     # constructor's structural checks before anything indexes the columns.

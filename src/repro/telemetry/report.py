@@ -13,7 +13,7 @@ JSON:
   ``compose.step`` span attributes when a run carries no metrics event);
 * a **state-space growth summary** — per composition pipeline (one row per
   ``compose.run``), the model name, the step count, the peak pre-reduction
-  intermediate size and the final CTMC size;
+  intermediate size, the final CTMC size and the run's peak RSS;
 * **throughput** — simulation/sweep rates when those subsystems ran.
 
 Usage (also exposed as ``python -m repro.telemetry``)::
@@ -202,6 +202,7 @@ def statespace_rows(run: RunData) -> list[dict]:
                     int(steps[-1].get("states_after", 0)) if steps else 0
                 ),
                 "final_ctmc_states": None if ctmc_states is None else int(ctmc_states),
+                "peak_rss_mb": attrs.get("peak_rss_mb"),
             }
         )
     return rows
@@ -338,7 +339,14 @@ def render_text(runs: list[RunData]) -> str:
             lines.append("state-space growth:")
             lines.extend(
                 _format_table(
-                    ["model", "steps", "peak_before", "last_after", "final_ctmc"],
+                    [
+                        "model",
+                        "steps",
+                        "peak_before",
+                        "last_after",
+                        "final_ctmc",
+                        "peak_rss_mb",
+                    ],
                     [
                         [
                             str(space["model"] or "-"),
@@ -346,6 +354,9 @@ def render_text(runs: list[RunData]) -> str:
                             str(space["peak_states_before_reduction"]),
                             str(space["last_states_after_reduction"]),
                             str(space["final_ctmc_states"] or "-"),
+                            "-"
+                            if space["peak_rss_mb"] is None
+                            else f"{space['peak_rss_mb']:.0f}",
                         ]
                         for space in spaces
                     ],

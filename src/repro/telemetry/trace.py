@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import resource
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -39,6 +40,10 @@ _CURRENT_SPAN: ContextVar[str | None] = ContextVar("repro_telemetry_span", defau
 #: Per-process span id sequence; combined with the pid so ids from
 #: different processes never collide.
 _SPAN_IDS = itertools.count(1)
+
+#: Spans that record ``peak_rss_mb`` when they close: the process's RSS
+#: high-water mark so far, which never falls (see docs/observability.md).
+_PEAK_RSS_SPANS = frozenset({"compose.run", "compose.step"})
 
 
 @dataclass
@@ -167,6 +172,11 @@ class Telemetry:
             yield record
         finally:
             record.duration_s = time.perf_counter() - started
+            if name in _PEAK_RSS_SPANS:
+                # ru_maxrss is in KiB on Linux.
+                record.attrs["peak_rss_mb"] = (
+                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+                )
             _CURRENT_SPAN.reset(token)
             self.sink.emit(record.to_event())
 

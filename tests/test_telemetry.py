@@ -274,9 +274,24 @@ class TestPipelineInstrumentation:
         assert [tuple(row[column] for column in columns) for row in rows] == expected
 
         table = render_text([run]).split("state-space growth:\n")[1].splitlines()
-        assert [line.split() for line in table[1:3]] == [
+        assert table[0].split()[-1] == "peak_rss_mb"
+        assert [line.split()[:-1] for line in table[1:3]] == [
             [str(cell) for cell in row] for row in expected
         ]
+        assert [line.split()[-1] for line in table[1:3]] == [
+            f"{row['peak_rss_mb']:.0f}" for row in rows
+        ]
+
+        # The RSS figure is a high-water mark read at span close: positive,
+        # and never falling from one closed step or pipeline to the next.
+        peaks = [
+            event["attrs"]["peak_rss_mb"]
+            for event in run.spans
+            if event["name"] in ("compose.step", "compose.run")
+        ]
+        assert len(peaks) == 56 + 47 + 2
+        assert peaks[0] > 0
+        assert peaks == sorted(peaks)
 
 
 class TestConsoleLogging:
