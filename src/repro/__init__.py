@@ -14,8 +14,8 @@ The package layout mirrors the paper's pipeline:
   composition and hiding;
 * :mod:`repro.lumping` — bisimulation minimisation and structural reductions;
 * :mod:`repro.composer` — compositional aggregation;
-* :mod:`repro.ctmc` — labelled CTMCs, steady-state/transient/absorbing
-  analysis and a CSL-style query layer;
+* :mod:`repro.ctmc` — labelled CTMCs and their steady-state, transient and
+  absorbing analysis;
 * :mod:`repro.analysis` — the end-to-end :class:`~repro.analysis.ArcadeEvaluator`;
 * :mod:`repro.distributions` — phase-type time-to-failure/repair distributions;
 * :mod:`repro.baselines` — the comparison points of Table 1 (a GSPN/SAN-style

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 from ..ctmc import CTMC, extract_ctmc, lump
 from ..errors import CompositionError, StateBudgetError
 from ..ioimc import IOIMC, Signature, compose, hide
+from ..names import rebind
 from ..lumping import (
     eliminate_vanishing_chains,
     maximal_progress_cut,
@@ -309,13 +310,7 @@ class Composer:
         if isinstance(self.order, str):  # validated to be "auto" in __init__
             from ..planner import plan_order  # late import: planner uses composer
 
-            # With a cache, the search prices the 2nd..N-th copy of an
-            # isomorphic sibling group at ~0 (the cache will serve them), and
-            # folds the cache already stores — from a shared pre-warmed
-            # cache — discount the *first* copy too.
-            order, self.plan_report = plan_order(
-                self.translated, cache=self.cache, reduction=self.reduction
-            )
+            order, self.plan_report = plan_order(self.translated)
             return order
         return self.order
 
@@ -454,7 +449,8 @@ class Composer:
             # run behaves identically with the cache on or off.
             self._check_budget(description, entry.states_before)
             # Cache hit: rebase the stored quotient onto this subtree's
-            # concrete signal names; no product, no refinement.
+            # concrete signal names, and name its states after this step's
+            # operands; no product, no refinement.
             rename = {
                 old: new for old, new in zip(entry.slots, plan.slots) if old != new
             }
@@ -462,6 +458,9 @@ class Composer:
                 composite = rebase_actions(entry.automaton, rename, name=description)
             else:
                 composite = entry.automaton.renamed(description)
+            composite.name_source = rebind(
+                composite.name_source, left.name_source, right.name_source
+            )
             # Net savings: what the original computation cost minus what
             # serving the hit just cost.  ``QuotientCache.saved_seconds``
             # accumulates exactly these per-hit amounts, so the lifetime

@@ -128,10 +128,10 @@ def hierarchical_order(
     leaf_groups:
         Ordered groups of *non-gate* block names (components, repair units,
         spare management units).  Group entries may themselves be nested
-        sequences — e.g. the balanced pairs of isomorphic siblings the
-        cache-aware planner emits — which are carried into the resulting
-        order verbatim, so the pair is composed (and reduced) before it
-        joins the group's fold.  Together the groups must cover every
+        sequences — e.g. balanced pairs of isomorphic siblings, whose
+        joins the quotient cache can then serve — which are carried into
+        the resulting order verbatim, so the pair is composed (and reduced)
+        before it joins the group's fold.  Together the groups must cover every
         non-gate block exactly once; the fault-tree gates created by the
         translator are inserted automatically.
     """

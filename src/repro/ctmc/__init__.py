@@ -5,8 +5,8 @@ The package provides the third stage of the Arcade evaluation pipeline
 labelled CTMC (:mod:`~repro.ctmc.extraction`) and the standard solution
 techniques for availability and reliability
 (:mod:`~repro.ctmc.steady_state`, :mod:`~repro.ctmc.transient`,
-:mod:`~repro.ctmc.absorbing`, :mod:`~repro.ctmc.measures`), plus the
-CSL-style query layer the paper lists as future work (:mod:`~repro.ctmc.csl`).
+:mod:`~repro.ctmc.absorbing`), from which :mod:`~repro.ctmc.measures`
+computes every measure the paper reports.
 """
 
 from .absorbing import make_absorbing, mean_time_to_failure, reliability, unreliability

@@ -147,6 +147,21 @@ def select(source: NameSource | None, index: np.ndarray) -> NameSource:
     return SelectedNames(source, index)
 
 
+def rebind(source: NameSource | None, left, right) -> NameSource | None:
+    """The names of a step result ``source``, over other operands' names.
+
+    A product, and any selection of one, keeps its index arrays and reads
+    its operand names from ``left`` and ``right`` instead: a cache hit
+    names its states after the operands it joins, as a cold step does.
+    Any other source (an explicit list) is returned as is.
+    """
+    if isinstance(source, ProductNames):
+        return ProductNames(left, right, source.left_index, source.right_index)
+    if isinstance(source, SelectedNames):
+        return SelectedNames(rebind(source.parent, left, right), source.index)
+    return source
+
+
 __all__ = [
     "ListNames",
     "NameSource",
@@ -155,5 +170,6 @@ __all__ = [
     "as_name_source",
     "name_of",
     "names_at",
+    "rebind",
     "select",
 ]

@@ -14,6 +14,10 @@ hand-craft a hierarchical decomposition:
 * :mod:`repro.planner.planner` — the :func:`plan_order` facade, wired into
   the stack as ``Composer(order="auto")`` / ``compose_model(order="auto")``
   and the ``--order auto`` flag of the case-study CLIs.
+
+A plan reads the translated model and nothing else — in particular not the
+composer's quotient cache — so ``order="auto"`` composes one order per
+model, with the cache on or off.
 """
 
 from .costmodel import CostModel, CostParameters, CostState

@@ -76,7 +76,6 @@ class CostModel:
         translated: TranslatedModel,
         parameters: CostParameters | None = None,
     ) -> None:
-        self.translated = translated
         self.parameters = parameters or CostParameters()
         blocks = translated.blocks
         self._block_states: dict[str, float] = {
@@ -96,11 +95,6 @@ class CostModel:
             for action in self._emitter_of
         }
         self._leaf_cache: dict[str, CostState] = {}
-        #: Positional forms of the leaf blocks (filled lazily by
-        #: :meth:`block_fingerprint`): the isomorphism-aware search asks for
-        #: the same digests when classifying sibling groups and when scoring
-        #: cache-aware chains, so they are memoised once per model.
-        self._block_fingerprints: dict[str, tuple[str, tuple[str, ...]]] = {}
         #: The signal-set half of :meth:`combine` — shared count, newly
         #: hidable count, resulting visible set — is a pure function of the
         #: two operands' block sets, so it is memoised; the beam and the
@@ -114,22 +108,6 @@ class CostModel:
     # ------------------------------------------------------------------ #
     # incremental estimation (the search's inner loop)
     # ------------------------------------------------------------------ #
-    def block_fingerprint(self, name: str) -> tuple[str, tuple[str, ...]]:
-        """Positional form ``(digest, slots)`` of one leaf block (memoised).
-
-        Structure up to signal renaming
-        (:func:`repro.composer.cache.positional_form`): equal digests mark
-        the replicated blocks the isomorphism-aware search treats as
-        interchangeable, and the slot lists let it compare their wiring.
-        """
-        fingerprint = self._block_fingerprints.get(name)
-        if fingerprint is None:
-            from ..composer.cache import positional_form
-
-            fingerprint = positional_form(self.translated.blocks[name])
-            self._block_fingerprints[name] = fingerprint
-        return fingerprint
-
     def leaf(self, name: str) -> CostState:
         """Cost state of a single, not-yet-composed block (cached)."""
         state = self._leaf_cache.get(name)

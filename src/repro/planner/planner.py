@@ -17,7 +17,8 @@ refine the winner by simulated annealing over leaf permutations, and
 materialise the result as a nested order through
 :func:`repro.composer.hierarchical_order`, so the planned order gets the
 same group-then-join structure (and earliest-hiding gate placement) as the
-paper's hand-written decompositions.
+paper's hand-written decompositions.  The plan is a function of the model,
+budget and seed alone; the composer's quotient cache plays no part in it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 
 from ..arcade.semantics import TranslatedModel
 from ..composer import CompositionOrder, hierarchical_order
-from ..composer.cache import QuotientCache
 from ..composer.ordering import GateScheduler
 from ..telemetry.trace import span as telemetry_span
 from .costmodel import CostModel
@@ -41,9 +41,7 @@ from .search import (
     gate_tree_group_order,
     group_isomorphism_classes,
     order_group_by_cost,
-    pair_replicated_members,
     score_groups,
-    warm_fold_keys,
 )
 
 #: Default search budget, in candidate-order evaluations.  Sized so that
@@ -92,8 +90,6 @@ def plan_order(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     cost_model: CostModel | None = None,
-    cache: "QuotientCache | None" = None,
-    reduction: str = "strong",
 ) -> tuple[CompositionOrder, PlanReport]:
     """Search for a good composition order for ``translated``.
 
@@ -114,21 +110,6 @@ def plan_order(
         Override the default :class:`CostModel` — pass one built with other
         :class:`~repro.planner.CostParameters` to plan with other damping
         factors.
-    cache:
-        The composer's :class:`~repro.composer.cache.QuotientCache`, when
-        caching is on.  A cache makes the plan *cache-aware*: the internal
-        fold of the second-through-N-th copy of an isomorphic sibling group
-        is priced at ~0 (the cache will serve those copies), and each
-        group's run of isomorphic members is folded into balanced nested
-        pairs (:func:`~repro.planner.search.pair_replicated_members`), so
-        within-group sibling pairs and above-leaf joins become cacheable.
-        The cache's stored keys are consulted too
-        (:func:`~repro.planner.search.warm_fold_keys`), so the *first* copy
-        of a group a pre-warmed shared cache already holds is priced ~free
-        as well.
-    reduction:
-        The composer's reduction mode; it parameterises the cache result
-        keys the warm-fold check looks up.  Ignored without a ``cache``.
 
     Returns
     -------
@@ -137,16 +118,9 @@ def plan_order(
     """
     if budget < 1:
         raise ValueError(f"plan_order budget must be >= 1, got {budget}")
-    with telemetry_span(
-        "plan.order", budget=budget, seed=seed, cache_aware=cache is not None
-    ) as plan_span:
+    with telemetry_span("plan.order", budget=budget, seed=seed) as plan_span:
         order, report = _plan_order_impl(
-            translated,
-            budget=budget,
-            seed=seed,
-            cost_model=cost_model,
-            cache=cache,
-            reduction=reduction,
+            translated, budget=budget, seed=seed, cost_model=cost_model
         )
         plan_span.set(
             predicted_peak_states=report.predicted_peak_states,
@@ -165,8 +139,6 @@ def _plan_order_impl(
     budget: int,
     seed: int,
     cost_model: CostModel | None,
-    cache: "QuotientCache | None",
-    reduction: str,
 ) -> tuple[CompositionOrder, PlanReport]:
     """The search itself (see :func:`plan_order`, the traced facade)."""
     started = time.perf_counter()
@@ -183,31 +155,14 @@ def _plan_order_impl(
     groups = [
         order_group_by_cost(model, group) for group in affinity_groups(translated)
     ]
-    cache_aware = cache is not None
-    warm_folds: frozenset[tuple[str, ...]] = frozenset()
-    if cache_aware:
-        warm_folds = warm_fold_keys(
-            translated,
-            scheduler,
-            model,
-            groups,
-            cache,
-            reduction=reduction,
-        )
     if len(groups) > 1:
         # Isomorphic sibling groups (the replicated subsystems) collapse the
         # beam's branching: only one representative per class is tried at
         # every extension point, so planning effort grows linearly — not
         # factorially — with the replica count.
-        iso_classes = group_isomorphism_classes(translated, groups, model=model)
+        iso_classes = group_isomorphism_classes(translated, groups)
         best, explored = beam_search_groups(
-            model,
-            scheduler,
-            groups,
-            width=beam_width,
-            iso_classes=iso_classes,
-            cache_aware=cache_aware,
-            warm_folds=warm_folds,
+            model, scheduler, groups, width=beam_width, iso_classes=iso_classes
         )
         # Second candidate: chain the groups along a depth-first walk of the
         # fault tree (the structure of the paper's hand-written orders),
@@ -217,9 +172,7 @@ def _plan_order_impl(
             tuple(groups[index])
             for index in gate_tree_group_order(scheduler, groups)
         )
-        tree_cost = score_groups(
-            model, scheduler, tree_groups, cache_aware=cache_aware, warm_folds=warm_folds
-        )
+        tree_cost = score_groups(model, scheduler, tree_groups)
         explored += 1
         if (tree_cost.peak, tree_cost.total) < best.score:
             best = SearchResult(groups=tree_groups, cost=tree_cost, explored=explored)
@@ -234,9 +187,7 @@ def _plan_order_impl(
     greedy_groups = tuple(
         (name,) for name in greedy_order if name not in scheduler.gate_names
     )
-    greedy_cost = score_groups(
-        model, scheduler, greedy_groups, cache_aware=cache_aware, warm_folds=warm_folds
-    )
+    greedy_cost = score_groups(model, scheduler, greedy_groups)
     explored += 1
     if (greedy_cost.peak, greedy_cost.total) < best.score:
         best = SearchResult(groups=greedy_groups, cost=greedy_cost, explored=explored)
@@ -250,8 +201,6 @@ def _plan_order_impl(
             best.groups,
             iterations=annealing_iterations,
             rng=rng,
-            cache_aware=cache_aware,
-            warm_folds=warm_folds,
         )
         explored += annealed_explored
         # The cost model is a ranking device, not a measurement: near-ties
@@ -262,16 +211,7 @@ def _plan_order_impl(
         if annealed.cost.peak < _ANNEALING_MARGIN * best.cost.peak:
             best = annealed
 
-    # Materialise.  Under cache-aware planning the runs of isomorphic members
-    # inside every group are folded as balanced nested pairs (mirroring the
-    # translator's balanced gate trees), so sibling pairs — and the joins of
-    # pairs of pairs — become cache-served steps above the leaf level.
-    leaf_groups: list[list] = [list(group) for group in best.groups]
-    if cache_aware:
-        leaf_groups = [
-            pair_replicated_members(model, group) for group in leaf_groups
-        ]
-    order = hierarchical_order(translated, leaf_groups)
+    order = hierarchical_order(translated, [list(group) for group in best.groups])
     report = PlanReport(
         predicted_peak_states=best.cost.peak,
         predicted_total_states=best.cost.total,

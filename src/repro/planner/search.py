@@ -38,14 +38,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..arcade.semantics import TranslatedModel
-from ..composer.cache import (
-    QuotientCache,
-    SubtreeFingerprint,
-    positional_form,
-)
+from ..composer.cache import positional_form
 from ..composer.ordering import GateScheduler
 from ..ioimc.actions import natural_sort_key
 from .costmodel import CostModel, CostState
@@ -147,10 +143,7 @@ def _greedy_group_order(members: list[str], visible: dict[str, frozenset[str]]) 
 
 
 def group_isomorphism_classes(
-    translated: TranslatedModel,
-    groups: list[list[str]],
-    *,
-    model: CostModel | None = None,
+    translated: TranslatedModel, groups: list[list[str]]
 ) -> list[int]:
     """Isomorphism-class id per affinity group (first-occurrence numbering).
 
@@ -166,36 +159,21 @@ def group_isomorphism_classes(
     extra functional dependency) are not interchangeable and must not share
     a class.  On the case studies this recognises exactly the replicated
     subsystems — the DDS disk clusters, the controller sets — whose
-    second-through-N-th copies the quotient cache serves for free: the
-    beam search canonicalises their chaining order and the cache-aware cost
-    model prices the copies at ~0.
-
-    ``model`` supplies memoised positional forms
-    (:meth:`~repro.planner.costmodel.CostModel.block_fingerprint`); without
-    one they are computed locally.
+    chaining order the beam search canonicalises.
     """
-    if model is not None:
-        fingerprint_of = model.block_fingerprint
-    else:
-        blocks = translated.blocks
-        local: dict[str, tuple[str, tuple[str, ...]]] = {}
-
-        def fingerprint_of(name: str) -> tuple[str, tuple[str, ...]]:
-            cached = local.get(name)
-            if cached is None:
-                cached = positional_form(blocks[name])
-                local[name] = cached
-            return cached
-
+    blocks = translated.blocks
+    fingerprint_of = {
+        name: positional_form(blocks[name]) for group in groups for name in group
+    }
     emitter_of: dict[str, str] = {}
-    for name, block in translated.blocks.items():
+    for name, block in blocks.items():
         for action in block.signature.outputs:
             emitter_of[action] = name
 
     class_of: dict[tuple, int] = {}
     classes: list[int] = []
     for group in groups:
-        fingerprints = [fingerprint_of(name) for name in group]
+        fingerprints = [fingerprint_of[name] for name in group]
         group_set = set(group)
         slot_index = [
             {signal: position for position, signal in enumerate(slots)}
@@ -306,86 +284,23 @@ def order_group_by_cost(
     return best_sequence
 
 
-def pair_replicated_members(model: CostModel, group) -> list:
-    """Balance runs of isomorphic members of a group into nested pair trees.
-
-    A left-deep fold of ``[d1, d2, d3, d4, rep]`` gives every step a
-    distinct shape (``d1||d2``, ``(d1d2)||d3``, ...), so only whole-group
-    replicas are cacheable.  Pairing each maximal run of members with equal
-    positional digests into a balanced tree — ``[[[d1,d2],[d3,d4]], rep]``
-    — makes the run's sibling pairs identical steps: ``d3||d4`` hits
-    ``d1||d2`` within the group, and the pair-of-pairs join carries an
-    algebraically derivable composite x composite key that replicated
-    sibling groups (the other disk clusters) hit above the leaf level.
-    This mirrors the balanced binary gate trees the translator builds, so
-    the pairing follows the fault tree's own grouping.  Members outside a
-    run (and runs of one) pass through unchanged; the flattened leaf
-    sequence is exactly the input group.
-    """
-    members = list(group)
-    digests = [model.block_fingerprint(name)[0] for name in members]
-    paired: list = []
-    start = 0
-    while start < len(members):
-        stop = start + 1
-        while stop < len(members) and digests[stop] == digests[start]:
-            stop += 1
-        if stop - start == 1:
-            paired.append(members[start])
-        else:
-            paired.append(_balanced_tree(members[start:stop]))
-        start = stop
-    return paired
-
-
-def _balanced_tree(run: list):
-    """One balanced nested tree over a run: ``[a,b,c,d,e] -> [[[a,b],[c,d]], e]``."""
-    level: list = list(run)
-    while len(level) > 1:
-        level = [
-            [level[i], level[i + 1]] if i + 1 < len(level) else level[i]
-            for i in range(0, len(level), 2)
-        ]
-    return level[0]
-
-
 # --------------------------------------------------------------------------- #
 # scoring
 # --------------------------------------------------------------------------- #
-def _discounted(state: CostState) -> CostState:
-    """A group fold's cost state with its own peak/total priced at ~0.
-
-    Used by the cache-aware search: the second-through-N-th copy of an
-    isomorphic group is served from the quotient cache, so its internal
-    fold contributes no intermediate products — only the join to the
-    accumulated composite still costs.
-    """
-    return replace(state, peak=0.0, total=0.0)
-
-
 def score_groups(
     model: CostModel,
     scheduler: GateScheduler,
     groups: tuple[tuple[str, ...], ...],
-    *,
-    cache_aware: bool = False,
-    warm_folds: frozenset[tuple[str, ...]] = frozenset(),
 ) -> CostState:
     """Score a group chain under :func:`hierarchical_order`'s nested semantics.
 
     Every group is folded (and its inner gates appended) on its own, then
     joined to the accumulated composite; gates spanning several groups are
-    composed at the join as soon as their leaves are covered.  With
-    ``cache_aware`` the internal fold of a group whose member sequence
-    repeats an earlier group (same leaf automata structure — a replicated
-    subsystem) is priced at ~0: the quotient cache will serve it.
-    ``warm_folds`` (from :func:`warm_fold_keys`) extends the discount to the
-    *first* copy of a group whose fold a pre-warmed cache already stores.
+    composed at the join as soon as their leaves are covered.
     """
     unassigned = set(scheduler.gate_names)
     cumulative: set[str] = set()
     accumulated: CostState | None = None
-    seen_folds: set[tuple[str, ...]] = set()
     for group in groups:
         group_set = set(group)
         cumulative |= group_set
@@ -399,12 +314,6 @@ def score_groups(
         for gate in inner:
             state = model.combine(state, model.leaf(gate))
         assert state is not None, "empty group in candidate order"
-        if cache_aware:
-            fold_key = _fold_key(model, group)
-            if fold_key in seen_folds or fold_key in warm_folds:
-                state = _discounted(state)
-            else:
-                seen_folds.add(fold_key)
         accumulated = (
             state if accumulated is None else model.combine(accumulated, state)
         )
@@ -414,124 +323,6 @@ def score_groups(
             accumulated = model.combine(accumulated, model.leaf(gate))
     assert accumulated is not None, "cannot score an empty group chain"
     return accumulated
-
-
-def _fold_key(model: CostModel, group: tuple[str, ...]) -> tuple[str, ...]:
-    """Replication key of one group's internal fold for cache-aware scoring.
-
-    The positional digests of the member blocks, in fold order — matching
-    the digest half of :func:`group_isomorphism_classes` — so replicated
-    groups share a key.  Served from the cost model's memoised fingerprints
-    (the annealer re-scores whole chains per iteration).
-    """
-    return tuple(model.block_fingerprint(name)[0] for name in group)
-
-
-class _ColdFold(Exception):
-    """Raised when a simulated fold leaves the cache's stored keys."""
-
-
-def _simulate_subtree(
-    translated: TranslatedModel,
-    cache: QuotientCache,
-    item,
-    *,
-    reduction: str,
-) -> tuple[SubtreeFingerprint, set[str], set[str], int]:
-    """Walk one (possibly nested) order item through the cache's key algebra.
-
-    Mirrors ``Composer._compose_group`` — same member fold, same
-    earliest-hiding rule against the full-model listener table, same step
-    keys — but over fingerprints only: no product is ever built.  Returns
-    ``(fingerprint, blocks, open outputs, steps simulated)``; raises
-    :class:`_ColdFold` as soon as a step's result key is not stored.
-    """
-    if isinstance(item, str):
-        block = translated.blocks.get(item)
-        fingerprint = cache.leaf_fingerprint(block) if block is not None else None
-        if fingerprint is None:
-            raise _ColdFold
-        return fingerprint, {item}, set(block.signature.outputs), 0
-    members = list(item)
-    if not members:
-        raise _ColdFold
-    left, blocks, outputs, steps = _simulate_subtree(
-        translated, cache, members[0], reduction=reduction
-    )
-    for member in members[1:]:
-        right, right_blocks, right_outputs, right_steps = _simulate_subtree(
-            translated, cache, member, reduction=reduction
-        )
-        blocks |= right_blocks
-        steps += right_steps
-        combined = outputs | right_outputs
-        hidable = sorted(
-            action
-            for action in combined
-            if translated.listeners_of(action) <= blocks
-        )
-        plan = cache.plan_step(left, right, hidable)
-        if plan is None:
-            raise _ColdFold
-        key = QuotientCache.result_key(plan, reduction=reduction)
-        if cache.get(key) is None:
-            raise _ColdFold
-        left = SubtreeFingerprint(key, plan.slots)
-        outputs = combined - set(hidable)
-        steps += 1
-    return left, blocks, outputs, steps
-
-
-def warm_fold_keys(
-    translated: TranslatedModel,
-    scheduler: GateScheduler,
-    model: CostModel,
-    groups: list[list[str]],
-    cache: QuotientCache | None,
-    *,
-    reduction: str,
-) -> frozenset[tuple[str, ...]]:
-    """Fold keys of groups whose whole in-group fold the cache already holds.
-
-    The plain cache-aware pricing assumes an empty cache: only the
-    2nd..N-th isomorphic copy of a group is discounted.  With a pre-warmed
-    shared cache (a sweep re-run, an evaluator's second pipeline) the
-    *first* copy is just as free — every one of its steps is served.  This
-    simulates each group's in-group fold (members plus inner gates, in both
-    the balanced-paired shape the planner emits and the flat fold) against
-    the cache's stored keys via :func:`_simulate_subtree`; a group whose
-    complete fold is stored contributes its :func:`_fold_key` to the
-    returned set, which the searches then discount on first use too.
-    """
-    if cache is None:
-        return frozenset()
-    warm: set[tuple[str, ...]] = set()
-    checked: set[tuple[str, ...]] = set()
-    inner_assigned: set[str] = set()
-    for group in groups:
-        group_set = frozenset(group)
-        inner = scheduler.ready_gates(
-            set(scheduler.gate_names) - inner_assigned, group_set
-        )
-        inner_assigned.update(inner)
-        fold_key = _fold_key(model, tuple(group))
-        if fold_key in checked:
-            continue
-        checked.add(fold_key)
-        paired = pair_replicated_members(model, group) + list(inner)
-        flat = list(group) + list(inner)
-        candidates = [paired] if paired == flat else [paired, flat]
-        for members in candidates:
-            try:
-                *_, steps = _simulate_subtree(
-                    translated, cache, members, reduction=reduction
-                )
-            except _ColdFold:
-                continue
-            if steps > 0:
-                warm.add(fold_key)
-            break
-    return frozenset(warm)
 
 
 # --------------------------------------------------------------------------- #
@@ -544,8 +335,6 @@ def beam_search_groups(
     *,
     width: int = 6,
     iso_classes: list[int] | None = None,
-    cache_aware: bool = False,
-    warm_folds: frozenset[tuple[str, ...]] = frozenset(),
 ) -> tuple[SearchResult, int]:
     """Beam search over the left-deep chaining order of affinity groups.
 
@@ -562,11 +351,7 @@ def beam_search_groups(
     the replicas in — is tried, so the beam never explores the
     ``k!`` interchangeable permutations of replicated subsystems and the
     number of candidates grows linearly, not quadratically, with the
-    replica count.  ``cache_aware`` additionally prices the internal fold
-    of the second-through-N-th copy of a class at ~0 (the quotient cache
-    serves it), so symmetric replicas stop dominating the predicted cost;
-    ``warm_folds`` extends that discount to the first copy of any group
-    whose fold a pre-warmed shared cache already stores.
+    replica count.
     """
     explored = 0
     # Per group: its folded cost state (inner gates included) and leaf set.
@@ -590,11 +375,6 @@ def beam_search_groups(
         group_states.append(state)
         group_sets.append(group_set)
     spanning = frozenset(scheduler.gate_names) - inner_assigned
-    warm_indices = {
-        index
-        for index, group in enumerate(groups)
-        if _fold_key(model, tuple(group)) in warm_folds
-    }
 
     if iso_classes is None:
         iso_classes = list(range(len(groups)))
@@ -626,13 +406,6 @@ def beam_search_groups(
             for index in eligible:
                 new_cumulative = cumulative | group_sets[index]
                 group_state = group_states[index]
-                if cache_aware and (
-                    index in warm_indices
-                    or any(
-                        iso_classes[other] == iso_classes[index] for other in chosen
-                    )
-                ):
-                    group_state = _discounted(group_state)
                 new_state = (
                     group_state
                     if state is None
@@ -764,8 +537,6 @@ def anneal_order(
     rng: random.Random,
     initial_temperature: float = 0.6,
     final_temperature: float = 0.02,
-    cache_aware: bool = False,
-    warm_folds: frozenset[tuple[str, ...]] = frozenset(),
 ) -> tuple[SearchResult, int]:
     """Refine a group chain by simulated annealing over leaf permutations.
 
@@ -775,9 +546,7 @@ def anneal_order(
     best candidate seen and the number of candidates scored.
     """
     current = tuple(tuple(group) for group in start)
-    current_cost = score_groups(
-        model, scheduler, current, cache_aware=cache_aware, warm_folds=warm_folds
-    )
+    current_cost = score_groups(model, scheduler, current)
     current_energy = _energy(current_cost)
     best, best_cost = current, current_cost
     explored = 0
@@ -791,9 +560,7 @@ def anneal_order(
         candidate = _mutate(current, rng)
         if candidate is None:
             continue
-        candidate_cost = score_groups(
-            model, scheduler, candidate, cache_aware=cache_aware, warm_folds=warm_folds
-        )
+        candidate_cost = score_groups(model, scheduler, candidate)
         explored += 1
         candidate_energy = _energy(candidate_cost)
         delta = candidate_energy - current_energy
@@ -858,7 +625,5 @@ __all__ = [
     "gate_tree_group_order",
     "group_isomorphism_classes",
     "order_group_by_cost",
-    "pair_replicated_members",
     "score_groups",
-    "warm_fold_keys",
 ]

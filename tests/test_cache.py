@@ -26,12 +26,19 @@ from repro.casestudies.dds import (
     build_dds_evaluator,
     build_dds_model,
     dds_composition_order,
+    dds_subsystem_groups,
     dds_sweep_factory,
     disk_name,
 )
 from repro.casestudies.dds import MISSION_TIME_HOURS as DDS_MISSION_TIME
 from repro.casestudies.rcs import build_rcs_modular_evaluator
-from repro.composer import Composer, QuotientCache, compose_model, resolve_cache
+from repro.composer import (
+    Composer,
+    QuotientCache,
+    compose_model,
+    hierarchical_order,
+    resolve_cache,
+)
 from repro.composer.cache import (
     StepPlan,
     StepSkeleton,
@@ -103,11 +110,21 @@ class TestCachedPipelineIsBitIdentical:
 
 
 class TestAboveLeafCacheHits:
-    def test_auto_order_records_a_composite_level_hit(self):
-        """Planner pairing makes at least one above-leaf join (both operands
-        composite) a cache hit on the 2-cluster DDS auto order."""
-        translated, _ = _small_dds()
-        system = compose_model(translated, order="auto", cache="on")
+    def test_nested_pair_order_records_a_composite_level_hit(self):
+        """Folding each disk cluster as a pair of pairs makes the second
+        cluster's pair-of-pairs join (both operands composite) a cache hit
+        on the 2-cluster DDS."""
+        parameters = DDSParameters(num_clusters=2)
+        translated = translate_model(build_dds_model(parameters))
+        groups = []
+        for group in dds_subsystem_groups(parameters):
+            if group[0].startswith("d_"):
+                *disks, repair_unit = group
+                group = [[disks[:2], disks[2:]], repair_unit]
+            groups.append(group)
+        system = compose_model(
+            translated, order=hierarchical_order(translated, groups), cache="on"
+        )
         assert any(
             step.cache_hit and min(step.operand_blocks) > 1
             for step in system.statistics.steps

@@ -26,7 +26,6 @@ from repro.ctmc import (
     transient_distribution,
     unreliability,
 )
-from repro.ctmc.csl import Atomic, CSLChecker, Not, SteadyState, eventually
 import repro.ctmc.steady_state as steady_state_module
 from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system, absorption_probabilities
 from repro.errors import AnalysisError, ModelError, NondeterminismError
@@ -655,26 +654,6 @@ class TestLumping:
         )
         result = lump(chain)
         assert result.quotient.num_states == 2
-
-
-class TestCSL:
-    def test_steady_state_operator(self):
-        chain = two_state_machine(0.01, 1.0)
-        checker = CSLChecker(chain)
-        formula = SteadyState("<", 0.02, Atomic("down"))
-        assert checker.holds_initially(formula)
-
-    def test_bounded_eventually(self):
-        chain = two_state_machine(0.1, 5.0)
-        checker = CSLChecker(chain)
-        probabilities = checker.until_probabilities(Not(Atomic("down")), Atomic("down"), 10.0)
-        assert probabilities[0] == pytest.approx(1 - math.exp(-1.0), rel=1e-6)
-
-    def test_probabilistic_until_satisfaction_set(self):
-        chain = two_state_machine(0.1, 5.0)
-        checker = CSLChecker(chain)
-        formula = eventually(">=", 0.99, Atomic("down"), time=None)
-        assert 0 in checker.satisfaction_set(formula)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,6 +1,6 @@
 """Static hygiene of the code base: no unused imports, no dead definitions.
 
-Two AST scans, each a tier-1 test:
+Three AST scans, each a tier-1 test:
 
 * every name a module imports in ``src/``, ``tests/`` or ``examples/`` is
   used in that module (a load, an annotation, a string annotation or an
@@ -11,7 +11,11 @@ Two AST scans, each a tier-1 test:
   reference is a name, an attribute or a word inside a non-docstring string
   (``perfbench/tracing.py`` names its targets as strings).  ``__all__``
   entries and import lines do not count; dunder methods are exempt, the
-  interpreter calls them.
+  interpreter calls them;
+* every such definition is referenced from ``src/``, ``examples/`` or
+  ``perfbench/``, not from ``tests/`` alone, unless :data:`TEST_ONLY_ALLOWED`
+  names it with the reason it stays in ``src/`` (public API, a test oracle,
+  a test hook).  Test-only code belongs under ``tests/``.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 IMPORT_SCAN = ("src", "tests", "examples")
 REFERENCE_SCAN = ("src", "tests", "examples", "perfbench")
+RUNTIME_SCAN = ("src", "examples", "perfbench")
 WORD = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -167,22 +172,113 @@ def _references(tree: ast.Module) -> Counter:
     return counts
 
 
-def _unreferenced_definitions() -> list[str]:
+def _reference_counts(paths: list[Path]) -> Counter:
     references: Counter = Counter()
-    for path in _python_files(*REFERENCE_SCAN):
+    for path in paths:
         references.update(_references(_parse(path)))
-    unreferenced = []
-    for path in _python_files("src"):
+    return references
+
+
+def _src_definitions(paths: list[Path]):
+    """``(path, line, name)`` of every non-dunder definition in ``paths``."""
+    for path in paths:
         for name, node in _definitions(_parse(path)):
-            if name.startswith("__") and name.endswith("__"):
-                continue
-            if not references[name]:
-                unreferenced.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
-    return unreferenced
+            if not (name.startswith("__") and name.endswith("__")):
+                yield path, node.lineno, name
+
+
+def _unreferenced_definitions() -> list[str]:
+    references = _reference_counts(_python_files(*REFERENCE_SCAN))
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path, line, name in _src_definitions(_python_files("src"))
+        if not references[name]
+    ]
 
 
 def test_every_src_definition_is_referenced():
     assert _unreferenced_definitions() == []
+
+
+# --------------------------------------------------------------------------- #
+# definitions only tests use
+# --------------------------------------------------------------------------- #
+_PUBLIC = "public API for library users"
+_SEMANTICS = "public API: the I/O-IMC semantics of one Arcade element"
+_SWEEP = "public API of sweeps and their stores (docs/sweep.md, docs/robustness.md)"
+_ORACLE = "test oracle: an independent reference the differential tier compares with"
+_WORKLOAD = "scaling-workload generator, due to move under tests/"
+
+#: ``src/`` definitions that only ``tests/`` reference, keyed
+#: ``"<path under src/>:<name>"``, each with the reason it stays in ``src/``.
+TEST_ONLY_ALLOWED = {
+    "repro/analysis/modular.py:subsystem_results": _PUBLIC,
+    "repro/arcade/component.py:operational_states": _PUBLIC,
+    "repro/arcade/model.py:add_components": _PUBLIC,
+    "repro/arcade/operational_modes.py:initial_mode": _PUBLIC,
+    "repro/arcade/semantics/bc_semantics.py:build_component_ioimc": _SEMANTICS,
+    "repro/arcade/semantics/gate_semantics.py:build_gate_ioimc": _SEMANTICS,
+    "repro/arcade/semantics/ru_semantics.py:build_repair_unit_ioimc": _SEMANTICS,
+    "repro/arcade/semantics/smu_semantics.py:build_spare_unit_ioimc": _SEMANTICS,
+    "repro/baselines/flat.py:exceeded_budget": _ORACLE,
+    "repro/baselines/flat.py:flat_compose": _ORACLE,
+    "repro/baselines/gspn/net.py:add_immediate_transition": _PUBLIC,
+    "repro/casestudies/workloads.py:redundant_array_model": _WORKLOAD,
+    "repro/casestudies/workloads.py:series_of_parallel_model": _WORKLOAD,
+    "repro/casestudies/workloads.py:series_of_parallel_groups": _WORKLOAD,
+    "repro/casestudies/workloads.py:fdep_chain_model": _WORKLOAD,
+    "repro/composer/composer.py:cache_saved_seconds": _PUBLIC,
+    "repro/ctmc/ctmc.py:exit_rate": _PUBLIC,
+    "repro/ctmc/ctmc.py:absorbing_states": _PUBLIC,
+    "repro/ctmc/measures.py:interval_unavailability": _PUBLIC,
+    "repro/distributions/phase_type.py:variance": _PUBLIC,
+    "repro/distributions/phase_type.py:HyperExponential": _PUBLIC,
+    "repro/ioimc/actions.py:is_compatible": _PUBLIC,
+    "repro/ioimc/composition.py:compose_many": _PUBLIC,
+    "repro/ioimc/ioimc.py:interactive_successors": _PUBLIC,
+    "repro/ioimc/ioimc.py:is_stable": _PUBLIC,
+    "repro/ioimc/ioimc.py:exit_rate": _PUBLIC,
+    "repro/ioimc/ioimc.py:check_input_enabled": _PUBLIC,
+    "repro/ioimc/visualization.py:to_dot": _PUBLIC,
+    "repro/ioimc/visualization.py:to_text": _PUBLIC,
+    "repro/lumping/strong.py:reduction_factor": _PUBLIC,
+    "repro/resilience/checkpoint.py:clear": _PUBLIC,
+    "repro/resilience/faults.py:inject_faults": "test hook of the chaos suite",
+    "repro/simulation/engine.py:ArcadeSimulator": _ORACLE,
+    "repro/simulation/vectorised.py:traces": _ORACLE,
+    "repro/sweep/driver.py:verify_bit_identical": _SWEEP,
+    "repro/sweep/store.py:load_result": _SWEEP,
+    "repro/sweep/store.py:canonical_store_bytes": _SWEEP,
+    "repro/telemetry/trace.py:export_events": _PUBLIC,
+    "repro/telemetry/trace.py:current_telemetry": _PUBLIC,
+}
+
+
+def _test_only_definitions(
+    src: list[Path], runtime: list[Path], tests: list[Path]
+) -> list[tuple[Path, int, str]]:
+    """Definitions in ``src`` that ``tests`` reference and ``runtime`` does not."""
+    used_at_runtime = _reference_counts(runtime)
+    used_by_tests = _reference_counts(tests)
+    return [
+        (path, line, name)
+        for path, line, name in _src_definitions(src)
+        if used_by_tests[name] and not used_at_runtime[name]
+    ]
+
+
+def test_no_src_definition_is_used_by_tests_alone():
+    found = {
+        f"{path.relative_to(ROOT / 'src')}:{name}"
+        for path, _, name in _test_only_definitions(
+            _python_files("src"),
+            _python_files(*RUNTIME_SCAN),
+            _python_files("tests"),
+        )
+    }
+    assert sorted(found - set(TEST_ONLY_ALLOWED)) == []
+    # An entry whose definition is gone or now used at runtime is stale.
+    assert sorted(set(TEST_ONLY_ALLOWED) - found) == []
 
 
 def test_the_scans_see_what_they_look_for(tmp_path):
@@ -206,3 +302,8 @@ def test_the_scans_see_what_they_look_for(tmp_path):
     names = {name for name, _ in _definitions(tree)}
     assert names == {"used", "dead"}
     assert counts["used"] == 1 and counts["dead"] == 0
+    checked = tmp_path / "test_planted.py"
+    checked.write_text("from planted import dead\n\ndead()\n")
+    assert [
+        name for _, _, name in _test_only_definitions([module], [module], [checked])
+    ] == ["dead"]

@@ -203,111 +203,43 @@ class TestAutoEndToEnd:
             assert evaluator.ctmc.num_states == reference.ctmc.num_states, name
 
     @pytest.mark.slow
-    def test_rcs_pump_auto_beats_hierarchical_peak(self):
-        """On the pump subsystem the planner beats the hand-written order."""
-        evaluator = ArcadeEvaluator(build_pump_subsystem(), order="auto")
+    @pytest.mark.parametrize("cache", ["on", "off"])
+    def test_rcs_pump_auto_beats_hierarchical_peak(self, cache):
+        """On the pump subsystem the planner beats the hand-written order,
+        with the quotient cache on or off."""
+        evaluator = ArcadeEvaluator(build_pump_subsystem(), order="auto", cache=cache)
         evaluator.unavailability()
         peak = evaluator.composed.statistics.largest_intermediate_states
-        # Hand-written hierarchical order peaks at 16,128 (pinned history);
-        # the planner's order stays below it.
-        assert peak <= 16_128
+        # The hand-written hierarchical order peaks at 9,504 built states
+        # (the fused maximal-progress cut); the planner's order stays below.
+        assert peak <= 9_504
 
 
-class TestWarmCachePricing:
-    """Cache-aware pricing must consult the cache's *stored keys*.
+class TestAutoIgnoresTheCache:
+    """``order="auto"`` plans from the model alone: turning the quotient
+    cache on changes neither the order nor any step's sizes."""
 
-    A plain cache-aware search discounts only the 2nd..N-th isomorphic copy
-    of a group: it assumes an empty cache.  When planning against a
-    pre-warmed shared cache the first copy is served too, so
-    :func:`warm_fold_keys` detects fully stored group folds and the scoring
-    discounts them on first use as well.
-    """
-
-    def _warm_setup(self):
-        from repro.composer import compose_model
-        from repro.planner.search import order_group_by_cost
-
-        translated = translate_model(build_dds_model(DDSParameters(num_clusters=2)))
-        warmed = compose_model(translated, order="auto", cache="on")
-        model = CostModel(translated)
-        scheduler = GateScheduler(translated)
-        groups = [
-            order_group_by_cost(model, group)
-            for group in affinity_groups(translated)
-        ]
-        return translated, warmed.cache, model, scheduler, groups
-
-    def test_warm_folds_detected_on_a_warmed_cache(self):
-        from repro.planner.search import warm_fold_keys
-
-        translated, cache, model, scheduler, groups = self._warm_setup()
-        warm = warm_fold_keys(
-            translated, scheduler, model, groups, cache,
-            reduction="strong",
-        )
-        assert warm, "a fully warmed cache must mark some group folds warm"
-        # An empty cache (or none) marks nothing.
-        from repro.composer import QuotientCache
-
-        for empty in (QuotientCache(), None):
-            assert warm_fold_keys(
-                translated, scheduler, model, groups, empty,
-                reduction="strong",
-            ) == frozenset()
-
-    def test_warm_folds_lower_the_cache_aware_score(self):
-        from repro.planner.search import score_groups, warm_fold_keys
-
-        translated, cache, model, scheduler, groups = self._warm_setup()
-        warm = warm_fold_keys(
-            translated, scheduler, model, groups, cache,
-            reduction="strong",
-        )
-        chain = tuple(tuple(group) for group in groups)
-        cold = score_groups(model, scheduler, chain, cache_aware=True)
-        warmed = score_groups(
-            model, scheduler, chain, cache_aware=True, warm_folds=warm
-        )
-        assert warmed.total < cold.total
-
-    def test_mismatched_reduction_mode_stays_cold(self):
-        """Stored keys are mode-specific: a cache warmed under strong
-        reduction prices nothing for a branching-reduction plan."""
-        from repro.planner.search import warm_fold_keys
-
-        translated, cache, model, scheduler, groups = self._warm_setup()
-        assert warm_fold_keys(
-            translated, scheduler, model, groups, cache,
-            reduction="branching",
-        ) == frozenset()
-
-
-class TestPairedReplicatedMembers:
-    def test_pairing_preserves_leaves_and_balances_runs(self):
-        from repro.composer import flatten_order as flatten
-        from repro.planner.search import pair_replicated_members
-
-        translated = translate_model(build_dds_model(DDSParameters(num_clusters=2)))
-        model = CostModel(translated)
-        for group in affinity_groups(translated):
-            paired = pair_replicated_members(model, group)
-            assert flatten(paired) == list(group)
-        # A disk cluster: four isomorphic disks pair into a balanced tree.
-        cluster = next(
-            group for group in affinity_groups(translated) if "d_1" in group
-        )
-        paired = pair_replicated_members(model, cluster)
-        assert any(not isinstance(entry, str) for entry in paired)
-
-    def test_auto_order_with_cache_contains_nested_pairs(self):
-        translated = translate_model(build_dds_model(DDSParameters(num_clusters=2)))
-        composer = Composer(translated, order="auto", cache="on")
-        order = composer._resolve_order()
-
-        def max_depth(item):
-            if isinstance(item, str):
-                return 0
-            return 1 + max(max_depth(child) for child in item)
-
-        # Balanced pairs add nesting beyond the plain group-chain depth.
-        assert max_depth(order) >= 3
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_pump_subsystem,
+            lambda: build_dds_model(
+                DDSParameters(num_clusters=1, num_controller_sets=1)
+            ),
+        ],
+        ids=["rcs_pumps", "dds_1x1"],
+    )
+    def test_same_order_and_trajectory_with_cache_on_and_off(self, build):
+        translated = translate_model(build())
+        runs = {}
+        for cache in ("on", "off"):
+            composer = Composer(translated, order="auto", cache=cache)
+            system = composer.compose()
+            runs[cache] = (
+                flatten_order(composer._resolve_order()),
+                [
+                    (step.states_before_reduction, step.states_after_reduction)
+                    for step in system.statistics.steps
+                ],
+            )
+        assert runs["on"] == runs["off"]

@@ -130,6 +130,21 @@ class TestLookupsAgree:
         assert_lookups_agree(warm.ctmc)
 
 
+@pytest.mark.parametrize("num_clusters", [1, 2])
+def test_cache_hits_name_states_after_their_own_operands(num_clusters):
+    """A hit names its states after the replica it serves, not the one it
+    stored: cache on and off give the same names (``[dc_4.m1 ph0]``, never
+    the stored ``[dc_2.m1 ph0]``)."""
+    parameters = DDSParameters(num_clusters=num_clusters)
+    translated = translate_model(build_dds_model(parameters))
+    order = dds_composition_order(translated, parameters)
+    on = compose_model(translated, order=order, cache="on")
+    off = compose_model(translated, order=order, cache="off")
+    assert on.statistics.cache_hits > 0
+    assert on.ioimc.state_names == off.ioimc.state_names
+    assert on.ctmc.state_names == off.ctmc.state_names
+
+
 def test_availability_builds_no_state_name(monkeypatch):
     evaluator = build_dds_evaluator(DDSParameters(num_clusters=1), cache="on")
 
