@@ -25,10 +25,11 @@ the phase restarts.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 from ...distributions import PhaseType
 from ...errors import ModelError
-from ...ioimc import IOIMC, IOIMCBuilder, Signature
+from ...ioimc import IOIMC, Signature, explore
 from ..component import BasicComponent
 from ..expressions import And, Expression, KOutOfN, Literal, Or
 from ..model import ArcadeModel
@@ -316,51 +317,24 @@ class ComponentTranslator:
                 transitions.append((signals.up_signal(name), target))
         return transitions
 
-    def markovian_transitions(self, state: _BCState) -> list[tuple[float, _BCState]]:
+    def markovian_transitions(self, state: _BCState) -> Iterator[tuple[float, _BCState]]:
         """Exponential failure-progress transitions enabled in ``state``."""
-        if state.status.kind != "up":
-            return []
-        distribution = self._current_ttf(state)
+        distribution = self._current_ttf(state) if state.status.kind == "up" else None
         if distribution is None:
-            return []
+            return
         phase = int(state.status.detail or 0)
         if phase >= distribution.num_phases:
             phase = start_phase(distribution)
-        transitions: list[tuple[float, _BCState]] = []
-        for source, rate, target in distribution.transitions:
-            if source != phase:
-                continue
-            transitions.append(
-                (
-                    rate,
-                    _BCState(
-                        state.literal_values,
-                        state.active,
-                        state.announced_inaccessible,
-                        _Status("up", target),
-                    ),
-                )
-            )
-        for completion_phase, rate in distribution.completions:
-            if completion_phase != phase:
+        for rate, next_phase in distribution.moves_from(phase):
+            if next_phase is not None:
+                yield rate, replace(state, status=_Status("up", next_phase))
                 continue
             for mode_index, probability in enumerate(
                 self.component.failure_mode_probabilities
             ):
-                if probability <= 0:
-                    continue
-                transitions.append(
-                    (
-                        rate * probability,
-                        _BCState(
-                            state.literal_values,
-                            state.active,
-                            state.announced_inaccessible,
-                            _Status("pending_fail", f"m{mode_index + 1}"),
-                        ),
-                    )
-                )
-        return transitions
+                if probability > 0:
+                    failed = _Status("pending_fail", f"m{mode_index + 1}")
+                    yield rate * probability, replace(state, status=failed)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -368,32 +342,17 @@ class ComponentTranslator:
     def build(self) -> IOIMC:
         """Explore the reachable states and produce the component's I/O-IMC."""
         signature = self.signature()
-        builder = IOIMCBuilder(self.component.name, signature)
-        initial = self.initial_state()
-        builder.state(initial.name(), initial=True)
-        seen = {initial}
-        frontier = [initial]
-        while frontier:
-            state = frontier.pop()
-            source = state.name()
-            for signal in sorted(signature.inputs):
+        inputs = sorted(signature.inputs)
+
+        def moves(state: _BCState):
+            for signal in inputs:
                 target = self.input_target(state, signal)
                 if target != state:
-                    builder.interactive(source, signal, target.name())
-                    if target not in seen:
-                        seen.add(target)
-                        frontier.append(target)
-            for action, target in self.output_transitions(state):
-                builder.interactive(source, action, target.name())
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-            for rate, target in self.markovian_transitions(state):
-                builder.markovian(source, rate, target.name())
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return builder.build()
+                    yield signal, target
+            yield from self.output_transitions(state)
+            yield from self.markovian_transitions(state)
+
+        return explore(self.component.name, signature, self.initial_state(), moves)
 
 
 def build_component_ioimc(component: BasicComponent, model: ArcadeModel) -> IOIMC:

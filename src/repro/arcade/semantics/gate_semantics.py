@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...errors import ModelError
-from ...ioimc import IOIMC, IOIMCBuilder, Signature
+from ...ioimc import IOIMC, Signature, explore
 from ..expressions import Literal
 from ..model import ArcadeModel
 from . import signals
@@ -138,33 +138,24 @@ class GateTranslator:
             return [(signals.gate_failed_signal(self.gate.name), target)]
         return [(signals.up_signal(self.gate.name), target)]
 
+    def moves(self, state: _GateState):
+        for signal in self._ordered_inputs:
+            target = self.input_target(state, signal)
+            if target != state:
+                yield signal, target
+        yield from self.output_transitions(state)
+
+    def labels(self, state: _GateState) -> frozenset[str]:
+        return self.gate.labels_when_failed if self._condition(state) else frozenset()
+
     def build(self) -> IOIMC:
-        signature = self.signature()
-        builder = IOIMCBuilder(self.gate.name, signature)
-        initial = _GateState(frozenset(), False)
-        builder.state(initial.name(), initial=True)
-        seen = {initial}
-        frontier = [initial]
-        while frontier:
-            state = frontier.pop()
-            source = state.name()
-            if self._condition(state) and self.gate.labels_when_failed:
-                builder.label(source, *self.gate.labels_when_failed)
-
-            def visit(target: _GateState) -> None:
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-
-            for signal in self._ordered_inputs:
-                target = self.input_target(state, signal)
-                if target != state:
-                    builder.interactive(source, signal, target.name())
-                    visit(target)
-            for action, target in self.output_transitions(state):
-                builder.interactive(source, action, target.name())
-                visit(target)
-        return builder.build()
+        return explore(
+            self.gate.name,
+            self.signature(),
+            _GateState(frozenset(), False),
+            self.moves,
+            self.labels,
+        )
 
 
 def build_gate_ioimc(gate: VotingGate) -> IOIMC:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ...distributions import PhaseType
 from ...errors import ModelError
-from ...ioimc import IOIMC, IOIMCBuilder, Signature
+from ...ioimc import IOIMC, Signature, explore
 from ..model import ArcadeModel
 from ..repair_unit import RepairStrategy, RepairUnit
 from . import signals
@@ -175,57 +175,33 @@ class RepairUnitTranslator:
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
-    def build(self) -> IOIMC:
-        signature = self.signature()
-        builder = IOIMCBuilder(self.unit.name, signature)
-        initial = _RUState((), 0, None)
-        builder.state(initial.name(), initial=True)
-        seen = {initial}
-        frontier = [initial]
-        while frontier:
-            state = frontier.pop()
-            source = state.name()
-
-            def visit(target: _RUState) -> None:
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-
-            # Failure announcements may arrive in any state.
-            for job in self.jobs:
-                target = self._enqueue(state, job)
-                if target != state:
-                    builder.interactive(
-                        source, signals.failed_signal(job.component, job.tag), target.name()
-                    )
-                    visit(target)
-
-            if state.finished is not None:
-                # Urgent announcement of the finished repair.
-                target = self._after_completion(state)
-                builder.interactive(
-                    source, signals.repaired_signal(state.finished.component), target.name()
-                )
-                visit(target)
-            elif state.queue:
-                # Repair in progress: phase-type transitions of the current job.
-                current = self._current_job(state.queue)
-                distribution = self.repair_distributions[current]
-                phase = state.phase
-                for phase_source, rate, phase_target in distribution.transitions:
-                    if phase_source != phase:
-                        continue
-                    target = _RUState(state.queue, phase_target, None)
-                    builder.markovian(source, rate, target.name())
-                    visit(target)
-                for completion_phase, rate in distribution.completions:
-                    if completion_phase != phase:
-                        continue
+    def moves(self, state: _RUState):
+        # Failure announcements may arrive in any state.
+        for job in self.jobs:
+            target = self._enqueue(state, job)
+            if target != state:
+                yield signals.failed_signal(job.component, job.tag), target
+        if state.finished is not None:
+            # Urgent announcement of the finished repair.
+            yield (
+                signals.repaired_signal(state.finished.component),
+                self._after_completion(state),
+            )
+        elif state.queue:
+            # Repair in progress: phase-type moves of the current job.
+            current = self._current_job(state.queue)
+            distribution = self.repair_distributions[current]
+            for rate, phase in distribution.moves_from(state.phase):
+                if phase is not None:
+                    yield rate, _RUState(state.queue, phase, None)
+                else:
                     remaining = tuple(job for job in state.queue if job != current)
-                    target = _RUState(remaining, 0, current)
-                    builder.markovian(source, rate, target.name())
-                    visit(target)
-        return builder.build()
+                    yield rate, _RUState(remaining, 0, current)
+
+    def build(self) -> IOIMC:
+        return explore(
+            self.unit.name, self.signature(), _RUState((), 0, None), self.moves
+        )
 
 
 def build_repair_unit_ioimc(unit: RepairUnit, model: ArcadeModel) -> IOIMC:

@@ -14,8 +14,9 @@ repaired.  Two extensions of the paper are implemented as well:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
-from ...ioimc import IOIMC, IOIMCBuilder, Signature
+from ...ioimc import IOIMC, Signature, explore
 from ..model import ArcadeModel
 from ..spare_unit import SpareManagementUnit
 from . import signals
@@ -177,66 +178,31 @@ class SpareUnitTranslator:
                 )
         return transitions
 
-    def markovian_transitions(self, state: _SMUState) -> list[tuple[float, _SMUState]]:
+    def markovian_transitions(self, state: _SMUState) -> Iterator[tuple[float, _SMUState]]:
+        """Failover progress; completing it makes the activation pending."""
         if state.failover_phase is None or self.unit.failover is None:
-            return []
-        distribution = self.unit.failover
-        transitions: list[tuple[float, _SMUState]] = []
-        for source, rate, target in distribution.transitions:
-            if source != state.failover_phase:
-                continue
-            transitions.append(
-                (
-                    rate,
-                    _SMUState(
-                        state.primary_down, state.spares_down, state.active, target, False
-                    ),
-                )
+            return
+        for rate, phase in self.unit.failover.moves_from(state.failover_phase):
+            yield rate, _SMUState(
+                state.primary_down, state.spares_down, state.active, phase, phase is None
             )
-        for phase, rate in distribution.completions:
-            if phase != state.failover_phase:
-                continue
-            transitions.append(
-                (
-                    rate,
-                    _SMUState(
-                        state.primary_down, state.spares_down, state.active, None, True
-                    ),
-                )
-            )
-        return transitions
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def build(self) -> IOIMC:
         signature = self.signature()
-        builder = IOIMCBuilder(self.unit.name, signature)
-        initial = self.initial_state()
-        builder.state(initial.name(), initial=True)
-        seen = {initial}
-        frontier = [initial]
-        while frontier:
-            state = frontier.pop()
-            source = state.name()
+        inputs = sorted(signature.inputs)
 
-            def visit(target: _SMUState) -> None:
-                if target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-
-            for signal in sorted(signature.inputs):
+        def moves(state: _SMUState):
+            for signal in inputs:
                 target = self.input_target(state, signal)
                 if target != state:
-                    builder.interactive(source, signal, target.name())
-                    visit(target)
-            for action, target in self.output_transitions(state):
-                builder.interactive(source, action, target.name())
-                visit(target)
-            for rate, target in self.markovian_transitions(state):
-                builder.markovian(source, rate, target.name())
-                visit(target)
-        return builder.build()
+                    yield signal, target
+            yield from self.output_transitions(state)
+            yield from self.markovian_transitions(state)
+
+        return explore(self.unit.name, signature, self.initial_state(), moves)
 
 
 def build_spare_unit_ioimc(unit: SpareManagementUnit, model: ArcadeModel) -> IOIMC:

@@ -43,8 +43,7 @@ from ..lumping import (
     minimize_weak,
 )
 from ..arcade.semantics import TranslatedModel
-from ..resilience.faults import active_fault
-from ..telemetry.trace import gauge_max, incr
+from ..telemetry.trace import gauge_max
 from ..telemetry.trace import span as telemetry_span
 from .cache import (
     QuotientCache,
@@ -582,26 +581,13 @@ class Composer:
         return composite, before["states"], before["transitions"]
 
     def _check_budget(self, description: str, states: int) -> None:
-        """Enforce the pre-reduction state ceiling on one step.
-
-        Only live when ``state_budget`` is set; the ``compose.blowup``
-        injection site (keyed by the step description) then inflates the
-        observed size, so chaos tests can trigger a deterministic
-        :class:`~repro.errors.StateBudgetError` on an otherwise small model.
-        """
+        """Enforce the pre-reduction state ceiling on one step (only live
+        when ``state_budget`` is set)."""
         budget = self.state_budget
-        if budget is None:
-            return
-        observed = float(states)
-        fault = active_fault("compose.blowup", key=description)
-        if fault is not None:
-            observed = observed * fault.factor
-            incr("resilience.fault.blowup")
-        if observed > budget:
-            inflated = " (inflated by an injected blowup)" if fault is not None else ""
+        if budget is not None and states > budget:
             raise StateBudgetError(
                 f"step {description!r}: intermediate product of {states} "
-                f"states{inflated} exceeds the state budget of {budget}"
+                f"states exceeds the state budget of {budget}"
             )
 
     def _hidable_signals(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy import linalg
@@ -92,6 +92,16 @@ class PhaseType:
             name=f"scaled({factor:g}, {self.describe()})",
         )
 
+    def moves_from(self, phase: int) -> Iterator[tuple[float, int | None]]:
+        """The moves out of ``phase`` in declaration order: ``(rate, next
+        phase)`` for each transition, then ``(rate, None)`` for completion."""
+        for source, rate, target in self.transitions:
+            if source == phase:
+                yield rate, target
+        for completion_phase, rate in self.completions:
+            if completion_phase == phase:
+                yield rate, None
+
     def subgenerator(self) -> np.ndarray:
         """The sub-generator matrix ``S`` over the transient phases."""
         matrix = np.zeros((self.num_phases, self.num_phases))
@@ -132,13 +142,7 @@ class PhaseType:
         phase = int(rng.choice(self.num_phases, p=np.asarray(self.initial)))
         elapsed = 0.0
         while True:
-            outgoing: list[tuple[float, int | None]] = []
-            for source, rate, target in self.transitions:
-                if source == phase:
-                    outgoing.append((rate, target))
-            for completion_phase, rate in self.completions:
-                if completion_phase == phase:
-                    outgoing.append((rate, None))
+            outgoing = list(self.moves_from(phase))
             total = sum(rate for rate, _ in outgoing)
             elapsed += float(rng.exponential(1.0 / total))
             choice = rng.uniform(0.0, total)
@@ -195,8 +199,7 @@ class PhaseType:
         """Per-phase outgoing tables: (total rate, cumulative rates, targets).
 
         Targets use ``-1`` for absorption.  Rates are accumulated in the
-        declaration order of :attr:`transitions` then :attr:`completions`,
-        matching the scalar :meth:`sample` loop.
+        order of :meth:`moves_from`, matching the scalar :meth:`sample` loop.
         """
         cached = getattr(self, "_tables_cache", None)
         if cached is not None:
@@ -205,12 +208,9 @@ class PhaseType:
         cums: list[np.ndarray] = []
         targets: list[np.ndarray] = []
         for phase in range(self.num_phases):
-            rates = [r for s, r, _ in self.transitions if s == phase] + [
-                r for p, r in self.completions if p == phase
-            ]
-            outgoing = [t for s, _, t in self.transitions if s == phase] + [
-                -1 for p, _ in self.completions if p == phase
-            ]
+            moves = list(self.moves_from(phase))
+            rates = [rate for rate, _ in moves]
+            outgoing = [-1 if target is None else target for _, target in moves]
             totals[phase] = sum(rates)
             cums.append(np.cumsum(np.asarray(rates)) if rates else np.zeros(0))
             targets.append(np.asarray(outgoing, dtype=np.int64))

@@ -59,10 +59,6 @@ class SweepError(ArcadeError):
     """A parameter sweep is ill-specified (bad axes, priors or conditioning)."""
 
 
-class ResilienceError(ArcadeError):
-    """The resilience layer itself was misused (e.g. a bad fault plan)."""
-
-
 class StateBudgetError(CompositionError):
     """An intermediate state space exceeded the configured budget.
 

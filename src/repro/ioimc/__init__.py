@@ -6,7 +6,9 @@ This package provides the I/O-IMC formalism of Section 2 of the paper:
 * :class:`~repro.ioimc.actions.Signature` — input/output/internal action sets,
 * :func:`~repro.ioimc.composition.compose` — the parallel composition ``||``,
 * :func:`~repro.ioimc.hiding.hide` — the hiding operator,
-* :class:`~repro.ioimc.builder.IOIMCBuilder` — a named-state construction aid,
+* :class:`~repro.ioimc.builder.IOIMCBuilder` — a named-state construction
+  aid, and :func:`~repro.ioimc.builder.explore`, the reachable-state
+  worklist every Arcade element is translated with,
 * :class:`~repro.ioimc.indexed.TransitionIndex` — an automaton's one
   transition store: interned-action CSR columns (flat numpy adjacency
   arrays) the vectorised composition and refinement/reduction engines
@@ -16,7 +18,7 @@ This package provides the I/O-IMC formalism of Section 2 of the paper:
 """
 
 from .actions import TAU, ActionKind, Signature
-from .builder import IOIMCBuilder
+from .builder import IOIMCBuilder, explore
 from .composition import compose, compose_many
 from .hiding import hide, hide_all_outputs
 from .indexed import InteractiveCSR, MarkovianCSR, TransitionIndex
@@ -36,6 +38,7 @@ __all__ = [
     "MarkovianTransition",
     "compose",
     "compose_many",
+    "explore",
     "hide",
     "hide_all_outputs",
     "to_dot",

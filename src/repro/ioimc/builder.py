@@ -10,6 +10,7 @@ states and transitions and produces an immutable :class:`IOIMC`.
 from __future__ import annotations
 
 import math
+from typing import Callable, Hashable, Iterable
 
 from ..errors import ModelError
 from .actions import Signature
@@ -105,3 +106,40 @@ class IOIMCBuilder:
         if input_enabled:
             automaton = automaton.ensure_input_enabled()
         return automaton
+
+
+def explore(
+    name: str,
+    signature: Signature,
+    initial: Hashable,
+    moves: Callable[[Hashable], Iterable[tuple[str | float, Hashable]]],
+    labels: Callable[[Hashable], Iterable[str]] | None = None,
+) -> IOIMC:
+    """Build the I/O-IMC of the states reachable from ``initial``.
+
+    States are hashable values with a ``name()`` method.  ``moves(state)``
+    yields ``(action, target)`` for an interactive move and ``(rate,
+    target)`` for a Markovian one; ``labels(state)``, if given, yields the
+    state's atomic propositions.  The worklist is depth-first and numbers
+    the states by their first appearance as a move's target, so a
+    translator's state numbering is fixed by the order of its moves.
+    """
+    builder = IOIMCBuilder(name, signature)
+    builder.state(initial.name(), initial=True)
+    seen = {initial}
+    frontier = [initial]
+    while frontier:
+        state = frontier.pop()
+        source = state.name()
+        props = tuple(labels(state)) if labels is not None else ()
+        if props:
+            builder.label(source, *props)
+        for move, target in moves(state):
+            if isinstance(move, str):
+                builder.interactive(source, move, target.name())
+            else:
+                builder.markovian(source, move, target.name())
+            if target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return builder.build()

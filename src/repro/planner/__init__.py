@@ -20,8 +20,8 @@ composer's quotient cache — so ``order="auto"`` composes one order per
 model, with the cache on or off.
 """
 
-from .costmodel import CostModel, CostParameters, CostState
-from .planner import DEFAULT_BUDGET, PlanReport, plan_order
+from .costmodel import CostModel, CostState
+from .planner import PlanReport, plan_order
 from .search import (
     SearchResult,
     affinity_groups,
@@ -35,9 +35,7 @@ from .search import (
 
 __all__ = [
     "CostModel",
-    "CostParameters",
     "CostState",
-    "DEFAULT_BUDGET",
     "PlanReport",
     "SearchResult",
     "affinity_groups",

@@ -16,9 +16,8 @@ composer does and predicts, per binary composition step,
   states; empirically each newly closed signal shrinks the reduced model by
   a roughly constant factor).
 
-The two damping factors are the model's only parameters.  The defaults were
-fitted against the recorded per-step statistics of the DDS and RCS case
-studies.
+The two damping factors are the model's only parameters, fitted against the
+recorded per-step statistics of the DDS and RCS case studies.
 
 The estimator is intentionally crude in absolute terms; what the search
 needs is a *ranking* of candidate orders, and for that the peak (and total)
@@ -36,18 +35,10 @@ from ..composer import CompositionOrder
 #: two operands of a composition step.  Fitted on the recorded per-step
 #: statistics of the DDS and RCS hierarchical runs, which agree closely
 #: (0.69-0.71).
-DEFAULT_SYNC_DAMPING = 0.70
+SYNC_DAMPING = 0.70
 #: Reduction damping applied once per signal hidden right after a step; the
 #: same fits give 0.66-0.72 across the case studies.
-DEFAULT_HIDE_DAMPING = 0.69
-
-
-@dataclass(frozen=True)
-class CostParameters:
-    """The two damping factors of the static size estimator."""
-
-    sync_damping: float = DEFAULT_SYNC_DAMPING
-    hide_damping: float = DEFAULT_HIDE_DAMPING
+HIDE_DAMPING = 0.69
 
 
 @dataclass(frozen=True)
@@ -71,12 +62,7 @@ class CostState:
 class CostModel:
     """Predicts intermediate sizes of composition orders for one model."""
 
-    def __init__(
-        self,
-        translated: TranslatedModel,
-        parameters: CostParameters | None = None,
-    ) -> None:
-        self.parameters = parameters or CostParameters()
+    def __init__(self, translated: TranslatedModel) -> None:
         blocks = translated.blocks
         self._block_states: dict[str, float] = {
             name: float(block.num_states) for name, block in blocks.items()
@@ -122,7 +108,6 @@ class CostModel:
 
     def combine(self, left: CostState, right: CostState) -> CostState:
         """Predicted result of composing, hiding and reducing two composites."""
-        parameters = self.parameters
         key = (left.blocks, right.blocks)
         cached = self._combine_cache.get(key)
         if cached is None:
@@ -143,8 +128,8 @@ class CostModel:
             cached = (shared, hidden, blocks, frozenset(opened))
             self._combine_cache[key] = cached
         shared, hidden, blocks, visible = cached
-        pre = left.states * right.states * parameters.sync_damping**shared
-        post = max(pre * parameters.hide_damping**hidden, 1.0)
+        pre = left.states * right.states * SYNC_DAMPING**shared
+        post = max(pre * HIDE_DAMPING**hidden, 1.0)
         return CostState(
             blocks=blocks,
             states=post,
@@ -170,10 +155,4 @@ class CostModel:
         return state
 
 
-__all__ = [
-    "CostModel",
-    "CostParameters",
-    "CostState",
-    "DEFAULT_HIDE_DAMPING",
-    "DEFAULT_SYNC_DAMPING",
-]
+__all__ = ["CostModel", "CostState", "HIDE_DAMPING", "SYNC_DAMPING"]

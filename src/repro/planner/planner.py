@@ -17,8 +17,9 @@ refine the winner by simulated annealing over leaf permutations, and
 materialise the result as a nested order through
 :func:`repro.composer.hierarchical_order`, so the planned order gets the
 same group-then-join structure (and earliest-hiding gate placement) as the
-paper's hand-written decompositions.  The plan is a function of the model,
-budget and seed alone; the composer's quotient cache plays no part in it.
+paper's hand-written decompositions.  The plan is a function of the model
+alone (the search budget and the annealing seed are fixed); the composer's
+quotient cache plays no part in it.
 """
 
 from __future__ import annotations
@@ -44,10 +45,14 @@ from .search import (
     score_groups,
 )
 
-#: Default search budget, in candidate-order evaluations.  Sized so that
-#: planning the 57-block DDS model costs well under 10% of its end-to-end
-#: pipeline wall-clock.
-DEFAULT_BUDGET = 240
+#: Search budget, in candidate-order evaluations.  Roughly 40% goes to the
+#: beam phase (as beam width), the rest to annealing iterations.  Sized so
+#: that planning the 57-block DDS model costs well under 10% of its
+#: end-to-end pipeline wall-clock.
+BUDGET = 240
+
+#: Seed of the annealing RNG: the whole search is deterministic per model.
+SEED = 0
 
 #: Widest beam the budget heuristic will pick.
 _MAX_BEAM_WIDTH = 8
@@ -70,8 +75,6 @@ class PlanReport:
     beam_width: int
     annealing_iterations: int
     improved_by_annealing: bool
-    budget: int
-    seed: int
 
     def summary(self) -> str:
         """One-line human-readable digest (used by the CLIs)."""
@@ -84,44 +87,17 @@ class PlanReport:
         )
 
 
-def plan_order(
-    translated: TranslatedModel,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    cost_model: CostModel | None = None,
-) -> tuple[CompositionOrder, PlanReport]:
+def plan_order(translated: TranslatedModel) -> tuple[CompositionOrder, PlanReport]:
     """Search for a good composition order for ``translated``.
 
-    Parameters
-    ----------
-    translated:
-        The building-block I/O-IMCs (from
-        :func:`repro.arcade.semantics.translate_model`).
-    budget:
-        Search effort in candidate-order evaluations.  Roughly 40% goes to
-        the beam phase (as beam width), the rest to annealing iterations.
-        Small budgets degrade gracefully: a budget of 1 evaluates only the
-        beam with width 1, i.e. a pure greedy cost-model descent.
-    seed:
-        Seed of the annealing RNG; the whole search is deterministic for a
-        fixed ``(translated, budget, seed)``.
-    cost_model:
-        Override the default :class:`CostModel` — pass one built with other
-        :class:`~repro.planner.CostParameters` to plan with other damping
-        factors.
-
-    Returns
-    -------
-    The planned order — nested group-by-group, fault-tree gates placed by
-    the earliest-hiding rule — and the :class:`PlanReport` for it.
+    ``translated`` holds the building-block I/O-IMCs (from
+    :func:`repro.arcade.semantics.translate_model`).  Returns the planned
+    order — nested group-by-group, fault-tree gates placed by the
+    earliest-hiding rule — and the :class:`PlanReport` for it.  The search
+    is deterministic: planning the same model twice gives the same order.
     """
-    if budget < 1:
-        raise ValueError(f"plan_order budget must be >= 1, got {budget}")
-    with telemetry_span("plan.order", budget=budget, seed=seed) as plan_span:
-        order, report = _plan_order_impl(
-            translated, budget=budget, seed=seed, cost_model=cost_model
-        )
+    with telemetry_span("plan.order") as plan_span:
+        order, report = _plan_order_impl(translated)
         plan_span.set(
             predicted_peak_states=report.predicted_peak_states,
             predicted_steps=report.predicted_steps,
@@ -133,24 +109,18 @@ def plan_order(
         return order, report
 
 
-def _plan_order_impl(
-    translated: TranslatedModel,
-    *,
-    budget: int,
-    seed: int,
-    cost_model: CostModel | None,
-) -> tuple[CompositionOrder, PlanReport]:
+def _plan_order_impl(translated: TranslatedModel) -> tuple[CompositionOrder, PlanReport]:
     """The search itself (see :func:`plan_order`, the traced facade)."""
     started = time.perf_counter()
-    model = cost_model if cost_model is not None else CostModel(translated)
+    model = CostModel(translated)
     scheduler = GateScheduler(translated)
     num_leaves = max(len(scheduler.non_gate_blocks), 1)
 
     # Split the budget: the beam phase scores ~width * n / 2 full-order
     # equivalents; the rest buys annealing iterations.
-    beam_width = max(1, min(_MAX_BEAM_WIDTH, round(0.4 * budget / (num_leaves / 2))))
+    beam_width = max(1, min(_MAX_BEAM_WIDTH, round(0.4 * BUDGET / (num_leaves / 2))))
     beam_equivalents = max(1, beam_width * num_leaves // 2)
-    annealing_iterations = max(0, budget - beam_equivalents)
+    annealing_iterations = max(0, BUDGET - beam_equivalents)
 
     groups = [
         order_group_by_cost(model, group) for group in affinity_groups(translated)
@@ -194,7 +164,7 @@ def _plan_order_impl(
 
     beam_score = best.score
     if annealing_iterations > 0:
-        rng = random.Random(seed)
+        rng = random.Random(SEED)
         annealed, annealed_explored = anneal_order(
             model,
             scheduler,
@@ -222,10 +192,8 @@ def _plan_order_impl(
         beam_width=beam_width,
         annealing_iterations=annealing_iterations,
         improved_by_annealing=best.score < beam_score,
-        budget=budget,
-        seed=seed,
     )
     return order, report
 
 
-__all__ = ["DEFAULT_BUDGET", "PlanReport", "plan_order"]
+__all__ = ["PlanReport", "plan_order"]

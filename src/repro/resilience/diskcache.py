@@ -1,35 +1,40 @@
 """Checksummed on-disk persistence for :class:`~repro.composer.QuotientCache`.
 
-File format (``CACHE_STORE_VERSION`` 3)
+File format (``CACHE_STORE_VERSION`` 4)
 ---------------------------------------
 One ``np.savez_compressed`` archive.  The member ``index`` is a uint8 array
 holding a canonical-JSON document::
 
-    {"format": "repro-quotient-cache", "version": 3,
+    {"format": "repro-quotient-cache", "version": 4,
      "counters": {"hits": ..., "misses": ..., "stores": ..., "saved_seconds": ...},
      "entries": [{"key": ..., "slot": "e00000", "checksum": "<sha256 hex>",
                   "name": ..., "inputs": [...], "outputs": [...],
                   "internals": [...], "num_states": ..., "initial": ...,
-                  "labels": {"3": ["up"]}, "state_names": null,
+                  "labels": {"3": ["up"]}, "name_arrays": 2,
                   "slots": [...], "states_before": ..., ...}, ...]}
 
-and each entry owns eight array members under its ``slot`` prefix — the CSR
-tables of its automaton, exactly the columns an :class:`IOIMC` is rebuilt
-from by :meth:`IOIMC.from_tables` (``<slot>.ii/is/ia/it``
+and each entry owns array members under its ``slot`` prefix.  Eight are the
+CSR tables of its automaton, exactly the columns an :class:`IOIMC` is
+rebuilt from by :meth:`IOIMC.from_tables` (``<slot>.ii/is/ia/it``
 interactive indptr/source/action/target, ``<slot>.mi/ms/mr/mt`` Markovian
 indptr/source/rate/target).  Action ids index
 ``sorted(signature.all_actions)`` — the interning of
 :class:`~repro.ioimc.indexed.TransitionIndex` — so the signature name lists
-in the index fully decode the action column.  No pickle anywhere: the
-archive is loaded with ``allow_pickle=False``.
+in the index fully decode the action column.  The other ``name_arrays``
+members ``<slot>.n0``, ``<slot>.n1``, ... are the entry's state names as
+provenance (:mod:`repro.names`): one index array per selection, outermost
+first, then the left and right operand-state arrays of the step's product.
+A loaded entry therefore names its states after the operands of the step it
+serves, exactly like an in-memory one.  No pickle anywhere: the archive is
+loaded with ``allow_pickle=False``.
 
 Integrity
 ---------
 Every entry carries a SHA-256 over its structural metadata plus the raw
-bytes (with dtype and shape) of its eight arrays, in fixed order.  On load
+bytes (with dtype and shape) of its arrays, in fixed order.  On load
 the checksum is verified first, then the columns go through the structural
 checks of :meth:`IOIMC.validate` (row offsets, id ranges, finite positive
-rates, labels and names that fit the state count).  The checksum is
+rates, labels and name arrays that fit the state count).  The checksum is
 unkeyed: it catches accidental corruption, not tampering.  Anyone who edits
 an entry can recompute it, and an edit that stays structurally valid (a
 changed rate, say) loads and changes the results.  Treat a cache file as
@@ -44,10 +49,7 @@ analysis that would simply have run slower without it.
 
 Writes are atomic: the archive is written to a temporary file in the target
 directory, fsynced, then ``os.replace``d over the destination — a crash
-mid-write leaves either the old file or none, never a torn one.  The
-``cache.corrupt_entry`` injection site flips one byte of an entry's payload
-*after* checksumming, which is how the chaos tier manufactures exactly-one
-quarantined entry.
+mid-write leaves either the old file or none, never a torn one.
 """
 
 from __future__ import annotations
@@ -65,23 +67,31 @@ from ..composer.cache import CacheEntry, QuotientCache
 from ..errors import CacheStoreError
 from ..ioimc import IOIMC, InteractiveCSR, MarkovianCSR
 from ..ioimc.actions import Signature
+from ..names import NameSource, ProductNames, SelectedNames
 from ..telemetry import incr, span
-from .faults import active_fault
 
 #: Version of the on-disk archive layout.  Bump on any incompatible change;
 #: the loader refuses other versions loudly instead of misreading them.
 #: Version 2: ``states_before`` counts the product built under maximal
 #: progress; version-1 archives recorded the full product.  Version 3: result
 #: keys end in the reduction mode; version-2 keys also ended in a
-#: vanishing-elimination flag, which is no longer an option.
-CACHE_STORE_VERSION = 3
+#: vanishing-elimination flag, which is no longer an option.  Version 4:
+#: state names are provenance index arrays; version-3 archives stored each
+#: entry's names as a list, which named a hit's states after another replica.
+CACHE_STORE_VERSION = 4
 
 _FORMAT = "repro-quotient-cache"
 
-#: Array members of one entry, in checksum order: interactive CSR
+#: CSR array members of one entry, in checksum order: interactive CSR
 #: (indptr, source, action, target) then Markovian CSR
 #: (indptr, source, rate, target).
 _ARRAY_FIELDS = ("ii", "is", "ia", "it", "mi", "ms", "mr", "mt")
+
+
+def _array_fields(metadata: dict) -> tuple[str, ...]:
+    """Every array member of one entry, in checksum order: the CSR tables,
+    then the ``name_arrays`` provenance arrays ``n0``, ``n1``, ..."""
+    return _ARRAY_FIELDS + tuple(f"n{i}" for i in range(metadata["name_arrays"]))
 
 
 @dataclass(frozen=True)
@@ -116,7 +126,7 @@ def _entry_metadata(key: str, entry: CacheEntry) -> dict:
         "labels": {
             str(state): sorted(props) for state, props in automaton.labels.items()
         },
-        "state_names": automaton.state_names,
+        "name_arrays": len(_name_arrays(automaton.name_source)),
         "slots": list(entry.slots),
         "states_before": entry.states_before,
         "transitions_before": entry.transitions_before,
@@ -127,11 +137,49 @@ def _entry_metadata(key: str, entry: CacheEntry) -> dict:
     }
 
 
+def _name_arrays(source: NameSource | None) -> list[np.ndarray]:
+    """A step result's state names as index arrays, outermost first.
+
+    A composer step's names are a product of its operands' names under zero
+    or more selections; the operands themselves are not stored, since a hit
+    rebinds the names to the operands it joins (:func:`repro.names.rebind`).
+    """
+    arrays = []
+    while isinstance(source, SelectedNames):
+        arrays.append(source.index)
+        source = source.parent
+    if not isinstance(source, ProductNames):
+        raise CacheStoreError("a cache entry's state names must come from a product")
+    return arrays + [source.left_index, source.right_index]
+
+
+def _names_from_arrays(arrays: list[np.ndarray]) -> NameSource:
+    """Inverse of :func:`_name_arrays`, over not yet bound operands.
+
+    Every selection must pick from the states below it, so corrupt arrays
+    are refused on load rather than when a name is read.
+    """
+    *selections, left, right = arrays
+    if (
+        any(array.ndim != 1 or array.dtype.kind not in "iu" for array in arrays)
+        or len(left) != len(right)
+        or (len(left) and min(left.min(), right.min()) < 0)
+    ):
+        raise CacheStoreError("malformed state-name arrays")
+    source = ProductNames(None, None, left, right)
+    for index in reversed(selections):
+        if len(index) and (index.min() < -1 or index.max() >= len(source)):
+            raise CacheStoreError("state-name selection out of range")
+        source = SelectedNames(source, index)
+    return source
+
+
 def _entry_arrays(entry: CacheEntry) -> dict[str, np.ndarray]:
-    index = entry.automaton.index()
+    automaton = entry.automaton
+    index = automaton.index()
     icsr = index.interactive_csr
     mcsr = index.markovian_csr
-    return {
+    arrays = {
         "ii": icsr.indptr,
         "is": icsr.source,
         "ia": icsr.action,
@@ -141,13 +189,16 @@ def _entry_arrays(entry: CacheEntry) -> dict[str, np.ndarray]:
         "mr": mcsr.rate,
         "mt": mcsr.target,
     }
+    for position, array in enumerate(_name_arrays(automaton.name_source)):
+        arrays[f"n{position}"] = array
+    return arrays
 
 
 def _checksum(metadata: dict, arrays: dict[str, np.ndarray]) -> str:
     """SHA-256 over the metadata and the raw array payloads, in fixed order."""
     digest = hashlib.sha256()
     digest.update(_canonical_json(metadata))
-    for field in _ARRAY_FIELDS:
+    for field in _array_fields(metadata):
         array = np.ascontiguousarray(arrays[field])
         digest.update(field.encode())
         digest.update(str(array.dtype).encode())
@@ -157,14 +208,7 @@ def _checksum(metadata: dict, arrays: dict[str, np.ndarray]) -> str:
 
 
 def save_cache(cache: QuotientCache, path: str | Path) -> int:
-    """Persist a cache's step entries atomically; returns the entry count.
-
-    Entries whose automata cannot be indexed are skipped defensively (none
-    the composer stores can fail this).  The ``cache.corrupt_entry`` fault
-    site — consulted per entry key — flips one byte of the entry's first CSR
-    array *after* its checksum was computed, so verify-on-load later
-    quarantines exactly that entry.
-    """
+    """Persist a cache's step entries atomically; returns the entry count."""
     path = Path(path)
     members: dict[str, np.ndarray] = {}
     index_entries = []
@@ -174,13 +218,6 @@ def save_cache(cache: QuotientCache, path: str | Path) -> int:
             metadata = _entry_metadata(key, entry)
             arrays = _entry_arrays(entry)
             checksum = _checksum(metadata, arrays)
-            fault = active_fault("cache.corrupt_entry", key=key)
-            if fault is not None:
-                corrupted = np.array(arrays["ii"], copy=True)
-                view = corrupted.view(np.uint8)
-                view[-1] ^= 0xFF
-                arrays = {**arrays, "ii": corrupted}
-                incr("resilience.fault.cache_corrupt")
             for field, array in arrays.items():
                 members[f"{slot}.{field}"] = array
             index_entries.append({**metadata, "slot": slot, "checksum": checksum})
@@ -235,7 +272,7 @@ def _decode_entry(metadata: dict, archive) -> tuple[str, CacheEntry]:
     so structurally invalid columns can never reach the pipeline.
     """
     slot = metadata["slot"]
-    arrays = {field: archive[f"{slot}.{field}"] for field in _ARRAY_FIELDS}
+    arrays = {field: archive[f"{slot}.{field}"] for field in _array_fields(metadata)}
     structural = {
         field: value
         for field, value in metadata.items()
@@ -258,7 +295,7 @@ def _decode_entry(metadata: dict, archive) -> tuple[str, CacheEntry]:
             int(state): frozenset(props)
             for state, props in metadata["labels"].items()
         },
-        metadata["state_names"],
+        _names_from_arrays([arrays[f"n{i}"] for i in range(metadata["name_arrays"])]),
     )
     # The checksum is unkeyed, so a re-checksummed edit passes it: run the
     # constructor's structural checks before anything indexes the columns.

@@ -41,7 +41,6 @@ from ..arcade.model import ArcadeModel
 from ..composer import QuotientCache, require_serial, resolve_cache
 from ..errors import ArcadeError, SweepError
 from ..resilience.checkpoint import SweepCheckpoint
-from ..resilience.faults import active_fault
 from ..simulation.rng import point_seed
 from ..telemetry.trace import incr, observe
 from ..telemetry.trace import span as telemetry_span
@@ -329,9 +328,6 @@ def _run_sweep_impl(factory: SweepFactory, config: SweepConfig) -> SweepResult:
             row = replayed[index]
             history.append(row)
             return row
-        fault = active_fault("sweep.interrupt", key=f"point:{index}")
-        if fault is not None:
-            raise KeyboardInterrupt(f"injected sweep interrupt before point {index}")
         seed = point_seed(config.root_seed, index)
         with telemetry_span("sweep.point", index=index, kind=kind) as point_span:
             elapsed_from = time.perf_counter()

@@ -1,11 +1,11 @@
-"""Chaos recovery suite: injected faults must not change a single bit.
+"""Chaos recovery suite: a corrupted cache file must not change a single bit.
 
 The resilience contract is *recover exactly, never silently*: a pipeline
 that survives a corrupted cache entry must produce results bit-identical to
 an undisturbed run, and must say what happened (a quarantine report).  The
 mid-sweep interrupt and resume is checked in ``tests/test_resilience.py``
-(``TestSweepCheckpointResume``).  This suite drives the serial pipeline
-through the declarative fault plans of :mod:`repro.resilience.faults`.
+(``TestSweepCheckpointResume``).  This suite corrupts the saved archive on
+disk and runs the serial pipeline on what loads.
 
 Enable with ``pytest tests/chaos --run-chaos``.
 """
@@ -20,13 +20,9 @@ from repro.casestudies.dds import (
 )
 from repro.composer import QuotientCache, compose_model
 from repro.ctmc import steady_state_availability
-from repro.resilience import (
-    FaultPlan,
-    FaultSpec,
-    inject_faults,
-    load_cache,
-    save_cache,
-)
+from repro.resilience import load_cache, save_cache
+
+from test_resilience import flip_entry_byte
 
 pytestmark = pytest.mark.chaos
 
@@ -44,18 +40,18 @@ class TestAcceptanceScenario:
         golden = compose_model(translated, order=order, cache=cache)
         golden_availability = steady_state_availability(golden.ctmc)
 
-        # Persist the cache with one entry corrupted on write: the load
+        # Persist the cache and corrupt one entry on disk: the load
         # quarantines exactly that entry and the next pipeline rebuilds it,
-        # landing on the same availability bit for bit.
+        # landing on the same availability and state names bit for bit.
         victim = sorted(cache.entries())[0]
         path = tmp_path / "cache.npz"
-        corrupt = FaultPlan(specs=(FaultSpec(site="cache.corrupt_entry", key=victim),))
-        with inject_faults(corrupt):
-            save_cache(cache, path)
+        save_cache(cache, path)
+        flip_entry_byte(path, victim)
         restored, report = load_cache(path)
         assert report.quarantined_keys == (victim,)
 
         rebuilt = compose_model(translated, order=order, cache=restored)
         assert rebuilt.ctmc.summary() == golden.ctmc.summary()
         assert steady_state_availability(rebuilt.ctmc) == golden_availability
+        assert rebuilt.ioimc.state_names == golden.ioimc.state_names
         assert victim in restored.entries()  # rebuilt on the miss

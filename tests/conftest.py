@@ -13,10 +13,9 @@ Markers
     Monte-Carlo simulator).  Skipped by default to keep tier-1 fast; enable
     with ``--run-differential``.
 ``chaos``
-    The fault-injection suite under ``tests/chaos/``: pipelines run under
-    injected cache-entry corruption and sweep interrupts must recover to
-    bit-identical results.  Skipped by default; enable with
-    ``--run-chaos``.
+    The recovery suite under ``tests/chaos/``: a pipeline run on a cache
+    archive with an entry corrupted on disk must recover to bit-identical
+    results.  Skipped by default; enable with ``--run-chaos``.
 """
 
 import pytest
@@ -72,7 +71,7 @@ def pytest_addoption(parser):
         "--run-chaos",
         action="store_true",
         default=False,
-        help="run the fault-injection chaos suite (tests/chaos/)",
+        help="run the chaos recovery suite (tests/chaos/)",
     )
 
 
@@ -86,7 +85,7 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "chaos: fault-injection recovery suite (needs --run-chaos)",
+        "chaos: corrupted-cache recovery suite (needs --run-chaos)",
     )
 
 

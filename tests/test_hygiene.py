@@ -243,7 +243,6 @@ TEST_ONLY_ALLOWED = {
     "repro/ioimc/visualization.py:to_text": _PUBLIC,
     "repro/lumping/strong.py:reduction_factor": _PUBLIC,
     "repro/resilience/checkpoint.py:clear": _PUBLIC,
-    "repro/resilience/faults.py:inject_faults": "test hook of the chaos suite",
     "repro/simulation/engine.py:ArcadeSimulator": _ORACLE,
     "repro/simulation/vectorised.py:traces": _ORACLE,
     "repro/sweep/driver.py:verify_bit_identical": _SWEEP,

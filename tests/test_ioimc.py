@@ -1,6 +1,7 @@
 """Tests for the I/O-IMC core: signatures, composition and hiding (Section 2)."""
 
 import math
+from dataclasses import dataclass
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.ioimc import (
     Signature,
     compose,
     compose_many,
+    explore,
     hide,
     to_dot,
     to_text,
@@ -84,6 +86,51 @@ class TestSignature:
         assert ActionKind.INPUT.decorate("a") == "a?"
         assert ActionKind.OUTPUT.decorate("a") == "a!"
         assert ActionKind.INTERNAL.decorate("a") == "a;"
+
+
+@dataclass(frozen=True)
+class _Node:
+    """A state for :func:`explore`: a node of a hand-written move graph."""
+
+    label: str
+
+    def name(self) -> str:
+        return self.label
+
+
+class TestExplore:
+    #: Moves per node: an action name is interactive, a float a rate.
+    GRAPH = {
+        "r": [("a", "x"), ("b", "y"), (2.0, "y")],
+        "x": [("c", "z")],
+        "y": [("c", "w"), ("c", "w")],
+        "z": [(1.0, "r")],
+        "w": [],
+    }
+
+    def explore_graph(self) -> IOIMC:
+        return explore(
+            "g",
+            Signature.create(outputs={"a", "b", "c"}),
+            _Node("r"),
+            lambda node: [(move, _Node(target)) for move, target in self.GRAPH[node.label]],
+            lambda node: ("goal",) if node.label == "w" else (),
+        )
+
+    def test_numbers_states_depth_first_by_first_appearance(self):
+        # r's moves register x then y; the worklist pops y (the last pushed)
+        # first, so w is numbered before z.
+        automaton = self.explore_graph()
+        assert automaton.state_names == ["r", "x", "y", "w", "z"]
+        assert automaton.initial == 0
+
+    def test_moves_and_labels(self):
+        automaton = self.explore_graph()
+        # y's repeated c-move is one edge; both rates are kept.
+        assert automaton.num_interactive_transitions() == 4
+        assert automaton.num_markovian_transitions() == 2
+        # Only states with propositions carry a label entry.
+        assert automaton.labels == {3: frozenset({"goal"})}
 
 
 class TestIOIMCStructure:

@@ -103,6 +103,18 @@ class TestPhaseTypeValidation:
             Exponential(1.0).scaled(0.0)
 
 
+class TestMovesFrom:
+    def test_transitions_then_completions_in_declaration_order(self):
+        distribution = PhaseType(
+            (1.0, 0.0, 0.0),
+            ((0, 2.0, 2), (1, 5.0, 2), (0, 3.0, 1)),
+            ((2, 4.0), (0, 0.5)),
+        )
+        assert list(distribution.moves_from(0)) == [(2.0, 2), (3.0, 1), (0.5, None)]
+        assert list(distribution.moves_from(1)) == [(5.0, 2)]
+        assert list(distribution.moves_from(2)) == [(4.0, None)]
+
+
 class TestNonFiniteInputsFailLoudly:
     """NaN slips past ``rate <= 0`` and ``abs(sum - 1) > 1e-9``; every
     rate and probability is checked for finiteness and range instead."""

@@ -6,7 +6,7 @@ Three layers:
   (each block exactly once) with gates legally scheduled (every non-gate
   block a gate observes is composed before the gate), across the case
   studies and the differential generator families;
-* **determinism** — a fixed ``(model, budget, seed)`` plans the same order;
+* **determinism** — planning one model twice gives the same order;
 * **end-to-end** — ``order="auto"`` reproduces the hierarchical goldens'
   measures on DDS and RCS, and the planned order's *measured* peak
   intermediate size beats the greedy ``default_order``'s (the whole point
@@ -27,13 +27,7 @@ from repro.arcade.semantics import translate_model
 from repro.casestudies.dds import DDSParameters, build_dds_model
 from repro.casestudies.rcs import build_heat_exchange_subsystem, build_pump_subsystem
 from repro.composer import Composer, GateScheduler, flatten_order
-from repro.planner import (
-    DEFAULT_BUDGET,
-    CostModel,
-    CostParameters,
-    affinity_groups,
-    plan_order,
-)
+from repro.planner import CostModel, affinity_groups, plan_order
 
 
 def _translated_corpus():
@@ -53,7 +47,7 @@ class TestPlannedOrderProperties:
     @pytest.fixture(scope="class")
     def planned(self):
         return [
-            (name, translated, plan_order(translated, seed=0))
+            (name, translated, plan_order(translated))
             for name, translated in _translated_corpus()
         ]
 
@@ -93,23 +87,12 @@ class TestPlannedOrderProperties:
 
 
 class TestDeterminism:
-    def test_same_seed_same_order(self):
+    def test_planning_twice_gives_the_same_order(self):
         translated = translate_model(build_pump_subsystem())
-        order_a, report_a = plan_order(translated, seed=7)
-        order_b, report_b = plan_order(translated, seed=7)
+        order_a, report_a = plan_order(translated)
+        order_b, report_b = plan_order(translated)
         assert order_a == order_b
         assert report_a.predicted_peak_states == report_b.predicted_peak_states
-
-    def test_seed_and_budget_are_recorded(self):
-        translated = translate_model(random_arcade_model(1))
-        _, report = plan_order(translated, budget=64, seed=3)
-        assert report.seed == 3
-        assert report.budget == 64
-
-    def test_budget_must_be_positive(self):
-        translated = translate_model(random_arcade_model(1))
-        with pytest.raises(ValueError):
-            plan_order(translated, budget=0)
 
     def test_plan_report_reset_when_rerun_without_auto(self):
         translated = translate_model(random_arcade_model(1))
@@ -119,29 +102,24 @@ class TestDeterminism:
         assert composer.compose().plan_report is None
 
     def test_evaluator_plans_with_the_default_budget_and_seed(self):
-        evaluator = ArcadeEvaluator(random_arcade_model(1), order="auto")
+        # The evaluator's plan is plan_order's, with its fixed budget and seed.
+        model = random_arcade_model(1)
+        evaluator = ArcadeEvaluator(model, order="auto")
         report = evaluator.composed.plan_report
+        _, expected = plan_order(translate_model(model))
         assert report is not None
-        assert report.budget == DEFAULT_BUDGET
-        assert report.seed == 0
+        assert report.predicted_peak_states == expected.predicted_peak_states
+        assert report.explored_candidates == expected.explored_candidates
 
 
 class TestCostModel:
     def test_estimate_order_matches_composer_step_count(self):
         translated = translate_model(build_pump_subsystem())
-        order, _ = plan_order(translated, seed=0)
+        order, _ = plan_order(translated)
         state = CostModel(translated).estimate_order(order)
         composer = Composer(translated, order=order)
         composer.compose()
         assert state.steps == len(composer.statistics.steps)
-
-    def test_custom_parameters_round_trip(self):
-        translated = translate_model(random_arcade_model(1))
-        model = CostModel(translated, CostParameters(0.5, 0.5))
-        assert model.parameters.sync_damping == 0.5
-        order, report = plan_order(translated, cost_model=model)
-        assert sorted(flatten_order(order)) == sorted(translated.blocks)
-        assert report.predicted_peak_states > 0
 
 
 class TestPlannedBeatsGreedy:

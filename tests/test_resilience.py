@@ -1,17 +1,19 @@
 """The resilience layer (:mod:`repro.resilience`): fast tier-1 coverage.
 
-Three groups:
+Two groups:
 
-* **fault harness** — declarative injection is deterministic and scoped
-  (no ambient plan = no behaviour change);
 * **crash-safe cache file** — checksummed save/load round-trips the quotient
-  cache exactly (entries, sizes *and* counters), a corrupted entry is
-  quarantined without failing the load, and structural damage fails loudly;
+  cache exactly (entries, sizes *and* counters), an entry corrupted on disk
+  is quarantined without failing the load, and structural damage fails
+  loudly;
 * **sweep resilience** — failure isolation turns a budget-exceeding point
   into an error row, and an interrupted sweep resumed from its checkpoint
   produces a canonically bit-identical store.
 
-The end-to-end recovery walks on the DDS live in ``tests/chaos/``.
+Faults are driven from outside the pipeline: :func:`flip_entry_byte` edits a
+saved archive, :func:`interrupt_sweep_at` makes one sweep point raise
+``KeyboardInterrupt``, and a ``state_budget`` below a step's size trips the
+budget.  The end-to-end recovery walk on the DDS lives in ``tests/chaos/``.
 """
 
 import json
@@ -30,15 +32,10 @@ from repro.arcade import (
 from repro.arcade.expressions import And
 from repro.arcade.semantics import translate_model
 from repro.composer import QuotientCache, compose_model
-from repro.errors import CacheStoreError, ResilienceError, StateBudgetError, SweepError
+from repro.errors import CacheStoreError, StateBudgetError, SweepError
 from repro.resilience import (
     CACHE_STORE_VERSION,
-    FaultPlan,
-    FaultSpec,
-    INJECTION_SITES,
     SweepCheckpoint,
-    active_fault,
-    inject_faults,
     load_cache,
     save_cache,
 )
@@ -46,10 +43,12 @@ from repro.sweep import (
     SweepConfig,
     SweepFactory,
     canonical_store_bytes,
+    driver,
     run_sweep,
 )
 from repro.distributions import Exponential
-from repro.resilience.diskcache import _ARRAY_FIELDS, _checksum
+from repro.names import SelectedNames, rebind
+from repro.resilience.diskcache import _array_fields, _checksum
 from repro.sweep.driver import _config_fingerprint
 
 
@@ -80,60 +79,38 @@ def _pair_factory() -> SweepFactory:
     )
 
 
+def flip_entry_byte(path, key: str) -> None:
+    """Flip the last byte of entry ``key``'s interactive row offsets in the
+    saved archive at ``path``, finding its slot through the archive index;
+    the entry's checksum no longer matches."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    document = json.loads(bytes(members["index"]).decode())
+    slot = next(entry["slot"] for entry in document["entries"] if entry["key"] == key)
+    corrupted = members[f"{slot}.ii"].copy()
+    corrupted.view(np.uint8)[-1] ^= 0xFF
+    members[f"{slot}.ii"] = corrupted
+    np.savez(path, **members)
+
+
+def interrupt_sweep_at(monkeypatch, index: int) -> None:
+    """Make the sweep's evaluation number ``index`` raise ``KeyboardInterrupt``
+    (a user or scheduler kill) instead of evaluating the point."""
+    evaluate_point = driver.evaluate_point
+
+    def interrupted(*args, **kwargs):
+        if kwargs.get("index") == index:
+            raise KeyboardInterrupt(f"interrupted before point {index}")
+        return evaluate_point(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "evaluate_point", interrupted)
+
+
 def _populated_cache() -> QuotientCache:
     cache = QuotientCache()
     compose_model(translate_model(_pair_model()), cache=cache)
     assert cache.stores > 0
     return cache
-
-
-# --------------------------------------------------------------------------- #
-# fault harness
-# --------------------------------------------------------------------------- #
-class TestFaultHarness:
-    def test_unknown_site_is_rejected(self):
-        with pytest.raises(ResilienceError, match="unknown injection site"):
-            FaultSpec(site="compose.meltdown")
-
-    def test_no_ambient_plan_means_no_fault(self):
-        assert active_fault("sweep.interrupt", key="point:0") is None
-
-    def test_declarative_spec_matches_site_and_key(self):
-        plan = FaultPlan(
-            specs=(
-                FaultSpec(site="sweep.interrupt", key="point:1"),
-                FaultSpec(site="cache.corrupt_entry"),
-            )
-        )
-        with inject_faults(plan):
-            assert active_fault("sweep.interrupt", key="point:1")
-            assert active_fault("sweep.interrupt", key="point:2") is None
-            assert active_fault("compose.blowup", key="point:1") is None
-            assert active_fault("cache.corrupt_entry", key="any entry")
-        assert plan.fired == [
-            ("sweep.interrupt", "point:1"),
-            ("cache.corrupt_entry", "any entry"),
-        ]
-
-    def test_first_matching_spec_applies(self):
-        keyed = FaultSpec(site="compose.blowup", key="step", factor=2.0)
-        plan = FaultPlan(specs=(keyed, FaultSpec(site="compose.blowup")))
-        with inject_faults(plan):
-            assert active_fault("compose.blowup", key="step") is keyed
-            assert active_fault("compose.blowup", key="other") is plan.specs[1]
-
-    def test_plan_is_scoped_to_the_block(self):
-        with inject_faults(FaultPlan(specs=(FaultSpec(site="sweep.interrupt"),))):
-            assert active_fault("sweep.interrupt") is not None
-        assert active_fault("sweep.interrupt") is None
-
-    def test_none_plan_is_a_noop(self):
-        with inject_faults(None) as plan:
-            assert plan is None
-            assert active_fault("sweep.interrupt") is None
-
-    def test_all_sites_are_documented_strings(self):
-        assert all(isinstance(site, str) and "." in site for site in INJECTION_SITES)
 
 
 # --------------------------------------------------------------------------- #
@@ -172,13 +149,13 @@ class TestCacheFile:
         assert from_disk.statistics.cache_hits == from_memory.statistics.cache_hits
 
     def test_injected_corruption_quarantines_only_that_entry(self, tmp_path):
+        # Corrupt one chosen entry on disk: the checksum catches it
+        # entry-locally and every other entry still loads.
         cache = _populated_cache()
         victim = sorted(cache.entries())[0]
         path = tmp_path / "cache.npz"
-        plan = FaultPlan(specs=(FaultSpec(site="cache.corrupt_entry", key=victim),))
-        with inject_faults(plan):
-            save_cache(cache, path)
-        assert plan.fired == [("cache.corrupt_entry", victim)]
+        save_cache(cache, path)
+        flip_entry_byte(path, victim)
 
         restored, report = load_cache(path)
         assert report.quarantined == 1
@@ -187,9 +164,9 @@ class TestCacheFile:
         assert victim not in restored.entries()
 
     def test_flipped_byte_on_disk_is_quarantined_not_crashed(self, tmp_path):
-        # Belt and braces for the injection test: corrupt the archive the
-        # blunt way (rewrite one member's payload) and the checksum must
-        # still catch it entry-locally.
+        # Corrupt the archive the blunt way, without the index (rewrite the
+        # first row-offsets member's payload): the checksum must still catch
+        # it entry-locally.
         cache = _populated_cache()
         path = tmp_path / "cache.npz"
         save_cache(cache, path)
@@ -205,6 +182,36 @@ class TestCacheFile:
         assert report.quarantined == 1
         assert report.loaded == len(cache.entries()) - 1
 
+    def test_names_selected_with_gaps_round_trip(self, tmp_path):
+        # Two selections over the product, each with a gap (-1, read as
+        # "s<k>"): the archive keeps every index array, and the loaded entry
+        # rebound to the same operands names its states as the stored one.
+        cache = _populated_cache()
+        key, entry = max(
+            cache.entries().items(), key=lambda item: item[1].automaton.num_states
+        )
+        automaton = entry.automaton
+        product = automaton.name_source
+        while isinstance(product, SelectedNames):
+            product = product.parent
+        inner = np.arange(automaton.num_states)
+        inner[0] = -1
+        outer = np.arange(automaton.num_states)[::-1].copy()
+        outer[0] = -1
+        automaton.name_source = SelectedNames(
+            SelectedNames(automaton.name_source, inner), outer
+        )
+        path = tmp_path / "cache.npz"
+        save_cache(cache, path)
+
+        restored, report = load_cache(path)
+        assert report.quarantined == 0
+        loaded = restored.entries()[key].automaton.name_source
+        rebound = rebind(loaded, product.left, product.right)
+        names = automaton.state_names
+        assert names[0] == "s0" and names[-1] == "s0"  # one gap at each level
+        assert rebound.names() == names
+
     @staticmethod
     def _rechecksummed(path, edit):
         """Apply ``edit(metadata, arrays)`` to the archive's largest entry and
@@ -216,7 +223,9 @@ class TestCacheFile:
         metadata = max(document["entries"], key=lambda entry: entry["num_states"])
         slot = metadata.pop("slot")
         metadata.pop("checksum")
-        arrays = {field: members[f"{slot}.{field}"].copy() for field in _ARRAY_FIELDS}
+        arrays = {
+            field: members[f"{slot}.{field}"].copy() for field in _array_fields(metadata)
+        }
         edit(metadata, arrays)
         for field, array in arrays.items():
             members[f"{slot}.{field}"] = array
@@ -239,6 +248,8 @@ class TestCacheFile:
             lambda meta, arrays: meta.__setitem__("initial", meta["num_states"]),
             lambda meta, arrays: meta["labels"].__setitem__("999999", ["down"]),
             lambda meta, arrays: meta.__setitem__("num_states", meta["num_states"] + 1),
+            lambda meta, arrays: arrays["n0"].__setitem__(0, -2),
+            lambda meta, arrays: arrays.update(n0=arrays["n0"][:-1], n1=arrays["n1"][:-1]),
         ],
         ids=[
             "markovian-target",
@@ -251,6 +262,8 @@ class TestCacheFile:
             "initial",
             "label-state",
             "state-count",
+            "name-index",
+            "name-length",
         ],
     )
     def test_rechecksummed_invalid_entry_is_quarantined(self, tmp_path, edit):
@@ -302,7 +315,7 @@ class TestCacheFile:
         with np.load(path, allow_pickle=False) as archive:
             members = {name: archive[name] for name in archive.files}
         document = json.loads(bytes(members["index"]).decode())
-        assert document["version"] == CACHE_STORE_VERSION == 3
+        assert document["version"] == CACHE_STORE_VERSION == 4
         document["version"] = version
         members["index"] = np.frombuffer(json.dumps(document).encode(), dtype=np.uint8)
         np.savez(path, **members)
@@ -321,6 +334,14 @@ class TestCacheFile:
         path = tmp_path / "cache.npz"
         self._archive_claiming_version(path, 2)
         with pytest.raises(CacheStoreError, match="unsupported version 2 "):
+            load_cache(path)
+
+    def test_version_3_archive_is_refused(self, tmp_path):
+        # Version-3 archives stored each entry's state names as a list,
+        # which named a hit's states after the replica that stored it.
+        path = tmp_path / "cache.npz"
+        self._archive_claiming_version(path, 3)
+        with pytest.raises(CacheStoreError, match="unsupported version 3 "):
             load_cache(path)
 
     def test_load_into_existing_cache_merges_counters(self, tmp_path):
@@ -348,13 +369,6 @@ class TestStateBudget:
         plain = compose_model(translated)
         bounded = compose_model(translated, state_budget=10**9)
         assert bounded.ctmc.summary() == plain.ctmc.summary()
-
-    def test_blowup_fault_trips_the_budget(self):
-        translated = translate_model(_pair_model())
-        plan = FaultPlan(specs=(FaultSpec(site="compose.blowup"),))
-        with inject_faults(plan):
-            with pytest.raises(StateBudgetError, match="injected blowup"):
-                compose_model(translated, state_budget=10**9)
 
 
 # --------------------------------------------------------------------------- #
@@ -393,12 +407,14 @@ class TestSweepFailureIsolation:
 
 
 class TestSweepCheckpointResume:
-    def test_interrupted_then_resumed_is_canonically_bit_identical(self, tmp_path):
+    def test_interrupted_then_resumed_is_canonically_bit_identical(
+        self, tmp_path, monkeypatch
+    ):
         golden = run_sweep(_pair_factory(), _sweep_config())
         checkpoint = str(tmp_path / "sweep")
 
-        plan = FaultPlan(specs=(FaultSpec(site="sweep.interrupt", key="point:3"),))
-        with inject_faults(plan):
+        with monkeypatch.context() as patched:
+            interrupt_sweep_at(patched, 3)
             with pytest.raises(KeyboardInterrupt):
                 run_sweep(_pair_factory(), _sweep_config(checkpoint=checkpoint))
         assert (tmp_path / "sweep.ckpt.npz").exists()
@@ -424,10 +440,10 @@ class TestSweepCheckpointResume:
         with pytest.raises(SweepError, match="checkpoint path"):
             run_sweep(_pair_factory(), _sweep_config(resume=True))
 
-    def test_reconfigured_sweep_refuses_the_checkpoint(self, tmp_path):
+    def test_reconfigured_sweep_refuses_the_checkpoint(self, tmp_path, monkeypatch):
         checkpoint = str(tmp_path / "sweep")
-        plan = FaultPlan(specs=(FaultSpec(site="sweep.interrupt", key="point:2"),))
-        with inject_faults(plan):
+        with monkeypatch.context() as patched:
+            interrupt_sweep_at(patched, 2)
             with pytest.raises(KeyboardInterrupt):
                 run_sweep(_pair_factory(), _sweep_config(checkpoint=checkpoint))
         with pytest.raises(SweepError, match="different sweep configuration"):

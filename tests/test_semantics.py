@@ -1,5 +1,6 @@
 """Tests for the I/O-IMC semantics of the Arcade building blocks (Figs. 2-9)."""
 
+import hashlib
 
 import pytest
 
@@ -27,6 +28,9 @@ from repro.arcade.semantics import (
 )
 from repro.arcade.semantics.gate_semantics import GateInput, VotingGate
 from repro.arcade.semantics import signals
+from repro.casestudies.dds import build_dds_model
+from repro.casestudies.rcs import build_heat_exchange_subsystem, build_pump_subsystem
+from repro.composer.cache import positional_form
 from repro.distributions import Erlang, Exponential
 
 from differential.test_rate_reuse import ioimc_bytes
@@ -512,3 +516,38 @@ class TestBlockMemo:
         assert not {id(block) for block in first.values()} & {
             id(block) for block in second.values()
         }
+
+
+class TestEveryBlockPinned:
+    """Every block kind of both case studies, pinned byte for byte.
+
+    One SHA-256 over the sorted ``(model, block, positional digest, state
+    names digest)`` rows of the paper DDS, the RCS pump subsystem and the
+    RCS heat-exchange subsystem: components, repair units, spare management
+    units and gates.  The positional digest covers the state numbering,
+    labels, edges and rate bits; the names digest covers the state names.
+    """
+
+    def test_all_translated_blocks_are_pinned(self):
+        models = {
+            "dds": build_dds_model(),
+            "pumps": build_pump_subsystem(),
+            "heat": build_heat_exchange_subsystem(),
+        }
+        rows = []
+        for label, model in models.items():
+            for name, block in translate_model(model).blocks.items():
+                names = "\n".join(block.state_names).encode()
+                rows.append(
+                    (
+                        label,
+                        name,
+                        positional_form(block)[0],
+                        hashlib.sha256(names).hexdigest(),
+                    )
+                )
+        digest = hashlib.sha256(repr(sorted(rows)).encode()).hexdigest()
+        assert len(rows) == 96
+        assert digest == (
+            "b66ac8934c4f4a8089201434e7eb193b78ff014c526456a41ca923bd6138b5ef"
+        )

@@ -25,6 +25,7 @@ from repro.composer import QuotientCache, compose_model
 from repro.ioimc import IOIMC, IOIMCBuilder, Signature, compose, hide
 from repro.lumping import minimize_branching
 from repro.names import ListNames, ProductNames, SelectedNames
+from repro.resilience import load_cache, save_cache
 
 #: SHA-256 of ``"\n".join(ctmc.state_names)`` for the final chains of the
 #: paper models (strong and branching reduction agree on the DDS chain).
@@ -143,6 +144,32 @@ def test_cache_hits_name_states_after_their_own_operands(num_clusters):
     assert on.statistics.cache_hits > 0
     assert on.ioimc.state_names == off.ioimc.state_names
     assert on.ctmc.state_names == off.ctmc.state_names
+
+
+def test_hits_loaded_from_a_cache_file_name_states_after_their_own_operands(
+    tmp_path,
+):
+    """Entries loaded from a ``--cache-file`` archive rebind their names too:
+    a 2-cluster DDS served from a saved 1-cluster cache names every state as
+    a cold run does (``[d_8.m1 ph0]``, never the stored ``[d_4.m1 ph0]``)."""
+    translated, order = one_cluster_dds()
+    cache = QuotientCache()
+    compose_model(translated, order=order, cache=cache)
+    path = tmp_path / "cache.npz"
+    save_cache(cache, path)
+    loaded, report = load_cache(path)
+    assert report.quarantined == 0
+
+    parameters = DDSParameters(num_clusters=2)
+    translated = translate_model(build_dds_model(parameters))
+    order = dds_composition_order(translated, parameters)
+    warm = compose_model(translated, order=order, cache=loaded)
+    cold = compose_model(translated, order=order, cache="off")
+    assert warm.statistics.cache_hits == 25
+    assert len(warm.ioimc.state_names) == 150
+    assert warm.ioimc.state_names == cold.ioimc.state_names
+    assert warm.ctmc.state_names == cold.ctmc.state_names
+    assert_lookups_agree(warm.ioimc)
 
 
 def test_availability_builds_no_state_name(monkeypatch):
