@@ -37,6 +37,7 @@ from ..arcade.expressions import And, Expression, Literal, Or
 from ..arcade.semantics import TranslatedModel
 from ..composer import CompositionOrder, hierarchical_order, require_serial
 from ..distributions import Exponential
+from ..errors import ModelError
 from .orders import ORDER_CHOICES, validate_order_choice
 
 #: Failure rate of processors and disk controllers (per hour).
@@ -61,6 +62,23 @@ class DDSParameters:
     processor_failure_rate: float = PROCESSOR_FAILURE_RATE
     disk_failure_rate: float = DISK_FAILURE_RATE
     repair_rate: float = REPAIR_RATE
+
+    def __post_init__(self) -> None:
+        for name in (
+            "num_controller_sets",
+            "controllers_per_set",
+            "num_clusters",
+            "disks_per_cluster",
+        ):
+            value = getattr(self, name)
+            if value < 1:
+                raise ModelError(f"DDSParameters.{name} must be at least 1, got {value!r}")
+        if not 1 <= self.disks_down_for_cluster_failure <= self.disks_per_cluster:
+            raise ModelError(
+                "DDSParameters.disks_down_for_cluster_failure must lie in "
+                f"[1, disks_per_cluster={self.disks_per_cluster}], "
+                f"got {self.disks_down_for_cluster_failure!r}"
+            )
 
 
 def controller_name(set_index: int, position: int, parameters: DDSParameters) -> str:

@@ -7,10 +7,11 @@ hand-craft a hierarchical decomposition:
 
 * :mod:`repro.planner.costmodel` — a fast static estimator of the
   intermediate state-space sizes a candidate (nested) order will produce;
-* :mod:`repro.planner.search` — beam search over left-deep order extensions
-  plus a seeded simulated-annealing refiner over leaf permutations, both
-  scoring candidates through the cost model, with fault-tree gates placed by
-  the earliest-hiding rule of :class:`repro.composer.GateScheduler`;
+* :mod:`repro.planner.search` — the seed order (affinity groups chained
+  along a depth-first walk of the fault tree) and a seeded
+  simulated-annealing refiner over leaf permutations that scores candidates
+  through the cost model, with fault-tree gates placed by the
+  earliest-hiding rule of :class:`repro.composer.GateScheduler`;
 * :mod:`repro.planner.planner` — the :func:`plan_order` facade, wired into
   the stack as ``Composer(order="auto")`` / ``compose_model(order="auto")``
   and the ``--order auto`` flag of the case-study CLIs.
@@ -26,11 +27,7 @@ from .search import (
     SearchResult,
     affinity_groups,
     anneal_order,
-    beam_search,
-    beam_search_groups,
     gate_tree_group_order,
-    group_isomorphism_classes,
-    order_group_by_cost,
 )
 
 __all__ = [
@@ -40,10 +37,6 @@ __all__ = [
     "SearchResult",
     "affinity_groups",
     "anneal_order",
-    "beam_search",
-    "beam_search_groups",
     "gate_tree_group_order",
-    "group_isomorphism_classes",
-    "order_group_by_cost",
     "plan_order",
 ]

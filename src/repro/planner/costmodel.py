@@ -83,9 +83,8 @@ class CostModel:
         self._leaf_cache: dict[str, CostState] = {}
         #: The signal-set half of :meth:`combine` — shared count, newly
         #: hidable count, resulting visible set — is a pure function of the
-        #: two operands' block sets, so it is memoised; the beam and the
-        #: annealer re-fold mostly identical prefixes, making the hit rate
-        #: very high.
+        #: two operands' block sets, so it is memoised; the annealer re-folds
+        #: mostly identical prefixes, making the hit rate very high.
         self._combine_cache: dict[
             tuple[frozenset[str], frozenset[str]],
             tuple[int, int, frozenset[str], frozenset[str]],

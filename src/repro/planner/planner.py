@@ -9,17 +9,17 @@ it did.  It is wired into the stack as ``Composer(order="auto")`` /
 case-study CLIs, and is the entry point for ad-hoc models whose users have
 no hierarchical decomposition at hand.
 
-The pipeline: partition the non-gate blocks into affinity groups (the
-connected components of the shared-signal graph), beam-search the group
-chaining order — or, when the graph is one component, the flat leaf order —
-against the cost model, race the signal-closing greedy heuristic as a seed,
-refine the winner by simulated annealing over leaf permutations, and
-materialise the result as a nested order through
+The search has one path.  Partition the non-gate blocks into affinity
+groups (the connected components of the shared-signal graph) and chain them
+along a depth-first walk of the fault tree — or, when the graph is one
+component, take the signal-closing greedy order's blocks one by one.  That
+seed is refined by simulated annealing over leaf permutations against the
+cost model, and the result is materialised as a nested order through
 :func:`repro.composer.hierarchical_order`, so the planned order gets the
 same group-then-join structure (and earliest-hiding gate placement) as the
 paper's hand-written decompositions.  The plan is a function of the model
-alone (the search budget and the annealing seed are fixed); the composer's
-quotient cache plays no part in it.
+alone (the annealing budget and seed are fixed); the composer's quotient
+cache plays no part in it.
 """
 
 from __future__ import annotations
@@ -34,31 +34,22 @@ from ..composer.ordering import GateScheduler
 from ..telemetry.trace import span as telemetry_span
 from .costmodel import CostModel
 from .search import (
-    SearchResult,
     affinity_groups,
     anneal_order,
-    beam_search,
-    beam_search_groups,
     gate_tree_group_order,
-    group_isomorphism_classes,
-    order_group_by_cost,
     score_groups,
 )
 
-#: Search budget, in candidate-order evaluations.  Roughly 40% goes to the
-#: beam phase (as beam width), the rest to annealing iterations.  Sized so
-#: that planning the 57-block DDS model costs well under 10% of its
-#: end-to-end pipeline wall-clock.
+#: Annealing budget, in candidate-order evaluations.  Sized so that
+#: planning the 57-block DDS model costs well under 10% of its end-to-end
+#: pipeline wall-clock.
 BUDGET = 240
 
 #: Seed of the annealing RNG: the whole search is deterministic per model.
 SEED = 0
 
-#: Widest beam the budget heuristic will pick.
-_MAX_BEAM_WIDTH = 8
-
-#: The annealed order must undercut the structured candidate's predicted
-#: peak by this factor to win (guards against plateau drift, see below).
+#: The annealed order must undercut the seed's predicted peak by this
+#: factor to win (guards against plateau drift, see below).
 _ANNEALING_MARGIN = 0.9
 
 
@@ -72,7 +63,6 @@ class PlanReport:
     explored_candidates: int
     wall_clock_seconds: float
     num_groups: int
-    beam_width: int
     annealing_iterations: int
     improved_by_annealing: bool
 
@@ -82,8 +72,8 @@ class PlanReport:
             f"planned order: predicted peak {self.predicted_peak_states:,.0f} states "
             f"over {self.predicted_steps} steps, {self.num_groups} affinity groups, "
             f"{self.explored_candidates} candidates explored "
-            f"(beam width {self.beam_width}, {self.annealing_iterations} annealing "
-            f"iterations) in {self.wall_clock_seconds:.2f}s"
+            f"({self.annealing_iterations} annealing iterations) "
+            f"in {self.wall_clock_seconds:.2f}s"
         )
 
 
@@ -103,7 +93,6 @@ def plan_order(translated: TranslatedModel) -> tuple[CompositionOrder, PlanRepor
             predicted_steps=report.predicted_steps,
             explored_candidates=report.explored_candidates,
             num_groups=report.num_groups,
-            beam_width=report.beam_width,
             improved_by_annealing=report.improved_by_annealing,
         )
         return order, report
@@ -114,84 +103,43 @@ def _plan_order_impl(translated: TranslatedModel) -> tuple[CompositionOrder, Pla
     started = time.perf_counter()
     model = CostModel(translated)
     scheduler = GateScheduler(translated)
-    num_leaves = max(len(scheduler.non_gate_blocks), 1)
 
-    # Split the budget: the beam phase scores ~width * n / 2 full-order
-    # equivalents; the rest buys annealing iterations.
-    beam_width = max(1, min(_MAX_BEAM_WIDTH, round(0.4 * BUDGET / (num_leaves / 2))))
-    beam_equivalents = max(1, beam_width * num_leaves // 2)
-    annealing_iterations = max(0, BUDGET - beam_equivalents)
-
-    groups = [
-        order_group_by_cost(model, group) for group in affinity_groups(translated)
-    ]
+    groups = affinity_groups(translated)
     if len(groups) > 1:
-        # Isomorphic sibling groups (the replicated subsystems) collapse the
-        # beam's branching: only one representative per class is tried at
-        # every extension point, so planning effort grows linearly — not
-        # factorially — with the replica count.
-        iso_classes = group_isomorphism_classes(translated, groups)
-        best, explored = beam_search_groups(
-            model, scheduler, groups, width=beam_width, iso_classes=iso_classes
+        seed = tuple(
+            tuple(groups[index]) for index in gate_tree_group_order(scheduler, groups)
         )
-        # Second candidate: chain the groups along a depth-first walk of the
-        # fault tree (the structure of the paper's hand-written orders),
-        # which the prefix-scored beam cannot discover — the gate interleaving
-        # it buys only pays off deep in the chain.
-        tree_groups = tuple(
-            tuple(groups[index])
-            for index in gate_tree_group_order(scheduler, groups)
-        )
-        tree_cost = score_groups(model, scheduler, tree_groups)
-        explored += 1
-        if (tree_cost.peak, tree_cost.total) < best.score:
-            best = SearchResult(groups=tree_groups, cost=tree_cost, explored=explored)
     else:
-        best, explored = beam_search(model, scheduler, width=beam_width)
+        from ..composer import Composer  # late import: composer lazily uses planner
 
-    # The signal-closing greedy heuristic rides along as a seed candidate,
-    # so the planned order is never worse than it under the cost model.
-    from ..composer import Composer  # late import: composer lazily uses planner
-
-    greedy_order = Composer(translated).default_order()
-    greedy_groups = tuple(
-        (name,) for name in greedy_order if name not in scheduler.gate_names
-    )
-    greedy_cost = score_groups(model, scheduler, greedy_groups)
-    explored += 1
-    if (greedy_cost.peak, greedy_cost.total) < best.score:
-        best = SearchResult(groups=greedy_groups, cost=greedy_cost, explored=explored)
-
-    beam_score = best.score
-    if annealing_iterations > 0:
-        rng = random.Random(SEED)
-        annealed, annealed_explored = anneal_order(
-            model,
-            scheduler,
-            best.groups,
-            iterations=annealing_iterations,
-            rng=rng,
+        seed = tuple(
+            (name,)
+            for name in Composer(translated).default_order()
+            if name not in scheduler.gate_names
         )
-        explored += annealed_explored
-        # The cost model is a ranking device, not a measurement: near-ties
-        # hide real differences (moving one block into an unrelated group can
-        # look neutral while being disastrous in practice).  The annealed
-        # order therefore only replaces the structured candidate when it
-        # beats it by a real margin on the predicted peak.
-        if annealed.cost.peak < _ANNEALING_MARGIN * best.cost.peak:
-            best = annealed
+    seed_cost = score_groups(model, scheduler, seed)
 
-    order = hierarchical_order(translated, [list(group) for group in best.groups])
+    annealed = anneal_order(
+        model, scheduler, seed, iterations=BUDGET, rng=random.Random(SEED)
+    )
+    # The cost model is a ranking device, not a measurement: near-ties hide
+    # real differences (moving one block into an unrelated group can look
+    # neutral while being disastrous in practice).  The annealed order
+    # therefore only replaces the seed when it beats it by a real margin on
+    # the predicted peak.
+    improved = annealed.cost.peak < _ANNEALING_MARGIN * seed_cost.peak
+    groups_chosen, cost = (annealed.groups, annealed.cost) if improved else (seed, seed_cost)
+
+    order = hierarchical_order(translated, [list(group) for group in groups_chosen])
     report = PlanReport(
-        predicted_peak_states=best.cost.peak,
-        predicted_total_states=best.cost.total,
-        predicted_steps=best.cost.steps,
-        explored_candidates=explored,
+        predicted_peak_states=cost.peak,
+        predicted_total_states=cost.total,
+        predicted_steps=cost.steps,
+        explored_candidates=1 + annealed.explored,
         wall_clock_seconds=time.perf_counter() - started,
-        num_groups=len(best.groups),
-        beam_width=beam_width,
-        annealing_iterations=annealing_iterations,
-        improved_by_annealing=best.score < beam_score,
+        num_groups=len(groups_chosen),
+        annealing_iterations=BUDGET,
+        improved_by_annealing=improved,
     )
     return order, report
 

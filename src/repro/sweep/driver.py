@@ -131,6 +131,12 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         require_serial(self.jobs)
+        if not 0.0 < self.fd_step < 1.0:
+            raise SweepError(f"fd_step must lie in (0, 1), got {self.fd_step!r}")
+        if self.checkpoint_every < 1:
+            raise SweepError(
+                f"checkpoint_every must be at least 1, got {self.checkpoint_every!r}"
+            )
 
 
 @dataclass(frozen=True)

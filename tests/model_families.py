@@ -1,4 +1,4 @@
-"""Parametric model generators beside the paper's two case studies.
+"""Parametric model families beside the paper's two case studies.
 
 The paper's evaluation is built around two fixed case studies; the
 generators below produce families of Arcade models that vary size and
@@ -9,7 +9,7 @@ simulation baselines.
 
 from __future__ import annotations
 
-from ..arcade import (
+from repro.arcade import (
     ArcadeModel,
     BasicComponent,
     RepairStrategy,
@@ -17,8 +17,8 @@ from ..arcade import (
     down,
     k_of_n,
 )
-from ..arcade.expressions import And, Expression, Or
-from ..distributions import Exponential
+from repro.arcade.expressions import And, Expression, Or
+from repro.distributions import Exponential
 
 
 def redundant_array_model(

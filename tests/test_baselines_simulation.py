@@ -10,10 +10,11 @@ from repro.arcade.semantics import translate_model
 from repro.baselines import StaticFaultTreeAnalyzer, flat_compose
 from repro.baselines.gspn import GSPN, build_dds_san_ctmc, DDSNetOptions, to_ctmc
 from repro.casestudies.dds import DDSParameters, build_dds_model
-from repro.casestudies.workloads import redundant_array_model, series_of_parallel_model
 from repro.ctmc import steady_state_availability, steady_state_distribution, unreliability
 from repro.errors import AnalysisError, ModelError
 from repro.simulation import ArcadeSimulator
+
+from model_families import redundant_array_model, series_of_parallel_model
 
 
 class TestGSPNEngine:
@@ -125,7 +126,7 @@ class TestStaticFaultTree:
         assert analyzer.unreliability(10.0) == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_fdep_models(self):
-        from repro.casestudies.workloads import fdep_chain_model
+        from model_families import fdep_chain_model
 
         with pytest.raises(AnalysisError):
             StaticFaultTreeAnalyzer(fdep_chain_model(3))

@@ -14,7 +14,7 @@ from repro.casestudies.rcs import (
     build_rcs_model,
     build_rcs_modular_evaluator,
 )
-from repro.errors import ArcadeError
+from repro.errors import ArcadeError, ModelError
 from repro.sweep import SweepConfig
 
 
@@ -136,6 +136,33 @@ class TestRCSModel:
         assert pump.time_to_failure_of(1).mean() == pytest.approx(
             pump.time_to_failure_of(0).mean() / 2.0
         )
+
+
+class TestDDSParameterValidation:
+    """Out-of-range counts fail with the field's name instead of building a
+    smaller model than the one asked for."""
+
+    @pytest.mark.parametrize(
+        "field",
+        ["num_clusters", "num_controller_sets", "controllers_per_set", "disks_per_cluster"],
+    )
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_counts_below_one_are_refused(self, field, value):
+        with pytest.raises(ModelError, match=rf"DDSParameters\.{field} must be at least 1"):
+            DDSParameters(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, 5])
+    def test_cluster_failure_threshold_must_fit_the_cluster(self, value):
+        pattern = r"disks_down_for_cluster_failure must lie in \[1, disks_per_cluster=4\]"
+        with pytest.raises(ModelError, match=pattern):
+            DDSParameters(disks_down_for_cluster_failure=value)
+
+    def test_threshold_equal_to_cluster_size_is_accepted(self):
+        assert DDSParameters(disks_down_for_cluster_failure=4).disks_per_cluster == 4
+
+    def test_cli_refuses_zero_clusters(self):
+        with pytest.raises(ModelError, match=r"DDSParameters\.num_clusters"):
+            dds.main(["--clusters", "0"])
 
 
 class TestSerialOnly:

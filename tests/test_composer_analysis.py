@@ -19,7 +19,8 @@ from repro.arcade.expressions import Literal, Or
 from repro.arcade.semantics import translate_model
 from repro.composer import Composer, compose_model, hierarchical_order
 from repro.errors import CompositionError
-from repro.casestudies.workloads import (
+
+from model_families import (
     redundant_array_model,
     series_of_parallel_groups,
     series_of_parallel_model,

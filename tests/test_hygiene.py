@@ -207,7 +207,6 @@ _PUBLIC = "public API for library users"
 _SEMANTICS = "public API: the I/O-IMC semantics of one Arcade element"
 _SWEEP = "public API of sweeps and their stores (docs/sweep.md, docs/robustness.md)"
 _ORACLE = "test oracle: an independent reference the differential tier compares with"
-_WORKLOAD = "scaling-workload generator, due to move under tests/"
 
 #: ``src/`` definitions that only ``tests/`` reference, keyed
 #: ``"<path under src/>:<name>"``, each with the reason it stays in ``src/``.
@@ -223,10 +222,6 @@ TEST_ONLY_ALLOWED = {
     "repro/baselines/flat.py:exceeded_budget": _ORACLE,
     "repro/baselines/flat.py:flat_compose": _ORACLE,
     "repro/baselines/gspn/net.py:add_immediate_transition": _PUBLIC,
-    "repro/casestudies/workloads.py:redundant_array_model": _WORKLOAD,
-    "repro/casestudies/workloads.py:series_of_parallel_model": _WORKLOAD,
-    "repro/casestudies/workloads.py:series_of_parallel_groups": _WORKLOAD,
-    "repro/casestudies/workloads.py:fdep_chain_model": _WORKLOAD,
     "repro/composer/composer.py:cache_saved_seconds": _PUBLIC,
     "repro/ctmc/ctmc.py:exit_rate": _PUBLIC,
     "repro/ctmc/ctmc.py:absorbing_states": _PUBLIC,

@@ -461,6 +461,38 @@ class TestCliParsing:
             parse_prior_specs(["r=1,2,cubic"])
 
 
+class TestConfigValidation:
+    """Bad settings fail when the config is built, not after the grid ran."""
+
+    @pytest.mark.parametrize("fd_step", [0.0, -0.05, 1.0, 2.0])
+    def test_fd_step_outside_the_open_unit_interval_is_refused(self, fd_step):
+        with pytest.raises(SweepError, match="fd_step must lie in"):
+            SweepConfig(fd_step=fd_step)
+
+    @pytest.mark.parametrize("every", [0, -1])
+    def test_checkpoint_every_below_one_is_refused(self, every):
+        with pytest.raises(SweepError, match="checkpoint_every must be at least 1"):
+            SweepConfig(checkpoint_every=every)
+
+    @pytest.mark.parametrize(
+        ("option", "pattern"),
+        [
+            ("--fd-step", "fd_step must lie in"),
+            ("--checkpoint-every", "checkpoint_every must be at least 1"),
+        ],
+    )
+    def test_cli_refuses_before_evaluating(self, option, pattern, monkeypatch):
+        from repro.casestudies import dds
+        from repro.sweep import driver
+
+        def never(*args, **kwargs):
+            raise AssertionError("a point was evaluated")
+
+        monkeypatch.setattr(driver, "evaluate_point", never)
+        with pytest.raises(SweepError, match=pattern):
+            dds.main(["--sweep", "--clusters", "1", option, "0"])
+
+
 def test_evaluate_point_is_a_pure_function_of_its_arguments():
     factory = _tiny_factory()
     config = SweepConfig()
