@@ -27,7 +27,7 @@ from typing import Callable
 from ..analysis import ArcadeEvaluator
 from ..arcade.model import ArcadeModel
 from ..composer import resolve_cache
-from ..errors import SweepError
+from ..errors import ArcadeError, SweepError
 from ..sweep import Prior, SweepConfig, SweepResult, run_sweep
 from ..telemetry import (
     add_observability_arguments,
@@ -116,7 +116,9 @@ def run_case_study(
     """Parse ``argv`` and call ``run(args, log)`` inside a telemetry session.
 
     The run manifest records the RNG root the run consumes: ``root_seed``
-    for a sweep, ``sim_seed`` otherwise.
+    for a sweep, ``sim_seed`` otherwise.  A library error (bad model
+    parameters, sweep settings, ...) becomes a usage error: the message on
+    stderr and exit status 2, like an option argparse itself refuses.
     """
     args = parser.parse_args(argv)
     if args.sweep and args.order != "hierarchical":
@@ -126,8 +128,11 @@ def run_case_study(
         )
     configure_logging(args)
     seeds = {"root_seed": args.root_seed} if args.sweep else {"sim_seed": args.sim_seed}
-    with telemetry_session(name, args, seeds=seeds):
-        run(args, get_logger(name))
+    try:
+        with telemetry_session(name, args, seeds=seeds):
+            run(args, get_logger(name))
+    except ArcadeError as error:
+        parser.error(str(error))
 
 
 def simulation_evaluator(

@@ -25,6 +25,7 @@ from scipy.sparse import linalg as sparse_linalg
 from scipy.sparse.csgraph import connected_components
 
 from ..errors import AnalysisError
+from ..telemetry.trace import span as telemetry_span
 from .ctmc import CTMC
 
 #: Largest BSCC size for which the dense GTH elimination is used.
@@ -138,15 +139,23 @@ def stationary_of_irreducible(ctmc: CTMC, states: list[int]) -> np.ndarray:
 
     Either solver's result must satisfy ``pi Q = 0`` to within
     :data:`_RESIDUAL_TOLERANCE` times the sub-chain's largest exit rate
-    (:func:`_check_residual`).
+    (:func:`_check_residual`).  With telemetry on, a ``ctmc.stationary``
+    span records the solver, the residual and its bound.
     """
     if len(states) == 1:
         return np.array([1.0])
-    if len(states) <= _GTH_LIMIT:
-        stationary = _gth(ctmc.rate_matrix()[states][:, states].toarray())
-        _check_residual("GTH", stationary, *_transposed_generator(ctmc, states))
-        return stationary
-    return _sparse_stationary(ctmc, states)
+    solver = "gth" if len(states) <= _GTH_LIMIT else "sparse"
+    with telemetry_span("ctmc.stationary", solver=solver, states=len(states)) as record:
+        if solver == "gth":
+            stationary = _gth(ctmc.rate_matrix()[states][:, states].toarray())
+            residual, bound = _check_residual(
+                "GTH", stationary, *_transposed_generator(ctmc, states)
+            )
+        else:
+            stationary, residual, bound, factor_nnz = _sparse_stationary(ctmc, states)
+            record.set(factor_nnz=factor_nnz)
+        record.set(residual=residual, bound=bound)
+    return stationary
 
 
 def _gth(rates: np.ndarray) -> np.ndarray:
@@ -217,19 +226,33 @@ def _balance_system(
     return system, generator_t, exit_rates
 
 
-def _sparse_stationary(ctmc: CTMC, states: list[int]) -> np.ndarray:
-    """Solve the global balance equations of a large irreducible sub-chain."""
+def _sparse_stationary(
+    ctmc: CTMC, states: list[int]
+) -> tuple[np.ndarray, float, float, int]:
+    """Solve the global balance equations of a large irreducible sub-chain.
+
+    The system is factored in a minimum-degree order of ``A + A^T`` with
+    diagonal pivots.  Minimum degree orders the dense normalisation row and
+    column last, so the leading block is a principal submatrix of an
+    irreducible generator's transpose: a column-diagonally-dominant
+    M-matrix, on which elimination without pivoting is stable.  The
+    residual check still guards the result.
+
+    Returns the distribution, its residual and bound
+    (:func:`_check_residual`) and the factor's ``L + U`` nonzero count.
+    """
     system, generator_t, exit_rates = _balance_system(ctmc, states)
     rhs = np.zeros(len(states))
     rhs[-1] = 1.0
-    solution = sparse_linalg.spsolve(system, rhs)
+    factor = sparse_linalg.splu(system, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0)
+    solution = factor.solve(rhs)
     solution = np.maximum(solution, 0.0)
     total = solution.sum()
     if total <= 0 or not np.isfinite(total):
         raise AnalysisError("sparse stationary solve failed")
     stationary = solution / total
-    _check_residual("sparse", stationary, generator_t, exit_rates)
-    return stationary
+    residual, bound = _check_residual("sparse", stationary, generator_t, exit_rates)
+    return stationary, residual, bound, factor.L.nnz + factor.U.nnz
 
 
 def _check_residual(
@@ -237,9 +260,10 @@ def _check_residual(
     stationary: np.ndarray,
     generator_t: sparse.csr_matrix,
     exit_rates: np.ndarray,
-) -> None:
+) -> tuple[float, float]:
     """Raise unless ``||pi Q||_inf`` is within :data:`_RESIDUAL_TOLERANCE`
-    times the largest exit rate.  The check only reads ``stationary``."""
+    times the largest exit rate; return the residual and that bound.  The
+    check only reads ``stationary``."""
     residual = float(np.abs(generator_t @ stationary).max())
     bound = _RESIDUAL_TOLERANCE * float(exit_rates.max())
     if not residual <= bound:
@@ -248,6 +272,7 @@ def _check_residual(
             f"{residual:.3e} exceeds {bound:.3e} ({_RESIDUAL_TOLERANCE:g} x the "
             "largest exit rate)"
         )
+    return residual, bound
 
 
 __all__ = [

@@ -160,9 +160,13 @@ class TestDDSParameterValidation:
     def test_threshold_equal_to_cluster_size_is_accepted(self):
         assert DDSParameters(disks_down_for_cluster_failure=4).disks_per_cluster == 4
 
-    def test_cli_refuses_zero_clusters(self):
-        with pytest.raises(ModelError, match=r"DDSParameters\.num_clusters"):
+    def test_cli_refuses_zero_clusters(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
             dds.main(["--clusters", "0"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "error: DDSParameters.num_clusters must be at least 1, got 0" in error
+        assert "Traceback" not in error
 
 
 class TestSerialOnly:

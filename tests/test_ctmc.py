@@ -30,6 +30,7 @@ import repro.ctmc.steady_state as steady_state_module
 from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system, absorption_probabilities
 from repro.errors import AnalysisError, ModelError, NondeterminismError
 from repro.ioimc import IOIMCBuilder, Signature
+from repro.telemetry import MemorySink, Telemetry
 
 from lumping_oracle import (
     absorption_probabilities_reference,
@@ -110,22 +111,32 @@ class TestSteadyState:
         size = 2000
         transitions = [(i, 1.0, (i + 1) % size) for i in range(size)]
         chain = CTMC(size, transitions)
-        distribution = steady_state_distribution(chain)
+        distribution, attrs = _traced(lambda: steady_state_distribution(chain))
         assert distribution[0] == pytest.approx(1.0 / size, rel=1e-6)
+        assert attrs["solver"] == "sparse"
+        assert attrs["residual"] <= attrs["bound"]
+        # The fill stays linear; partial pivoting in COLAMD order fills ~2.0e6.
+        assert attrs["factor_nnz"] <= 5 * size
 
     def test_sparse_path_rejects_an_inaccurate_solve(self, monkeypatch):
         size = _GTH_LIMIT + 100
         chain = CTMC(size, [(i, 1.0 + i % 3, (i + 1) % size) for i in range(size)])
         states = list(range(size))
         exact = stationary_of_irreducible(chain, states)
+        real_splu = steady_state_module.sparse_linalg.splu
 
-        def perturbed(system, rhs):
-            solution = exact.copy()
-            solution[0] *= 1.5
-            return solution
+        def perturbed_splu(system, **options):
+            factor = real_splu(system, **options)
+
+            def solve(rhs):
+                solution = exact.copy()
+                solution[0] *= 1.5
+                return solution
+
+            return SimpleNamespace(solve=solve, L=factor.L, U=factor.U)
 
         monkeypatch.setattr(
-            steady_state_module, "sparse_linalg", SimpleNamespace(spsolve=perturbed)
+            steady_state_module, "sparse_linalg", SimpleNamespace(splu=perturbed_splu)
         )
         with pytest.raises(AnalysisError, match="residual"):
             stationary_of_irreducible(chain, states)
@@ -151,8 +162,56 @@ class TestSteadyState:
         chain = dds_full_evaluator.ctmc
         (states,) = bottom_strongly_connected_components(chain)
         assert len(states) > _GTH_LIMIT
-        distribution = stationary_of_irreducible(chain, states)
+        distribution, attrs = _traced(lambda: stationary_of_irreducible(chain, states))
         assert distribution.sum() == pytest.approx(1.0)
+        assert attrs["solver"] == "sparse"
+        assert attrs["states"] == len(states)
+        assert attrs["residual"] <= attrs["bound"]
+        assert attrs["factor_nnz"] <= 500_000
+
+    def test_gth_path_records_its_residual(self):
+        size = 40
+        chain = CTMC(size, [(i, 1.0 + i % 3, (i + 1) % size) for i in range(size)])
+        _, attrs = _traced(lambda: stationary_of_irreducible(chain, list(range(size))))
+        assert attrs["solver"] == "gth"
+        assert attrs["states"] == size
+        assert attrs["residual"] <= attrs["bound"] == pytest.approx(3e-10)
+        assert "factor_nnz" not in attrs
+
+    @pytest.mark.parametrize(("size", "seed"), [(200, 0), (400, 1)])
+    def test_sparse_path_agrees_with_gth_below_the_limit(self, size, seed):
+        rates = _random_irreducible_rates(size, seed)
+        sources, targets = np.nonzero(rates)
+        chain = CTMC(size, zip(sources.tolist(), rates[sources, targets].tolist(), targets.tolist()))
+        states = list(range(size))
+        assert bottom_strongly_connected_components(chain) == [states]
+        stationary = steady_state_module._sparse_stationary(chain, states)[0]
+        np.testing.assert_allclose(
+            stationary, steady_state_module._gth(rates), rtol=1e-9, atol=0.0
+        )
+
+
+def _traced(solve):
+    """``solve()``'s result and the attributes of the one ``ctmc.stationary``
+    span it opened."""
+    telemetry = Telemetry(MemorySink())
+    with telemetry.activate():
+        result = solve()
+    (event,) = [
+        event for event in telemetry.export_events() if event["name"] == "ctmc.stationary"
+    ]
+    return result, event["attrs"]
+
+
+def _random_irreducible_rates(size: int, seed: int) -> np.ndarray:
+    """A ring plus ``3 * size`` random chords, rates log-uniform on 1e-4..1e2."""
+    rng = np.random.default_rng(seed)
+    sources = np.concatenate([np.arange(size), rng.integers(0, size, 3 * size)])
+    offsets = np.concatenate([np.ones(size, dtype=np.int64), rng.integers(1, size, 3 * size)])
+    targets = (sources + offsets) % size
+    rates = np.zeros((size, size))
+    np.add.at(rates, (sources, targets), 10.0 ** rng.uniform(-4.0, 2.0, len(sources)))
+    return rates
 
 
 def _tarjan_scc(num_states: int, successors: list[list[int]]) -> list[int]:

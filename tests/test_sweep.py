@@ -481,7 +481,7 @@ class TestConfigValidation:
             ("--checkpoint-every", "checkpoint_every must be at least 1"),
         ],
     )
-    def test_cli_refuses_before_evaluating(self, option, pattern, monkeypatch):
+    def test_cli_refuses_before_evaluating(self, option, pattern, monkeypatch, capsys):
         from repro.casestudies import dds
         from repro.sweep import driver
 
@@ -489,8 +489,10 @@ class TestConfigValidation:
             raise AssertionError("a point was evaluated")
 
         monkeypatch.setattr(driver, "evaluate_point", never)
-        with pytest.raises(SweepError, match=pattern):
+        with pytest.raises(SystemExit) as exit_info:
             dds.main(["--sweep", "--clusters", "1", option, "0"])
+        assert exit_info.value.code == 2
+        assert f"error: {pattern}" in capsys.readouterr().err
 
 
 def test_evaluate_point_is_a_pure_function_of_its_arguments():
