@@ -75,7 +75,7 @@ class ArcadeEvaluator:
     :class:`repro.composer.Composer`, which reduces after every
     composition step.  ``order`` accepts an explicit nested
     order, ``None`` for the greedy heuristic, or ``"auto"`` for the
-    cost-model-guided planner (see :mod:`repro.planner`).
+    planner's fault-tree walk (see :mod:`repro.planner`).
     ``cache`` enables the isomorphism-aware quotient cache
     (:mod:`repro.composer.cache`): ``"on"`` resolves to a single
     :class:`~repro.composer.QuotientCache` instance shared between the

@@ -62,9 +62,9 @@ class TranslatedModel:
         """Blocks that have ``action`` in their input signature.
 
         Answered from a memoised inverse table: the composer's hiding
-        schedule and the planner's greedy seed ask this per action per
+        schedule and its greedy default order ask this per action per
         step, which made the naive per-query sweep over every block the
-        single hottest path of order planning on large models.
+        single hottest path of order choice on large models.
         """
         table = self._listener_table
         if table is None:

@@ -502,8 +502,6 @@ def _run(args, log) -> None:
         args.reduction,
         args.order,
     )
-    if evaluator.composed.plan_report is not None:
-        log.info("  %s", evaluator.composed.plan_report.summary())
     if evaluator.cache is not None:
         log_cache_summary(log, evaluator.cache.summary())
     log.info(

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 #: Order policies of the case-study CLIs and evaluator builders: the
 #: paper's hand-written hierarchical decomposition, the signal-closing
-#: greedy heuristic (``Composer.default_order``) or the cost-model-guided
-#: planner of :mod:`repro.planner`.
+#: greedy heuristic (``Composer.default_order``) or the fault-tree walk of
+#: :mod:`repro.planner`.
 ORDER_CHOICES = ("hierarchical", "greedy", "auto")
 
 

@@ -462,10 +462,6 @@ def _run(args, log) -> None:
     unreliability_50h = modular.unreliability(MISSION_TIME_HOURS)
     elapsed = time.perf_counter() - started
     log.info("RCS (modular), reduction=%s, order=%s", args.reduction, args.order)
-    for name in ("pumps", "heat_exchange"):
-        report = modular.evaluators[name].composed.plan_report
-        if report is not None:
-            log.info("  %s: %s", name, report.summary())
     if modular.cache is not None:
         log_cache_summary(log, modular.cache.summary())
     log.info(

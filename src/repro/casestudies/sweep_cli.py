@@ -58,7 +58,7 @@ def case_study_parser(description: str) -> argparse.ArgumentParser:
         choices=ORDER_CHOICES,
         default="hierarchical",
         help="composition-order policy: the paper's hierarchical decomposition, "
-        "the greedy signal-closing heuristic, or the cost-model-guided planner "
+        "the greedy signal-closing heuristic, or the planner's fault-tree walk "
         "(single evaluations only)",
     )
     parser.add_argument(

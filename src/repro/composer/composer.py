@@ -13,9 +13,8 @@ model, per-step sizes) reproduce the numbers reported in Sections 5.1.2 and
 The composition order is given by the user as a (possibly nested) list of
 block names — nested groups are composed and reduced first, mirroring the
 hierarchical subsystem structure of the case studies — derived by a simple
-greedy heuristic when no order is supplied, or searched automatically by
-the cost-model-guided planner of :mod:`repro.planner` with
-``order="auto"``.
+greedy heuristic when no order is supplied, or planned automatically by
+the fault-tree walk of :mod:`repro.planner` with ``order="auto"``.
 
 With ``cache="on"`` (or a shared :class:`~repro.composer.cache.QuotientCache`
 instance) the composer additionally memoises every step under an
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from ..ctmc import CTMC, extract_ctmc, lump
 from ..errors import CompositionError, StateBudgetError
@@ -53,9 +52,6 @@ from .cache import (
     resolve_cache,
     structure_key,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (planner uses composer)
-    from ..planner import PlanReport
 
 #: Composition orders are nested sequences of block names.
 CompositionOrder = Sequence["str | CompositionOrder"]
@@ -162,8 +158,6 @@ class ComposedSystem:
     ioimc: IOIMC
     ctmc: CTMC
     statistics: CompositionStatistics
-    #: Search report of the order planner; only set for ``order="auto"`` runs.
-    plan_report: "PlanReport | None" = None
     #: The quotient cache the run used (``None`` when caching was off).
     cache: QuotientCache | None = None
 
@@ -181,10 +175,8 @@ class Composer:
         nested groups are composed and reduced first, mirroring the
         hierarchical subsystem structure of the case studies.  ``None``
         falls back to the greedy heuristic of :meth:`default_order`; the
-        string ``"auto"`` invokes the cost-model-guided order search of
-        :func:`repro.planner.plan_order` (the resulting
-        :class:`~repro.planner.PlanReport` is exposed as
-        :attr:`plan_report` and on the returned :class:`ComposedSystem`).
+        string ``"auto"`` plans the order with
+        :func:`repro.planner.plan_order`, a walk of the fault tree.
     reduction:
         Bisimulation variant applied to every intermediate model:
         ``"strong"`` (default; always sound, preserves every measure),
@@ -235,9 +227,6 @@ class Composer:
             )
         self.translated = translated
         self.order = order
-        #: The planner's :class:`~repro.planner.PlanReport` of the last
-        #: ``order="auto"`` run (``None`` otherwise).
-        self.plan_report: "PlanReport | None" = None
         self.reduction = reduction
         #: The resolved quotient cache (``None`` when caching is off).  The
         #: same instance survives re-runs of :meth:`compose`, so repeated
@@ -261,10 +250,6 @@ class Composer:
             cache="on" if self.cache is not None else "off",
             blocks=len(self.translated.blocks),
         ) as run_span:
-            # Fresh report per run: only an "auto" resolution below re-sets it,
-            # so a re-run with a different order must not carry the old plan
-            # along.
-            self.plan_report = None
             order = self._resolve_order()
             self._composed_blocks = set()
             # Fresh statistics per run: compose() is re-runnable and must not
@@ -298,7 +283,6 @@ class Composer:
                 ioimc=system,
                 ctmc=ctmc,
                 statistics=self.statistics,
-                plan_report=self.plan_report,
                 cache=self.cache,
             )
 
@@ -309,8 +293,7 @@ class Composer:
         if isinstance(self.order, str):  # validated to be "auto" in __init__
             from ..planner import plan_order  # late import: planner uses composer
 
-            order, self.plan_report = plan_order(self.translated)
-            return order
+            return plan_order(self.translated)
         return self.order
 
     def default_order(self) -> CompositionOrder:

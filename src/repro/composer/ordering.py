@@ -8,7 +8,7 @@ aggregation effective.  This module provides
   fault-tree gate is scheduled at the earliest point of a composition chain
   at which all of the non-gate blocks it (transitively) observes have been
   composed, so its signals can be hidden immediately.  The rule is shared by
-  :func:`hierarchical_order` and the automated order search of
+  :func:`hierarchical_order` and the fault-tree walk of
   :mod:`repro.planner`.
 * :func:`hierarchical_order` — turns a *subsystem decomposition* (an ordered
   list of groups of basic blocks, e.g. "the processors", "controller set 1",
@@ -37,7 +37,7 @@ class GateScheduler:
     leaves are part of the accumulated composite; composing it any later
     keeps its inputs unconstrained and its signals open.  This class answers
     the two questions both the hierarchical order builder and the planner's
-    order search ask: *which leaves does this gate observe* and *which gates
+    fault-tree walk ask: *which leaves does this gate observe* and *which gates
     become schedulable once a given leaf set is composed*.
     """
 
@@ -69,8 +69,8 @@ class GateScheduler:
         The translator compiles the fault tree into voting gates whose input
         tuples preserve the source expression's child order; walking them in
         that order (instead of the unordered signature) reproduces the
-        tree's construction sequence, which is what the planner's gate-tree
-        seed needs.  Falls back to sorted dependencies for gates without a
+        tree's construction sequence, which is what the planner's fault-tree
+        walk needs.  Falls back to sorted dependencies for gates without a
         recorded :class:`~repro.arcade.semantics.gate_semantics.VotingGate`.
         """
         voting = self.translated.gates.get(gate) if self.translated.gates else None
@@ -106,13 +106,25 @@ class GateScheduler:
     ) -> list[str]:
         """Gates of ``unassigned`` whose leaves are all in ``covered_leaves``.
 
-        Returned smallest-leaf-set first (ties broken by name) — the order in
-        which they should be composed, so that a gate observing another
-        gate's output is placed after it.
+        Returned smallest-leaf-set first, then lowest in the gate tree, then
+        by name — the order in which they should be composed, so that a gate
+        observing another gate's output is placed after it even when both
+        observe the same leaves.
         """
         return sorted(
             (gate for gate in unassigned if self.leaves_of(gate) <= covered_leaves),
-            key=lambda gate: (len(self.leaves_of(gate)), gate),
+            key=lambda gate: (len(self.leaves_of(gate)), self._height(gate), gate),
+        )
+
+    def _height(self, gate: str) -> int:
+        """Longest chain of gates below ``gate`` (0 when it observes none)."""
+        return max(
+            (
+                1 + self._height(dependency)
+                for dependency in self.direct_dependencies(gate)
+                if dependency in self.gate_names
+            ),
+            default=0,
         )
 
 

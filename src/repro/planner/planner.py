@@ -1,147 +1,209 @@
-"""The ``plan_order`` facade: automated composition-order planning.
+"""Automated composition order: affinity groups placed along the fault tree.
 
 ``plan_order(translated)`` returns a ready-to-use
-:class:`~repro.composer.CompositionOrder` for the composer, chosen by
-cost-model-guided search (see :mod:`repro.planner.search`), together with a
-:class:`PlanReport` describing what the search predicted and how much work
-it did.  It is wired into the stack as ``Composer(order="auto")`` /
-``compose_model(order="auto")`` and the ``--order auto`` flag of the
-case-study CLIs, and is the entry point for ad-hoc models whose users have
-no hierarchical decomposition at hand.
+:class:`~repro.composer.CompositionOrder` for the composer.  It is wired
+into the stack as ``Composer(order="auto")`` / ``compose_model(order="auto")``
+and the ``--order auto`` flag of the case-study CLIs, and is the entry point
+for ad-hoc models whose users have no hierarchical decomposition at hand.
 
-The search has one path.  Partition the non-gate blocks into affinity
-groups (the connected components of the shared-signal graph) and chain them
-along a depth-first walk of the fault tree — or, when the graph is one
-component, take the signal-closing greedy order's blocks one by one.  That
-seed is refined by simulated annealing over leaf permutations against the
-cost model, and the result is materialised as a nested order through
-:func:`repro.composer.hierarchical_order`, so the planned order gets the
-same group-then-join structure (and earliest-hiding gate placement) as the
-paper's hand-written decompositions.  The plan is a function of the model
-alone (the annealing budget and seed are fixed); the composer's quotient
-cache plays no part in it.
+The plan is one deterministic walk of the fault tree:
+
+1. :func:`affinity_groups` partitions the non-gate blocks into the connected
+   components of the shared-signal graph (a repair unit and its components,
+   a spare management unit and its processors).
+2. A depth-first walk from every root gate, in the gates' input order,
+   ranks each leaf by when it is first reached; a group ranks as its
+   earliest leaf.
+3. Each group is homed at the deepest gate observing every one of its
+   leaves the fault tree observes.  A gate's node holds its child gates'
+   nodes and its homed groups, by rank; a child whose node does not cover
+   all of that child's leaves cannot close on its own, so its items are
+   spliced into the parent's list instead.
+4. Every node is folded left-deep, every group one member at a time, and
+   each gate is appended right after the fold step that completes its
+   leaves (:meth:`~repro.composer.GateScheduler.ready_gates`), so its
+   signals are hidden as early as possible.
+
+So each subtree of the fault tree is composed and reduced on its own before
+it joins its parent.  The plan reads the translated model and nothing else
+(in particular not the composer's quotient cache), so ``order="auto"``
+composes one order per model, with the cache on or off.
 """
 
 from __future__ import annotations
 
-import random
-import time
-from dataclasses import dataclass
-
 from ..arcade.semantics import TranslatedModel
-from ..composer import CompositionOrder, hierarchical_order
+from ..composer import CompositionOrder, flatten_order
 from ..composer.ordering import GateScheduler
+from ..ioimc.actions import natural_sort_key
 from ..telemetry.trace import span as telemetry_span
-from .costmodel import CostModel
-from .search import (
-    affinity_groups,
-    anneal_order,
-    gate_tree_group_order,
-    score_groups,
-)
-
-#: Annealing budget, in candidate-order evaluations.  Sized so that
-#: planning the 57-block DDS model costs well under 10% of its end-to-end
-#: pipeline wall-clock.
-BUDGET = 240
-
-#: Seed of the annealing RNG: the whole search is deterministic per model.
-SEED = 0
-
-#: The annealed order must undercut the seed's predicted peak by this
-#: factor to win (guards against plateau drift, see below).
-_ANNEALING_MARGIN = 0.9
 
 
-@dataclass(frozen=True)
-class PlanReport:
-    """What the planner predicted, explored and spent for one order."""
+def affinity_groups(translated: TranslatedModel) -> list[list[str]]:
+    """Connected components of the shared-signal graph over non-gate blocks.
 
-    predicted_peak_states: float
-    predicted_total_states: float
-    predicted_steps: int
-    explored_candidates: int
-    wall_clock_seconds: float
-    num_groups: int
-    annealing_iterations: int
-    improved_by_annealing: bool
+    Two blocks land in the same group when their visible action sets
+    intersect (directly — fault-tree gates do not contribute edges, so
+    independent subsystems stay separate even though they all feed the
+    system fault tree).  Within a group the blocks are ordered by a
+    signal-closing mini-greedy: start from the smallest block, repeatedly
+    append the block sharing the most visible actions with the group so far
+    (ties towards smaller blocks, then names).  Groups are returned sorted
+    by their first block name; placing them is the fault-tree walk's job.
+    """
+    blocks = translated.blocks
+    gate_names = set(translated.gates)
+    leaves = [name for name in blocks if name not in gate_names]
+    visible = {name: blocks[name].signature.visible for name in leaves}
 
-    def summary(self) -> str:
-        """One-line human-readable digest (used by the CLIs)."""
-        return (
-            f"planned order: predicted peak {self.predicted_peak_states:,.0f} states "
-            f"over {self.predicted_steps} steps, {self.num_groups} affinity groups, "
-            f"{self.explored_candidates} candidates explored "
-            f"({self.annealing_iterations} annealing iterations) "
-            f"in {self.wall_clock_seconds:.2f}s"
+    parent: dict[str, str] = {name: name for name in leaves}
+
+    def find(name: str) -> str:
+        while parent[name] != name:
+            parent[name] = parent[parent[name]]
+            name = parent[name]
+        return name
+
+    by_action: dict[str, str] = {}
+    for name in leaves:
+        for action in visible[name]:
+            other = by_action.get(action)
+            if other is None:
+                by_action[action] = name
+            else:
+                parent[find(name)] = find(other)
+
+    components: dict[str, list[str]] = {}
+    for name in leaves:
+        components.setdefault(find(name), []).append(name)
+
+    groups = []
+    for members in components.values():
+        groups.append(_greedy_group_order(members, visible))
+    groups.sort(key=lambda group: natural_sort_key(group[0]))
+    return groups
+
+
+def _greedy_group_order(members: list[str], visible: dict[str, frozenset[str]]) -> list[str]:
+    """Order one group's blocks: smallest first, then maximal signal sharing."""
+    if len(members) == 1:
+        return list(members)
+    sizes = {name: len(visible[name]) for name in members}
+    remaining = set(members)
+    # Natural name order on ties (d_9 before d_10): replicated groups then
+    # order their members identically relative to the naming scheme, which
+    # keeps the quotient cache's slot pairings aligned across the replicas.
+    start = min(remaining, key=lambda name: (sizes[name], natural_sort_key(name)))
+    ordered = [start]
+    remaining.remove(start)
+    open_actions = set(visible[start])
+    while remaining:
+        best = min(
+            remaining,
+            key=lambda name: (
+                -len(visible[name] & open_actions),
+                sizes[name],
+                natural_sort_key(name),
+            ),
         )
+        ordered.append(best)
+        remaining.remove(best)
+        open_actions |= visible[best]
+    return ordered
 
 
-def plan_order(translated: TranslatedModel) -> tuple[CompositionOrder, PlanReport]:
-    """Search for a good composition order for ``translated``.
+def plan_order(translated: TranslatedModel) -> CompositionOrder:
+    """Plan a composition order for ``translated`` by walking its fault tree.
 
     ``translated`` holds the building-block I/O-IMCs (from
-    :func:`repro.arcade.semantics.translate_model`).  Returns the planned
-    order — nested group-by-group, fault-tree gates placed by the
-    earliest-hiding rule — and the :class:`PlanReport` for it.  The search
-    is deterministic: planning the same model twice gives the same order.
+    :func:`repro.arcade.semantics.translate_model`).  Returns a nested
+    order in which every fault-tree subtree closes on its own (see the
+    module docstring); planning the same model twice gives the same order.
     """
     with telemetry_span("plan.order") as plan_span:
-        order, report = _plan_order_impl(translated)
-        plan_span.set(
-            predicted_peak_states=report.predicted_peak_states,
-            predicted_steps=report.predicted_steps,
-            explored_candidates=report.explored_candidates,
-            num_groups=report.num_groups,
-            improved_by_annealing=report.improved_by_annealing,
-        )
-        return order, report
+        groups = affinity_groups(translated)
+        order = _walk_order(GateScheduler(translated), groups)
+        plan_span.set(groups=len(groups), steps=len(flatten_order(order)) - 1)
+        return order
 
 
-def _plan_order_impl(translated: TranslatedModel) -> tuple[CompositionOrder, PlanReport]:
-    """The search itself (see :func:`plan_order`, the traced facade)."""
-    started = time.perf_counter()
-    model = CostModel(translated)
-    scheduler = GateScheduler(translated)
+def _walk_order(scheduler: GateScheduler, groups: list[list[str]]) -> CompositionOrder:
+    """Place ``groups`` along a depth-first walk of the fault tree."""
+    gates = scheduler.gate_names
+    observed = {
+        dependency for gate in gates for dependency in scheduler.direct_dependencies(gate)
+    }
+    # The walk: each gate's child gates (a gate observed by several gates
+    # belongs to the first that reaches it; ``None`` is the top level) and
+    # each leaf's first-reach rank.
+    children: dict[str | None, list[str]] = {
+        None: sorted(gate for gate in gates if gate not in observed)
+    }
+    rank: dict[str, int] = {}
 
-    groups = affinity_groups(translated)
-    if len(groups) > 1:
-        seed = tuple(
-            tuple(groups[index]) for index in gate_tree_group_order(scheduler, groups)
-        )
-    else:
-        from ..composer import Composer  # late import: composer lazily uses planner
+    def walk(gate: str) -> None:
+        children[gate] = []
+        for dependency in scheduler.ordered_dependencies(gate):
+            if dependency not in gates:
+                rank.setdefault(dependency, len(rank))
+            elif dependency not in children:
+                children[gate].append(dependency)
+                walk(dependency)
 
-        seed = tuple(
-            (name,)
-            for name in Composer(translated).default_order()
-            if name not in scheduler.gate_names
-        )
-    seed_cost = score_groups(model, scheduler, seed)
+    for root in children[None]:
+        walk(root)
 
-    annealed = anneal_order(
-        model, scheduler, seed, iterations=BUDGET, rng=random.Random(SEED)
-    )
-    # The cost model is a ranking device, not a measurement: near-ties hide
-    # real differences (moving one block into an unrelated group can look
-    # neutral while being disastrous in practice).  The annealed order
-    # therefore only replaces the seed when it beats it by a real margin on
-    # the predicted peak.
-    improved = annealed.cost.peak < _ANNEALING_MARGIN * seed_cost.peak
-    groups_chosen, cost = (annealed.groups, annealed.cost) if improved else (seed, seed_cost)
+    # Home every group, with its rank, at the deepest gate observing all its
+    # observed leaves.
+    homed: dict[str | None, list[tuple[int, list]]] = {}
+    unobserved: list[list[str]] = []
+    for group in groups:
+        watched = {name for name in group if name in rank}
+        if not watched:
+            unobserved.append(group)
+            continue
+        home = None
+        while deeper := [
+            gate for gate in children[home] if watched <= scheduler.leaves_of(gate)
+        ]:
+            home = deeper[0]
+        homed.setdefault(home, []).append((min(rank[name] for name in watched), group))
 
-    order = hierarchical_order(translated, [list(group) for group in groups_chosen])
-    report = PlanReport(
-        predicted_peak_states=cost.peak,
-        predicted_total_states=cost.total,
-        predicted_steps=cost.steps,
-        explored_candidates=1 + annealed.explored,
-        wall_clock_seconds=time.perf_counter() - started,
-        num_groups=len(groups_chosen),
-        annealing_iterations=BUDGET,
-        improved_by_annealing=improved,
-    )
-    return order, report
+    def node(gate: str | None) -> tuple[list[tuple[int, list]], set[str]]:
+        """The ranked items of ``gate``'s node and the leaves they cover."""
+        items = list(homed.get(gate, []))
+        covered = {name for _, group in items for name in group}
+        for child in children[gate]:
+            child_items, child_covered = node(child)
+            covered |= child_covered
+            if child_items and scheduler.leaves_of(child) <= child_covered:
+                items.append((child_items[0][0], [item for _, item in child_items]))
+            else:
+                items.extend(child_items)
+        items.sort(key=lambda item: item[0])
+        return items, covered
+
+    top, _ = node(None)
+    tree = [item for _, item in top] + unobserved
+
+    unassigned = set(gates)
+
+    def fold(part: list | str) -> CompositionOrder | str:
+        """Fold ``part`` left-deep, appending each gate once it is ready."""
+        if isinstance(part, str):
+            return part
+        order: list = []
+        covered: set[str] = set()
+        for item in part:
+            order.append(fold(item))
+            covered.update(flatten_order(order[-1]))
+            ready = scheduler.ready_gates(unassigned, covered)
+            unassigned.difference_update(ready)
+            order.extend(ready)
+        return order[0] if len(order) == 1 else order
+
+    order = fold(tree)
+    return [order] if isinstance(order, str) else order
 
 
-__all__ = ["PlanReport", "plan_order"]
+__all__ = ["affinity_groups", "plan_order"]

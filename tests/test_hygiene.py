@@ -97,7 +97,7 @@ def _names_used(tree: ast.Module) -> set[str]:
             and isinstance(node.value, str)
             and id(node) not in docstrings
         ):
-            # String annotations ("PlanReport | None") and __all__ entries.
+            # String annotations ("str | CompositionOrder") and __all__ entries.
             used.update(WORD.findall(node.value))
     return used
 

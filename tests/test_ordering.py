@@ -10,6 +10,7 @@ contract.
 
 import pytest
 
+from differential.generators import random_erlang_model
 from repro.arcade.semantics import translate_model
 from repro.casestudies.dds import build_dds_model, dds_composition_order
 from repro.casestudies.rcs import (
@@ -76,6 +77,14 @@ class TestGateScheduler:
         covered = {"pp", "ps", "dc_1", "dc_2"}
         ready = scheduler.ready_gates(scheduler.gate_names, covered)
         assert ready == ["_sys.1", "_sys.2", "_sys.n0.0"]
+
+    def test_ready_gates_put_observed_gates_first_on_equal_leaves(self):
+        # _sys, _sys.1 and _sys.2 all observe {c0, c1}; _sys observes the
+        # other two, so it comes last although it sorts first by name.
+        translated = translate_model(random_erlang_model(6))
+        scheduler = GateScheduler(translated)
+        ready = scheduler.ready_gates(scheduler.gate_names, {"c0", "c1"})
+        assert ready == ["_sys.1", "_sys.2", "_sys"]
 
     def test_ordered_dependencies_preserve_input_order(self, dds):
         translated, scheduler = dds
