@@ -37,12 +37,20 @@ def make_absorbing(ctmc: CTMC, states: list[int] | set[int]) -> CTMC:
 
 
 def unreliability(ctmc: CTMC, time: float, *, down_label: str = "down") -> float:
-    """Probability that the chain reaches a ``down`` state within ``time``."""
+    """Probability that the chain reaches a ``down`` state within ``time``.
+
+    The absorbing chain is built once per ``(ctmc, down_label)`` and
+    memoised on ``ctmc``, so calls at several mission times share its
+    uniformisation and resume from its checkpoint
+    (:func:`~repro.ctmc.transient.transient_distribution`).
+    """
     down_states = ctmc.states_with_label(down_label)
     if not down_states:
         return 0.0
-    absorbing_chain = make_absorbing(ctmc, down_states)
-    distribution = transient_distribution(absorbing_chain, time)
+    cache = ctmc.__dict__.setdefault("_absorbing_cache", {})
+    if down_label not in cache:
+        cache[down_label] = make_absorbing(ctmc, down_states)
+    distribution = transient_distribution(cache[down_label], time)
     return float(distribution[down_states].sum())
 
 

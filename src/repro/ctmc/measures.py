@@ -9,10 +9,13 @@ failure states carry the atomic proposition ``"down"``.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import AnalysisError
 from .absorbing import mean_time_to_failure, reliability, unreliability
 from .ctmc import CTMC
 from .steady_state import steady_state_distribution
@@ -63,8 +66,23 @@ def interval_unavailability(
     down_label: str = DOWN_LABEL,
     resolution: int = 200,
 ) -> float:
-    """Average unavailability over ``[0, time]`` (trapezoidal integration)."""
-    if time <= 0:
+    """Average unavailability over ``[0, time]`` (trapezoidal integration
+    over ``resolution`` equally spaced instants, at least 2).
+
+    At ``time`` 0 it is the unavailability at the start.  The instants
+    ascend, so each transient solve resumes where the previous one stopped.
+    """
+    if not math.isfinite(time) or time < 0:
+        raise AnalysisError(
+            f"interval unavailability requires a finite non-negative time horizon, "
+            f"got {time}"
+        )
+    if not isinstance(resolution, numbers.Integral) or resolution < 2:
+        raise AnalysisError(
+            f"interval unavailability needs an integer resolution of at least 2 "
+            f"instants, got {resolution!r}"
+        )
+    if time == 0:
         return 1.0 - point_availability(ctmc, 0.0, down_label=down_label)
     times = np.linspace(0.0, time, resolution)
     values = [1.0 - point_availability(ctmc, float(t), down_label=down_label) for t in times]

@@ -31,6 +31,12 @@ from .ctmc import CTMC
 #: Largest BSCC size for which the dense GTH elimination is used.
 _GTH_LIMIT = 1500
 
+#: Most matrix entries one slice of a GTH rank-1 update covers (256 KiB of
+#: doubles).  On the 1,164-state RCS pump chain, 2**13 .. 2**17 took
+#: 0.468, 0.402, 0.410, 0.444 and 0.536 s, against 0.523 s unsliced
+#: (medians of 15 interleaved runs on a 2-core x86-64 host).
+_GTH_BLOCK = 1 << 15
+
 #: Largest accepted ``||pi Q||_inf`` of a stationary solve (GTH or sparse),
 #: relative to the sub-chain's largest exit rate.
 _RESIDUAL_TOLERANCE = 1e-10
@@ -140,7 +146,8 @@ def stationary_of_irreducible(ctmc: CTMC, states: list[int]) -> np.ndarray:
     Either solver's result must satisfy ``pi Q = 0`` to within
     :data:`_RESIDUAL_TOLERANCE` times the sub-chain's largest exit rate
     (:func:`_check_residual`).  With telemetry on, a ``ctmc.stationary``
-    span records the solver, the residual and its bound.
+    span records the solver, the residual, its bound and the componentwise
+    balance defect (recorded, not enforced).
     """
     if len(states) == 1:
         return np.array([1.0])
@@ -148,18 +155,24 @@ def stationary_of_irreducible(ctmc: CTMC, states: list[int]) -> np.ndarray:
     with telemetry_span("ctmc.stationary", solver=solver, states=len(states)) as record:
         if solver == "gth":
             stationary = _gth(ctmc.rate_matrix()[states][:, states].toarray())
-            residual, bound = _check_residual(
+            residual, bound, defect = _check_residual(
                 "GTH", stationary, *_transposed_generator(ctmc, states)
             )
         else:
-            stationary, residual, bound, factor_nnz = _sparse_stationary(ctmc, states)
+            stationary, residual, bound, defect, factor_nnz = _sparse_stationary(
+                ctmc, states
+            )
             record.set(factor_nnz=factor_nnz)
-        record.set(residual=residual, bound=bound)
+        record.set(residual=residual, bound=bound, defect=defect)
     return stationary
 
 
-def _gth(rates: np.ndarray) -> np.ndarray:
+def _gth(matrix: np.ndarray) -> np.ndarray:
     """Grassmann-Taksar-Heyman elimination (no subtractions, very stable).
+
+    ``matrix`` is the dense float64 rate matrix of the sub-chain; the
+    elimination runs in it and overwrites it, so a caller that needs the
+    rates afterwards passes a copy.
 
     Eliminating state ``n`` adds ``outer(col, row) / total`` to the leading
     ``n x n`` block.  Only the rows where ``col`` is nonzero are updated,
@@ -167,11 +180,14 @@ def _gth(rates: np.ndarray) -> np.ndarray:
     outside would receive ``(0.0 * x) / total == +0.0``, and adding that to
     a finite non-negative entry leaves it unchanged, so the result is
     bit-identical to the dense update at a fraction of the work on sparse
-    chains.
+    chains.  The update runs in slices of at most :data:`_GTH_BLOCK`
+    entries (at least one row) through one preallocated buffer; each entry
+    still receives ``(col[i] * row[j]) / total`` once per step, so slicing
+    does not change a bit.
     """
-    size = rates.shape[0]
-    matrix = rates.copy().astype(float)
+    size = matrix.shape[0]
     np.fill_diagonal(matrix, 0.0)
+    buffer = np.empty(min(max(_GTH_BLOCK, size), size * size))
     for n in range(size - 1, 0, -1):
         total = matrix[n, :n].sum()
         if total <= 0:
@@ -181,7 +197,14 @@ def _gth(rates: np.ndarray) -> np.ndarray:
         rows, cols = np.flatnonzero(col), np.flatnonzero(row)
         if rows.size and cols.size:
             c0, c1 = cols[0], cols[-1] + 1
-            matrix[rows, c0:c1] += np.outer(col[rows], row[c0:c1]) / total
+            width = c1 - c0
+            per_slice = max(1, _GTH_BLOCK // width)
+            for start in range(0, rows.size, per_slice):
+                chunk = rows[start : start + per_slice]
+                update = buffer[: chunk.size * width].reshape(chunk.size, width)
+                np.multiply.outer(col[chunk], row[c0:c1], out=update)
+                np.divide(update, total, out=update)
+                matrix[chunk, c0:c1] += update
         matrix[:n, n] /= total
     solution = np.zeros(size)
     solution[0] = 1.0
@@ -228,7 +251,7 @@ def _balance_system(
 
 def _sparse_stationary(
     ctmc: CTMC, states: list[int]
-) -> tuple[np.ndarray, float, float, int]:
+) -> tuple[np.ndarray, float, float, float, int]:
     """Solve the global balance equations of a large irreducible sub-chain.
 
     The system is factored in a minimum-degree order of ``A + A^T`` with
@@ -238,7 +261,7 @@ def _sparse_stationary(
     M-matrix, on which elimination without pivoting is stable.  The
     residual check still guards the result.
 
-    Returns the distribution, its residual and bound
+    Returns the distribution, its residual, bound and defect
     (:func:`_check_residual`) and the factor's ``L + U`` nonzero count.
     """
     system, generator_t, exit_rates = _balance_system(ctmc, states)
@@ -251,8 +274,10 @@ def _sparse_stationary(
     if total <= 0 or not np.isfinite(total):
         raise AnalysisError("sparse stationary solve failed")
     stationary = solution / total
-    residual, bound = _check_residual("sparse", stationary, generator_t, exit_rates)
-    return stationary, residual, bound, factor.L.nnz + factor.U.nnz
+    residual, bound, defect = _check_residual(
+        "sparse", stationary, generator_t, exit_rates
+    )
+    return stationary, residual, bound, defect, factor.L.nnz + factor.U.nnz
 
 
 def _check_residual(
@@ -260,11 +285,20 @@ def _check_residual(
     stationary: np.ndarray,
     generator_t: sparse.csr_matrix,
     exit_rates: np.ndarray,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Raise unless ``||pi Q||_inf`` is within :data:`_RESIDUAL_TOLERANCE`
-    times the largest exit rate; return the residual and that bound.  The
-    check only reads ``stationary``."""
-    residual = float(np.abs(generator_t @ stationary).max())
+    times the largest exit rate; return the residual, that bound and the
+    componentwise defect ``max_i |(pi Q)_i| / (pi_i q_i)``, each state's
+    balance error relative to its own outflow (infinite where ``pi_i q_i``
+    is 0).  Only the residual is enforced.  The check only reads
+    ``stationary``."""
+    imbalance = np.abs(generator_t @ stationary)
+    residual = float(imbalance.max())
+    outflow = stationary * exit_rates
+    relative = np.divide(
+        imbalance, outflow, out=np.full(len(outflow), np.inf), where=outflow > 0
+    )
+    defect = float(relative.max())
     bound = _RESIDUAL_TOLERANCE * float(exit_rates.max())
     if not residual <= bound:
         raise AnalysisError(
@@ -272,7 +306,7 @@ def _check_residual(
             f"{residual:.3e} exceeds {bound:.3e} ({_RESIDUAL_TOLERANCE:g} x the "
             "largest exit rate)"
         )
-    return residual, bound
+    return residual, bound, defect
 
 
 __all__ = [

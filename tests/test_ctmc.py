@@ -27,6 +27,7 @@ from repro.ctmc import (
     unreliability,
 )
 import repro.ctmc.steady_state as steady_state_module
+import repro.ctmc.transient as transient_module
 from repro.ctmc.steady_state import _GTH_LIMIT, _balance_system, absorption_probabilities
 from repro.errors import AnalysisError, ModelError, NondeterminismError
 from repro.ioimc import IOIMCBuilder, Signature
@@ -168,6 +169,9 @@ class TestSteadyState:
         assert attrs["states"] == len(states)
         assert attrs["residual"] <= attrs["bound"]
         assert attrs["factor_nnz"] <= 500_000
+        # Recorded, not enforced: the sparse solve clamps tiny probabilities
+        # to zero, where the componentwise defect is infinite.
+        assert "defect" in attrs
 
     def test_gth_path_records_its_residual(self):
         size = 40
@@ -176,6 +180,7 @@ class TestSteadyState:
         assert attrs["solver"] == "gth"
         assert attrs["states"] == size
         assert attrs["residual"] <= attrs["bound"] == pytest.approx(3e-10)
+        assert attrs["defect"] <= 1e-13
         assert "factor_nnz" not in attrs
 
     @pytest.mark.parametrize(("size", "seed"), [(200, 0), (400, 1)])
@@ -187,8 +192,26 @@ class TestSteadyState:
         assert bottom_strongly_connected_components(chain) == [states]
         stationary = steady_state_module._sparse_stationary(chain, states)[0]
         np.testing.assert_allclose(
-            stationary, steady_state_module._gth(rates), rtol=1e-9, atol=0.0
+            stationary, steady_state_module._gth(rates.copy()), rtol=1e-9, atol=0.0
         )
+
+    def test_componentwise_defect_flags_what_the_residual_passes(self):
+        # pi_1 is about 1e-12: zeroing it moves ||pi Q||_inf by only 1e-12,
+        # inside the 1e-10 bound, but state 1's balance is then off by the
+        # whole of its inflow.
+        chain = CTMC(2, [(0, 1e-12, 1), (1, 1.0, 0)])
+        generator_t, exit_rates = steady_state_module._transposed_generator(chain, [0, 1])
+        exact = stationary_of_irreducible(chain, [0, 1])
+        _, _, defect = steady_state_module._check_residual(
+            "GTH", exact, generator_t, exit_rates
+        )
+        assert defect <= 1e-15
+        zeroed = np.array([1.0, 0.0])
+        residual, bound, defect = steady_state_module._check_residual(
+            "GTH", zeroed, generator_t, exit_rates
+        )
+        assert residual <= bound
+        assert defect == math.inf
 
 
 def _traced(solve):
@@ -201,6 +224,20 @@ def _traced(solve):
         event for event in telemetry.export_events() if event["name"] == "ctmc.stationary"
     ]
     return result, event["attrs"]
+
+
+def _transient_spans(run) -> tuple[list, list[dict]]:
+    """What ``run()`` returns and the attributes of the ``ctmc.transient``
+    spans it opened, in call order."""
+    telemetry = Telemetry(MemorySink())
+    with telemetry.activate():
+        results = run()
+    # Spans are emitted as they close, and transient spans do not nest.
+    return results, [
+        event["attrs"]
+        for event in telemetry.export_events()
+        if event["name"] == "ctmc.transient"
+    ]
 
 
 def _random_irreducible_rates(size: int, seed: int) -> np.ndarray:
@@ -427,6 +464,27 @@ def reference_transient(chain: CTMC, time: float, epsilon: float = 1e-12) -> np.
     return result / result.sum()
 
 
+def copy_of(chain: CTMC) -> CTMC:
+    """An equal chain with none of ``chain``'s memoised solver state."""
+    return CTMC.from_arrays(
+        chain.num_states,
+        *chain.edge_arrays(),
+        chain.initial_distribution,
+        chain.labels,
+        chain.name_source,
+    )
+
+
+#: Mission times, as multiples of ``1 / Lambda``, that one chain object is
+#: asked for in turn: resumable, never resumable, and mixed.
+TIME_SERIES = {
+    "ascending": (10.0, 60.0, 150.0, 400.0, 1000.0),
+    "descending": (1000.0, 400.0, 150.0, 60.0, 10.0),
+    "repeated": (150.0, 150.0, 150.0),
+    "interleaved": (60.0, 400.0, 10.0, 150.0, 1000.0, 60.0),
+}
+
+
 #: Shapes of the random irreducible chains the solvers are pinned on.
 CHAIN_KINDS = ("sparse", "banded", "dense", "blocks", "ring")
 
@@ -518,6 +576,21 @@ class TestSolversAgainstOracles:
         chain = random_irreducible_chain(kind, seed)
         states = list(range(chain.num_states))
         assert bottom_strongly_connected_components(chain) == [states]
+        got, attrs = _traced(lambda: stationary_of_irreducible(chain, states))
+        assert got.tobytes() == reference_stationary(chain, states).tobytes()
+        # GTH balances every state to rounding, relative to its outflow.
+        assert attrs["defect"] <= 1e-13
+
+    @pytest.mark.parametrize("block", [1, 7])
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_stationary_matches_dense_gth_in_any_slice_size(
+        self, kind, seed, block, monkeypatch
+    ):
+        # One row per slice, and slices of a few short rows.
+        monkeypatch.setattr(steady_state_module, "_GTH_BLOCK", block)
+        chain = random_irreducible_chain(kind, seed)
+        states = list(range(chain.num_states))
         got = stationary_of_irreducible(chain, states)
         assert got.tobytes() == reference_stationary(chain, states).tobytes()
 
@@ -528,6 +601,23 @@ class TestSolversAgainstOracles:
         time = float(np.random.default_rng(seed).uniform(1.0, 200.0)) / chain.uniformization_rate()
         got = transient_distribution(chain, time)
         assert got.tobytes() == reference_transient(chain, time).tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    def test_transient_matches_per_step_transpose_through_the_operator(
+        self, kind, seed, monkeypatch
+    ):
+        # The fallback for a SciPy without its private CSR kernel.
+        monkeypatch.setattr(
+            transient_module, "_csr_matvec", transient_module._csr_matvec_by_operator
+        )
+        chain = random_irreducible_chain(kind, seed)
+        rate = chain.uniformization_rate()
+        times = [multiple / rate for multiple in TIME_SERIES["interleaved"]]
+        for time in times:
+            got = transient_distribution(chain, time)
+            fresh = random_irreducible_chain(kind, seed)
+            assert got.tobytes() == reference_transient(fresh, time).tobytes()
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("kind", CHAIN_KINDS)
@@ -551,6 +641,50 @@ class TestSolversAgainstOracles:
             )
             got = stationary_of_irreducible(chain, states)
             assert got.tobytes() == reference_stationary(chain, states).tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    @pytest.mark.parametrize("series", sorted(TIME_SERIES))
+    def test_transient_series_on_one_chain_matches_fresh_chains(self, series, kind, seed):
+        chain = random_irreducible_chain(kind, seed)
+        rate = chain.uniformization_rate()
+        times = [multiple / rate for multiple in TIME_SERIES[series]]
+        got, spans = _transient_spans(
+            lambda: [transient_distribution(chain, time) for time in times]
+        )
+        for time, distribution in zip(times, got):
+            fresh = random_irreducible_chain(kind, seed)
+            assert distribution.tobytes() == reference_transient(fresh, time).tobytes()
+        # A call resumes from the furthest window end an earlier call
+        # reached if that lies at or before its own window start.
+        checkpoint = 0
+        for attrs in spans:
+            start = checkpoint if 0 < checkpoint <= attrs["left"] else 0
+            assert attrs["resumed_from"] == start
+            assert attrs["steps"] == attrs["right"] - start
+            checkpoint = max(checkpoint, attrs["right"])
+        if series in ("ascending", "interleaved"):
+            assert any(attrs["resumed_from"] for attrs in spans)
+
+    def test_initial_argument_neither_reads_nor_moves_the_checkpoint(self):
+        chain = random_irreducible_chain("sparse", 3)
+        rate = chain.uniformization_rate()
+        uniform = np.full(chain.num_states, 1.0 / chain.num_states)
+        (_, with_initial, later), spans = _transient_spans(
+            lambda: [
+                transient_distribution(chain, 100.0 / rate),
+                transient_distribution(chain, 600.0 / rate, initial=uniform),
+                transient_distribution(chain, 400.0 / rate),
+            ]
+        )
+        first, other, own = spans
+        assert other["resumed_from"] == 0
+        assert own["resumed_from"] == first["right"] < other["right"]
+        fresh = random_irreducible_chain("sparse", 3)
+        assert with_initial.tobytes() == (
+            transient_distribution(fresh, 600.0 / rate, initial=uniform).tobytes()
+        )
+        assert later.tobytes() == reference_transient(fresh, 400.0 / rate).tobytes()
 
     def test_generator_of_chain_without_transitions(self):
         chain = CTMC(3, [])
@@ -594,6 +728,26 @@ class TestSolversAgainstOracles:
         assert transient_distribution(chain, time).tobytes() == (
             reference_transient(chain, time).tobytes()
         )
+
+    @pytest.mark.slow
+    def test_pump_unreliability_over_mission_times_matches_fresh_chains(
+        self, rcs_modular_evaluator
+    ):
+        pumps = rcs_modular_evaluator.evaluators["pumps"].ctmc
+        hours = (50.0, 500.0, 5000.0, 8760.0)
+        chain = copy_of(pumps)
+        got, spans = _transient_spans(lambda: [unreliability(chain, time) for time in hours])
+        fresh = [unreliability(copy_of(pumps), time) for time in hours]
+        assert [value.hex() for value in got] == [value.hex() for value in fresh]
+        assert [attrs["resumed_from"] > 0 for attrs in spans] == [False, True, True, True]
+
+    @pytest.mark.slow
+    def test_pump_chain_gth_balances_every_state_to_rounding(self, rcs_modular_evaluator):
+        chain = rcs_modular_evaluator.evaluators["pumps"].ctmc
+        (states,) = bottom_strongly_connected_components(chain)
+        _, attrs = _traced(lambda: stationary_of_irreducible(chain, states))
+        assert attrs["solver"] == "gth"
+        assert attrs["defect"] <= 1e-13
 
     def test_corpus_shapes(self):
         # The ring's rows hold one nonzero each; dense rows of eight or more
@@ -650,6 +804,37 @@ class TestTransient:
         )
         chain = two_state_machine(failure, repair)
         assert interval_unavailability(chain, horizon) == pytest.approx(expected, rel=1e-4)
+
+    @pytest.mark.parametrize(
+        ("time", "resolution", "message"),
+        [
+            (-1.0, 200, "got -1.0"),
+            (math.nan, 200, "got nan"),
+            (math.inf, 200, "got inf"),
+            (10.0, 0, "got 0"),
+            (10.0, 1, "got 1"),
+            (10.0, 2.5, "got 2.5"),
+        ],
+    )
+    def test_interval_unavailability_rejects_bad_input(self, time, resolution, message):
+        # A bad input must raise, not yield a number such as 0.0 in place
+        # of this chain's 0.311.
+        chain = two_state_machine(0.5, 1.0)
+        assert interval_unavailability(chain, 10.0) == pytest.approx(0.311, abs=5e-4)
+        with pytest.raises(AnalysisError, match=message):
+            interval_unavailability(chain, time, resolution=resolution)
+
+    def test_interval_unavailability_resumes_to_the_bytes_of_fresh_chains(self):
+        horizon = 300.0
+        chain = two_state_machine(0.5, 1.0)
+        got, spans = _transient_spans(lambda: interval_unavailability(chain, horizon))
+        times = np.linspace(0.0, horizon, 200)
+        values = [
+            1.0 - point_availability(two_state_machine(0.5, 1.0), float(time))
+            for time in times
+        ]
+        assert got.hex() == float(np.trapezoid(values, times) / horizon).hex()
+        assert len(spans) == 199  # the call at t = 0 needs no uniformisation
 
 
 class TestAbsorbing:
